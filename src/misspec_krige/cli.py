@@ -162,10 +162,6 @@ def _model_from_spec(spec, label: str) -> GaussianModel:
                          label=spec.get("label", f"{family}[{label}]+{mean_label}"))
 
 
-def _domain_for(model: GaussianModel):
-    return model.kernel.domain
-
-
 def _generator_from_spec(spec, domain) -> DesignGenerator:
     if spec is None:
         if isinstance(domain, Torus):
@@ -216,7 +212,7 @@ def _scenario_from_config(config: dict) -> Scenario:
     wrong_model = _model_from_spec(inline.get("wrong_model"), "wrong")
     if type(true_model.kernel.domain) is not type(wrong_model.kernel.domain):
         raise ConfigError("the two models must live on the same domain type")
-    generator = _generator_from_spec(inline.get("design"), _domain_for(true_model))
+    generator = _generator_from_spec(inline.get("design"), true_model.kernel.domain)
     sched = tuple(inline.get("schedule", schedule or (8, 16, 32, 64)))
     targets_spec = inline.get("targets")
     if targets_spec is None:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -76,6 +77,17 @@ class DesignGenerator:
     def nested(self) -> bool:
         return self.kind in ("accumulating", "halton")
 
+    @property
+    @cache  # keyed by the generator's fields, so equal generators share it
+    def max_n(self) -> int:
+        """Largest n whose sites are pairwise distinct in floating point; the
+        accumulating offsets end below the float spacing at x_star."""
+        if self.kind != "accumulating":
+            return MAX_DESIGN_SIZE
+        sites = np.array(_accumulating_sites(self, MAX_DESIGN_SIZE))
+        repeats = np.setdiff1d(np.arange(sites.size), np.unique(sites, return_index=True)[1])
+        return int(repeats[0]) if repeats.size else MAX_DESIGN_SIZE
+
     @classmethod
     def equispaced(cls, domain=None) -> "DesignGenerator":
         return cls(kind="equispaced", domain=domain or Box())
@@ -110,12 +122,13 @@ def generate_design(g: DesignGenerator, n: int) -> Design:
     """The size-n design of a generator; deterministic in (g, n)."""
     if n < 1:
         raise DomainError("a design needs n >= 1 sites")
-    if n > MAX_DESIGN_SIZE:
-        raise DomainError(f"n={n} exceeds the documented maximum {MAX_DESIGN_SIZE}")
+    if n > g.max_n:
+        raise DomainError(f"n={n} exceeds the largest usable size {g.max_n} "
+                          f"of the {g.kind} design generator")
     if g.kind == "equispaced":
         return _equispaced(g, n)
     if g.kind == "accumulating":
-        return _accumulating(g, n)
+        return Design(np.asarray(_accumulating_sites(g, n))[:, None])
     if g.kind == "halton":
         dim = g.domain.dim if isinstance(g.domain, (Box, Torus)) else 1
         bases = (2, 3, 5, 7, 11, 13)[:dim]
@@ -146,7 +159,7 @@ def _equispaced(g: DesignGenerator, n: int) -> Design:
     return Design(sites[:, None])
 
 
-def _accumulating(g: DesignGenerator, n: int) -> Design:
+def _accumulating_sites(g: DesignGenerator, n: int) -> list[float]:
     """Sites approaching x_star geometrically, interleaved with a space-filling
     stream so the design stays dense in the domain as n grows.  Nested by
     construction: odd slots contract toward x_star with alternating sign, even
@@ -159,7 +172,7 @@ def _accumulating(g: DesignGenerator, n: int) -> Design:
             sites.append(g.x_star + side * _ACC_AMPLITUDE * g.q ** step)
         else:
             sites.append(_van_der_corput(j // 2))
-    return Design(np.asarray(sites)[:, None])
+    return sites
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +228,9 @@ class Scenario:
         sched = tuple(int(n) for n in self.n_schedule)
         if list(sched) != sorted(set(sched)):
             raise DomainError("the schedule must be strictly increasing")
-        if sched[-1] > MAX_DESIGN_SIZE:
-            raise DomainError(f"schedule exceeds the maximum design size {MAX_DESIGN_SIZE}")
+        if sched[-1] > self.design_generator.max_n:
+            raise DomainError(f"schedule exceeds the largest usable design size "
+                              f"{self.design_generator.max_n} of its generator")
         object.__setattr__(self, "n_schedule", sched)
         object.__setattr__(self, "targets", tuple(self.targets))
 

@@ -95,8 +95,6 @@ class CovarianceKernel(ABC):
 
     @property
     def point_dim(self) -> int:
-        if isinstance(self.domain, Torus):
-            return self.domain.dim
         return self.domain.dim
 
     @abstractmethod

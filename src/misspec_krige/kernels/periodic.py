@@ -28,22 +28,15 @@ _SYMMETRY_TOL = 1e-12
 
 def _positive_representatives(dim: int, k_max: int) -> np.ndarray:
     """Lattice representatives (first nonzero component positive) with
-    0 < max-norm <= k_max, enumerated by max-norm shell then lexicographically."""
-    from itertools import product
+    0 < max-norm <= k_max, enumerated by max-norm shell then lexicographically.
 
-    reps = []
-    for shell in range(1, k_max + 1):
-        shell_reps = []
-        for k in product(range(-shell, shell + 1), repeat=dim):
-            if max(abs(c) for c in k) != shell:
-                continue
-            first_nonzero = next((c for c in k if c != 0), 0)
-            if first_nonzero <= 0:
-                continue
-            shell_reps.append(k)
-        shell_reps.sort()
-        reps.extend(shell_reps)
-    return np.array(reps, dtype=int).reshape(len(reps), dim)
+    The cube [-k_max, k_max]^dim is enumerated once, in lexicographic order;
+    a stable sort by shell keeps that order within each shell."""
+    axis = np.arange(-k_max, k_max + 1)
+    cube = np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
+    first_nonzero = cube[np.arange(cube.shape[0]), np.argmax(cube != 0, axis=1)]
+    reps = cube[first_nonzero > 0]
+    return reps[np.argsort(np.abs(reps).max(axis=1), kind="stable")]
 
 
 @dataclass(frozen=True, eq=False)

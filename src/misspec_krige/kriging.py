@@ -145,16 +145,18 @@ class TargetFunctional:
 class GramFactor:
     """Cholesky factor of the (possibly jittered) design covariance matrix.
 
-    ``matrix`` holds the system that was factored (covariance plus jitter);
-    solves do one extended-precision residual-refinement pass, which matters
-    on clustered designs where plain solves lose enough digits to erode the
-    predictors' own-measure optimality.
+    ``matrix`` holds the system that was factored (``sigma``, the covariance,
+    plus jitter); solves of an (n,) or (n, k) right-hand side do one
+    extended-precision residual-refinement pass, which matters on clustered
+    designs where plain solves lose enough digits to erode the predictors'
+    own-measure optimality.
     """
 
     lower: np.ndarray
     jitter: float
     cond_estimate: float
     matrix: np.ndarray
+    sigma: np.ndarray
 
     @property
     def n(self) -> int:
@@ -237,13 +239,13 @@ def build_gram(design: Design, kernel: CovarianceKernel) -> GramFactor:
             leading_minor=minor, max_jitter=jitter) from last_error
     diag = np.diag(lower)
     cond_estimate = float((diag.max() / diag.min()) ** 2)
-    system = sigma + jitter * np.eye(design.n)
+    system = sigma + jitter * np.eye(design.n) if jitter else sigma
     resid = float(np.max(np.abs(lower @ lower.T - system)))
     if resid > 1e-8 * float(np.max(np.diag(sigma))):
         raise NumericalFailureError(
             f"Cholesky reconstruction error {resid:.3e} exceeds tolerance")
     return GramFactor(lower=lower, jitter=jitter, cond_estimate=cond_estimate,
-                      matrix=system)
+                      matrix=system, sigma=sigma)
 
 
 def _leading_minor(exc: Exception) -> int | None:
@@ -251,20 +253,39 @@ def _leading_minor(exc: Exception) -> int | None:
     return int(match.group(1)) if match else None
 
 
+class LevelSystem:
+    """One model's share of a schedule level: the factored design Gram, each
+    target's cross-covariance and the means, each evaluated once.  The model
+    builds predictors (``predictors``) and serves as a measure (``moments``)."""
+
+    def __init__(self, design: Design, targets, model: GaussianModel,
+                 gram: GramFactor | None = None):
+        self.design, self.targets, self.model = design, list(targets), model
+        self.gram = build_gram(design, model.kernel) if gram is None else gram
+        self.cross = [model.kernel.gram(t.sites, design.sites) for t in self.targets]
+        self.m_design = model.mean_at(design.sites)
+        self.m_targets = [model.mean_at(t.sites) for t in self.targets]
+
+    def predictors(self) -> list[LinearPredictor]:
+        """Every target's best linear predictor, from one multi-column solve."""
+        rhs = np.column_stack([t.coeffs @ c for t, c in zip(self.targets, self.cross)])
+        weights = np.ascontiguousarray(self.gram.solve(rhs).T)
+        return [LinearPredictor(self.design, w, built_under=self.model.label,
+                                intercept=(t.intercept_coeff + float(t.coeffs @ m_t)
+                                           - _dot(w, self.m_design)))
+                for t, m_t, w in zip(self.targets, self.m_targets, weights)]
+
+    def moments(self, predictor_sets) -> list[list[ErrorMoments]]:
+        """Moments under this model of each set's per-target predictors."""
+        tblocks = [self.model.kernel.gram(t.sites) for t in self.targets]
+        return _moment_block(predictor_sets, self.targets, self.gram.sigma, self.cross,
+                             tblocks, self.m_design, self.m_targets)
+
+
 def kriging_predictor(target: TargetFunctional, design: Design, model: GaussianModel,
                       gram: GramFactor | None = None) -> LinearPredictor:
     """Best linear predictor of the target under the given model."""
-    if gram is None:
-        gram = build_gram(design, model.kernel)
-    cross = model.kernel.gram(target.sites, design.sites)       # (L, n)
-    c = target.coeffs @ cross                                   # (n,)
-    weights = gram.solve(c)
-    m_design = model.mean_at(design.sites)
-    m_target = model.mean_at(target.sites)
-    intercept = (target.intercept_coeff + float(target.coeffs @ m_target)
-                 - _dot(weights, m_design))
-    return LinearPredictor(design=design, weights=weights, intercept=intercept,
-                           built_under=model.label)
+    return LevelSystem(design, [target], model, gram).predictors()[0]
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -278,22 +299,26 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 def error_moments(pred: LinearPredictor, target: TargetFunctional,
                   eval_model: GaussianModel) -> ErrorMoments:
     """Exact moments of prediction - h when the field follows ``eval_model``."""
-    kernel = eval_model.kernel
-    sigma = kernel.gram(pred.design.sites)
-    cross = kernel.gram(target.sites, pred.design.sites)
-    tblock = kernel.gram(target.sites)
+    kernel, sites = eval_model.kernel, pred.design.sites
     return _moments_from_pieces(
-        pred, target, sigma, cross, tblock,
-        eval_model.mean_at(pred.design.sites), eval_model.mean_at(target.sites))
+        pred, target, kernel.gram(sites), kernel.gram(target.sites, sites),
+        kernel.gram(target.sites), eval_model.mean_at(sites), eval_model.mean_at(target.sites))
 
 
 def _moments_from_pieces(pred: LinearPredictor, target: TargetFunctional,
                          sigma: np.ndarray, cross: np.ndarray, tblock: np.ndarray,
                          m_design: np.ndarray, m_target: np.ndarray) -> ErrorMoments:
-    w = pred.weights
-    beta = target.coeffs
-    mean = (pred.intercept + _dot(w, m_design)
-            - (target.intercept_coeff + float(beta @ m_target)))
+    return _moment_block([[pred]], [target], sigma, [cross], [tblock],
+                         m_design, [m_target])[0][0]
+
+
+def _moment_block(predictor_sets, targets, sigma: np.ndarray, cross, tblocks,
+                  m_design: np.ndarray, m_targets) -> list[list[ErrorMoments]]:
+    """Moments of ``predictor_sets[s][t]``, a predictor of ``targets[t]``, under
+    the measure with design block ``sigma``, per-target cross-covariances
+    (L_t, n) and target blocks, and means ``m_design`` and ``m_targets``."""
+    n = sigma.shape[0]
+    bounds = np.cumsum([n] + [len(t.coeffs) for t in targets])
     # The variance is v' K v with v = (w, -beta) over design + target sites.
     # Its summands are O(1) but cancel down to the kriging variance, which
     # clustered designs push to ~1e-9; assembling naively loses the record
@@ -302,16 +327,30 @@ def _moments_from_pieces(pred: LinearPredictor, target: TargetFunctional,
     # diagonal value, v'Kv = v'(K - c 11')v + c (sum v)^2, which shrinks the
     # summands to the kernel's local variation exactly where v concentrates,
     # with the tilt term summed exactly-rounded; (2) accumulate in 80-bit
-    # precision.
-    v = np.concatenate([w, -beta])
-    kmat = np.block([[sigma, cross.T], [cross, tblock]])
-    anchor = float(kmat[0, 0])
-    centered = kmat.astype(np.longdouble) - np.longdouble(anchor)
-    v_ld = v.astype(np.longdouble)
-    tilt = math.fsum(v.tolist())
-    variance_ld = (v_ld @ centered @ v_ld
-                   + np.longdouble(anchor) * np.longdouble(tilt) ** 2)
-    return ErrorMoments(mean=mean, variance=float(variance_ld))
+    # precision.  All predictors share one K over [design; all target sites];
+    # numpy's longdouble matmul sums in order over the inner index, so the
+    # zeros of v on other targets' sites leave every variance bit-identical.
+    kmat = np.zeros((bounds[-1], bounds[-1]), dtype=np.longdouble)
+    kmat[:n, :n] = sigma
+    for lo, hi, c, tblock in zip(bounds, bounds[1:], cross, tblocks):
+        kmat[lo:hi, :n], kmat[:n, lo:hi], kmat[lo:hi, lo:hi] = c, c.T, tblock
+    anchor = float(sigma[0, 0])
+    kmat -= np.longdouble(anchor)
+    rows = [(pred, t) for preds in predictor_sets for t, pred in enumerate(preds)]
+    vs = [np.concatenate([pred.weights, -targets[t].coeffs]) for pred, t in rows]
+    v_block = np.zeros((len(rows), bounds[-1]), dtype=np.longdouble)
+    for v_row, v, (_, t) in zip(v_block, vs, rows):
+        v_row[:n], v_row[bounds[t]:bounds[t + 1]] = v[:n], v[n:]
+    moments = []
+    for v, u, (pred, t) in zip(vs, v_block @ kmat, rows):
+        mean = (pred.intercept + _dot(pred.weights, m_design)
+                - (targets[t].intercept_coeff + float(targets[t].coeffs @ m_targets[t])))
+        # a 1-D dot in order over (design, own sites), as for a single target
+        variance_ld = (np.concatenate([u[:n], u[bounds[t]:bounds[t + 1]]])
+                       @ v.astype(np.longdouble)
+                       + np.longdouble(anchor) * np.longdouble(math.fsum(v.tolist())) ** 2)
+        moments.append(ErrorMoments(mean=mean, variance=float(variance_ld)))
+    return [moments[i:i + len(targets)] for i in range(0, len(moments), len(targets))]
 
 
 def mean_shift_identity_check(target: TargetFunctional, design: Design,
@@ -325,10 +364,10 @@ def mean_shift_identity_check(target: TargetFunctional, design: Design,
     """
     if model_a.kernel != model_b.kernel:
         raise DomainError("the two models must share the same covariance kernel")
-    gram = build_gram(design, model_a.kernel)
-    pred_a = kriging_predictor(target, design, model_a, gram)
-    pred_b = kriging_predictor(target, design, model_b, gram)
-    bias = error_moments(pred_b, target, model_a).mean
+    system_a = LevelSystem(design, [target], model_a)
+    pred_a = system_a.predictors()[0]
+    pred_b = LevelSystem(design, [target], model_b, system_a.gram).predictors()[0]
+    bias = system_a.moments([[pred_b]])[0][0].mean
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_probes):

@@ -31,16 +31,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DomainError, MisspecKrigeError, NumericalFailureError, PartialResultError
-from .kriging import (
-    Design,
-    GaussianModel,
-    LinearPredictor,
-    TargetFunctional,
-    _dot,
-    _moments_from_pieces,
-    build_gram,
-    kriging_predictor,
-)
+from .kriging import Design, GaussianModel, LevelSystem, TargetFunctional, _dot, build_gram
 
 RATIO_NAMES = ("r_var_1", "r_var_2", "r_var_3", "r_var_4",
                "r_mom_1", "r_mom_2", "r_mom_3", "r_mom_4")
@@ -122,43 +113,24 @@ def efficiency_ratios(design: Design, targets: Sequence[TargetFunctional],
     """Per-target ratio records plus one SUP record for a fixed design.
 
     Targets whose true-model kriging variance falls below ``variance_floor``
-    are excluded with a warning (their ratios are 0/0).  Both Gram matrices
-    are factorized once and shared across targets.
+    are excluded with a warning (their ratios are 0/0).  Each model's Gram is
+    factorized once and all targets are solved together; each measure's error
+    moments for both predictors come from one block (``LevelSystem``).
     """
     if not targets:
         raise DomainError("at least one target is required")
     n = design.n if n_value is None else n_value
-    gram_true = build_gram(design, true_model.kernel)
-    gram_wrong = build_gram(design, wrong_model.kernel)
-    sigma_true = true_model.kernel.gram(design.sites)
-    sigma_wrong = wrong_model.kernel.gram(design.sites)
-    m_true = true_model.mean_at(design.sites)
-    m_wrong = wrong_model.mean_at(design.sites)
-    kernels_match = true_model.kernel == wrong_model.kernel
-    limits = _ratio_limits(limit_a, kernels_match)
+    systems = {"true": LevelSystem(design, targets, true_model),
+               "wrong": LevelSystem(design, targets, wrong_model)}
+    predictors = [systems["true"].predictors(), systems["wrong"].predictors()]
+    moments = {measure: system.moments(predictors) for measure, system in systems.items()}
+    limits = _ratio_limits(limit_a, true_model.kernel == wrong_model.kernel)
 
     records: list[RatioRecord] = []
     for idx, target in enumerate(targets):
         target_id = target.label or f"t{idx:02d}"
-        pred_true = kriging_predictor(target, design, true_model, gram_true)
-        pred_wrong = kriging_predictor(target, design, wrong_model, gram_wrong)
-
-        pieces_true = _target_pieces(true_model, design, target)
-        pieces_wrong = _target_pieces(wrong_model, design, target)
-        mom = {
-            ("true", "true"): _moments_from_pieces(pred_true, target, sigma_true,
-                                                   *pieces_true, m_true,
-                                                   true_model.mean_at(target.sites)),
-            ("true", "wrong"): _moments_from_pieces(pred_true, target, sigma_wrong,
-                                                    *pieces_wrong, m_wrong,
-                                                    wrong_model.mean_at(target.sites)),
-            ("wrong", "true"): _moments_from_pieces(pred_wrong, target, sigma_true,
-                                                    *pieces_true, m_true,
-                                                    true_model.mean_at(target.sites)),
-            ("wrong", "wrong"): _moments_from_pieces(pred_wrong, target, sigma_wrong,
-                                                     *pieces_wrong, m_wrong,
-                                                     wrong_model.mean_at(target.sites)),
-        }
+        mom = {(pred, measure): moments[measure][row][idx]
+               for row, pred in enumerate(("true", "wrong")) for measure in systems}
         degenerate = _degenerate_measure(mom, variance_floor)
         if degenerate is not None:
             name, value = degenerate
@@ -175,12 +147,6 @@ def efficiency_ratios(design: Design, targets: Sequence[TargetFunctional],
         raise NumericalFailureError("every target was excluded by the variance floor")
     records.append(_sup_record(records, n, limits))
     return records
-
-
-def _target_pieces(model: GaussianModel, design: Design, target: TargetFunctional):
-    cross = model.kernel.gram(target.sites, design.sites)
-    tblock = model.kernel.gram(target.sites)
-    return cross, tblock
 
 
 _MEASURE_NAMES = {
@@ -252,18 +218,12 @@ def mean_term(design: Design, target: TargetFunctional, true_model: GaussianMode
     """
     if true_model.kernel != shifted_mean_model.kernel:
         raise DomainError("mean_term requires the two models to share one kernel")
-    gram = build_gram(design, true_model.kernel)
-    pred = kriging_predictor(target, design, true_model, gram)
-    delta = (true_model.mean_at(design.sites)
-             - shifted_mean_model.mean_at(design.sites))
-    delta_t = (true_model.mean_at(target.sites)
-               - shifted_mean_model.mean_at(target.sites))
+    system = LevelSystem(design, [target], true_model)
+    pred = system.predictors()[0]
+    delta = system.m_design - shifted_mean_model.mean_at(design.sites)
+    delta_t = system.m_targets[0] - shifted_mean_model.mean_at(target.sites)
     numerator = (float(target.coeffs @ delta_t) - _dot(pred.weights, delta)) ** 2
-    sigma = true_model.kernel.gram(design.sites)
-    cross, tblock = _target_pieces(true_model, design, target)
-    variance = _moments_from_pieces(
-        pred, target, sigma, cross, tblock,
-        true_model.mean_at(design.sites), true_model.mean_at(target.sites)).variance
+    variance = system.moments([[pred]])[0][0].variance
     if variance < VARIANCE_FLOOR:
         raise NumericalFailureError("target kriging variance below the floor")
     return numerator / variance

@@ -71,6 +71,19 @@ class TestRun:
         cfg = write_config(tmp_path, {"scenario": "identical"})
         assert main(["run", cfg]) == EXIT_CONFIG
 
+    @pytest.mark.filterwarnings("ignore:target .* excluded")
+    def test_schedule_beyond_generator_limit_exit_2(self, tmp_path, capsys):
+        # the default accumulating design repeats a site at n = 145
+        cfg = write_config(tmp_path, {"schema": 1, "scenario": "identical",
+                                      "schedule": [8, 145]})
+        assert main(["run", cfg, "--output", str(tmp_path / "bad")]) == EXIT_CONFIG
+        assert "largest usable design size 144" in capsys.readouterr().err
+        assert not (tmp_path / "bad" / "ratios.csv").exists()
+        cfg = write_config(tmp_path, {"schema": 1, "scenario": "identical",
+                                      "schedule": [8, 144]})
+        assert main(["run", cfg, "--output", str(tmp_path / "ok")]) == EXIT_OK
+        assert (tmp_path / "ok" / "ratios.csv").exists()
+
     def test_inline_experiment(self, tmp_path):
         cfg = write_config(tmp_path, {
             "schema": 1,

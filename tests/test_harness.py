@@ -59,6 +59,14 @@ class TestGenerators:
         with pytest.raises(DomainError):
             generate_design(DesignGenerator.equispaced(), 4096)
 
+    def test_accumulating_reports_largest_usable_n(self):
+        gen = DesignGenerator.accumulating()
+        assert gen.max_n == 144
+        assert generate_design(gen, 144).n == 144
+        with pytest.raises(DomainError, match="largest usable size 144"):
+            generate_design(gen, 145)
+        assert DesignGenerator.halton().max_n == 2048
+
     def test_two_dimensional_torus_grid(self):
         from misspec_krige.kernels import Torus
         gen = DesignGenerator.equispaced(domain=Torus(2))

@@ -84,6 +84,20 @@ class TestEigenSequence:
         np.testing.assert_allclose(seq.values[1:3], [0.25, 0.25], rtol=1e-14)
         assert len(seq) == 1 + 2 * (4 + 8)
 
+    @pytest.mark.parametrize("dim,k_max", [(1, 1), (1, 9), (2, 1), (2, 6), (3, 1), (3, 4)])
+    def test_enumeration_matches_shell_scan(self, dim, k_max):
+        """Same representatives, same order, as scanning each shell's cube."""
+        from itertools import product
+        from misspec_krige.kernels.periodic import _positive_representatives
+        reps = []
+        for shell in range(1, k_max + 1):
+            reps.extend(sorted(
+                k for k in product(range(-shell, shell + 1), repeat=dim)
+                if max(abs(c) for c in k) == shell
+                and next(c for c in k if c != 0) > 0))
+        expected = np.array(reps, dtype=int).reshape(len(reps), dim)
+        assert np.array_equal(_positive_representatives(dim, k_max), expected)
+
     def test_quadrature_eigenfunctions_match(self):
         """Discrete integral operator on an equispaced grid reproduces f(k)."""
         s = PeriodicSpectrum.from_coeffs({0: 1.0, 1: 0.5, 2: 0.125}, dim=1)

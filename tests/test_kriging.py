@@ -12,6 +12,7 @@ from misspec_krige.kernels import MaternKernel, MaternParams
 from misspec_krige.kriging import (
     Design,
     GaussianModel,
+    LevelSystem,
     TargetFunctional,
     build_gram,
     constant_mean,
@@ -188,6 +189,67 @@ class TestErrorMoments:
         em = error_moments(pred, target, model)
         assert em.variance == pytest.approx(oracle, rel=1e-10)
         assert em.mean == pytest.approx(0.0, abs=1e-12)
+
+
+class TestLevelSystem:
+    """The batched path must reproduce the one-target path bit for bit."""
+
+    @staticmethod
+    def targets():
+        return [TargetFunctional(0.7, np.array([[0.12], [0.47], [0.83]]),
+                                 np.array([1.5, -0.25, -2.0]), label="mixed"),
+                TargetFunctional.point([0.33], label="point"),
+                TargetFunctional(-1.1, np.array([[0.55], [0.61]]),
+                                 np.array([-1.0, 1.0]), label="contrast")]
+
+    def assert_batched_equals_single(self, design, build, measure):
+        targets = self.targets()
+        batched = LevelSystem(design, targets, build).predictors()
+        moments = LevelSystem(design, targets, measure).moments([batched, batched[::-1]])
+        for t, target in enumerate(targets):
+            single = kriging_predictor(target, design, build)
+            assert np.array_equal(batched[t].weights, single.weights)
+            assert batched[t].intercept == single.intercept
+            for got, pred in ((moments[0][t], single),
+                              (moments[1][t], batched[::-1][t])):
+                want = error_moments(pred, target, measure)
+                assert (got.mean, got.variance) == (want.mean, want.variance)
+
+    def test_multi_site_targets_match_one_target_path(self):
+        design = Design(np.array([[0.05], [0.2], [0.3], [0.5], [0.58], [0.7], [0.9]]))
+        build = exp_model(mean=linear_mean(0.4, -0.8))
+        measure = exp_model(sigma=1.7, kappa=0.6, mean=constant_mean(0.9))
+        self.assert_batched_equals_single(design, build, measure)
+        self.assert_batched_equals_single(design, measure, build)
+
+    def test_jittered_gram_moments_use_unjittered_sigma(self):
+        # the rank-3 kernel of test_rank_deficient_kernel_gets_jitter
+        from misspec_krige.kernels import PeriodicKernel, PeriodicSpectrum
+        kern = PeriodicKernel(PeriodicSpectrum.from_coeffs({0: 1.0, 1: 0.5}, dim=1))
+        model = GaussianModel(constant_mean(0.3), kern, "rank3")
+        design = Design((np.arange(5) / 5.0 + 0.01)[:, None])
+        gram = LevelSystem(design, self.targets(), model).gram
+        assert gram.jitter > 0.0
+        assert np.array_equal(gram.sigma, kern.gram(design.sites))
+        assert not np.array_equal(gram.matrix, gram.sigma)
+        self.assert_batched_equals_single(design, model, model)
+        self.assert_batched_equals_single(design, exp_model(), model)
+
+    @pytest.mark.parametrize("jittered", [False, True])
+    def test_multi_column_solve_equals_single_columns(self, jittered):
+        from misspec_krige.kernels import PeriodicKernel, PeriodicSpectrum
+        if jittered:
+            kern = PeriodicKernel(PeriodicSpectrum.from_coeffs({0: 1.0, 1: 0.5}, dim=1))
+            design = Design((np.arange(5) / 5.0 + 0.01)[:, None])
+        else:
+            kern = exp_model().kernel
+            design = Design((np.arange(1, 41) / 41.0)[:, None])
+        gram = build_gram(design, kern)
+        assert (gram.jitter > 0.0) == jittered
+        rhs = np.random.default_rng(7).standard_normal((design.n, 6))
+        solved = gram.solve(rhs)
+        for j in range(rhs.shape[1]):
+            assert np.array_equal(solved[:, j], gram.solve(rhs[:, j]))
 
 
 class TestProjectionInvariants:

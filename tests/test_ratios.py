@@ -1,6 +1,7 @@
 """Efficiency ratios, mean term, and their algebraic identities."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -79,6 +80,33 @@ class TestEfficiencyRatios:
                                      exp_model(sigma=2.0))
         assert any("on-site" in str(w.message) for w in caught)
         assert all(rec.target_id != "on-site" for rec in recs)
+
+    def test_floor_warning_text(self):
+        targets = grid_targets() + [TargetFunctional.point(
+            grid_design(9).sites[3], label="on-site")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            efficiency_ratios(grid_design(9), targets, exp_model(), exp_model(sigma=2.0))
+        messages = [str(w.message) for w in caught]
+        assert len(messages) == 1
+        assert re.fullmatch(r"target on-site excluded: optimal-predictor true-measure "
+                            r"error variance -?\d\.\d{3}e[+-]\d+ below 1\.0e-12",
+                            messages[0])
+
+    def test_batched_targets_match_one_at_a_time(self):
+        targets = grid_targets() + [
+            TargetFunctional(0.4, np.array([[0.21], [0.66]]), np.array([2.0, -0.5]),
+                             label="pair")]
+        true = exp_model(mean=constant_mean(0.2))
+        wrong = exp_model(sigma=1.3, kappa=0.4, mean=constant_mean(-0.6))
+        batched = efficiency_ratios(grid_design(11), targets, true, wrong, limit_a=2.0)
+        for target, rec in zip(targets, batched):
+            alone = efficiency_ratios(grid_design(11), [target], true, wrong,
+                                      limit_a=2.0)[0]
+            assert alone.target_id == rec.target_id
+            for name in RATIO_NAMES + ("mean_term",):
+                assert alone.value(name) == rec.value(name)
+            assert alone.true_variance == rec.true_variance
 
     def test_zero_mean_symmetry_is_exact(self):
         recs = efficiency_ratios(grid_design(14), grid_targets(),
