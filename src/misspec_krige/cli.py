@@ -42,9 +42,8 @@ from .kernels import (
     MaternParams,
     PeriodicKernel,
     PeriodicSpectrum,
-    SphereLegendreKernel,
     SphereLegendreParams,
-    SphereSpdeKernel,
+    SphereSeriesKernel,
     SphereSpdeParams,
     Torus,
 )
@@ -115,10 +114,13 @@ def _model_from_spec(spec, label: str) -> GaussianModel:
     mean, mean_label = _mean_from_spec(spec.get("mean"))
     try:
         if family == "matern":
+            if int(spec.get("dim", 1)) != 1:
+                # designs, targets and quadrature on a Box are 1-d only
+                raise ConfigError(f"matern models support dim = 1 only, got "
+                                  f"dim={spec['dim']!r}")
             params = MaternParams(sigma=float(spec.get("sigma", 1.0)),
                                   nu=float(spec["nu"]),
-                                  kappa=float(spec.get("kappa", 1.0)),
-                                  dim=int(spec.get("dim", 1)))
+                                  kappa=float(spec.get("kappa", 1.0)))
             kernel = MaternKernel(params)
         elif family == "periodic":
             coeffs = spec.get("coeffs")
@@ -134,12 +136,12 @@ def _model_from_spec(spec, label: str) -> GaussianModel:
                     dim=int(spec.get("dim", 1)), k_max=spec.get("k_max"))
             kernel = PeriodicKernel(spectrum)
         elif family == "sphere_legendre":
-            kernel = SphereLegendreKernel(SphereLegendreParams(
+            kernel = SphereSeriesKernel(SphereLegendreParams(
                 sigma1=float(spec.get("sigma1", 1.0)), nu1=float(spec["nu1"]),
                 kappa1=float(spec.get("kappa1", 1.0)),
                 l_max=int(spec.get("l_max", 256))))
         elif family == "sphere_spde":
-            kernel = SphereSpdeKernel(SphereSpdeParams(
+            kernel = SphereSeriesKernel(SphereSpdeParams(
                 tau=float(spec.get("tau", 1.0)), nu=float(spec["nu"]),
                 kappa=float(spec.get("kappa", 1.0)),
                 l_max=int(spec.get("l_max", 256))))

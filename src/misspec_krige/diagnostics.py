@@ -27,8 +27,7 @@ from .kernels import (
     MaternKernel,
     MaternSpectralDensity,
     PeriodicKernel,
-    SphereLegendreKernel,
-    SphereSpdeKernel,
+    SphereSeriesKernel,
     SpectralDensity,
     Torus,
     UnitSphere,
@@ -85,7 +84,12 @@ def _tail_verdict(ratios: np.ndarray, window: float, tol: float,
     if center > 0.0 and max_dev < tol * center:
         return RatioVerdict.converges(center, evidence)
 
-    checkpoints = _checkpoint_stats(ratios, use_geometric)
+    return _trend_verdict(_checkpoint_stats(ratios, use_geometric), evidence)
+
+
+def _trend_verdict(checkpoints: list[float], evidence: TailWindow) -> RatioVerdict:
+    """Divergence when the checkpoints move monotonically by more than
+    ``_DIVERGENCE_FACTOR`` overall; inconclusive otherwise."""
     decreasing = all(a > b for a, b in zip(checkpoints, checkpoints[1:]))
     increasing = all(a < b for a, b in zip(checkpoints, checkpoints[1:]))
     if decreasing and checkpoints[0] > _DIVERGENCE_FACTOR * checkpoints[-1]:
@@ -150,14 +154,8 @@ def spectral_ratio_limit(f: SpectralDensity, f_tilde: SpectralDensity,
         return RatioVerdict.converges(center, evidence)
 
     per_radius = np.exp(np.mean(np.log(np.maximum(grid, np.finfo(float).tiny)), axis=0))
-    checkpoints = [per_radius[0], per_radius[per_radius.size // 2], per_radius[-1]]
-    decreasing = all(a > b for a, b in zip(checkpoints, checkpoints[1:]))
-    increasing = all(a < b for a, b in zip(checkpoints, checkpoints[1:]))
-    if decreasing and checkpoints[0] > _DIVERGENCE_FACTOR * checkpoints[-1]:
-        return RatioVerdict.diverges_to_zero(evidence)
-    if increasing and checkpoints[-1] > _DIVERGENCE_FACTOR * checkpoints[0]:
-        return RatioVerdict.diverges_to_infinity(evidence)
-    return RatioVerdict.inconclusive(evidence)
+    return _trend_verdict([per_radius[0], per_radius[per_radius.size // 2], per_radius[-1]],
+                          evidence)
 
 
 def _default_directions(dim: int) -> list[np.ndarray]:
@@ -339,26 +337,48 @@ def t_a_tail_spectrum(true_kernel: CovarianceKernel, wrong_kernel: CovarianceKer
     """
     if a < 0.0:
         raise DomainError("the constant a must be nonnegative")
+    projection = galerkin_projection(true_kernel, wrong_kernel, nodes, weights, basis_size)
+    return projection.tail(a, basis_size, tail_tol_rel)
+
+
+@dataclass(frozen=True, eq=False)
+class GalerkinProjection:
+    """Leading quadrature eigenpairs (E, G) of the true kernel and the working
+    kernel projected onto them, E' W K~ W E."""
+
+    eigenvalues: np.ndarray  # leading G, descending
+    projected: np.ndarray    # E' W K~ W E on those eigenfunctions
+    resolved: int            # eigenpairs the quadrature resolves above its cutoff
+
+    def tail(self, a: float, basis_size: int, tail_tol_rel: float = 0.1) -> TaTailReport:
+        """The :func:`t_a_tail_spectrum` report on the leading ``basis_size`` block."""
+        if self.resolved < basis_size:
+            raise DomainError(
+                f"quadrature resolves only {self.resolved} eigenpairs above the cutoff; "
+                f"requested a basis of {basis_size}")
+        middle = self.projected[:basis_size, :basis_size]
+        scale = 1.0 / np.sqrt(self.eigenvalues[:basis_size])
+        b = scale[:, None] * middle * scale[None, :] - a * np.eye(basis_size)
+        eigs = scipy.linalg.eigvalsh(0.5 * (b + b.T))
+        order = np.argsort(np.abs(eigs))[::-1]
+        eigs = eigs[order]
+        top = abs(eigs[0]) if eigs.size else 0.0
+        below = np.abs(eigs) < tail_tol_rel * top if top > 0 else np.ones_like(eigs, bool)
+        tail_index = int(np.argmax(below)) if np.any(below) else int(eigs.size)
+        return TaTailReport(a_used=a, galerkin_eigs=eigs, tail_index=tail_index,
+                            basis_size=basis_size)
+
+
+def galerkin_projection(true_kernel: CovarianceKernel, wrong_kernel: CovarianceKernel,
+                        nodes, weights, basis_size: int) -> GalerkinProjection:
+    """Project ``wrong_kernel`` onto the leading ``basis_size`` (or fewer, if
+    the quadrature resolves fewer) quadrature eigenfunctions of ``true_kernel``."""
     eig = nystrom_eigen(true_kernel, nodes, weights)
-    if eig.rank < basis_size:
-        raise DomainError(
-            f"quadrature resolves only {eig.rank} eigenpairs above the cutoff; "
-            f"requested a basis of {basis_size}")
-    funcs = eig.eigenvectors[:, :basis_size]
-    lam = eig.eigenvalues[:basis_size]
-    ktilde = wrong_kernel.gram(eig.nodes)
-    weighted = eig.weights[:, None] * funcs
-    middle = weighted.T @ ktilde @ weighted
-    scale = 1.0 / np.sqrt(lam)
-    b = scale[:, None] * middle * scale[None, :] - a * np.eye(basis_size)
-    eigs = scipy.linalg.eigvalsh(0.5 * (b + b.T))
-    order = np.argsort(np.abs(eigs))[::-1]
-    eigs = eigs[order]
-    top = abs(eigs[0]) if eigs.size else 0.0
-    below = np.abs(eigs) < tail_tol_rel * top if top > 0 else np.ones_like(eigs, bool)
-    tail_index = int(np.argmax(below)) if np.any(below) else int(eigs.size)
-    return TaTailReport(a_used=a, galerkin_eigs=eigs, tail_index=tail_index,
-                        basis_size=basis_size)
+    basis = min(basis_size, eig.rank)
+    weighted = eig.weights[:, None] * eig.eigenvectors[:, :basis]
+    middle = weighted.T @ wrong_kernel.gram(eig.nodes) @ weighted
+    return GalerkinProjection(eigenvalues=eig.eigenvalues[:basis], projected=middle,
+                              resolved=eig.rank)
 
 
 # ---------------------------------------------------------------------------
@@ -398,21 +418,24 @@ def assumption_report(true_model: GaussianModel, wrong_model: GaussianModel,
         domain = true_model.kernel.domain
     routes: dict[str, dict] = {}
 
-    eigen_verdict = _eigen_route(true_model.kernel, wrong_model.kernel, budget, routes)
-    spectral_verdict = _spectral_route(true_model.kernel, wrong_model.kernel,
-                                       budget, routes)
+    k_true, k_wrong = true_model.kernel, wrong_model.kernel
+    eigen_verdict = _eigen_route(k_true, k_wrong, budget, routes)
+    spectral_verdict = _spectral_route(k_true, k_wrong, budget, routes)
+    # one quadrature projection serves both the Galerkin route and the tail
+    projection = None
     galerkin_verdict = None
     if eigen_verdict is None:
         # quadrature route stands in for the eigen view whenever the pair has
         # no known shared basis
-        galerkin_verdict = _galerkin_route(true_model.kernel, wrong_model.kernel,
-                                           domain, budget, routes)
+        projection = _project(k_true, k_wrong, domain, budget)
+        galerkin_verdict = _galerkin_route(projection, budget, routes)
     primary = spectral_verdict or eigen_verdict or galerkin_verdict
 
     t_a = None
     if primary is not None and primary.kind is LimitKind.CONVERGES:
-        t_a = _tail_probe(true_model.kernel, wrong_model.kernel, domain, budget,
-                          primary.a_estimate)
+        if projection is None:
+            projection = _project(k_true, k_wrong, domain, budget)
+        t_a = _tail_probe(projection, budget, primary.a_estimate)
 
     mean_probe = _mean_route(true_model, wrong_model, domain, budget)
 
@@ -440,20 +463,15 @@ def _primary_name(routes, spectral_verdict, eigen_verdict) -> str | None:
 
 
 def _eigen_route(k_true, k_wrong, budget, routes) -> RatioVerdict | None:
-    periodic_pair = isinstance(k_true, PeriodicKernel) and isinstance(k_wrong, PeriodicKernel)
-    sphere_types = (SphereLegendreKernel, SphereSpdeKernel)
-    sphere_pair = isinstance(k_true, sphere_types) and isinstance(k_wrong, sphere_types)
-    if not (periodic_pair or sphere_pair):
-        return None
-    if periodic_pair:
+    if isinstance(k_true, PeriodicKernel) and isinstance(k_wrong, PeriodicKernel):
         common = min(k_true.spectrum.k_max, k_wrong.spectrum.k_max)
-        g = eigen_sequence_of(k_true, common)
-        g_t = eigen_sequence_of(k_wrong, common)
-    else:
+    elif isinstance(k_true, SphereSeriesKernel) and isinstance(k_wrong, SphereSeriesKernel):
         common = min(k_true.params.l_max, k_wrong.params.l_max,
                      int(math.isqrt(budget.eigen_terms)))
-        g = eigen_sequence_of(k_true, common)
-        g_t = eigen_sequence_of(k_wrong, common)
+    else:
+        return None
+    g = eigen_sequence_of(k_true, common)
+    g_t = eigen_sequence_of(k_wrong, common)
     if len(g) != len(g_t):
         routes["eigen_analytic"] = {"error": "spectra have mismatched supports"}
         return None
@@ -478,35 +496,36 @@ def _spectral_route(k_true, k_wrong, budget, routes) -> RatioVerdict | None:
     return verdict
 
 
-def _galerkin_route(k_true, k_wrong, domain, budget, routes) -> RatioVerdict | None:
+def _project(k_true, k_wrong, domain, budget) -> GalerkinProjection | str:
+    """The pair's quadrature projection, or the message of the error that
+    prevented it."""
     try:
         nodes, weights = _quadrature_for(domain, budget.quad_nodes)
-        eig = nystrom_eigen(k_true, nodes, weights)
-        basis = min(budget.galerkin_basis, eig.rank)
-        funcs = eig.eigenvectors[:, :basis]
-        lam = eig.eigenvalues[:basis]
-        weighted = weights[:, None] * funcs
-        middle = weighted.T @ k_wrong.gram(nodes) @ weighted
-        diag_ratios = np.diag(middle) / lam
-        if np.any(diag_ratios <= 0):
-            routes["eigen_galerkin"] = {"error": "nonpositive projected ratios"}
-            return None
-        verdict = _tail_verdict(diag_ratios, window=max(0.25, budget.verdict_window),
-                                tol=budget.verdict_tol, use_geometric=False)
-        routes["eigen_galerkin"] = verdict.to_dict()
-        return verdict
+        return galerkin_projection(k_true, k_wrong, nodes, weights, budget.galerkin_basis)
     except (DomainError, NumericalFailureError) as exc:
-        routes["eigen_galerkin"] = {"error": str(exc)}
+        return str(exc)
+
+
+def _galerkin_route(projection, budget, routes) -> RatioVerdict | None:
+    if isinstance(projection, str):
+        routes["eigen_galerkin"] = {"error": projection}
         return None
+    diag_ratios = np.diag(projection.projected) / projection.eigenvalues
+    if np.any(diag_ratios <= 0):
+        routes["eigen_galerkin"] = {"error": "nonpositive projected ratios"}
+        return None
+    verdict = _tail_verdict(diag_ratios, window=max(0.25, budget.verdict_window),
+                            tol=budget.verdict_tol, use_geometric=False)
+    routes["eigen_galerkin"] = verdict.to_dict()
+    return verdict
 
 
-def _tail_probe(k_true, k_wrong, domain, budget, a) -> dict | None:
+def _tail_probe(projection, budget, a) -> dict:
+    if isinstance(projection, str):
+        return {"error": projection}
     try:
-        nodes, weights = _quadrature_for(domain, budget.quad_nodes)
-        report = t_a_tail_spectrum(k_true, k_wrong, nodes, weights, a,
-                                   basis_size=min(budget.galerkin_basis, 64))
-        return report.to_dict()
-    except (DomainError, NumericalFailureError) as exc:
+        return projection.tail(a, min(budget.galerkin_basis, 64)).to_dict()
+    except DomainError as exc:
         return {"error": str(exc)}
 
 

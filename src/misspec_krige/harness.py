@@ -22,9 +22,8 @@ from .kernels import (
     MaternParams,
     PeriodicKernel,
     PeriodicSpectrum,
-    SphereLegendreKernel,
     SphereLegendreParams,
-    SphereSpdeKernel,
+    SphereSeriesKernel,
     SphereSpdeParams,
     Torus,
     UnitSphere,
@@ -231,6 +230,14 @@ class Scenario:
         if sched[-1] > self.design_generator.max_n:
             raise DomainError(f"schedule exceeds the largest usable design size "
                               f"{self.design_generator.max_n} of its generator")
+        model = min((self.true_model, self.wrong_model),
+                    key=lambda m: math.inf if m.kernel.rank is None else m.kernel.rank)
+        rank = model.kernel.rank
+        if rank is not None and sched[-1] >= rank:
+            raise DomainError(
+                f"schedule n={sched[-1]} is not below the rank {rank} of the truncated "
+                f"{type(model.kernel).__name__} of {model.label!r}: that many sites fix "
+                f"the field and every kriging variance is 0; use n <= {rank - 1}")
         object.__setattr__(self, "n_schedule", sched)
         object.__setattr__(self, "targets", tuple(self.targets))
 
@@ -268,58 +275,49 @@ def run_scenario(s: Scenario, max_workers: int | None = None,
 
 # ----- built-ins -----------------------------------------------------------
 
-def _exp_model(label: str, sigma=1.0, kappa=1.0, mean=zero_mean) -> GaussianModel:
-    params = MaternParams(sigma=sigma, nu=0.5, kappa=kappa, dim=1)
+def _exp_model(label: str, sigma=1.0, kappa=1.0, mean=zero_mean, nu=0.5) -> GaussianModel:
+    params = MaternParams(sigma=sigma, nu=nu, kappa=kappa, dim=1)
     return GaussianModel(mean=mean, kernel=MaternKernel(params), label=label)
 
 
+def _builtin(name: str, true_model: GaussianModel, wrong_model: GaussianModel,
+             limit_a: float | None, notes: str, gen: DesignGenerator | None = None) -> Scenario:
+    """A built-in scenario on ``gen`` (the default accumulating design when
+    omitted) with the default probe targets."""
+    gen = gen or DesignGenerator.accumulating()
+    return Scenario(name=name, true_model=true_model, wrong_model=wrong_model,
+                    design_generator=gen, targets=default_targets(gen, DEFAULT_SCHEDULE[-1]),
+                    limit_a=limit_a, notes=notes)
+
+
 def _builtin_identical() -> Scenario:
-    gen = DesignGenerator.accumulating()
-    return Scenario(
-        name="identical",
-        true_model=_exp_model("matern(1,0.5,1)"),
-        wrong_model=_exp_model("matern(1,0.5,1)"),
-        design_generator=gen,
-        targets=default_targets(gen, DEFAULT_SCHEDULE[-1]),
+    return _builtin(
+        "identical", _exp_model("matern(1,0.5,1)"), _exp_model("matern(1,0.5,1)"),
         limit_a=1.0,
         notes="working model equals the truth; every ratio is 1 by construction")
 
 
 def _builtin_scaled_kernel() -> Scenario:
-    gen = DesignGenerator.accumulating()
-    return Scenario(
-        name="scaled_kernel",
-        true_model=_exp_model("matern(1,0.5,1)"),
-        wrong_model=_exp_model("matern(2,0.5,1)", sigma=2.0),
-        design_generator=gen,
-        targets=default_targets(gen, DEFAULT_SCHEDULE[-1]),
+    return _builtin(
+        "scaled_kernel", _exp_model("matern(1,0.5,1)"),
+        _exp_model("matern(2,0.5,1)", sigma=2.0),
         limit_a=4.0,
         notes=("working covariance is 4x the truth: identical weights, "
                "own-measure ratios exactly 1, cross ratios 4 and 1/4"))
 
 
 def _builtin_matern_same_nu() -> Scenario:
-    gen = DesignGenerator.accumulating()
-    true = _exp_model("matern(1,0.5,1)")
-    wrong = GaussianModel(mean=zero_mean,
-                          kernel=MaternKernel(MaternParams(2.0, 0.5, 0.5, dim=1)),
-                          label="matern(2,0.5,0.5)")
-    return Scenario(
-        name="matern_same_nu", true_model=true, wrong_model=wrong,
-        design_generator=gen, targets=default_targets(gen, DEFAULT_SCHEDULE[-1]),
+    return _builtin(
+        "matern_same_nu", _exp_model("matern(1,0.5,1)"),
+        _exp_model("matern(2,0.5,0.5)", sigma=2.0, kappa=0.5),
         limit_a=2.0,
         notes="equal smoothness: cross ratios approach the identifiable-combination ratio 2")
 
 
 def _builtin_matern_diff_nu() -> Scenario:
-    gen = DesignGenerator.accumulating()
-    true = _exp_model("matern(1,0.5,1)")
-    wrong = GaussianModel(mean=zero_mean,
-                          kernel=MaternKernel(MaternParams(1.0, 1.5, 1.0, dim=1)),
-                          label="matern(1,1.5,1)")
-    return Scenario(
-        name="matern_diff_nu", true_model=true, wrong_model=wrong,
-        design_generator=gen, targets=default_targets(gen, DEFAULT_SCHEDULE[-1]),
+    return _builtin(
+        "matern_diff_nu", _exp_model("matern(1,0.5,1)"),
+        _exp_model("matern(1,1.5,1)", nu=1.5),
         limit_a=None,
         notes="smoothness mismatch: the efficiency ratios do not approach 1")
 
@@ -334,57 +332,41 @@ def _ratio3_spectra() -> tuple[PeriodicSpectrum, PeriodicSpectrum]:
 
 def _builtin_periodic_ratio3() -> Scenario:
     true_spec, wrong_spec = _ratio3_spectra()
-    gen = DesignGenerator.equispaced(domain=Torus(1))
-    return Scenario(
-        name="periodic_ratio3",
-        true_model=GaussianModel(zero_mean, PeriodicKernel(true_spec),
-                                 label="periodic((1+k^2)^-2)"),
-        wrong_model=GaussianModel(zero_mean, PeriodicKernel(wrong_spec),
-                                  label="periodic(3(1+k^2)^-2(1+1/(1+|k|)))"),
-        design_generator=gen,
-        targets=default_targets(gen, DEFAULT_SCHEDULE[-1]),
+    return _builtin(
+        "periodic_ratio3",
+        GaussianModel(zero_mean, PeriodicKernel(true_spec), label="periodic((1+k^2)^-2)"),
+        GaussianModel(zero_mean, PeriodicKernel(wrong_spec),
+                      label="periodic(3(1+k^2)^-2(1+1/(1+|k|)))"),
         limit_a=3.0,
-        notes="shared trigonometric eigenbasis with eigenvalue ratio tending to 3")
+        notes="shared trigonometric eigenbasis with eigenvalue ratio tending to 3",
+        gen=DesignGenerator.equispaced(domain=Torus(1)))
 
 
 def _builtin_sphere() -> Scenario:
-    gen = DesignGenerator.sphere_fibonacci()
     p1 = SphereLegendreParams(sigma1=1.0, nu1=1.0, kappa1=1.0)
     p2 = SphereSpdeParams(tau=1.0, nu=1.0, kappa=1.0)
-    return Scenario(
-        name="sphere_legendre_vs_spde",
-        true_model=GaussianModel(zero_mean, SphereLegendreKernel(p1),
-                                 label="sphere_legendre(1,1,1)"),
-        wrong_model=GaussianModel(zero_mean, SphereSpdeKernel(p2),
-                                  label="sphere_spde(1,1,1)"),
-        design_generator=gen,
-        targets=default_targets(gen, DEFAULT_SCHEDULE[-1]),
+    return _builtin(
+        "sphere_legendre_vs_spde",
+        GaussianModel(zero_mean, SphereSeriesKernel(p1), label="sphere_legendre(1,1,1)"),
+        GaussianModel(zero_mean, SphereSeriesKernel(p2), label="sphere_spde(1,1,1)"),
         limit_a=1.0 / (2.0 * math.pi),
-        notes="equal smoothness on the sphere; eigenvalue ratio tends to 1/(2 pi)")
+        notes="equal smoothness on the sphere; eigenvalue ratio tends to 1/(2 pi)",
+        gen=DesignGenerator.sphere_fibonacci())
 
 
 def _builtin_mean_shift_constant() -> Scenario:
-    gen = DesignGenerator.accumulating()
-    return Scenario(
-        name="mean_shift_constant",
-        true_model=_exp_model("matern(1,0.5,1)+mean0"),
-        wrong_model=_exp_model("matern(1,0.5,1)+mean1", mean=constant_mean(1.0)),
-        design_generator=gen,
-        targets=default_targets(gen, DEFAULT_SCHEDULE[-1]),
+    return _builtin(
+        "mean_shift_constant", _exp_model("matern(1,0.5,1)+mean0"),
+        _exp_model("matern(1,0.5,1)+mean1", mean=constant_mean(1.0)),
         limit_a=1.0,
         notes=("shared kernel, constant mean shift: the mean term decays as the "
                "design accumulates"))
 
 
 def _builtin_mean_shift_kink() -> Scenario:
-    gen = DesignGenerator.accumulating()
-    return Scenario(
-        name="mean_shift_kink",
-        true_model=_exp_model("matern(1,0.5,1)+mean0"),
-        wrong_model=_exp_model("matern(1,0.5,1)+kink",
-                               mean=kink_mean(DEFAULT_X_STAR, 0.2)),
-        design_generator=gen,
-        targets=default_targets(gen, DEFAULT_SCHEDULE[-1]),
+    return _builtin(
+        "mean_shift_kink", _exp_model("matern(1,0.5,1)+mean0"),
+        _exp_model("matern(1,0.5,1)+kink", mean=kink_mean(DEFAULT_X_STAR, 0.2)),
         limit_a=1.0,
         notes=("shared kernel, |x - x*|^0.2 mean shift: a rough mean stressing the "
                "mean term; values are reported without a pass/fail claim"))

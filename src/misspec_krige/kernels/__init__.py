@@ -22,17 +22,15 @@ from .matern import (
     matern_ratio_limit,
     matern_spectral_density,
 )
-from .periodic import DEFAULT_K_MAX, PeriodicKernel, PeriodicSpectrum, periodic_cov
+from .periodic import DEFAULT_K_MAX, PeriodicKernel, PeriodicSpectrum
 from .sphere import (
     DEFAULT_L_MAX,
-    SphereLegendreKernel,
     SphereLegendreParams,
-    SphereSpdeKernel,
+    SphereSeriesKernel,
+    SphereSeriesParams,
     SphereSpdeParams,
     l_max_for_tolerance,
     legendre_p,
-    sphere_cov_legendre_matern,
-    sphere_cov_spde,
     sphere_eigen_ratio,
     sphere_eigen_sequence,
 )
@@ -50,11 +48,11 @@ def eigen_sequence_of(model, truncation: int | None = None) -> EigenSequence:
     """
     if isinstance(model, PeriodicKernel):
         model = model.spectrum
-    if isinstance(model, (SphereLegendreKernel, SphereSpdeKernel)):
+    if isinstance(model, SphereSeriesKernel):
         model = model.params
     if isinstance(model, PeriodicSpectrum):
         return model.eigen_sequence(truncation)
-    if isinstance(model, (SphereLegendreParams, SphereSpdeParams)):
+    if isinstance(model, SphereSeriesParams):
         return sphere_eigen_sequence(model, truncation)
     raise DomainError(f"no analytic eigenvalue sequence for {type(model).__name__}")
 
@@ -65,9 +63,9 @@ __all__ = [
     "MaternParams", "MaternKernel", "ChordalMaternKernel", "GreatCircleMaternKernel",
     "MaternSpectralDensity", "bessel_k", "matern_cov", "matern_spectral_density",
     "matern_ratio_limit",
-    "PeriodicSpectrum", "PeriodicKernel", "periodic_cov", "DEFAULT_K_MAX",
-    "SphereLegendreParams", "SphereSpdeParams", "SphereLegendreKernel", "SphereSpdeKernel",
-    "legendre_p", "sphere_cov_legendre_matern", "sphere_cov_spde", "sphere_eigen_ratio",
-    "sphere_eigen_sequence", "l_max_for_tolerance", "DEFAULT_L_MAX",
+    "PeriodicSpectrum", "PeriodicKernel", "DEFAULT_K_MAX",
+    "SphereSeriesParams", "SphereLegendreParams", "SphereSpdeParams", "SphereSeriesKernel",
+    "legendre_p", "sphere_eigen_ratio", "sphere_eigen_sequence", "l_max_for_tolerance",
+    "DEFAULT_L_MAX",
     "eigen_sequence_of",
 ]

@@ -93,6 +93,11 @@ class CovarianceKernel(ABC):
     #: diagnostics use this to sharpen a divergence verdict.
     infinitely_differentiable: bool | None = None
 
+    #: dimension of the span of the kernel's sections when it is finite (a
+    #: truncated series), None otherwise; a design of that many sites fixes
+    #: the field everywhere
+    rank: int | None = None
+
     @property
     def point_dim(self) -> int:
         return self.domain.dim

@@ -132,12 +132,6 @@ class PeriodicSpectrum:
         return EigenSequence(values, label=f"periodic(dim={self.dim}, k_max={k_max})")
 
 
-def periodic_cov(x, x_prime, s: PeriodicSpectrum) -> float:
-    """Truncated cosine-series covariance between two points of [0, 1]^d."""
-    kern = PeriodicKernel(s)
-    return kern(x, x_prime)
-
-
 @dataclass(frozen=True)
 class PeriodicKernel(CovarianceKernel):
     """Covariance kernel on the torus induced by a :class:`PeriodicSpectrum`."""
@@ -148,6 +142,11 @@ class PeriodicKernel(CovarianceKernel):
     def __post_init__(self):
         if self.domain.dim != self.spectrum.dim:
             object.__setattr__(self, "domain", Torus(self.spectrum.dim))
+
+    @property
+    def rank(self) -> int:
+        """Number of positive eigenvalues of the truncated spectrum."""
+        return len(self.spectrum.eigen_sequence())
 
     def gram(self, x, y=None) -> np.ndarray:
         x = self._validated(x)

@@ -18,8 +18,10 @@ harmonic basis:
 
   and eigenvalue tau^-2 / (kappa^2 + l(l+1))^(nu + 1) per degree-l harmonic.
 
-Since |P_l| <= 1, truncating either series at L incurs at most the sum of the
-dropped P_l coefficients, which :func:`tail_bound` bounds rigorously.
+Both are evaluated by one :class:`SphereSeriesKernel` from their P_l
+coefficients.  Since |P_l| <= 1, truncating either series at L incurs at most
+the sum of the dropped P_l coefficients, which :func:`tail_bound` bounds
+rigorously.
 """
 
 from __future__ import annotations
@@ -60,8 +62,29 @@ def legendre_p(ell: int, y):
     return p_curr if isinstance(y, np.ndarray) else float(p_curr)
 
 
+class SphereSeriesParams:
+    """What the two sphere parameter sets share: the P_l coefficients through
+    degree ``l_max`` and the exact part of the truncation tail bound.  Each
+    subclass supplies ``coefficient``, ``eigenvalue`` and ``_remainder``."""
+
+    l_max: int
+
+    def coefficients(self) -> np.ndarray:
+        return self.coefficient(np.arange(self.l_max + 1))
+
+    def diagonal(self) -> float:
+        """rho(x, x) of the truncated series (P_l(1) = 1)."""
+        return float(self.coefficients().sum())
+
+    def tail_bound(self, l_trunc: int) -> float:
+        """Upper bound on sum_{l > l_trunc} |P_l coefficient|."""
+        mid = np.arange(l_trunc + 1, l_trunc + 1 + _TAIL_EXACT_SPAN)
+        exact = float(self.coefficient(mid).sum())
+        return exact + self._remainder(float(mid[-1]))
+
+
 @dataclass(frozen=True)
-class SphereLegendreParams:
+class SphereLegendreParams(SphereSeriesParams):
     """Parameters of the Legendre series model."""
 
     sigma1: float
@@ -78,29 +101,17 @@ class SphereLegendreParams:
         ell = np.asarray(ell, dtype=float)
         return self.sigma1 ** 2 / (self.kappa1 ** 2 + ell ** 2) ** (self.nu1 + 0.5)
 
-    def coefficients(self) -> np.ndarray:
-        return self.coefficient(np.arange(self.l_max + 1))
-
-    def diagonal(self) -> float:
-        """rho_1(x, x) of the truncated series (P_l(1) = 1)."""
-        return float(self.coefficients().sum())
-
     def eigenvalue(self, ell) -> np.ndarray:
         """Eigenvalue shared by the 2 ell + 1 harmonics of degree ell."""
         ell = np.asarray(ell, dtype=float)
         return self.coefficient(ell) * 4.0 * math.pi / (2.0 * ell + 1.0)
 
-    def tail_bound(self, l_trunc: int) -> float:
-        """Upper bound on sum_{l > l_trunc} |P_l coefficient|."""
-        mid = np.arange(l_trunc + 1, l_trunc + 1 + _TAIL_EXACT_SPAN)
-        exact = float(self.coefficient(mid).sum())
-        m = float(mid[-1])
-        remainder = self.sigma1 ** 2 * m ** (-2.0 * self.nu1) / (2.0 * self.nu1)
-        return exact + remainder
+    def _remainder(self, m: float) -> float:
+        return self.sigma1 ** 2 * m ** (-2.0 * self.nu1) / (2.0 * self.nu1)
 
 
 @dataclass(frozen=True)
-class SphereSpdeParams:
+class SphereSpdeParams(SphereSeriesParams):
     """Parameters of the fractional-elliptic-equation model."""
 
     tau: float
@@ -122,24 +133,10 @@ class SphereSpdeParams:
         ell = np.asarray(ell, dtype=float)
         return self.eigenvalue(ell) * (2.0 * ell + 1.0) / (4.0 * math.pi)
 
-    def coefficients(self) -> np.ndarray:
-        return self.coefficient(np.arange(self.l_max + 1))
-
-    def diagonal(self) -> float:
-        return float(self.coefficients().sum())
-
-    def tail_bound(self, l_trunc: int) -> float:
-        """Upper bound on sum_{l > l_trunc} |P_l coefficient|."""
-        mid = np.arange(l_trunc + 1, l_trunc + 1 + _TAIL_EXACT_SPAN)
-        exact = float(self.coefficient(mid).sum())
-        m = float(mid[-1])
+    def _remainder(self, m: float) -> float:
         # (2t+1)/(kappa^2 + t(t+1))^(nu+1) <= (2t+1)/(t^2+t)^(nu+1), which
         # integrates to (m^2+m)^-nu / nu past m
-        remainder = (m * m + m) ** (-self.nu) / (4.0 * math.pi * self.nu * self.tau ** 2)
-        return exact + remainder
-
-
-SphereSeriesParams = SphereLegendreParams | SphereSpdeParams
+        return (m * m + m) ** (-self.nu) / (4.0 * math.pi * self.nu * self.tau ** 2)
 
 
 def l_max_for_tolerance(params: SphereSeriesParams, tol_rel: float = 1e-10,
@@ -163,23 +160,6 @@ def l_max_for_tolerance(params: SphereSeriesParams, tol_rel: float = 1e-10,
     return lo
 
 
-def _series_cov(x, x_prime, coeffs: np.ndarray) -> float:
-    x = check_unit_vectors(as_points(x, 3))
-    y = check_unit_vectors(as_points(x_prime, 3))
-    t = float(np.clip(x @ y.T, -1.0, 1.0)[0, 0])
-    return float(legval(t, coeffs))
-
-
-def sphere_cov_legendre_matern(x, x_prime, p: SphereLegendreParams) -> float:
-    """Legendre series covariance between two unit vectors (truncated at l_max)."""
-    return _series_cov(x, x_prime, p.coefficients())
-
-
-def sphere_cov_spde(x, x_prime, p: SphereSpdeParams) -> float:
-    """Fractional-elliptic model covariance between two unit vectors."""
-    return _series_cov(x, x_prime, p.coefficients())
-
-
 def sphere_eigen_ratio(p1: SphereLegendreParams, p2: SphereSpdeParams, ell: int) -> float:
     """Per-degree eigenvalue ratio lambda_2(ell)/lambda_1(ell) of the two models.
 
@@ -201,21 +181,16 @@ def sphere_eigen_sequence(params: SphereSeriesParams, l_max: int | None = None) 
 
 
 @dataclass(frozen=True)
-class SphereLegendreKernel(CovarianceKernel):
-    params: SphereLegendreParams
+class SphereSeriesKernel(CovarianceKernel):
+    """Truncated Legendre series covariance of either sphere parameter set."""
+
+    params: SphereSeriesParams
     domain: UnitSphere = field(default_factory=UnitSphere)
 
-    def gram(self, x, y=None) -> np.ndarray:
-        x = check_unit_vectors(as_points(x, 3))
-        y = x if y is None else check_unit_vectors(as_points(y, 3))
-        t = np.clip(x @ y.T, -1.0, 1.0)
-        return legval(t, self.params.coefficients())
-
-
-@dataclass(frozen=True)
-class SphereSpdeKernel(CovarianceKernel):
-    params: SphereSpdeParams
-    domain: UnitSphere = field(default_factory=UnitSphere)
+    @property
+    def rank(self) -> int:
+        """Number of spherical harmonics of degree <= l_max."""
+        return (self.params.l_max + 1) ** 2
 
     def gram(self, x, y=None) -> np.ndarray:
         x = check_unit_vectors(as_points(x, 3))

@@ -84,6 +84,49 @@ class TestRun:
         assert main(["run", cfg, "--output", str(tmp_path / "ok")]) == EXIT_OK
         assert (tmp_path / "ok" / "ratios.csv").exists()
 
+    def test_periodic_schedule_below_kernel_rank(self, tmp_path, capsys):
+        # the default periodic spectrum keeps 1 + 2 * 64 = 129 eigenfunctions
+        cfg = write_config(tmp_path, {"schema": 1, "scenario": "periodic_ratio3",
+                                      "schedule": [8, 129]})
+        assert main(["run", cfg, "--output", str(tmp_path / "bad")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "rank 129" in err and "PeriodicKernel" in err and "n <= 128" in err
+        assert not (tmp_path / "bad" / "ratios.csv").exists()
+        cfg = write_config(tmp_path, {"schema": 1, "scenario": "periodic_ratio3",
+                                      "schedule": [8, 128]})
+        assert main(["run", cfg, "--output", str(tmp_path / "ok")]) == EXIT_OK
+        assert (tmp_path / "ok" / "ratios.csv").exists()
+
+    def test_sphere_schedule_below_kernel_rank(self, tmp_path, capsys):
+        def config(schedule):
+            return {"schema": 1, "experiment": {
+                "name": "sphere-l6",
+                "true_model": {"family": "sphere_legendre", "nu1": 1.0, "l_max": 6},
+                "wrong_model": {"family": "sphere_spde", "nu": 1.0, "l_max": 6},
+                "schedule": schedule}}
+        # (l_max + 1)^2 = 49 spherical harmonics
+        cfg = write_config(tmp_path, config([8, 49]))
+        assert main(["run", cfg, "--output", str(tmp_path / "bad")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "rank 49" in err and "SphereSeriesKernel" in err and "n <= 48" in err
+        assert not (tmp_path / "bad" / "ratios.csv").exists()
+        cfg = write_config(tmp_path, config([8, 48]))
+        assert main(["run", cfg, "--output", str(tmp_path / "ok")]) == EXIT_OK
+        assert (tmp_path / "ok" / "ratios.csv").exists()
+
+    def test_matern_dim_other_than_one_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"schema": 1, "experiment": {
+            "true_model": {"family": "matern", "nu": 0.5, "dim": 2},
+            "wrong_model": {"family": "matern", "nu": 0.5, "dim": 2}}})
+        assert main(["run", cfg, "--output", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "dim = 1 only" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "ratios.csv").exists()
+        cfg = write_config(tmp_path, {
+            "schema": 1, "true_model": {"family": "matern", "nu": 0.5, "dim": 3},
+            "wrong_model": {"family": "matern", "nu": 0.5}}, name="check.json")
+        assert main(["check", cfg]) == EXIT_CONFIG
+        assert "dim = 1 only" in capsys.readouterr().err
+
     def test_inline_experiment(self, tmp_path):
         cfg = write_config(tmp_path, {
             "schema": 1,

@@ -350,14 +350,64 @@ class TestAssumptionReport:
         assert report["mean_check"]["values"][-1] < report["mean_check"]["values"][0]
 
     def test_sphere_pair_eigen_route(self):
-        from misspec_krige.kernels import (SphereLegendreKernel, SphereLegendreParams,
-                                           SphereSpdeKernel, SphereSpdeParams)
-        m1 = GaussianModel(zero_mean, SphereLegendreKernel(
+        from misspec_krige.kernels import (SphereLegendreParams, SphereSeriesKernel,
+                                           SphereSpdeParams)
+        m1 = GaussianModel(zero_mean, SphereSeriesKernel(
             SphereLegendreParams(1.0, 1.0, 1.0)), "leg")
-        m2 = GaussianModel(zero_mean, SphereSpdeKernel(
+        m2 = GaussianModel(zero_mean, SphereSeriesKernel(
             SphereSpdeParams(1.0, 1.0, 1.0)), "spde")
         report = assumption_report(m1, m2)
         assert report["primary_route"] == "eigen_analytic"
         assert report["ratio_verdict"]["kind"] == "converges"
         assert report["ratio_verdict"]["a_estimate"] == pytest.approx(
             1.0 / (2 * math.pi), rel=0.05)
+
+    @staticmethod
+    def matern_pair():
+        true = GaussianModel(zero_mean, MaternKernel(MaternParams(1.0, 0.5, 1.0)), "t")
+        wrong = GaussianModel(zero_mean, MaternKernel(MaternParams(2.0, 0.5, 0.5)), "w")
+        return true, wrong
+
+    def test_one_quadrature_eigendecomposition_per_report(self, monkeypatch):
+        import misspec_krige.diagnostics as diagnostics
+        calls = []
+        original = diagnostics.nystrom_eigen
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+        monkeypatch.setattr(diagnostics, "nystrom_eigen", counting)
+        report = assumption_report(*self.matern_pair())
+        assert report["routes"]["eigen_galerkin"]["kind"] == "converges"
+        assert "error" not in report["t_a_tail"]
+        assert len(calls) == 1
+
+    def test_report_tail_equals_direct_probe(self):
+        true, wrong = self.matern_pair()
+        report = assumption_report(true, wrong)
+        nodes, weights = uniform_grid(128)
+        direct = t_a_tail_spectrum(true.kernel, wrong.kernel, nodes, weights,
+                                   report["ratio_verdict"]["a_estimate"], basis_size=24)
+        assert report["t_a_tail"] == direct.to_dict()
+
+    def test_report_tail_uses_leading_64_block_of_a_larger_basis(self):
+        true, wrong = self.matern_pair()
+        report = assumption_report(true, wrong, budget=AssumptionBudget(galerkin_basis=80))
+        nodes, weights = uniform_grid(128)
+        direct = t_a_tail_spectrum(true.kernel, wrong.kernel, nodes, weights,
+                                   report["ratio_verdict"]["a_estimate"],
+                                   basis_size=64).to_dict()
+        tail = report["t_a_tail"]
+        assert tail["basis_size"] == 64
+        assert tail["a_used"] == direct["a_used"]
+        assert tail["tail_index"] == direct["tail_index"]
+        for key in ("max_abs", "last_quartile_max"):
+            assert tail[key] == pytest.approx(direct[key], rel=1e-12)
+
+    def test_report_tail_names_an_unresolved_basis(self):
+        report = assumption_report(*self.matern_pair(),
+                                   budget=AssumptionBudget(quad_nodes=16))
+        assert report["routes"]["eigen_galerkin"]["kind"] in ("converges", "inconclusive")
+        assert report["t_a_tail"] == {
+            "error": ("quadrature resolves only 16 eigenpairs above the cutoff; "
+                      "requested a basis of 24")}

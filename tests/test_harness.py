@@ -2,17 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from misspec_krige.errors import DomainError
 from misspec_krige.harness import (
     SCENARIO_NAMES,
     DesignGenerator,
+    Scenario,
     builtin_scenario,
     default_targets,
     generate_design,
     run_scenario,
 )
-from misspec_krige.kriging import error_moments, kriging_predictor
+from misspec_krige.kernels import SphereLegendreParams, SphereSeriesKernel, SphereSpdeParams
+from misspec_krige.kriging import GaussianModel, error_moments, kriging_predictor, zero_mean
 from misspec_krige.ratios import SUP_TARGET_ID
 
 
@@ -188,3 +192,21 @@ class TestScenarios:
         res = run_scenario(builtin_scenario("scaled_kernel", n_schedule=[8]))
         assert res.report["ratio_verdict"]["a_estimate"] == pytest.approx(4.0)
         assert res.table.metadata["scenario"] == "scaled_kernel"
+
+    @settings(max_examples=60, deadline=None)
+    @given(l_true=st.integers(1, 12), l_wrong=st.integers(1, 12), n=st.integers(1, 200))
+    def test_schedule_rejected_exactly_at_sphere_rank(self, l_true, l_wrong, n):
+        true = GaussianModel(zero_mean, SphereSeriesKernel(
+            SphereLegendreParams(1.0, 1.0, 1.0, l_max=l_true)), "leg")
+        wrong = GaussianModel(zero_mean, SphereSeriesKernel(
+            SphereSpdeParams(1.0, 1.0, 1.0, l_max=l_wrong)), "spde")
+        rank = (min(l_true, l_wrong) + 1) ** 2
+
+        def build():
+            return Scenario("rank", true, wrong, DesignGenerator.sphere_fibonacci(),
+                            targets=(), n_schedule=(n,))
+        if n >= rank:
+            with pytest.raises(DomainError, match=f"rank {rank} "):
+                build()
+        else:
+            assert build().n_schedule == (n,)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from misspec_krige.errors import DomainError
-from misspec_krige.kernels import PeriodicKernel, PeriodicSpectrum, eigen_sequence_of, periodic_cov
+from misspec_krige.kernels import PeriodicKernel, PeriodicSpectrum, eigen_sequence_of
 
 
 def rational_spectrum(k_max=8):
@@ -18,13 +18,13 @@ class TestPeriodicCov:
     def test_diagonal_is_total_mass(self):
         s = PeriodicSpectrum.from_coeffs({0: 1.0, 1: 0.5, 3: 0.25}, dim=1)
         x = np.array([0.3])
-        assert periodic_cov(x, x, s) == pytest.approx(1.0 + 2 * 0.5 + 2 * 0.25, rel=1e-14)
+        assert PeriodicKernel(s)(x, x) == pytest.approx(1.0 + 2 * 0.5 + 2 * 0.25, rel=1e-14)
         assert s.total_mass == pytest.approx(2.5)
 
     def test_three_term_example(self):
         # f(0)=1, f(+-1)=0.5, lag 0.25: 1 + 2*0.5*cos(pi/2) = 1
         s = PeriodicSpectrum.from_coeffs({0: 1.0, 1: 0.5}, dim=1)
-        got = periodic_cov(np.array([0.5]), np.array([0.25]), s)
+        got = PeriodicKernel(s)(np.array([0.5]), np.array([0.25]))
         assert got == pytest.approx(1.0, abs=1e-14)
 
     def test_shift_invariance(self):
@@ -32,20 +32,20 @@ class TestPeriodicCov:
         rng = np.random.default_rng(7)
         for _ in range(20):
             x, lag, shift = rng.uniform(0.0, 0.4, size=3)
-            a = periodic_cov(np.array([x]), np.array([x + lag]), s)
-            b = periodic_cov(np.array([x + shift]), np.array([x + shift + lag]), s)
+            a = PeriodicKernel(s)(np.array([x]), np.array([x + lag]))
+            b = PeriodicKernel(s)(np.array([x + shift]), np.array([x + shift + lag]))
             assert b == pytest.approx(a, rel=1e-12, abs=1e-13)
 
     def test_periodic_wraparound(self):
         s = rational_spectrum()
-        near_one = periodic_cov(np.array([0.02]), np.array([0.98]), s)
-        small_lag = periodic_cov(np.array([0.5]), np.array([0.54]), s)
+        near_one = PeriodicKernel(s)(np.array([0.02]), np.array([0.98]))
+        small_lag = PeriodicKernel(s)(np.array([0.5]), np.array([0.54]))
         assert near_one == pytest.approx(small_lag, rel=1e-12)
 
     def test_symmetry(self):
         s = rational_spectrum()
         x, y = np.array([0.11]), np.array([0.73])
-        assert periodic_cov(x, y, s) == periodic_cov(y, x, s)
+        assert PeriodicKernel(s)(x, y) == PeriodicKernel(s)(y, x)
 
     def test_asymmetric_mass_rejected(self):
         with pytest.raises(DomainError):
@@ -55,7 +55,7 @@ class TestPeriodicCov:
     def test_out_of_domain_points(self):
         s = rational_spectrum()
         with pytest.raises(DomainError):
-            periodic_cov(np.array([1.5]), np.array([0.2]), s)
+            PeriodicKernel(s)(np.array([1.5]), np.array([0.2]))
 
 
 class TestEigenSequence:

@@ -7,15 +7,12 @@ import pytest
 
 from misspec_krige.errors import DomainError
 from misspec_krige.kernels import (
-    SphereLegendreKernel,
     SphereLegendreParams,
-    SphereSpdeKernel,
+    SphereSeriesKernel,
     SphereSpdeParams,
     eigen_sequence_of,
     l_max_for_tolerance,
     legendre_p,
-    sphere_cov_legendre_matern,
-    sphere_cov_spde,
     sphere_eigen_ratio,
 )
 
@@ -75,7 +72,7 @@ class TestSphereCovariances:
         ells = np.arange(201)
         want = float(np.sum(p.sigma1 ** 2 / (p.kappa1 ** 2 + ells ** 2) ** (p.nu1 + 0.5)))
         x = north()
-        assert sphere_cov_legendre_matern(x, x, p) == pytest.approx(want, rel=1e-12)
+        assert SphereSeriesKernel(p)(x, x) == pytest.approx(want, rel=1e-12)
 
     def test_spde_diagonal(self):
         p = SphereSpdeParams(tau=2.0, nu=1.0, kappa=1.0, l_max=200)
@@ -84,26 +81,26 @@ class TestSphereCovariances:
             p.tau ** -2 * (2 * ells + 1)
             / (4 * math.pi * (p.kappa ** 2 + ells * (ells + 1)) ** (p.nu + 1))))
         x = on_sphere(1.0, 2.0)
-        assert sphere_cov_spde(x, x, p) == pytest.approx(want, rel=1e-12)
+        assert SphereSeriesKernel(p)(x, x) == pytest.approx(want, rel=1e-12)
 
     def test_rotation_invariance(self):
         p = SphereLegendreParams(1.0, 1.0, 1.0, l_max=128)
         a1, b1 = on_sphere(0.3, 0.1), on_sphere(1.2, 2.4)
         # rotate both points about z by the same angle: inner product unchanged
         a2, b2 = on_sphere(0.3, 0.1 + 1.1), on_sphere(1.2, 2.4 + 1.1)
-        assert sphere_cov_legendre_matern(a1, b1, p) == pytest.approx(
-            sphere_cov_legendre_matern(a2, b2, p), rel=1e-12)
+        assert SphereSeriesKernel(p)(a1, b1) == pytest.approx(
+            SphereSeriesKernel(p)(a2, b2), rel=1e-12)
 
     def test_scale_parameters(self):
         x, y = on_sphere(0.4, 0.0), on_sphere(1.0, 1.0)
         p1 = SphereLegendreParams(1.0, 1.0, 1.0)
         p2 = SphereLegendreParams(2.0, 1.0, 1.0)
-        assert sphere_cov_legendre_matern(x, y, p2) == pytest.approx(
-            4.0 * sphere_cov_legendre_matern(x, y, p1), rel=1e-12)
+        assert SphereSeriesKernel(p2)(x, y) == pytest.approx(
+            4.0 * SphereSeriesKernel(p1)(x, y), rel=1e-12)
         q1 = SphereSpdeParams(1.0, 1.0, 1.0)
         q2 = SphereSpdeParams(2.0, 1.0, 1.0)
-        assert sphere_cov_spde(x, y, q2) == pytest.approx(
-            0.25 * sphere_cov_spde(x, y, q1), rel=1e-12)
+        assert SphereSeriesKernel(q2)(x, y) == pytest.approx(
+            0.25 * SphereSeriesKernel(q1)(x, y), rel=1e-12)
 
     def test_series_against_direct_sum(self):
         """Clenshaw evaluation vs brute-force recurrence sum."""
@@ -112,12 +109,12 @@ class TestSphereCovariances:
         t = float(x @ y)
         brute = sum(float(p.coefficient(ell)) * legendre_p(ell, t)
                     for ell in range(61))
-        assert sphere_cov_spde(x, y, p) == pytest.approx(brute, rel=1e-11)
+        assert SphereSeriesKernel(p)(x, y) == pytest.approx(brute, rel=1e-11)
 
     def test_non_unit_rejected(self):
         p = SphereLegendreParams(1.0, 1.0, 1.0)
         with pytest.raises(DomainError):
-            sphere_cov_legendre_matern(np.array([1.0, 0.0, 1e-4]), north(), p)
+            SphereSeriesKernel(p)(np.array([1.0, 0.0, 1e-4]), north())
 
 
 class TestTailBounds:
@@ -125,8 +122,8 @@ class TestTailBounds:
         full = SphereLegendreParams(1.0, 1.0, 1.0, l_max=4096)
         short = SphereLegendreParams(1.0, 1.0, 1.0, l_max=64)
         x, y = north(), on_sphere(0.8, 0.5)
-        err = abs(sphere_cov_legendre_matern(x, y, full)
-                  - sphere_cov_legendre_matern(x, y, short))
+        err = abs(SphereSeriesKernel(full)(x, y)
+                  - SphereSeriesKernel(short)(x, y))
         assert err <= short.tail_bound(64) * (1 + 1e-9)
 
     def test_bound_monotone(self):
