@@ -29,6 +29,7 @@ from . import __version__
 from .diagnostics import AssumptionBudget, assumption_report, nystrom_eigen, _quadrature_for
 from .errors import ConfigError, MisspecKrigeError, PartialResultError
 from .harness import (
+    DEFAULT_SCHEDULE,
     SCENARIO_NAMES,
     DesignGenerator,
     Scenario,
@@ -48,7 +49,7 @@ from .kernels import (
     Torus,
 )
 from .kriging import GaussianModel, TargetFunctional, constant_mean, kink_mean, linear_mean, zero_mean
-from .ratios import RATIO_NAMES, RatioTable
+from .ratios import RATIO_NAMES, RatioTable, check_schedule
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -215,7 +216,11 @@ def _scenario_from_config(config: dict) -> Scenario:
     if type(true_model.kernel.domain) is not type(wrong_model.kernel.domain):
         raise ConfigError("the two models must live on the same domain type")
     generator = _generator_from_spec(inline.get("design"), true_model.kernel.domain)
-    sched = tuple(inline.get("schedule", schedule or (8, 16, 32, 64)))
+    try:
+        sched = check_schedule(inline.get(
+            "schedule", DEFAULT_SCHEDULE if schedule is None else schedule))
+    except MisspecKrigeError as exc:
+        raise ConfigError(str(exc))
     targets_spec = inline.get("targets")
     if targets_spec is None:
         targets = default_targets(generator, max(sched))

@@ -194,13 +194,15 @@ class NystromEigen:
 
     ``eigenvectors[:, j]`` holds the node values of the j-th eigenfunction,
     normalized so that the weight-weighted Gram of the retained columns is the
-    identity.
+    identity.  ``node_gram`` is the kernel's Gram on the nodes as evaluated,
+    before symmetrization.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    node_gram: np.ndarray
 
     def __post_init__(self):
         lam = self.eigenvalues
@@ -233,11 +235,11 @@ def nystrom_eigen(kernel: CovarianceKernel, nodes, weights,
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (nodes.shape[0],) or np.any(weights <= 0.0):
         raise DomainError("quadrature weights must be positive, one per node")
-    kmat = kernel.gram(nodes)
-    asym = float(np.max(np.abs(kmat - kmat.T)))
-    if asym > 1e-10 * max(1.0, float(np.max(np.abs(kmat)))):
+    node_gram = kernel.gram(nodes)
+    asym = float(np.max(np.abs(node_gram - node_gram.T)))
+    if asym > 1e-10 * max(1.0, float(np.max(np.abs(node_gram)))):
         raise NumericalFailureError(f"kernel matrix asymmetry {asym:.3e}")
-    kmat = 0.5 * (kmat + kmat.T)
+    kmat = 0.5 * (node_gram + node_gram.T)
     root_w = np.sqrt(weights)
     sym = root_w[:, None] * kmat * root_w[None, :]
     try:
@@ -252,7 +254,7 @@ def nystrom_eigen(kernel: CovarianceKernel, nodes, weights,
     lam, vec = lam[keep], vec[:, keep]
     funcs = vec / root_w[:, None]
     return NystromEigen(nodes=nodes, weights=weights, eigenvalues=lam,
-                        eigenvectors=funcs)
+                        eigenvectors=funcs, node_gram=node_gram)
 
 
 def uniform_grid(n: int, lower: float = 0.0, upper: float = 1.0):
@@ -376,7 +378,8 @@ def galerkin_projection(true_kernel: CovarianceKernel, wrong_kernel: CovarianceK
     eig = nystrom_eigen(true_kernel, nodes, weights)
     basis = min(basis_size, eig.rank)
     weighted = eig.weights[:, None] * eig.eigenvectors[:, :basis]
-    middle = weighted.T @ wrong_kernel.gram(eig.nodes) @ weighted
+    wrong_gram = eig.node_gram if wrong_kernel == true_kernel else wrong_kernel.gram(eig.nodes)
+    middle = weighted.T @ wrong_gram @ weighted
     return GalerkinProjection(eigenvalues=eig.eigenvalues[:basis], projected=middle,
                               resolved=eig.rank)
 

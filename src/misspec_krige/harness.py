@@ -29,7 +29,7 @@ from .kernels import (
     UnitSphere,
 )
 from .kriging import Design, GaussianModel, TargetFunctional, constant_mean, kink_mean, zero_mean
-from .ratios import RatioTable, ratio_convergence
+from .ratios import RatioTable, check_schedule, ratio_convergence
 
 MAX_DESIGN_SIZE = 2048
 
@@ -224,9 +224,7 @@ class Scenario:
     notes: str = ""
 
     def __post_init__(self):
-        sched = tuple(int(n) for n in self.n_schedule)
-        if list(sched) != sorted(set(sched)):
-            raise DomainError("the schedule must be strictly increasing")
+        sched = check_schedule(self.n_schedule)
         if sched[-1] > self.design_generator.max_n:
             raise DomainError(f"schedule exceeds the largest usable design size "
                               f"{self.design_generator.max_n} of its generator")
@@ -392,5 +390,5 @@ def builtin_scenario(name: str, n_schedule=None) -> Scenario:
     except KeyError:
         raise DomainError(f"unknown scenario {name!r}; known: {', '.join(SCENARIO_NAMES)}")
     if n_schedule is not None:
-        scenario = replace(scenario, n_schedule=tuple(int(n) for n in n_schedule))
+        scenario = replace(scenario, n_schedule=n_schedule)
     return scenario

@@ -80,7 +80,8 @@ class CovarianceKernel(ABC):
     """A symmetric, strictly positive definite covariance function.
 
     The single capability is evaluating rho(x, x') for two points of the
-    kernel's domain; ``gram`` vectorizes this over point sets.  Symmetry is
+    kernel's domain; ``gram`` vectorizes this over point sets and
+    ``gram_pairs`` over several blocks at once.  Symmetry is
     structural for every implementation and positive definiteness of Gram
     matrices is verified at factorization time, not here.
     """
@@ -105,6 +106,10 @@ class CovarianceKernel(ABC):
     @abstractmethod
     def gram(self, x, y=None) -> np.ndarray:
         """Covariance matrix between point sets ``x`` (n, d) and ``y`` (m, d)."""
+
+    def gram_pairs(self, pairs) -> list[np.ndarray]:
+        """``gram(x, y)`` for each ``(x, y)`` pair, where ``y=None`` means ``x``."""
+        return [self.gram(x, y) for x, y in pairs]
 
     def __call__(self, x, y) -> float:
         x = as_points(x, self.point_dim)

@@ -193,7 +193,22 @@ class SphereSeriesKernel(CovarianceKernel):
         return (self.params.l_max + 1) ** 2
 
     def gram(self, x, y=None) -> np.ndarray:
-        x = check_unit_vectors(as_points(x, 3))
-        y = x if y is None else check_unit_vectors(as_points(y, 3))
-        t = np.clip(x @ y.T, -1.0, 1.0)
-        return legval(t, self.params.coefficients())
+        return self.gram_pairs([(x, y)])[0]
+
+    def gram_pairs(self, pairs) -> list[np.ndarray]:
+        """One Clenshaw pass over every pair's inner products.  Each pair keeps
+        its own ``x @ y.T``: stacking rows into one product changes how they
+        round, while ``legval`` is elementwise and so bit-identical per pair."""
+        if not pairs:
+            return []
+        checked = {}  # id -> unit vectors; ``pairs`` keeps every key alive
+
+        def unit(a):
+            if id(a) not in checked:
+                checked[id(a)] = check_unit_vectors(as_points(a, 3))
+            return checked[id(a)]
+
+        ts = [np.clip(unit(x) @ unit(x if y is None else y).T, -1.0, 1.0) for x, y in pairs]
+        flat = legval(np.concatenate([t.ravel() for t in ts]), self.params.coefficients())
+        ends = np.cumsum([t.size for t in ts])[:-1]
+        return [block.reshape(t.shape) for block, t in zip(np.split(flat, ends), ts)]

@@ -255,14 +255,17 @@ def _leading_minor(exc: Exception) -> int | None:
 
 class LevelSystem:
     """One model's share of a schedule level: the factored design Gram, each
-    target's cross-covariance and the means, each evaluated once.  The model
-    builds predictors (``predictors``) and serves as a measure (``moments``)."""
+    target's cross-covariance and target block (all from one ``gram_pairs``
+    call) and the means, each evaluated once.  The model builds predictors
+    (``predictors``) and serves as a measure (``moments``)."""
 
     def __init__(self, design: Design, targets, model: GaussianModel,
                  gram: GramFactor | None = None):
         self.design, self.targets, self.model = design, list(targets), model
         self.gram = build_gram(design, model.kernel) if gram is None else gram
-        self.cross = [model.kernel.gram(t.sites, design.sites) for t in self.targets]
+        blocks = model.kernel.gram_pairs([(t.sites, design.sites) for t in self.targets]
+                                         + [(t.sites, None) for t in self.targets])
+        self.cross, self.tblocks = blocks[:len(self.targets)], blocks[len(self.targets):]
         self.m_design = model.mean_at(design.sites)
         self.m_targets = [model.mean_at(t.sites) for t in self.targets]
 
@@ -277,9 +280,8 @@ class LevelSystem:
 
     def moments(self, predictor_sets) -> list[list[ErrorMoments]]:
         """Moments under this model of each set's per-target predictors."""
-        tblocks = [self.model.kernel.gram(t.sites) for t in self.targets]
         return _moment_block(predictor_sets, self.targets, self.gram.sigma, self.cross,
-                             tblocks, self.m_design, self.m_targets)
+                             self.tblocks, self.m_design, self.m_targets)
 
 
 def kriging_predictor(target: TargetFunctional, design: Design, model: GaussianModel,

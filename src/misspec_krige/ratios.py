@@ -22,6 +22,7 @@ target farthest from the attached limit (plain max when no limit is known).
 
 from __future__ import annotations
 
+import numbers
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -255,6 +256,28 @@ class RatioTable:
         return [rec for rec in self.records if rec.n == n]
 
 
+def check_schedule(n_schedule) -> tuple[int, ...]:
+    """The schedule as a tuple of ints.  It must be a nonempty, strictly
+    increasing sequence of integral design sizes >= 1; booleans and
+    non-integral numbers are rejected with a message naming the entry."""
+    try:
+        sched = tuple(n_schedule)
+    except TypeError:
+        raise DomainError(f"the schedule must be a list of design sizes, got {n_schedule!r}")
+    if not sched:
+        raise DomainError("the schedule must list at least one design size")
+    for n in sched:
+        integral = isinstance(n, numbers.Integral) or (isinstance(n, float) and n.is_integer())
+        if isinstance(n, bool) or not integral or n < 1:
+            raise DomainError(f"schedule entry {n!r} is not an integer design size >= 1")
+    sched = tuple(int(n) for n in sched)
+    for earlier, later in zip(sched, sched[1:]):
+        if later <= earlier:
+            raise DomainError(
+                f"the schedule must be strictly increasing; {later} follows {earlier}")
+    return sched
+
+
 def ratio_convergence(true_model: GaussianModel, wrong_model: GaussianModel,
                       design_generator, targets: Sequence[TargetFunctional],
                       n_schedule: Sequence[int], *, limit_a: float | None = None,
@@ -267,9 +290,7 @@ def ratio_convergence(true_model: GaussianModel, wrong_model: GaussianModel,
     thread pool (capped by MISSPEC_KRIGE_THREADS); assembly is a deterministic
     merge by n, so the result is independent of completion order.
     """
-    schedule = [int(n) for n in n_schedule]
-    if schedule != sorted(set(schedule)):
-        raise DomainError("the n schedule must be strictly increasing")
+    schedule = list(check_schedule(n_schedule))
 
     def level(n: int) -> tuple[list[RatioRecord], dict]:
         design = design_generator(n)

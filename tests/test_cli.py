@@ -114,6 +114,29 @@ class TestRun:
         assert main(["run", cfg, "--output", str(tmp_path / "ok")]) == EXIT_OK
         assert (tmp_path / "ok" / "ratios.csv").exists()
 
+    @pytest.mark.parametrize("schedule, message", [
+        ([], "at least one design size"),
+        ([0, 8], "schedule entry 0 is not an integer design size >= 1"),
+        ([8.5], "schedule entry 8.5 is not"),
+        ([True, 8], "schedule entry True is not"),
+    ], ids=["empty", "zero", "fraction", "bool"])
+    def test_bad_schedule_exit_2_before_any_work(self, tmp_path, capsys, schedule, message):
+        exp = {"true_model": {"family": "matern", "nu": 0.5},
+               "wrong_model": {"family": "matern", "nu": 0.5, "sigma": 2.0}}
+        configs = [{"schema": 1, "scenario": "identical", "schedule": schedule},
+                   {"schema": 1, "experiment": {**exp, "schedule": schedule}},
+                   {"schema": 1, "experiment": exp, "schedule": schedule}]
+        for i, payload in enumerate(configs):
+            cfg = write_config(tmp_path, payload)
+            out = tmp_path / f"out{i}"
+            assert main(["run", cfg, "--output", str(out)]) == EXIT_CONFIG
+            assert message in capsys.readouterr().err
+            assert not (out / "ratios.csv").exists()
+        # check takes no schedule: the key itself is rejected
+        cfg = write_config(tmp_path, configs[0], name="check.json")
+        assert main(["check", cfg]) == EXIT_CONFIG
+        assert "unknown top-level config keys: ['schedule']" in capsys.readouterr().err
+
     def test_matern_dim_other_than_one_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"schema": 1, "experiment": {
             "true_model": {"family": "matern", "nu": 0.5, "dim": 2},

@@ -382,6 +382,22 @@ class TestAssumptionReport:
         assert "error" not in report["t_a_tail"]
         assert len(calls) == 1
 
+    def test_equal_kernels_share_one_node_gram(self, monkeypatch):
+        from misspec_krige.harness import builtin_scenario
+        scenario = builtin_scenario("identical")
+        assert scenario.true_model.kernel == scenario.wrong_model.kernel
+        node_grams = []
+        original = MaternKernel.gram
+
+        def counting(self, x, y=None):
+            if y is None and np.shape(x)[0] == AssumptionBudget().quad_nodes:
+                node_grams.append(x)
+            return original(self, x, y)
+        monkeypatch.setattr(MaternKernel, "gram", counting)
+        report = assumption_report(scenario.true_model, scenario.wrong_model)
+        assert report["routes"]["eigen_galerkin"]["kind"] == "converges"
+        assert len(node_grams) == 1
+
     def test_report_tail_equals_direct_probe(self):
         true, wrong = self.matern_pair()
         report = assumption_report(true, wrong)

@@ -149,6 +149,12 @@ class TestScenarios:
     def test_schedule_override(self):
         s = builtin_scenario("identical", n_schedule=[4, 8])
         assert s.n_schedule == (4, 8)
+        s = builtin_scenario("identical", n_schedule=[4.0, np.int64(8)])
+        assert s.n_schedule == (4, 8) and all(type(n) is int for n in s.n_schedule)
+        with pytest.raises(DomainError, match="strictly increasing; 8 follows 16"):
+            builtin_scenario("identical", n_schedule=[4, 16, 8])
+        with pytest.raises(DomainError, match="list of design sizes"):
+            builtin_scenario("identical", n_schedule=8)
 
     def test_run_identical_flat(self):
         res = run_scenario(builtin_scenario("identical", n_schedule=[8, 16]))

@@ -4,9 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial.legendre import legval
 
 from misspec_krige.errors import DomainError
 from misspec_krige.kernels import (
+    ChordalMaternKernel,
+    GreatCircleMaternKernel,
+    MaternKernel,
+    MaternParams,
+    PeriodicKernel,
+    PeriodicSpectrum,
     SphereLegendreParams,
     SphereSeriesKernel,
     SphereSpdeParams,
@@ -174,3 +183,89 @@ class TestEigenRatio:
         assert len(seq) == 1 + 3 + 5 + 7
         lam1 = 1.0 / (1.0 + 2.0) ** 2
         np.testing.assert_allclose(seq.values[1:4], lam1, rtol=1e-14)
+
+
+def unit_rows(rng, n):
+    x = rng.standard_normal((n, 3))
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+SPHERE_KERNELS = {
+    "legendre": SphereSeriesKernel(SphereLegendreParams(1.0, 1.0, 1.0)),
+    "spde": SphereSeriesKernel(SphereSpdeParams(0.8, 1.5, 1.2, l_max=100)),
+}
+ALL_KERNELS = {
+    "matern": MaternKernel(MaternParams(1.0, 1.5, 2.0)),
+    "chordal": ChordalMaternKernel(MaternParams(1.0, 1.5, 2.0)),
+    "great_circle": GreatCircleMaternKernel(MaternParams(1.0, 0.5, 2.0)),
+    "periodic": PeriodicKernel(PeriodicSpectrum.from_coeffs({0: 1.0, 1: 0.5, 3: 0.125},
+                                                            dim=1)),
+    **SPHERE_KERNELS,
+}
+
+
+def mixed_pairs(kernel, rng):
+    """Blocks of several shapes: cross blocks against one shared design,
+    ``y=None`` target blocks, single- and multi-site targets."""
+    if kernel.point_dim == 3:
+        def points(n):
+            return unit_rows(rng, n)
+    else:
+        def points(n):
+            return rng.uniform(0.0, 1.0, (n, 1))
+    design = points(17)
+    targets = [points(3), points(1), points(5), points(2)]
+    return ([(t, design) for t in targets] + [(t, None) for t in targets]
+            + [(targets[0], targets[2]), (design, None)])
+
+
+class TestGramPairs:
+    @pytest.mark.parametrize("name", sorted(ALL_KERNELS))
+    def test_equals_per_pair_gram_bit_for_bit(self, name):
+        kernel = ALL_KERNELS[name]
+        pairs = mixed_pairs(kernel, np.random.default_rng(3))
+        blocks = kernel.gram_pairs(pairs)
+        assert len(blocks) == len(pairs)
+        for block, (x, y) in zip(blocks, pairs):
+            assert np.array_equal(block, kernel.gram(x, y))
+        assert kernel.gram_pairs([]) == []
+
+    @pytest.mark.parametrize("name", sorted(SPHERE_KERNELS))
+    def test_sphere_matches_one_series_evaluation_per_block(self, name):
+        # the reference is the series evaluated on each block alone
+        kernel = SPHERE_KERNELS[name]
+        pairs = mixed_pairs(kernel, np.random.default_rng(5))
+        coeffs = kernel.params.coefficients()
+        for block, (x, y) in zip(kernel.gram_pairs(pairs), pairs):
+            t = np.clip(x @ (x if y is None else y).T, -1.0, 1.0)
+            assert np.array_equal(block, legval(t, coeffs))
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.lists(st.integers(1, 40), min_size=1, max_size=6),
+           design_rows=st.integers(1, 40), self_blocks=st.lists(st.booleans(), max_size=6),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_sphere_batch_equals_per_pair_property(self, rows, design_rows, self_blocks,
+                                                   seed):
+        rng = np.random.default_rng(seed)
+        kernel = SPHERE_KERNELS["legendre"]
+        design = unit_rows(rng, design_rows)
+        pairs = [(unit_rows(rng, n), None if own else design)
+                 for n, own in zip(rows, self_blocks + [False] * len(rows))]
+        for block, (x, y) in zip(kernel.gram_pairs(pairs), pairs):
+            assert np.array_equal(block, kernel.gram(x, y))
+
+    @pytest.mark.parametrize("bad", ["non_unit", "wrong_dim"])
+    @pytest.mark.parametrize("slot", [0, 1])
+    def test_malformed_point_in_any_pair_rejected(self, bad, slot):
+        rng = np.random.default_rng(11)
+        design = unit_rows(rng, 6)
+        broken = unit_rows(rng, 3)
+        if bad == "non_unit":
+            broken[1] *= 1.0 + 1e-6
+        else:
+            broken = broken[:, :2]
+        pairs = [(unit_rows(rng, 2), design), (unit_rows(rng, 1), None)]
+        pairs.append((broken, design) if slot == 0 else (unit_rows(rng, 2), broken))
+        for kernel in SPHERE_KERNELS.values():
+            with pytest.raises(DomainError):
+                kernel.gram_pairs(pairs)

@@ -202,8 +202,8 @@ class TestLevelSystem:
                 TargetFunctional(-1.1, np.array([[0.55], [0.61]]),
                                  np.array([-1.0, 1.0]), label="contrast")]
 
-    def assert_batched_equals_single(self, design, build, measure):
-        targets = self.targets()
+    def assert_batched_equals_single(self, design, build, measure, targets=None):
+        targets = self.targets() if targets is None else targets
         batched = LevelSystem(design, targets, build).predictors()
         moments = LevelSystem(design, targets, measure).moments([batched, batched[::-1]])
         for t, target in enumerate(targets):
@@ -221,6 +221,27 @@ class TestLevelSystem:
         measure = exp_model(sigma=1.7, kappa=0.6, mean=constant_mean(0.9))
         self.assert_batched_equals_single(design, build, measure)
         self.assert_batched_equals_single(design, measure, build)
+
+    def test_sphere_pair_matches_one_target_path(self):
+        # the sphere kernel evaluates all target blocks in one series pass
+        from misspec_krige.diagnostics import fibonacci_sphere_grid
+        from misspec_krige.kernels import (SphereLegendreParams, SphereSeriesKernel,
+                                           SphereSpdeParams)
+        rng = np.random.default_rng(4)
+
+        def unit(n):
+            x = rng.standard_normal((n, 3))
+            return x / np.linalg.norm(x, axis=1, keepdims=True)
+        targets = [TargetFunctional(0.7, unit(3), np.array([1.5, -0.25, -2.0]), label="mixed"),
+                   TargetFunctional.point(unit(1)[0], label="point"),
+                   TargetFunctional(-1.1, unit(2), np.array([-1.0, 1.0]), label="contrast")]
+        design = Design(fibonacci_sphere_grid(24)[0])
+        build = GaussianModel(constant_mean(0.4),
+                              SphereSeriesKernel(SphereLegendreParams(1.0, 1.0, 1.0)), "leg")
+        measure = GaussianModel(zero_mean,
+                                SphereSeriesKernel(SphereSpdeParams(0.9, 1.0, 1.3)), "spde")
+        self.assert_batched_equals_single(design, build, measure, targets)
+        self.assert_batched_equals_single(design, measure, build, targets)
 
     def test_jittered_gram_moments_use_unjittered_sigma(self):
         # the rank-3 kernel of test_rank_deficient_kernel_gets_jitter
