@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -62,6 +63,20 @@ _FLOAT_FMT = "%.17g"
 
 def _fmt(value: float | None) -> str:
     return "" if value is None else _FLOAT_FMT % value
+
+
+def _bounded(value, name: str, ok, limit: str) -> float:
+    """``value`` of config field ``name`` as a float for which ``ok`` holds;
+    ``limit`` words that condition for the error message."""
+    number = math.nan
+    if not isinstance(value, bool):
+        try:
+            number = float(value)
+        except (TypeError, ValueError):
+            pass
+    if not ok(number):
+        raise ConfigError(f"{name} must be {limit}, got {value!r}")
+    return number
 
 
 # ---------------------------------------------------------------------------
@@ -198,12 +213,7 @@ def _scenario_from_config(config: dict) -> Scenario:
         raise ConfigError('provide exactly one of "scenario" or "experiment"')
     schedule = config.get("schedule")
     if name is not None:
-        if not isinstance(name, str):
-            raise ConfigError('"scenario" must be a string')
-        try:
-            return builtin_scenario(name, n_schedule=schedule)
-        except MisspecKrigeError as exc:
-            raise ConfigError(str(exc))
+        return _builtin_from(name, schedule)
     if not isinstance(inline, dict):
         raise ConfigError('"experiment" must be an object')
     allowed = {"name", "true_model", "wrong_model", "design", "targets",
@@ -224,18 +234,32 @@ def _scenario_from_config(config: dict) -> Scenario:
     targets_spec = inline.get("targets")
     if targets_spec is None:
         targets = default_targets(generator, max(sched))
-    elif isinstance(targets_spec, list):
-        targets = [TargetFunctional.point(np.atleast_1d(np.asarray(p, dtype=float)),
-                                          label=f"u{i:02d}")
-                   for i, p in enumerate(targets_spec)]
+    elif isinstance(targets_spec, list) and targets_spec:
+        try:
+            targets = [TargetFunctional.point(np.atleast_1d(np.asarray(p, dtype=float)),
+                                              label=f"u{i:02d}")
+                       for i, p in enumerate(targets_spec)]
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad inline targets: {exc}")
     else:
-        raise ConfigError('"targets" must be a list of points when given inline')
+        raise ConfigError('"targets" must be a nonempty list of points when given inline')
     limit_a = inline.get("limit_a")
+    if limit_a is not None:
+        limit_a = _bounded(limit_a, "limit_a", lambda x: 0.0 < x < math.inf,
+                           "a finite number > 0")
     try:
         return Scenario(name=inline.get("name", "inline"), true_model=true_model,
                         wrong_model=wrong_model, design_generator=generator,
-                        targets=tuple(targets), n_schedule=sched,
-                        limit_a=None if limit_a is None else float(limit_a))
+                        targets=tuple(targets), n_schedule=sched, limit_a=limit_a)
+    except MisspecKrigeError as exc:
+        raise ConfigError(str(exc))
+
+
+def _builtin_from(name, schedule=None) -> Scenario:
+    if not isinstance(name, str):
+        raise ConfigError('"scenario" must be a string')
+    try:
+        return builtin_scenario(name, n_schedule=schedule)
     except MisspecKrigeError as exc:
         raise ConfigError(str(exc))
 
@@ -287,20 +311,23 @@ def _json_dumps(obj) -> str:
 # subcommands
 # ---------------------------------------------------------------------------
 
-_TOLERANCE_KEYS = {"verdict_window", "verdict_tol", "variance_floor"}
+#: each tolerance's admissible values and their wording
+_TOLERANCE_LIMITS = {
+    "verdict_window": (lambda x: 0.0 < x <= 1.0, "a number in (0, 1]"),
+    "verdict_tol": (lambda x: x > 0.0, "a number > 0"),
+    "variance_floor": (lambda x: 0.0 <= x < math.inf, "a finite number >= 0"),
+}
 
 
 def _tolerances_from(config: dict):
     spec = config.get("tolerances", {})
     if not isinstance(spec, dict):
         raise ConfigError('"tolerances" must be an object')
-    unknown = set(spec) - _TOLERANCE_KEYS
+    unknown = set(spec) - set(_TOLERANCE_LIMITS)
     if unknown:
         raise ConfigError(f"unknown tolerance keys: {sorted(unknown)}")
-    try:
-        values = {k: float(v) for k, v in spec.items()}
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"tolerance overrides must be numbers: {exc}")
+    values = {k: _bounded(v, f"tolerances.{k}", *_TOLERANCE_LIMITS[k])
+              for k, v in spec.items()}
     budget_kwargs = {k: values[k] for k in ("verdict_window", "verdict_tol")
                      if k in values}
     budget = AssumptionBudget(**budget_kwargs) if budget_kwargs else None
@@ -338,7 +365,7 @@ def cmd_check(args) -> int:
     config = _load_config(args.config,
                           {"scenario", "true_model", "wrong_model", "tolerances"})
     if "scenario" in config:
-        scenario = builtin_scenario(config["scenario"])
+        scenario = _builtin_from(config["scenario"])
         true_model, wrong_model = scenario.true_model, scenario.wrong_model
     else:
         if "true_model" not in config or "wrong_model" not in config:
@@ -359,10 +386,15 @@ def cmd_eigen(args) -> int:
     grid_spec = config.get("grid", {})
     if not isinstance(grid_spec, dict):
         raise ConfigError('"grid" must be an object')
-    n_nodes = int(grid_spec.get("nodes", 128))
-    nodes, weights = _quadrature_for(model.kernel.domain, n_nodes)
-    eig = nystrom_eigen(model.kernel, nodes, weights,
-                        rank_cutoff=float(grid_spec.get("rank_cutoff", 1e-12)))
+    unknown = set(grid_spec) - {"nodes", "rank_cutoff"}
+    if unknown:
+        raise ConfigError(f"unknown grid keys: {sorted(unknown)}")
+    n_nodes = _bounded(grid_spec.get("nodes", 128), "grid.nodes",
+                       lambda x: x >= 2 and x.is_integer(), "an integer >= 2")
+    rank_cutoff = _bounded(grid_spec.get("rank_cutoff", 1e-12), "grid.rank_cutoff",
+                           lambda x: 0.0 <= x < math.inf, "a finite number >= 0")
+    nodes, weights = _quadrature_for(model.kernel.domain, int(n_nodes))
+    eig = nystrom_eigen(model.kernel, nodes, weights, rank_cutoff=rank_cutoff)
     lines = ["index,eigenvalue"]
     lines += [f"{j},{_fmt(val)}" for j, val in enumerate(eig.eigenvalues)]
     out_path = config.get("output", args.output or "eigenvalues.csv")

@@ -65,26 +65,20 @@ def eigen_ratio_limit(g: EigenSequence, g_tilde: EigenSequence,
     if not 0.0 < window <= 1.0:
         raise DomainError("window must lie in (0, 1]")
     ratios = g_tilde.values / g.values
-    return _tail_verdict(ratios, window, tol, use_geometric=False)
+    return _tail_verdict(ratios, window, tol)
 
 
-def _tail_verdict(ratios: np.ndarray, window: float, tol: float,
-                  use_geometric: bool) -> RatioVerdict:
+def _tail_verdict(ratios: np.ndarray, window: float, tol: float) -> RatioVerdict:
     size = ratios.shape[0]
     start = size - max(1, math.ceil(window * size))
     tail = ratios[start:]
-    if use_geometric:
-        log_tail = np.log(tail)
-        center = float(np.exp(log_tail.mean()))
-        max_dev = float(np.max(np.abs(np.exp(log_tail - log_tail.mean()) - 1.0))) * center
-    else:
-        center = float(tail.mean())
-        max_dev = float(np.max(np.abs(tail - center)))
+    center = float(tail.mean())
+    max_dev = float(np.max(np.abs(tail - center)))
     evidence = TailWindow(start_index=start, mean=center, max_deviation=max_dev)
     if center > 0.0 and max_dev < tol * center:
         return RatioVerdict.converges(center, evidence)
 
-    return _trend_verdict(_checkpoint_stats(ratios, use_geometric), evidence)
+    return _trend_verdict(_checkpoint_stats(ratios), evidence)
 
 
 def _trend_verdict(checkpoints: list[float], evidence: TailWindow) -> RatioVerdict:
@@ -99,15 +93,14 @@ def _trend_verdict(checkpoints: list[float], evidence: TailWindow) -> RatioVerdi
     return RatioVerdict.inconclusive(evidence)
 
 
-def _checkpoint_stats(ratios: np.ndarray, use_geometric: bool) -> list[float]:
+def _checkpoint_stats(ratios: np.ndarray) -> list[float]:
     size = ratios.shape[0]
     stats = []
     for frac in (1 / 8, 1 / 4, 1 / 2, 1.0):
         idx = max(0, math.ceil(frac * size) - 1)
         halo = max(1, size // 100)
         block = ratios[max(0, idx - halo): idx + halo + 1]
-        stats.append(float(np.exp(np.mean(np.log(block)))) if use_geometric
-                     else float(np.median(block)))
+        stats.append(float(np.median(block)))
     return stats
 
 
@@ -518,7 +511,7 @@ def _galerkin_route(projection, budget, routes) -> RatioVerdict | None:
         routes["eigen_galerkin"] = {"error": "nonpositive projected ratios"}
         return None
     verdict = _tail_verdict(diag_ratios, window=max(0.25, budget.verdict_window),
-                            tol=budget.verdict_tol, use_geometric=False)
+                            tol=budget.verdict_tol)
     routes["eigen_galerkin"] = verdict.to_dict()
     return verdict
 

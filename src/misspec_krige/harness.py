@@ -247,8 +247,7 @@ class ScenarioResult:
     report: dict
 
 
-def run_scenario(s: Scenario, max_workers: int | None = None,
-                 budget: AssumptionBudget | None = None,
+def run_scenario(s: Scenario, budget: AssumptionBudget | None = None,
                  variance_floor: float | None = None) -> ScenarioResult:
     """Ratio table over the schedule plus the composed diagnostics report."""
     from .ratios import VARIANCE_FLOOR
@@ -258,7 +257,6 @@ def run_scenario(s: Scenario, max_workers: int | None = None,
             lambda n: generate_design(s.design_generator, n),
             list(s.targets), list(s.n_schedule), limit_a=s.limit_a,
             variance_floor=VARIANCE_FLOOR if variance_floor is None else variance_floor,
-            max_workers=max_workers,
             metadata={"scenario": s.name,
                       "design_generator": s.design_generator.describe(),
                       "notes": s.notes})

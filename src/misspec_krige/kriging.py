@@ -254,40 +254,41 @@ def _leading_minor(exc: Exception) -> int | None:
 
 
 class LevelSystem:
-    """One model's share of a schedule level: the factored design Gram, each
+    """What a kernel fixes at a schedule level: the factored design Gram, each
     target's cross-covariance and target block (all from one ``gram_pairs``
-    call) and the means, each evaluated once.  The model builds predictors
-    (``predictors``) and serves as a measure (``moments``)."""
+    call) and each target's kriging weights (one multi-column solve).  Models
+    sharing the kernel share the system; their means enter only through
+    ``predictors`` (the intercepts) and ``moments`` (the error means)."""
 
-    def __init__(self, design: Design, targets, model: GaussianModel,
-                 gram: GramFactor | None = None):
-        self.design, self.targets, self.model = design, list(targets), model
-        self.gram = build_gram(design, model.kernel) if gram is None else gram
-        blocks = model.kernel.gram_pairs([(t.sites, design.sites) for t in self.targets]
-                                         + [(t.sites, None) for t in self.targets])
+    def __init__(self, design: Design, targets, kernel: CovarianceKernel):
+        self.design, self.targets = design, list(targets)
+        self.gram = build_gram(design, kernel)
+        blocks = kernel.gram_pairs([(t.sites, design.sites) for t in self.targets]
+                                   + [(t.sites, None) for t in self.targets])
         self.cross, self.tblocks = blocks[:len(self.targets)], blocks[len(self.targets):]
-        self.m_design = model.mean_at(design.sites)
-        self.m_targets = [model.mean_at(t.sites) for t in self.targets]
-
-    def predictors(self) -> list[LinearPredictor]:
-        """Every target's best linear predictor, from one multi-column solve."""
         rhs = np.column_stack([t.coeffs @ c for t, c in zip(self.targets, self.cross)])
-        weights = np.ascontiguousarray(self.gram.solve(rhs).T)
-        return [LinearPredictor(self.design, w, built_under=self.model.label,
-                                intercept=(t.intercept_coeff + float(t.coeffs @ m_t)
-                                           - _dot(w, self.m_design)))
-                for t, m_t, w in zip(self.targets, self.m_targets, weights)]
+        self.weights = np.ascontiguousarray(self.gram.solve(rhs).T)
 
-    def moments(self, predictor_sets) -> list[list[ErrorMoments]]:
-        """Moments under this model of each set's per-target predictors."""
+    def predictors(self, model: GaussianModel) -> list[LinearPredictor]:
+        """Every target's best linear predictor under ``model``."""
+        m_design = model.mean_at(self.design.sites)
+        return [LinearPredictor(self.design, w, built_under=model.label,
+                                intercept=(t.intercept_coeff
+                                           + float(t.coeffs @ model.mean_at(t.sites))
+                                           - _dot(w, m_design)))
+                for t, w in zip(self.targets, self.weights)]
+
+    def moments(self, predictor_sets, model: GaussianModel) -> list[list[ErrorMoments]]:
+        """Moments under ``model`` of each set's per-target predictors."""
         return _moment_block(predictor_sets, self.targets, self.gram.sigma, self.cross,
-                             self.tblocks, self.m_design, self.m_targets)
+                             self.tblocks, model.mean_at(self.design.sites),
+                             [model.mean_at(t.sites) for t in self.targets])
 
 
-def kriging_predictor(target: TargetFunctional, design: Design, model: GaussianModel,
-                      gram: GramFactor | None = None) -> LinearPredictor:
+def kriging_predictor(target: TargetFunctional, design: Design,
+                      model: GaussianModel) -> LinearPredictor:
     """Best linear predictor of the target under the given model."""
-    return LevelSystem(design, [target], model, gram).predictors()[0]
+    return LevelSystem(design, [target], model.kernel).predictors(model)[0]
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -366,10 +367,9 @@ def mean_shift_identity_check(target: TargetFunctional, design: Design,
     """
     if model_a.kernel != model_b.kernel:
         raise DomainError("the two models must share the same covariance kernel")
-    system_a = LevelSystem(design, [target], model_a)
-    pred_a = system_a.predictors()[0]
-    pred_b = LevelSystem(design, [target], model_b, system_a.gram).predictors()[0]
-    bias = system_a.moments([[pred_b]])[0][0].mean
+    system = LevelSystem(design, [target], model_a.kernel)
+    pred_a, pred_b = system.predictors(model_a)[0], system.predictors(model_b)[0]
+    bias = system.moments([[pred_b]], model_a)[0][0].mean
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_probes):

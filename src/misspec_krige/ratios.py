@@ -114,24 +114,27 @@ def efficiency_ratios(design: Design, targets: Sequence[TargetFunctional],
     """Per-target ratio records plus one SUP record for a fixed design.
 
     Targets whose true-model kriging variance falls below ``variance_floor``
-    are excluded with a warning (their ratios are 0/0).  Each model's Gram is
-    factorized once and all targets are solved together; each measure's error
-    moments for both predictors come from one block (``LevelSystem``).
+    are excluded with a warning (their ratios are 0/0).  Each distinct kernel
+    gets one ``LevelSystem`` (one factor, one solve for all targets); each
+    measure's error moments for both predictors come from one block.
     """
     if not targets:
         raise DomainError("at least one target is required")
     n = design.n if n_value is None else n_value
-    systems = {"true": LevelSystem(design, targets, true_model),
-               "wrong": LevelSystem(design, targets, wrong_model)}
-    predictors = [systems["true"].predictors(), systems["wrong"].predictors()]
-    moments = {measure: system.moments(predictors) for measure, system in systems.items()}
-    limits = _ratio_limits(limit_a, true_model.kernel == wrong_model.kernel)
+    shared_kernel = true_model.kernel == wrong_model.kernel
+    limits = _ratio_limits(limit_a, shared_kernel)
+    true_system = LevelSystem(design, targets, true_model.kernel)
+    wrong_system = (true_system if shared_kernel
+                    else LevelSystem(design, targets, wrong_model.kernel))
+    predictors = [true_system.predictors(true_model), wrong_system.predictors(wrong_model)]
+    moments = {"true": true_system.moments(predictors, true_model),
+               "wrong": wrong_system.moments(predictors, wrong_model)}
 
     records: list[RatioRecord] = []
     for idx, target in enumerate(targets):
         target_id = target.label or f"t{idx:02d}"
         mom = {(pred, measure): moments[measure][row][idx]
-               for row, pred in enumerate(("true", "wrong")) for measure in systems}
+               for row, pred in enumerate(("true", "wrong")) for measure in moments}
         degenerate = _degenerate_measure(mom, variance_floor)
         if degenerate is not None:
             name, value = degenerate
@@ -219,12 +222,12 @@ def mean_term(design: Design, target: TargetFunctional, true_model: GaussianMode
     """
     if true_model.kernel != shifted_mean_model.kernel:
         raise DomainError("mean_term requires the two models to share one kernel")
-    system = LevelSystem(design, [target], true_model)
-    pred = system.predictors()[0]
-    delta = system.m_design - shifted_mean_model.mean_at(design.sites)
-    delta_t = system.m_targets[0] - shifted_mean_model.mean_at(target.sites)
+    system = LevelSystem(design, [target], true_model.kernel)
+    pred = system.predictors(true_model)[0]
+    delta = true_model.mean_at(design.sites) - shifted_mean_model.mean_at(design.sites)
+    delta_t = true_model.mean_at(target.sites) - shifted_mean_model.mean_at(target.sites)
     numerator = (float(target.coeffs @ delta_t) - _dot(pred.weights, delta)) ** 2
-    variance = system.moments([[pred]])[0][0].variance
+    variance = system.moments([[pred]], true_model)[0][0].variance
     if variance < VARIANCE_FLOOR:
         raise NumericalFailureError("target kriging variance below the floor")
     return numerator / variance

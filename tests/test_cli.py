@@ -7,6 +7,7 @@ import os
 
 import pytest
 
+from misspec_krige import cli
 from misspec_krige.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, CSV_HEADER, main
 
 
@@ -19,6 +20,16 @@ def write_config(tmp_path, payload, name="config.json"):
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Makes the CLI exit 3 if it reaches the ratio run, the report or the
+    eigensolver, so an exit 2 shows the config was rejected before any work."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("config accepted")
+    for name in ("run_scenario", "assumption_report", "nystrom_eigen"):
+        monkeypatch.setattr(cli, name, refuse)
 
 
 class TestRun:
@@ -136,6 +147,43 @@ class TestRun:
         cfg = write_config(tmp_path, configs[0], name="check.json")
         assert main(["check", cfg]) == EXIT_CONFIG
         assert "unknown top-level config keys: ['schedule']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("limit_a", 0, "limit_a must be a finite number > 0, got 0"),
+        ("limit_a", -2, "limit_a must be a finite number > 0, got -2"),
+        ("limit_a", "x", "limit_a must be a finite number > 0, got 'x'"),
+        ("targets", [], '"targets" must be a nonempty list of points'),
+    ], ids=["limit-zero", "limit-negative", "limit-string", "targets-empty"])
+    def test_bad_inline_field_exit_2_before_any_work(self, tmp_path, capsys, no_work,
+                                                      field, value, message):
+        cfg = write_config(tmp_path, {"schema": 1, "experiment": {
+            "true_model": {"family": "matern", "nu": 0.5},
+            "wrong_model": {"family": "matern", "nu": 0.5, "sigma": 2.0},
+            "schedule": [8, 16], field: value}})
+        assert main(["run", cfg, "--output", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out" / "ratios.csv").exists()
+
+    @pytest.mark.parametrize("tolerances, message", [
+        ({"verdict_window": 0}, "tolerances.verdict_window must be a number in (0, 1], got 0"),
+        ({"verdict_window": 5}, "tolerances.verdict_window must be a number in (0, 1], got 5"),
+        ({"verdict_tol": 0}, "tolerances.verdict_tol must be a number > 0, got 0"),
+        ({"verdict_tol": "x"}, "tolerances.verdict_tol must be a number > 0, got 'x'"),
+        ({"variance_floor": float("nan")},
+         "tolerances.variance_floor must be a finite number >= 0, got nan"),
+        ({"variance_floor": -1}, "tolerances.variance_floor must be a finite number >= 0"),
+    ], ids=["window-zero", "window-above-one", "tol-zero", "tol-string", "floor-nan",
+            "floor-negative"])
+    def test_bad_tolerance_exit_2_before_any_work(self, tmp_path, capsys, no_work,
+                                                   tolerances, message):
+        for scenario in ("periodic_ratio3", "matern_same_nu"):
+            cfg = write_config(tmp_path, {"schema": 1, "scenario": scenario,
+                                          "tolerances": tolerances})
+            assert main(["run", cfg, "--output", str(tmp_path / "out")]) == EXIT_CONFIG
+            assert message in capsys.readouterr().err
+            assert not (tmp_path / "out" / "ratios.csv").exists()
+            assert main(["check", cfg]) == EXIT_CONFIG
+            assert message in capsys.readouterr().err
 
     def test_matern_dim_other_than_one_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"schema": 1, "experiment": {
@@ -256,6 +304,17 @@ class TestCheck:
             1.0 / (2 * math.pi), rel=0.05)
 
 
+    @pytest.mark.parametrize("scenario, message", [
+        ("nope", "unknown scenario 'nope'"),
+        (5, '"scenario" must be a string'),
+    ], ids=["unknown", "number"])
+    def test_bad_scenario_exit_2(self, tmp_path, capsys, no_work, scenario, message):
+        cfg = write_config(tmp_path, {"schema": 1, "scenario": scenario})
+        for command in (["check", cfg], ["run", cfg, "--output", str(tmp_path)]):
+            assert main(command) == EXIT_CONFIG
+            assert message in capsys.readouterr().err
+
+
 class TestEigen:
     def test_periodic_small_spectrum(self, tmp_path):
         out = tmp_path / "eigs.csv"
@@ -282,6 +341,32 @@ class TestEigen:
         values = [float(r["eigenvalue"]) for r in read_rows(out)]
         assert all(v > 0 for v in values)
         assert all(a >= b for a, b in zip(values, values[1:]))
+
+
+    @pytest.mark.parametrize("grid, message", [
+        ({"nodes": 1}, "grid.nodes must be an integer >= 2, got 1"),
+        ({"nodes": "abc"}, "grid.nodes must be an integer >= 2, got 'abc'"),
+        ({"nodes": 64.5}, "grid.nodes must be an integer >= 2, got 64.5"),
+        ({"rank_cutoff": "x"}, "grid.rank_cutoff must be a finite number >= 0, got 'x'"),
+        ({"rank_cutoff": -1e-9}, "grid.rank_cutoff must be a finite number >= 0"),
+        ({"nodes": 64, "points": 3}, "unknown grid keys: ['points']"),
+    ], ids=["nodes-one", "nodes-string", "nodes-fraction", "cutoff-string",
+            "cutoff-negative", "unknown-key"])
+    def test_bad_grid_exit_2(self, tmp_path, capsys, no_work, grid, message):
+        out = tmp_path / "eigs.csv"
+        cfg = write_config(tmp_path, {"schema": 1, "kernel": {"family": "matern", "nu": 0.5},
+                                      "grid": grid, "output": str(out)})
+        assert main(["eigen", cfg]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_smallest_grid_runs(self, tmp_path):
+        out = tmp_path / "eigs.csv"
+        cfg = write_config(tmp_path, {"schema": 1, "kernel": {"family": "matern", "nu": 0.5},
+                                      "grid": {"nodes": 2.0, "rank_cutoff": 0},
+                                      "output": str(out)})
+        assert main(["eigen", cfg]) == EXIT_OK
+        assert len(read_rows(out)) == 2
 
 
 class TestMisc:

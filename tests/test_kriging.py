@@ -204,8 +204,9 @@ class TestLevelSystem:
 
     def assert_batched_equals_single(self, design, build, measure, targets=None):
         targets = self.targets() if targets is None else targets
-        batched = LevelSystem(design, targets, build).predictors()
-        moments = LevelSystem(design, targets, measure).moments([batched, batched[::-1]])
+        batched = LevelSystem(design, targets, build.kernel).predictors(build)
+        moments = LevelSystem(design, targets, measure.kernel).moments(
+            [batched, batched[::-1]], measure)
         for t, target in enumerate(targets):
             single = kriging_predictor(target, design, build)
             assert np.array_equal(batched[t].weights, single.weights)
@@ -249,7 +250,7 @@ class TestLevelSystem:
         kern = PeriodicKernel(PeriodicSpectrum.from_coeffs({0: 1.0, 1: 0.5}, dim=1))
         model = GaussianModel(constant_mean(0.3), kern, "rank3")
         design = Design((np.arange(5) / 5.0 + 0.01)[:, None])
-        gram = LevelSystem(design, self.targets(), model).gram
+        gram = LevelSystem(design, self.targets(), kern).gram
         assert gram.jitter > 0.0
         assert np.array_equal(gram.sigma, kern.gram(design.sites))
         assert not np.array_equal(gram.matrix, gram.sigma)
@@ -343,3 +344,10 @@ class TestMeanShiftIdentity:
         with pytest.raises(DomainError):
             mean_shift_identity_check(target, design, exp_model(),
                                       exp_model(kappa=2.0))
+
+    def test_one_kernel_system_serves_both_means(self, kernel_work):
+        design = Design((np.arange(1, 9) / 9.0)[:, None])
+        dev = mean_shift_identity_check(TargetFunctional.point([0.415]), design,
+                                        exp_model(), exp_model(mean=constant_mean(0.8)))
+        assert dev <= 1e-10
+        assert kernel_work == {"build_gram": 1, "gram_pairs": 1}

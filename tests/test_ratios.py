@@ -16,6 +16,7 @@ from misspec_krige.kriging import (
     constant_mean,
     error_moments,
     kriging_predictor,
+    linear_mean,
     zero_mean,
 )
 from misspec_krige.ratios import (
@@ -154,6 +155,56 @@ class TestEfficiencyRatios:
             RatioRecord(n=4, target_id="bad", r_var_1=0.5, r_var_2=1.0,
                         r_var_3=1.0, r_var_4=1.0, r_mom_1=1.0, r_mom_2=1.0,
                         r_mom_3=1.0, r_mom_4=1.0, mean_term=0.0)
+
+
+class TestSharedKernel:
+    """Models with equal kernels share one factor, one set of blocks and one
+    solve; only the intercepts and error means differ."""
+
+    def pair(self):
+        return (exp_model(mean=constant_mean(0.2), label="flat"),
+                exp_model(mean=linear_mean(-0.3, 1.1), label="sloped"))
+
+    def targets(self):
+        return grid_targets() + [
+            TargetFunctional(0.4, np.array([[0.21], [0.66]]), np.array([2.0, -0.5]),
+                             label="pair")]
+
+    def test_one_factor_and_one_block_call_per_level(self, kernel_work):
+        true, wrong = self.pair()
+        efficiency_ratios(grid_design(11), self.targets(), true, wrong, limit_a=1.0)
+        assert kernel_work == {"build_gram": 1, "gram_pairs": 1}
+        efficiency_ratios(grid_design(11), self.targets(), true,
+                          exp_model(sigma=1.3, kappa=0.4))
+        assert kernel_work == {"build_gram": 3, "gram_pairs": 3}
+
+    def test_one_block_call_per_schedule_level(self, kernel_work):
+        true, wrong = self.pair()
+        ratio_convergence(true, wrong, grid_design, self.targets(), [5, 9, 13],
+                          limit_a=1.0, max_workers=1)
+        assert kernel_work["gram_pairs"] == 3
+
+    def test_records_equal_one_target_moments(self):
+        true, wrong = self.pair()
+        design = grid_design(11)
+        records = efficiency_ratios(design, self.targets(), true, wrong, limit_a=1.0)
+        for target, rec in zip(self.targets(), records):
+            preds = {"true": kriging_predictor(target, design, true),
+                     "wrong": kriging_predictor(target, design, wrong)}
+            mom = {(p, m): error_moments(preds[p], target, model)
+                   for p in preds for m, model in (("true", true), ("wrong", wrong))}
+            var = {key: em.variance for key, em in mom.items()}
+            sec = {key: em.second_moment for key, em in mom.items()}
+            want = {}
+            for kind, q in (("var", var), ("mom", sec)):
+                want[f"r_{kind}_1"] = q["wrong", "true"] / q["true", "true"]
+                want[f"r_{kind}_2"] = q["true", "wrong"] / q["wrong", "wrong"]
+                want[f"r_{kind}_3"] = q["true", "wrong"] / q["true", "true"]
+                want[f"r_{kind}_4"] = q["wrong", "true"] / q["wrong", "wrong"]
+            want["mean_term"] = mom["true", "wrong"].mean ** 2 / sec["true", "true"]
+            assert rec.target_id == target.label
+            assert {name: rec.value(name) for name in want} == want
+            assert rec.true_variance == var["true", "true"]
 
 
 class TestMeanTerm:
