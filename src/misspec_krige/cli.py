@@ -31,6 +31,7 @@ from .diagnostics import AssumptionBudget, assumption_report, nystrom_eigen, _qu
 from .errors import ConfigError, MisspecKrigeError, PartialResultError
 from .harness import (
     DEFAULT_SCHEDULE,
+    MAX_DESIGN_SIZE,
     SCENARIO_NAMES,
     DesignGenerator,
     Scenario,
@@ -48,7 +49,9 @@ from .kernels import (
     SphereSeriesKernel,
     SphereSpdeParams,
     Torus,
+    UnitSphere,
 )
+from .kernels.base import UNIT_NORM_TOL
 from .kriging import GaussianModel, TargetFunctional, constant_mean, kink_mean, linear_mean, zero_mean
 from .ratios import RATIO_NAMES, RatioTable, check_schedule
 
@@ -235,12 +238,9 @@ def _scenario_from_config(config: dict) -> Scenario:
     if targets_spec is None:
         targets = default_targets(generator, max(sched))
     elif isinstance(targets_spec, list) and targets_spec:
-        try:
-            targets = [TargetFunctional.point(np.atleast_1d(np.asarray(p, dtype=float)),
-                                              label=f"u{i:02d}")
-                       for i, p in enumerate(targets_spec)]
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad inline targets: {exc}")
+        targets = [TargetFunctional.point(_target_point(p, f"targets[{i}]", true_model.kernel),
+                                          label=f"u{i:02d}")
+                   for i, p in enumerate(targets_spec)]
     else:
         raise ConfigError('"targets" must be a nonempty list of points when given inline')
     limit_a = inline.get("limit_a")
@@ -253,6 +253,31 @@ def _scenario_from_config(config: dict) -> Scenario:
                         targets=tuple(targets), n_schedule=sched, limit_a=limit_a)
     except MisspecKrigeError as exc:
         raise ConfigError(str(exc))
+
+
+def _target_point(spec, name: str, kernel) -> np.ndarray:
+    """The inline target ``spec`` as a point of ``kernel``'s domain; ``name``
+    labels it in the error message."""
+    try:
+        point = np.asarray(spec, dtype=float).reshape(-1)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad inline targets: {exc}")
+    domain, dim = kernel.domain, kernel.point_dim
+    if point.size != dim:
+        raise ConfigError(f"{name} has dimension {point.size}; the domain needs {dim}")
+    if isinstance(domain, UnitSphere):
+        if not abs(float(np.linalg.norm(point)) - 1.0) <= UNIT_NORM_TOL:
+            raise ConfigError(f"{name} = {spec!r} is not a unit vector "
+                              f"(norm must be within {UNIT_NORM_TOL:g} of 1)")
+        return point
+    if isinstance(domain, Box):
+        lower, upper, where = domain.lower, domain.upper, "the box"
+    else:
+        lower, upper, where = (0.0,) * dim, (1.0,) * dim, "the torus"
+    if not all(lo <= x <= hi for x, lo, hi in zip(point, lower, upper)):
+        bounds = " x ".join(f"[{lo:g}, {hi:g}]" for lo, hi in zip(lower, upper))
+        raise ConfigError(f"{name} = {spec!r} lies outside {where} {bounds}")
+    return point
 
 
 def _builtin_from(name, schedule=None) -> Scenario:
@@ -390,7 +415,8 @@ def cmd_eigen(args) -> int:
     if unknown:
         raise ConfigError(f"unknown grid keys: {sorted(unknown)}")
     n_nodes = _bounded(grid_spec.get("nodes", 128), "grid.nodes",
-                       lambda x: x >= 2 and x.is_integer(), "an integer >= 2")
+                       lambda x: 2 <= x <= MAX_DESIGN_SIZE and x.is_integer(),
+                       f"an integer in [2, {MAX_DESIGN_SIZE}]")
     rank_cutoff = _bounded(grid_spec.get("rank_cutoff", 1e-12), "grid.rank_cutoff",
                            lambda x: 0.0 <= x < math.inf, "a finite number >= 0")
     nodes, weights = _quadrature_for(model.kernel.domain, int(n_nodes))

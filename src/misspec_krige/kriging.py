@@ -164,8 +164,10 @@ class GramFactor:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         x = scipy.linalg.cho_solve((self.lower, True), rhs)
+        # np.dot sums each 80-bit row product in order, as matmul does, but
+        # holds the running sum in a register instead of storing it per term
         residual = (rhs.astype(np.longdouble)
-                    - self.matrix.astype(np.longdouble) @ x.astype(np.longdouble))
+                    - np.dot(self.matrix.astype(np.longdouble), x.astype(np.longdouble)))
         return x + scipy.linalg.cho_solve((self.lower, True),
                                           residual.astype(float))
 
@@ -320,40 +322,55 @@ def _moment_block(predictor_sets, targets, sigma: np.ndarray, cross, tblocks,
     """Moments of ``predictor_sets[s][t]``, a predictor of ``targets[t]``, under
     the measure with design block ``sigma``, per-target cross-covariances
     (L_t, n) and target blocks, and means ``m_design`` and ``m_targets``."""
-    n = sigma.shape[0]
-    bounds = np.cumsum([n] + [len(t.coeffs) for t in targets])
-    # The variance is v' K v with v = (w, -beta) over design + target sites.
-    # Its summands are O(1) but cancel down to the kriging variance, which
-    # clustered designs push to ~1e-9; assembling naively loses the record
-    # invariants' 1e-10 slack to roundoff.  Two measures keep the error at
-    # the scale of the result: (1) recenter the kernel block at its leading
+    # The variance is v' K v with v = (w, -beta) over design + own target
+    # sites.  Its summands are O(1) but cancel down to the kriging variance,
+    # which clustered designs push to ~1e-9; assembling naively loses the
+    # record invariants' 1e-10 slack to roundoff.  Two measures keep the error
+    # at the scale of the result: (1) recenter the kernel block at its leading
     # diagonal value, v'Kv = v'(K - c 11')v + c (sum v)^2, which shrinks the
     # summands to the kernel's local variation exactly where v concentrates,
     # with the tilt term summed exactly-rounded; (2) accumulate in 80-bit
-    # precision.  All predictors share one K over [design; all target sites];
-    # numpy's longdouble matmul sums in order over the inner index, so the
-    # zeros of v on other targets' sites leave every variance bit-identical.
-    kmat = np.zeros((bounds[-1], bounds[-1]), dtype=np.longdouble)
-    kmat[:n, :n] = sigma
-    for lo, hi, c, tblock in zip(bounds, bounds[1:], cross, tblocks):
-        kmat[lo:hi, :n], kmat[:n, lo:hi], kmat[lo:hi, lo:hi] = c, c.T, tblock
-    anchor = float(sigma[0, 0])
-    kmat -= np.longdouble(anchor)
-    rows = [(pred, t) for preds in predictor_sets for t, pred in enumerate(preds)]
-    vs = [np.concatenate([pred.weights, -targets[t].coeffs]) for pred, t in rows]
-    v_block = np.zeros((len(rows), bounds[-1]), dtype=np.longdouble)
-    for v_row, v, (_, t) in zip(v_block, vs, rows):
-        v_row[:n], v_row[bounds[t]:bounds[t + 1]] = v[:n], v[n:]
+    # precision.  Every sum below adds its terms one at a time, in index
+    # order, starting from 0, as numpy's longdouble loops do: ``np.dot``
+    # keeps the running sum in an 80-bit register, matmul stores it back after
+    # each term, and each ``u += v_l * K_l`` step rounds its product and its
+    # sum the same way.  So u = v'(K - c 11') sums over the design sites (down
+    # contiguous columns of the Fortran-ordered design block), then over the
+    # own sites, and the quadratic form over (design, own sites).  A
+    # predictor's v is zero on the other targets' sites, and the padding of
+    # shorter targets adds only 0 * 0 terms.  An exact zero term leaves a
+    # nonzero sum unchanged, so leaving the former out and the latter in
+    # reproduces bit for bit the sums over [design; every target's sites].
+    n_sets, n_targets, n = len(predictor_sets), len(targets), sigma.shape[0]
+    width = max(len(t.coeffs) for t in targets)
+    anchor = np.longdouble(sigma[0, 0])
+    kdd = np.asfortranarray(sigma, dtype=np.longdouble) - anchor
+    kc = np.zeros((n_targets, width, n), dtype=np.longdouble)
+    kt = np.zeros((n_targets, width, width), dtype=np.longdouble)
+    vo = np.zeros((n_targets, width), dtype=np.longdouble)
+    for t, (target, c, tblock) in enumerate(zip(targets, cross, tblocks)):
+        size = len(target.coeffs)
+        kc[t, :size], kt[t, :size, :size] = c - anchor, tblock - anchor
+        vo[t, :size] = -target.coeffs
+    vd = np.array([[pred.weights for pred in preds] for preds in predictor_sets],
+                  dtype=np.longdouble)
+    ud = np.dot(vd, kdd)
+    uo = (vd[..., None, :] @ kc.transpose(0, 2, 1))[..., 0, :]
+    for l in range(width):
+        ud += vo[:, l, None] * kc[:, l]
+        uo += vo[:, l, None] * kt[:, l]
+    v = np.concatenate([vd, np.broadcast_to(vo, (n_sets, n_targets, width))], axis=-1)
+    quad = (np.concatenate([ud, uo], axis=-1)[..., None, :] @ v[..., None])[..., 0, 0]
     moments = []
-    for v, u, (pred, t) in zip(vs, v_block @ kmat, rows):
-        mean = (pred.intercept + _dot(pred.weights, m_design)
-                - (targets[t].intercept_coeff + float(targets[t].coeffs @ m_targets[t])))
-        # a 1-D dot in order over (design, own sites), as for a single target
-        variance_ld = (np.concatenate([u[:n], u[bounds[t]:bounds[t + 1]]])
-                       @ v.astype(np.longdouble)
-                       + np.longdouble(anchor) * np.longdouble(math.fsum(v.tolist())) ** 2)
-        moments.append(ErrorMoments(mean=mean, variance=float(variance_ld)))
-    return [moments[i:i + len(targets)] for i in range(0, len(moments), len(targets))]
+    for preds, quads in zip(predictor_sets, quad):
+        row = []
+        for pred, target, m_target, q in zip(preds, targets, m_targets, quads):
+            mean = (pred.intercept + _dot(pred.weights, m_design)
+                    - (target.intercept_coeff + float(target.coeffs @ m_target)))
+            tilt = np.longdouble(math.fsum(pred.weights.tolist() + (-target.coeffs).tolist()))
+            row.append(ErrorMoments(mean=mean, variance=float(q + anchor * tilt ** 2)))
+        moments.append(row)
+    return moments
 
 
 def mean_shift_identity_check(target: TargetFunctional, design: Design,

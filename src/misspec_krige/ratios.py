@@ -255,9 +255,6 @@ class RatioTable:
                 return rec
         raise KeyError(f"no SUP record for n={n}")
 
-    def records_for(self, n: int) -> list[RatioRecord]:
-        return [rec for rec in self.records if rec.n == n]
-
 
 def check_schedule(n_schedule) -> tuple[int, ...]:
     """The schedule as a tuple of ints.  It must be a nonempty, strictly

@@ -153,7 +153,11 @@ class TestRun:
         ("limit_a", -2, "limit_a must be a finite number > 0, got -2"),
         ("limit_a", "x", "limit_a must be a finite number > 0, got 'x'"),
         ("targets", [], '"targets" must be a nonempty list of points'),
-    ], ids=["limit-zero", "limit-negative", "limit-string", "targets-empty"])
+        ("targets", [[0.3, 0.4]], "targets[0] has dimension 2; the domain needs 1"),
+        ("targets", [[0.5], [1.7]], "targets[1] = [1.7] lies outside the box [0, 1]"),
+        ("targets", [-0.1], "targets[0] = -0.1 lies outside the box [0, 1]"),
+    ], ids=["limit-zero", "limit-negative", "limit-string", "targets-empty",
+            "targets-wrong-dim", "targets-above-box", "targets-below-box"])
     def test_bad_inline_field_exit_2_before_any_work(self, tmp_path, capsys, no_work,
                                                       field, value, message):
         cfg = write_config(tmp_path, {"schema": 1, "experiment": {
@@ -184,6 +188,23 @@ class TestRun:
             assert not (tmp_path / "out" / "ratios.csv").exists()
             assert main(["check", cfg]) == EXIT_CONFIG
             assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("true_model, wrong_model, target, message", [
+        ({"family": "periodic"}, {"family": "periodic", "scale": 2.0}, [1.5],
+         "targets[0] = [1.5] lies outside the torus [0, 1]"),
+        ({"family": "sphere_legendre", "nu1": 1.0}, {"family": "sphere_spde", "nu": 1.0},
+         [0.0, 0.0, 1.1], "targets[0] = [0.0, 0.0, 1.1] is not a unit vector "
+                          "(norm must be within 1e-10 of 1)"),
+        ({"family": "sphere_legendre", "nu1": 1.0}, {"family": "sphere_spde", "nu": 1.0},
+         [0.6, 0.8], "targets[0] has dimension 2; the domain needs 3"),
+    ], ids=["torus", "sphere-not-unit", "sphere-wrong-dim"])
+    def test_inline_target_off_domain_exit_2_before_any_work(
+            self, tmp_path, capsys, no_work, true_model, wrong_model, target, message):
+        cfg = write_config(tmp_path, {"schema": 1, "experiment": {
+            "true_model": true_model, "wrong_model": wrong_model, "targets": [target]}})
+        assert main(["run", cfg, "--output", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out" / "ratios.csv").exists()
 
     def test_matern_dim_other_than_one_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"schema": 1, "experiment": {
@@ -344,13 +365,14 @@ class TestEigen:
 
 
     @pytest.mark.parametrize("grid, message", [
-        ({"nodes": 1}, "grid.nodes must be an integer >= 2, got 1"),
-        ({"nodes": "abc"}, "grid.nodes must be an integer >= 2, got 'abc'"),
-        ({"nodes": 64.5}, "grid.nodes must be an integer >= 2, got 64.5"),
+        ({"nodes": 1}, "grid.nodes must be an integer in [2, 2048], got 1"),
+        ({"nodes": "abc"}, "grid.nodes must be an integer in [2, 2048], got 'abc'"),
+        ({"nodes": 64.5}, "grid.nodes must be an integer in [2, 2048], got 64.5"),
+        ({"nodes": 100000}, "grid.nodes must be an integer in [2, 2048], got 100000"),
         ({"rank_cutoff": "x"}, "grid.rank_cutoff must be a finite number >= 0, got 'x'"),
         ({"rank_cutoff": -1e-9}, "grid.rank_cutoff must be a finite number >= 0"),
         ({"nodes": 64, "points": 3}, "unknown grid keys: ['points']"),
-    ], ids=["nodes-one", "nodes-string", "nodes-fraction", "cutoff-string",
+    ], ids=["nodes-one", "nodes-string", "nodes-fraction", "nodes-above-cap", "cutoff-string",
             "cutoff-negative", "unknown-key"])
     def test_bad_grid_exit_2(self, tmp_path, capsys, no_work, grid, message):
         out = tmp_path / "eigs.csv"

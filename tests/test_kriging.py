@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +12,7 @@ from misspec_krige.errors import DomainError, IllConditionedDesignError
 from misspec_krige.kernels import MaternKernel, MaternParams
 from misspec_krige.kriging import (
     Design,
+    ErrorMoments,
     GaussianModel,
     LevelSystem,
     TargetFunctional,
@@ -21,6 +23,8 @@ from misspec_krige.kriging import (
     kriging_predictor,
     linear_mean,
     mean_shift_identity_check,
+    _dot,
+    _moment_block,
     zero_mean,
 )
 
@@ -81,6 +85,20 @@ class TestBuildGram:
             build_gram(Design(np.array([[0.1], [0.5]])), BrokenKernel())
         assert err.value.leading_minor == 2
         assert err.value.max_jitter is not None
+
+    @pytest.mark.parametrize("columns", [None, 7])
+    def test_refined_solve_matches_matmul_residual(self, columns):
+        # reference: the refinement residual as one ordered 80-bit matmul
+        design = Design(np.concatenate([np.arange(1, 41) / 41.0 + 0.003,
+                                        0.37 + 1e-3 * 0.6 ** np.arange(24)])[:, None])
+        gram = build_gram(design, exp_model().kernel)
+        shape = design.n if columns is None else (design.n, columns)
+        rhs = np.random.default_rng(3).standard_normal(shape)
+        x = scipy.linalg.cho_solve((gram.lower, True), rhs)
+        residual = (rhs.astype(np.longdouble)
+                    - gram.matrix.astype(np.longdouble) @ x.astype(np.longdouble))
+        want = x + scipy.linalg.cho_solve((gram.lower, True), residual.astype(float))
+        assert np.array_equal(gram.solve(rhs), want)
 
 
 class TestKrigingPredictor:
@@ -272,6 +290,105 @@ class TestLevelSystem:
         solved = gram.solve(rhs)
         for j in range(rhs.shape[1]):
             assert np.array_equal(solved[:, j], gram.solve(rhs[:, j]))
+
+
+def dense_moment_block(predictor_sets, targets, sigma, cross, tblocks, m_design, m_targets):
+    """Reference assembly: one dense K over [design; every target's sites],
+    multiplied by all rows of v, as the library computed it before it
+    restricted each row to its nonzeros."""
+    n = sigma.shape[0]
+    bounds = np.cumsum([n] + [len(t.coeffs) for t in targets])
+    kmat = np.zeros((bounds[-1], bounds[-1]), dtype=np.longdouble)
+    kmat[:n, :n] = sigma
+    for lo, hi, c, tblock in zip(bounds, bounds[1:], cross, tblocks):
+        kmat[lo:hi, :n], kmat[:n, lo:hi], kmat[lo:hi, lo:hi] = c, c.T, tblock
+    anchor = float(sigma[0, 0])
+    kmat -= np.longdouble(anchor)
+    rows = [(pred, t) for preds in predictor_sets for t, pred in enumerate(preds)]
+    vs = [np.concatenate([pred.weights, -targets[t].coeffs]) for pred, t in rows]
+    v_block = np.zeros((len(rows), bounds[-1]), dtype=np.longdouble)
+    for v_row, v, (_, t) in zip(v_block, vs, rows):
+        v_row[:n], v_row[bounds[t]:bounds[t + 1]] = v[:n], v[n:]
+    moments = []
+    for v, u, (pred, t) in zip(vs, v_block @ kmat, rows):
+        mean = (pred.intercept + _dot(pred.weights, m_design)
+                - (targets[t].intercept_coeff + float(targets[t].coeffs @ m_targets[t])))
+        variance = (np.concatenate([u[:n], u[bounds[t]:bounds[t + 1]]])
+                    @ v.astype(np.longdouble)
+                    + np.longdouble(anchor) * np.longdouble(math.fsum(v.tolist())) ** 2)
+        moments.append(ErrorMoments(mean=mean, variance=float(variance)))
+    return [moments[i:i + len(targets)] for i in range(0, len(moments), len(targets))]
+
+
+class TestMomentBlockMatchesDenseAssembly:
+    """Restricting each row to its nonzeros must leave every bit in place."""
+
+    @staticmethod
+    def assert_bit_identical(design, targets, builds, measure):
+        predictor_sets = [LevelSystem(design, targets, b.kernel).predictors(b) for b in builds]
+        system = LevelSystem(design, targets, measure.kernel)
+        args = (predictor_sets, targets, system.gram.sigma, system.cross, system.tblocks,
+                measure.mean_at(design.sites), [measure.mean_at(t.sites) for t in targets])
+        got, want = _moment_block(*args), dense_moment_block(*args)
+        assert len(got) == len(want) == len(builds)
+        for got_row, want_row in zip(got, want):
+            assert len(got_row) == len(want_row) == len(targets)
+            for g, w in zip(got_row, want_row):
+                assert g.mean == w.mean
+                assert g.variance == w.variance
+        return [m.variance for row in got for m in row]
+
+    def test_point_targets_both_predictor_sets(self):
+        design = Design((np.arange(1, 30) / 30.0)[:, None])
+        targets = [TargetFunctional.point([x], label=f"p{i}")
+                   for i, x in enumerate((0.013, 0.37, 0.5, 0.981))]
+        build = exp_model(mean=linear_mean(0.4, -0.8))
+        measure = exp_model(sigma=1.7, kappa=0.6, mean=constant_mean(0.9))
+        self.assert_bit_identical(design, targets, [build, measure], measure)
+        self.assert_bit_identical(design, targets, [measure, build], build)
+
+    def test_multi_site_targets_of_unequal_length(self):
+        # 1, 3 and 2 sites: the shorter targets are zero-padded to 3
+        design = Design(np.array([[0.05], [0.2], [0.3], [0.5], [0.58], [0.7], [0.9]]))
+        targets = [TargetFunctional.point([0.33], label="point"),
+                   TargetFunctional(0.7, np.array([[0.12], [0.47], [0.83]]),
+                                    np.array([1.5, -0.25, -2.0]), label="mixed"),
+                   TargetFunctional(-1.1, np.array([[0.55], [0.61]]),
+                                    np.array([-1.0, 1.0]), label="contrast")]
+        build = exp_model(mean=constant_mean(0.4))
+        measure = exp_model(sigma=0.8, kappa=2.5, mean=kink_mean(0.4, 0.7))
+        self.assert_bit_identical(design, targets, [build, measure], measure)
+
+    def test_clustered_design_near_vanishing_variance(self):
+        # 40 spread sites plus 24 accumulating at 0.37; long enough for the
+        # compensated mean dot, close enough for kriging variances near 1e-9
+        x_star = 0.37
+        sites = np.concatenate([np.arange(1, 41) / 41.0 + 0.003,
+                                x_star + 1e-3 * 0.6 ** np.arange(24)])
+        design = Design(sites[:, None])
+        targets = [TargetFunctional.point([x_star + d], label=f"c{i}")
+                   for i, d in enumerate((7e-9, 7.5e-9, 5e-9))]
+        # multi-site targets whose sites sit nanometres from far-apart design
+        # sites: their O(1) cross terms cancel to ~1e-8, so summing the own
+        # sites in any other order changes the last bits of the variance
+        targets += [TargetFunctional(0.2, np.array([[sites[3] + 6e-9], [x_star + 5e-9],
+                                                    [sites[29] - 4.5e-9]]),
+                                     np.array([0.3137, 1.2179, -0.8711]), label="mixed"),
+                    TargetFunctional(0.0, np.array([[x_star + 7e-9], [sites[19] + 6.5e-9]]),
+                                     np.array([1.0, -0.9733]), label="contrast")]
+        model = exp_model()
+        variances = self.assert_bit_identical(design, targets, [model, exp_model(kappa=3.0)],
+                                              model)
+        assert min(variances) < 5e-9
+
+    def test_jittered_gram(self):
+        from misspec_krige.kernels import PeriodicKernel, PeriodicSpectrum
+        kern = PeriodicKernel(PeriodicSpectrum.from_coeffs({0: 1.0, 1: 0.5}, dim=1))
+        model = GaussianModel(constant_mean(0.3), kern, "rank3")
+        design = Design((np.arange(5) / 5.0 + 0.01)[:, None])
+        targets = TestLevelSystem.targets()
+        assert LevelSystem(design, targets, kern).gram.jitter > 0.0
+        self.assert_bit_identical(design, targets, [model, exp_model()], model)
 
 
 class TestProjectionInvariants:
