@@ -37,6 +37,7 @@ from .harness import (
     Scenario,
     builtin_scenario,
     default_targets,
+    generate_design,
     run_scenario,
 )
 from .kernels import (
@@ -248,11 +249,30 @@ def _scenario_from_config(config: dict) -> Scenario:
         limit_a = _bounded(limit_a, "limit_a", lambda x: 0.0 < x < math.inf,
                            "a finite number > 0")
     try:
-        return Scenario(name=inline.get("name", "inline"), true_model=true_model,
-                        wrong_model=wrong_model, design_generator=generator,
-                        targets=tuple(targets), n_schedule=sched, limit_a=limit_a)
+        scenario = Scenario(name=inline.get("name", "inline"), true_model=true_model,
+                            wrong_model=wrong_model, design_generator=generator,
+                            targets=tuple(targets), n_schedule=sched, limit_a=limit_a)
     except MisspecKrigeError as exc:
         raise ConfigError(str(exc))
+    if targets_spec is not None:
+        _reject_design_sites(scenario)
+    return scenario
+
+
+def _reject_design_sites(scenario: Scenario) -> None:
+    """Exit 2 for an inline target that is a site of every scheduled level's
+    design: its kriging variance is 0 at every level, so every level would
+    exclude it.  A nested generator keeps its first level's sites."""
+    generator, sched = scenario.design_generator, scenario.n_schedule
+    designs = [generate_design(generator, n).sites
+               for n in (sched[:1] if generator.nested else sched)]
+    for i, target in enumerate(scenario.targets):
+        hits = [np.flatnonzero((sites == target.sites[0]).all(axis=1)) for sites in designs]
+        if all(hit.size for hit in hits):
+            raise ConfigError(
+                f"targets[{i}] = {target.sites[0].tolist()} equals sites[{hits[0][0]}] of "
+                f"the {generator.kind} design at every scheduled n, where its kriging "
+                f"variance is 0; choose a point off the design")
 
 
 def _target_point(spec, name: str, kernel) -> np.ndarray:

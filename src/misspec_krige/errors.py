@@ -23,6 +23,10 @@ class NumericalFailureError(MisspecKrigeError, RuntimeError):
     """A computed quantity violated a tolerance that signals numerical breakdown."""
 
 
+class OptimalityError(NumericalFailureError):
+    """A predictor beat the optimal one under the optimal one's own measure."""
+
+
 class PartialResultError(NumericalFailureError):
     """Some schedule levels failed; the completed ones are attached.
 

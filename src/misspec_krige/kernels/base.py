@@ -76,6 +76,31 @@ def check_unit_vectors(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def inner_products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """<x_i, y_j> of unit vectors, clipped to [-1, 1]."""
+    return np.clip(x @ y.T, -1.0, 1.0)
+
+
+def gram_entries(stat, x: np.ndarray, y: np.ndarray | None):
+    """The flat entries of ``stat(x, y)`` a covariance profile is evaluated on,
+    and the map laying the profiled values out as the Gram.  With ``y=None``
+    they are the upper triangle, diagonal included, and the map mirrors it: for
+    an exactly symmetric statistic (``cdist(x, x)``, or ``x @ x.T``, which BLAS
+    ``syrk`` computes on one triangle) and an elementwise profile, the same
+    doubles from n(n+1)/2 evaluations instead of n^2."""
+    if y is not None:
+        full = stat(x, y)
+        return full.ravel(), lambda values: values.reshape(full.shape)
+    upper = np.triu(np.ones((len(x), len(x)), dtype=bool))
+
+    def mirror(values):
+        out = np.empty(upper.shape)
+        out[upper] = values
+        out.T[upper] = values
+        return out
+    return stat(x, x)[upper], mirror
+
+
 class CovarianceKernel(ABC):
     """A symmetric, strictly positive definite covariance function.
 

@@ -29,7 +29,8 @@ from scipy.special import kv
 
 from ..errors import DomainError
 from ..verdicts import RatioVerdict
-from .base import Box, CovarianceKernel, SpectralDensity, UnitSphere, as_points, check_unit_vectors
+from .base import (Box, CovarianceKernel, SpectralDensity, UnitSphere, as_points,
+                   check_unit_vectors, gram_entries, inner_products)
 
 # kappa*r below this is treated as zero: the (kappa r)^nu * K_nu factorization
 # would overflow/underflow in double precision long before the value departs
@@ -145,8 +146,9 @@ class MaternKernel(CovarianceKernel):
 
     def gram(self, x, y=None) -> np.ndarray:
         x = as_points(x, self.domain.dim)
-        y = x if y is None else as_points(y, self.domain.dim)
-        return matern_cov(cdist(x, y), self.params)
+        y = None if y is None else as_points(y, self.domain.dim)
+        values, layout = gram_entries(cdist, x, y)
+        return layout(matern_cov(values, self.params))
 
 
 @dataclass(frozen=True)
@@ -164,8 +166,9 @@ class ChordalMaternKernel(CovarianceKernel):
 
     def gram(self, x, y=None) -> np.ndarray:
         x = check_unit_vectors(as_points(x, 3))
-        y = x if y is None else check_unit_vectors(as_points(y, 3))
-        return matern_cov(cdist(x, y), self.params)
+        y = None if y is None else check_unit_vectors(as_points(y, 3))
+        values, layout = gram_entries(cdist, x, y)
+        return layout(matern_cov(values, self.params))
 
 
 @dataclass(frozen=True)
@@ -187,9 +190,9 @@ class GreatCircleMaternKernel(CovarianceKernel):
 
     def gram(self, x, y=None) -> np.ndarray:
         x = check_unit_vectors(as_points(x, 3))
-        y = x if y is None else check_unit_vectors(as_points(y, 3))
-        inner = np.clip(x @ y.T, -1.0, 1.0)
-        return matern_cov(np.arccos(inner), self.params)
+        y = None if y is None else check_unit_vectors(as_points(y, 3))
+        values, layout = gram_entries(inner_products, x, y)
+        return layout(matern_cov(np.arccos(values), self.params))
 
 
 @dataclass(frozen=True)

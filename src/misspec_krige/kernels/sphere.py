@@ -33,7 +33,8 @@ import numpy as np
 from numpy.polynomial.legendre import legval
 
 from ..errors import DomainError
-from .base import CovarianceKernel, EigenSequence, UnitSphere, as_points, check_unit_vectors
+from .base import (CovarianceKernel, EigenSequence, UnitSphere, as_points, check_unit_vectors,
+                   gram_entries, inner_products)
 
 DEFAULT_L_MAX = 256
 
@@ -196,7 +197,8 @@ class SphereSeriesKernel(CovarianceKernel):
         return self.gram_pairs([(x, y)])[0]
 
     def gram_pairs(self, pairs) -> list[np.ndarray]:
-        """One Clenshaw pass over every pair's inner products.  Each pair keeps
+        """One Clenshaw pass over every pair's inner products, of which a
+        ``y=None`` pair contributes its upper triangle only.  Each pair keeps
         its own ``x @ y.T``: stacking rows into one product changes how they
         round, while ``legval`` is elementwise and so bit-identical per pair."""
         if not pairs:
@@ -208,7 +210,9 @@ class SphereSeriesKernel(CovarianceKernel):
                 checked[id(a)] = check_unit_vectors(as_points(a, 3))
             return checked[id(a)]
 
-        ts = [np.clip(unit(x) @ unit(x if y is None else y).T, -1.0, 1.0) for x, y in pairs]
-        flat = legval(np.concatenate([t.ravel() for t in ts]), self.params.coefficients())
-        ends = np.cumsum([t.size for t in ts])[:-1]
-        return [block.reshape(t.shape) for block, t in zip(np.split(flat, ends), ts)]
+        entries = [gram_entries(inner_products, unit(x), None if y is None else unit(y))
+                   for x, y in pairs]
+        flat = legval(np.concatenate([values for values, _ in entries]),
+                      self.params.coefficients())
+        ends = np.cumsum([values.size for values, _ in entries])[:-1]
+        return [layout(block) for block, (_, layout) in zip(np.split(flat, ends), entries)]

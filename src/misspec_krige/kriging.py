@@ -162,6 +162,14 @@ class GramFactor:
     def n(self) -> int:
         return int(self.lower.shape[0])
 
+    @property
+    def inverse_rcond(self) -> float:
+        """1/rcond of the factored system in the 1-norm: LAPACK ``dpocon`` on
+        the factor, O(n^2)."""
+        rcond, _ = scipy.linalg.lapack.dpocon(self.lower, np.linalg.norm(self.matrix, 1),
+                                              uplo="L")
+        return 1.0 / rcond if rcond > 0.0 else math.inf
+
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         x = scipy.linalg.cho_solve((self.lower, True), rhs)
         # np.dot sums each 80-bit row product in order, as matmul does, but
@@ -265,8 +273,9 @@ class LevelSystem:
     def __init__(self, design: Design, targets, kernel: CovarianceKernel):
         self.design, self.targets = design, list(targets)
         self.gram = build_gram(design, kernel)
+        # (t, t), not (t, None): the same doubles without the triangle set-up
         blocks = kernel.gram_pairs([(t.sites, design.sites) for t in self.targets]
-                                   + [(t.sites, None) for t in self.targets])
+                                   + [(t.sites, t.sites) for t in self.targets])
         self.cross, self.tblocks = blocks[:len(self.targets)], blocks[len(self.targets):]
         rhs = np.column_stack([t.coeffs @ c for t, c in zip(self.targets, self.cross)])
         self.weights = np.ascontiguousarray(self.gram.solve(rhs).T)

@@ -31,7 +31,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DomainError, MisspecKrigeError, NumericalFailureError, PartialResultError
+from .errors import (DomainError, MisspecKrigeError, NumericalFailureError, OptimalityError,
+                     PartialResultError)
 from .kriging import Design, GaussianModel, LevelSystem, TargetFunctional, _dot, build_gram
 
 RATIO_NAMES = ("r_var_1", "r_var_2", "r_var_3", "r_var_4",
@@ -79,7 +80,7 @@ class RatioRecord:
             raise NumericalFailureError("the mean term is a ratio of nonnegative terms")
         for name in ("r_var_1", "r_var_2", "r_mom_1", "r_mom_2"):
             if getattr(self, name) < 1.0 - _OPTIMALITY_SLACK:
-                raise NumericalFailureError(
+                raise OptimalityError(
                     f"{name}={getattr(self, name)!r} violates own-measure optimality "
                     f"(n={self.n}, target={self.target_id})")
 
@@ -144,9 +145,17 @@ def efficiency_ratios(design: Design, targets: Sequence[TargetFunctional],
             continue
         values = _assemble_ratios(mom)
         deviations = {name: abs(values[name] - lim) for name, lim in limits.items()}
-        records.append(RatioRecord(
-            n=n, target_id=target_id, limits=limits, deviations=deviations,
-            true_variance=mom[("true", "true")].variance, **values))
+        try:
+            records.append(RatioRecord(
+                n=n, target_id=target_id, limits=limits, deviations=deviations,
+                true_variance=mom[("true", "true")].variance, **values))
+        except OptimalityError as exc:
+            grams = ", ".join(
+                f"{system.gram.inverse_rcond:.2g} for the {tag} Gram at jitter "
+                f"{system.gram.jitter:.1e}"
+                for tag, system in (("true", true_system), ("working", wrong_system)))
+            raise OptimalityError(
+                f"{exc}; the limit is Gram conditioning (1/rcond {grams})") from exc
     if not records:
         raise NumericalFailureError("every target was excluded by the variance floor")
     records.append(_sup_record(records, n, limits))

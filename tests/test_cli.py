@@ -206,6 +206,39 @@ class TestRun:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out" / "ratios.csv").exists()
 
+    @pytest.mark.parametrize("design, schedule, targets, message", [
+        (None, [8, 16], [[0.5]],
+         "targets[0] = [0.5] equals sites[1] of the accumulating design at every scheduled n"),
+        (None, [8, 16], [[0.9], [0.28]],
+         "targets[1] = [0.28] equals sites[2] of the accumulating design"),
+        ({"kind": "equispaced"}, [1, 3], [[0.5]],
+         "targets[0] = [0.5] equals sites[0] of the equispaced design"),
+    ], ids=["nested-first-level", "nested-second-target", "equispaced-every-level"])
+    def test_target_on_every_design_exit_2_before_any_work(
+            self, tmp_path, capsys, no_work, design, schedule, targets, message):
+        experiment = {"true_model": {"family": "matern", "nu": 0.5},
+                      "wrong_model": {"family": "matern", "nu": 0.5, "sigma": 2.0},
+                      "schedule": schedule, "targets": targets}
+        if design is not None:
+            experiment["design"] = design
+        cfg = write_config(tmp_path, {"schema": 1, "experiment": experiment})
+        assert main(["run", cfg, "--output", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out" / "ratios.csv").exists()
+
+    def test_target_on_some_designs_only_runs(self, tmp_path):
+        # 0.5 is a site of the 3-site equispaced design, not of the 2-site one
+        cfg = write_config(tmp_path, {"schema": 1, "experiment": {
+            "true_model": {"family": "matern", "nu": 0.5},
+            "wrong_model": {"family": "matern", "nu": 0.5, "sigma": 2.0},
+            "design": {"kind": "equispaced"}, "schedule": [2, 3],
+            "targets": [[0.5], [0.4]]}})
+        with pytest.warns(UserWarning, match="target u00 excluded"):
+            assert main(["run", cfg, "--output", str(tmp_path / "out")]) == EXIT_OK
+        rows = read_rows(tmp_path / "out" / "ratios.csv")
+        assert {(r["n"], r["target_id"]) for r in rows} == {
+            ("2", "u00"), ("2", "u01"), ("2", "SUP"), ("3", "u01"), ("3", "SUP")}
+
     def test_matern_dim_other_than_one_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"schema": 1, "experiment": {
             "true_model": {"family": "matern", "nu": 0.5, "dim": 2},
@@ -276,16 +309,17 @@ class TestRun:
         assert "3" in diag["metadata"]["failed_levels"]
 
     def test_numerical_failure_exit_3(self, tmp_path):
-        # every target coincides with a design site: nothing survives the floor
+        # a variance floor above the sill: every target is excluded at every level
         cfg = write_config(tmp_path, {
             "schema": 1,
             "experiment": {
                 "true_model": {"family": "matern", "nu": 0.5},
                 "wrong_model": {"family": "matern", "nu": 0.5},
                 "design": {"kind": "equispaced"},
-                "targets": [[0.25], [0.5], [0.75]],
+                "targets": [[0.3], [0.6]],
                 "schedule": [3],
             },
+            "tolerances": {"variance_floor": 10.0},
             "output_dir": str(tmp_path)})
         import warnings
         with warnings.catch_warnings():

@@ -8,9 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from misspec_krige.errors import DomainError
+from misspec_krige.harness import DesignGenerator, generate_design
+from misspec_krige.kernels import matern as matern_module
 from misspec_krige.kernels import (
+    Box,
     ChordalMaternKernel,
     GreatCircleMaternKernel,
     MaternKernel,
@@ -205,3 +209,91 @@ class TestKernels:
         y = np.array([0.0, 1.0, 0.0])
         assert chordal(x, y) == pytest.approx(
             matern_cov(math.sqrt(2.0), chordal.params), rel=1e-12)
+
+
+# The full-matrix formulas: every entry of the n x n statistic evaluated.  The
+# kernels evaluate the upper triangle of a symmetric Gram and mirror it, which
+# must give the same doubles.
+def full_matern(x, p):
+    return matern_cov(cdist(x, x), p)
+
+
+def full_great_circle(x, p):
+    return matern_cov(np.arccos(np.clip(x @ x.T, -1.0, 1.0)), p)
+
+
+def unit_rows(rng, n):
+    x = rng.standard_normal((n, 3))
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+def euclid_kernel(dim, nu):
+    return MaternKernel(MaternParams(1.3, nu, 2.0, dim=dim),
+                        Box((0.0,) * dim, (1.0,) * dim))
+
+
+SPHERE_MATERN = {
+    "chordal": (ChordalMaternKernel(MaternParams(1.0, 1.5, 2.0, dim=3)), full_matern),
+    "great_circle": (GreatCircleMaternKernel(MaternParams(1.0, 0.5, 2.0, dim=3)),
+                     full_great_circle),
+}
+
+
+def assert_same_symmetric(gram, reference):
+    assert np.array_equal(gram, reference)
+    assert np.array_equal(gram, gram.T)
+
+
+class TestTriangleGram:
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    @pytest.mark.parametrize("nu", [0.5, 1.5, 2.3])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_euclid_equals_full_matrix(self, dim, nu, n):
+        kern = euclid_kernel(dim, nu)
+        x = np.random.default_rng(n + 10 * dim).uniform(0.0, 1.0, (n, dim))
+        assert_same_symmetric(kern.gram(x), full_matern(x, kern.params))
+
+    @pytest.mark.parametrize("nu", [0.5, 1.5, 2.3])
+    def test_clustered_accumulating_design(self, nu):
+        # the built-ins' design at its largest n: sites 1e-33 apart near x_star
+        kern = euclid_kernel(1, nu)
+        x = generate_design(DesignGenerator.accumulating(), 144).sites
+        assert_same_symmetric(kern.gram(x), full_matern(x, kern.params))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    @pytest.mark.parametrize("name", sorted(SPHERE_MATERN))
+    def test_sphere_equals_full_matrix(self, name, n):
+        kern, full = SPHERE_MATERN[name]
+        x = unit_rows(np.random.default_rng(n), n)
+        assert_same_symmetric(kern.gram(x), full(x, kern.params))
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 40), dim=st.integers(1, 3), nu=st.sampled_from([0.5, 1.5, 2.3]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_equals_full_matrix_property(self, n, dim, nu, seed):
+        rng = np.random.default_rng(seed)
+        kern = euclid_kernel(dim, nu)
+        x = rng.uniform(0.0, 1.0, (n, dim))
+        assert_same_symmetric(kern.gram(x), full_matern(x, kern.params))
+        kern, full = SPHERE_MATERN["great_circle" if seed % 2 else "chordal"]
+        x = unit_rows(rng, n)
+        assert_same_symmetric(kern.gram(x), full(x, kern.params))
+
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    def test_profile_runs_on_the_triangle_only(self, monkeypatch, n):
+        evaluated, kv = [], matern_module.kv
+
+        def counting_kv(nu, x):
+            evaluated.append(np.size(x))
+            return kv(nu, x)
+        monkeypatch.setattr(matern_module, "kv", counting_kv)
+        rng = np.random.default_rng(n)
+        kernels = [(euclid_kernel(2, 1.5), rng.uniform(0.0, 1.0, (n, 2)))]
+        kernels += [(kern, unit_rows(rng, n)) for kern, _ in SPHERE_MATERN.values()]
+        for kern, x in kernels:
+            evaluated.clear()
+            kern.gram(x)
+            assert evaluated == [n * (n + 1) // 2]
+            evaluated.clear()
+            kern.gram(x, x)  # a cross block is evaluated in full
+            assert evaluated == [n * n]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from numpy.polynomial.legendre import legval
 
 from misspec_krige.errors import DomainError
+from misspec_krige.kernels import sphere as sphere_module
 from misspec_krige.kernels import (
     ChordalMaternKernel,
     GreatCircleMaternKernel,
@@ -269,3 +270,66 @@ class TestGramPairs:
         for kernel in SPHERE_KERNELS.values():
             with pytest.raises(DomainError):
                 kernel.gram_pairs(pairs)
+
+
+def full_series(x, params):
+    """The full-matrix formula: the series at every entry of ``x @ x.T``."""
+    return legval(np.clip(x @ x.T, -1.0, 1.0), params.coefficients())
+
+
+def clustered_rows(n):
+    # sites contracting geometrically toward the north pole
+    k = np.arange(n)
+    theta, phi = 0.5 * 0.6 ** k, 2.399963 * k
+    return np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
+                     np.cos(theta)], axis=1)
+
+
+class TestTriangleGram:
+    """A ``y=None`` block is evaluated on its upper triangle and mirrored;
+    the doubles are those of the full-matrix formula."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    @pytest.mark.parametrize("name", sorted(SPHERE_KERNELS))
+    def test_equals_full_matrix(self, name, n):
+        kernel = SPHERE_KERNELS[name]
+        x = unit_rows(np.random.default_rng(n), n)
+        gram = kernel.gram(x)
+        assert np.array_equal(gram, full_series(x, kernel.params))
+        assert np.array_equal(gram, gram.T)
+
+    @pytest.mark.parametrize("name", sorted(SPHERE_KERNELS))
+    def test_clustered_design(self, name):
+        kernel = SPHERE_KERNELS[name]
+        x = clustered_rows(40)
+        gram = kernel.gram(x)
+        assert np.array_equal(gram, full_series(x, kernel.params))
+        assert np.array_equal(gram, gram.T)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 40), name=st.sampled_from(sorted(SPHERE_KERNELS)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_equals_full_matrix_property(self, n, name, seed):
+        kernel = SPHERE_KERNELS[name]
+        x = unit_rows(np.random.default_rng(seed), n)
+        gram = kernel.gram(x)
+        assert np.array_equal(gram, full_series(x, kernel.params))
+        assert np.array_equal(gram, gram.T)
+
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    def test_series_runs_on_the_triangle_only(self, monkeypatch, n):
+        evaluated, legval_ = [], sphere_module.legval
+
+        def counting_legval(t, coeffs):
+            evaluated.append(np.size(t))
+            return legval_(t, coeffs)
+        monkeypatch.setattr(sphere_module, "legval", counting_legval)
+        kernel = SPHERE_KERNELS["legendre"]
+        kernel.gram(unit_rows(np.random.default_rng(n), n))
+        assert evaluated == [n * (n + 1) // 2]
+        evaluated.clear()
+        pairs = mixed_pairs(kernel, np.random.default_rng(n))
+        kernel.gram_pairs(pairs)
+        sizes = [len(x) * (len(x) + 1) // 2 if y is None else len(x) * len(y)
+                 for x, y in pairs]
+        assert evaluated == [sum(sizes)]

@@ -61,6 +61,13 @@ class TestBuildGram:
         np.testing.assert_allclose(
             factor.lower, [[1.0, 0.0], [c, math.sqrt(1 - c * c)]], rtol=1e-12)
 
+    def test_inverse_rcond_estimates_one_norm_condition(self):
+        design = Design(np.linspace(0.1, 0.9, 32)[:, None])
+        factor = build_gram(design, exp_model().kernel)
+        cond1 = np.linalg.cond(factor.matrix, 1)
+        # LAPACK's estimate of the inverse's norm is a lower bound, and tight
+        assert cond1 / 3 <= factor.inverse_rcond <= cond1 * (1 + 1e-8)
+
     def test_rank_deficient_kernel_gets_jitter(self):
         # a three-harmonic kernel is exactly rank 3: five sites force the ladder
         from misspec_krige.kernels import PeriodicKernel, PeriodicSpectrum

@@ -157,6 +157,25 @@ class TestEfficiencyRatios:
                         r_mom_3=1.0, r_mom_4=1.0, mean_term=0.0)
 
 
+    def test_optimality_failure_names_gram_conditioning(self):
+        # matern_same_nu at n = 144: the accumulating design's Grams reach
+        # 1/rcond ~ 1e14 and an own-measure ratio drops below its floor
+        from misspec_krige.harness import builtin_scenario, generate_design
+        scenario = builtin_scenario("matern_same_nu")
+        design = generate_design(scenario.design_generator, 144)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(NumericalFailureError) as err:
+                efficiency_ratios(design, list(scenario.targets), scenario.true_model,
+                                  scenario.wrong_model)
+        message = str(err.value)
+        assert "violates own-measure optimality" in message
+        match = re.search(r"the limit is Gram conditioning \(1/rcond (\S+) for the true "
+                          r"Gram at jitter \S+, (\S+) for the working Gram at jitter", message)
+        assert match, message
+        assert all(1e13 < float(value) < 1e16 for value in match.groups())
+
+
 class TestSharedKernel:
     """Models with equal kernels share one factor, one set of blocks and one
     solve; only the intercepts and error means differ."""
