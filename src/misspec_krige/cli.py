@@ -153,7 +153,7 @@ def _model_from_spec(spec, label: str) -> GaussianModel:
                 scale = float(spec.get("scale", 1.0))
                 spectrum = PeriodicSpectrum.from_callable(
                     lambda k: scale * (1.0 + sum(c * c for c in k)) ** -power,
-                    dim=int(spec.get("dim", 1)), k_max=spec.get("k_max"))
+                    dim=spec.get("dim", 1), k_max=spec.get("k_max"))
             kernel = PeriodicKernel(spectrum)
         elif family == "sphere_legendre":
             kernel = SphereSeriesKernel(SphereLegendreParams(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -53,6 +54,13 @@ class UnitSphere:
 Domain = Box | Torus | UnitSphere
 
 
+def is_whole_number(value) -> bool:
+    """True for an integer or a float with no fractional part; booleans and
+    everything else are False."""
+    return not isinstance(value, bool) and (
+        isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer()))
+
+
 def as_points(x, dim: int) -> np.ndarray:
     """Coerce scalars / sequences / arrays to a float array of shape (n, dim)."""
     arr = np.atleast_1d(np.asarray(x, dtype=float))
@@ -69,9 +77,9 @@ def as_points(x, dim: int) -> np.ndarray:
 
 
 def check_unit_vectors(x: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(x, axis=-1)
-    if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
-        worst = float(np.max(np.abs(norms - 1.0)))
+    deviation = np.abs(np.linalg.norm(x, axis=-1) - 1.0)
+    if not np.all(deviation <= UNIT_NORM_TOL):  # NaN fails
+        worst = float(np.max(deviation))
         raise DomainError(f"sphere points must be unit vectors (worst norm deviation {worst:.3e})")
     return x
 

@@ -89,10 +89,10 @@ def bessel_k(nu: float, x, *, saturate: bool = False):
 
 
 def matern_cov(r, p: MaternParams):
-    """Matern covariance at distance(s) r >= 0; the r = 0 limit is sigma^2."""
+    """Matern covariance at finite distance(s) r >= 0; the r = 0 limit is sigma^2."""
     r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr < 0.0):
-        raise DomainError("matern_cov requires r >= 0")
+    if not np.all((r_arr >= 0.0) & (r_arr < np.inf)):  # NaN fails both
+        raise DomainError("matern_cov requires finite r >= 0")
     x = p.kappa * r_arr
     small = x < _R_EFF_FLOOR
     x_safe = np.where(small, 1.0, x)

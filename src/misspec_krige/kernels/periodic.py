@@ -18,12 +18,29 @@ from typing import Callable, Mapping
 import numpy as np
 
 from ..errors import DomainError
-from .base import CovarianceKernel, EigenSequence, Torus, as_points
+from .base import CovarianceKernel, EigenSequence, Torus, as_points, is_whole_number
 
 #: default truncation (max-norm radius of retained lattice indices) per dimension
 DEFAULT_K_MAX = {1: 64, 2: 16}
 
 _SYMMETRY_TOL = 1e-12
+
+#: entries of the (rows, n, M) cosine block a square Gram's lattice sum reads
+#: at once (1 MiB of doubles); bounds its memory at any n
+_GRAM_BLOCK_ENTRIES = 1 << 17
+
+
+def _lattice_size(value, name: str) -> int:
+    """``value`` as an int >= 1; booleans and non-integral numbers are rejected
+    with a message naming ``name``."""
+    if not is_whole_number(value) or value < 1:
+        raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
+def _first_nonzero(rows: np.ndarray) -> np.ndarray:
+    """The first nonzero component of each row (0 for a zero row)."""
+    return rows[np.arange(rows.shape[0]), np.argmax(rows != 0, axis=1)]
 
 
 def _positive_representatives(dim: int, k_max: int) -> np.ndarray:
@@ -34,8 +51,7 @@ def _positive_representatives(dim: int, k_max: int) -> np.ndarray:
     a stable sort by shell keeps that order within each shell."""
     axis = np.arange(-k_max, k_max + 1)
     cube = np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
-    first_nonzero = cube[np.arange(cube.shape[0]), np.argmax(cube != 0, axis=1)]
-    reps = cube[first_nonzero > 0]
+    reps = cube[_first_nonzero(cube) > 0]
     return reps[np.argsort(np.abs(reps).max(axis=1), kind="stable")]
 
 
@@ -61,8 +77,8 @@ class PeriodicSpectrum:
         return hash((self.dim, self.k_max, self.zero_mass, self.rep_masses.tobytes()))
 
     def __post_init__(self):
-        if self.dim < 1 or self.k_max < 1:
-            raise DomainError("dim and k_max must be positive integers")
+        object.__setattr__(self, "dim", _lattice_size(self.dim, "dim"))
+        object.__setattr__(self, "k_max", _lattice_size(self.k_max, "k_max"))
         masses = np.asarray(self.rep_masses, dtype=float)
         if self.zero_mass < 0.0 or np.any(masses < 0.0) or not np.all(np.isfinite(masses)):
             raise DomainError("spectral masses must be finite and nonnegative")
@@ -72,8 +88,8 @@ class PeriodicSpectrum:
     def from_callable(cls, f: Callable[[tuple[int, ...]], float], dim: int = 1,
                       k_max: int | None = None) -> "PeriodicSpectrum":
         """Build from a function on lattice indices; f(-k) = f(k) is verified."""
-        if k_max is None:
-            k_max = DEFAULT_K_MAX.get(dim, 8)
+        dim = _lattice_size(dim, "dim")
+        k_max = _lattice_size(DEFAULT_K_MAX.get(dim, 8) if k_max is None else k_max, "k_max")
         reps = _positive_representatives(dim, k_max)
         masses = np.array([float(f(tuple(k))) for k in reps])
         mirrored = np.array([float(f(tuple(-k))) for k in reps])
@@ -92,6 +108,7 @@ class PeriodicSpectrum:
         Indices may be given for either sign of a pair; unlisted indices carry
         zero mass.
         """
+        dim = _lattice_size(dim, "dim")
         table: dict[tuple[int, ...], float] = {}
         for key, val in coeffs.items():
             k = (key,) if isinstance(key, int) else tuple(int(c) for c in key)
@@ -102,9 +119,11 @@ class PeriodicSpectrum:
             if canon in table and abs(table[canon] - float(val)) > _SYMMETRY_TOL:
                 raise DomainError(f"conflicting masses for the index pair +-{canon}")
             table[canon] = float(val)
+        span = max((max(abs(c) for c in k) for k in table if any(k)), default=1)
         if k_max is None:
-            spans = [max(abs(c) for c in k) for k in table if any(k)]
-            k_max = max(spans) if spans else 1
+            k_max = span
+        elif span > _lattice_size(k_max, "k_max"):
+            raise DomainError(f"k_max = {k_max!r} would drop the listed index of max-norm {span}")
         return cls.from_callable(lambda k: table.get(
             k if (not any(k)) or next(c for c in k if c != 0) > 0 else tuple(-c for c in k),
             0.0), dim=dim, k_max=k_max)
@@ -149,15 +168,39 @@ class PeriodicKernel(CovarianceKernel):
         return len(self.spectrum.eigen_sequence())
 
     def gram(self, x, y=None) -> np.ndarray:
+        """``zero_mass + (2 cos(2 pi (x_i - y_j) . k)) @ rep_masses``.
+
+        A square Gram (``y=None``) evaluates the cosines once per distinct
+        difference up to sign, canonicalised like the lattice representatives,
+        and gathers them into (rows, n, M) blocks of the direct layout; the
+        bits do not change, because x_j - x_i = -(x_i - x_j), the phase negates
+        exactly and ``np.cos`` is even, and the lattice sum is one gemv per
+        (n, M) slice either way.
+        Cross blocks rarely repeat a difference and keep the direct formula."""
         x = self._validated(x)
-        y = x if y is None else self._validated(y)
-        diff = x[:, None, :] - y[None, :, :]                      # (n, m, d)
-        phase = 2.0 * np.pi * diff @ self.spectrum.rep_indices.T  # (n, m, M)
-        out = 2.0 * np.cos(phase) @ self.spectrum.rep_masses
+        reps, masses = self.spectrum.rep_indices, self.spectrum.rep_masses
+        if y is not None:
+            diff = x[:, None, :] - self._validated(y)[None, :, :]  # (n, m, d)
+            phase = 2.0 * np.pi * diff @ reps.T                     # (n, m, M)
+            return 2.0 * np.cos(phase) @ masses + self.spectrum.zero_mass
+        n, dim = x.shape
+        diff = (x[:, None, :] - x[None, :, :]).reshape(n * n, dim)
+        diff = np.where((_first_nonzero(diff) < 0.0)[:, None], -diff, diff)
+        # group by bytes: -0.0 and +0.0 land apart and both give cos = 1; one
+        # int64 key per row sorts several times faster than a void key in 1-d
+        keys = diff.view(np.int64 if dim == 1 else np.dtype((np.void, 8 * dim))).ravel()
+        distinct, inverse = np.unique(keys, return_inverse=True)
+        distinct = distinct.view(np.float64).reshape(-1, dim)
+        table = 2.0 * np.cos(2.0 * np.pi * distinct @ reps.T)         # (distinct, M)
+        inverse = inverse.reshape(n, n)
+        rows = max(1, _GRAM_BLOCK_ENTRIES // max(1, n * len(masses)))
+        out = np.empty((n, n))
+        for i in range(0, n, rows):
+            out[i:i + rows] = table[inverse[i:i + rows]] @ masses
         return out + self.spectrum.zero_mass
 
     def _validated(self, pts) -> np.ndarray:
         pts = as_points(pts, self.spectrum.dim)
-        if np.any(pts < -1e-12) or np.any(pts > 1.0 + 1e-12):
+        if not np.all((pts >= -1e-12) & (pts <= 1.0 + 1e-12)):  # NaN fails both
             raise DomainError("torus points must lie in [0, 1]^d")
         return pts

@@ -101,6 +101,8 @@ class Design:
         sites = np.atleast_2d(np.asarray(self.sites, dtype=float))
         if sites.ndim != 2 or sites.shape[0] < 1:
             raise DomainError("a design needs at least one site")
+        if not np.all(np.isfinite(sites)):
+            raise DomainError("design sites must be finite")
         if sites.shape[0] > 1:
             from scipy.spatial.distance import pdist
             if float(pdist(sites).min()) <= 0.0:
@@ -130,6 +132,8 @@ class TargetFunctional:
         coeffs = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
         if sites.shape[0] != coeffs.shape[0]:
             raise DomainError("one coefficient per target site is required")
+        if not np.all(np.isfinite(sites)):
+            raise DomainError("target sites must be finite")
         if not np.any(coeffs != 0.0):
             raise DomainError("a target needs at least one nonzero site coefficient")
         object.__setattr__(self, "sites", sites)

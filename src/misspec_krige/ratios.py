@@ -22,7 +22,6 @@ target farthest from the attached limit (plain max when no limit is known).
 
 from __future__ import annotations
 
-import numbers
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -33,6 +32,7 @@ import numpy as np
 
 from .errors import (DomainError, MisspecKrigeError, NumericalFailureError, OptimalityError,
                      PartialResultError)
+from .kernels.base import is_whole_number
 from .kriging import Design, GaussianModel, LevelSystem, TargetFunctional, _dot, build_gram
 
 RATIO_NAMES = ("r_var_1", "r_var_2", "r_var_3", "r_var_4",
@@ -276,8 +276,7 @@ def check_schedule(n_schedule) -> tuple[int, ...]:
     if not sched:
         raise DomainError("the schedule must list at least one design size")
     for n in sched:
-        integral = isinstance(n, numbers.Integral) or (isinstance(n, float) and n.is_integer())
-        if isinstance(n, bool) or not integral or n < 1:
+        if not is_whole_number(n) or n < 1:
             raise DomainError(f"schedule entry {n!r} is not an integer design size >= 1")
     sched = tuple(int(n) for n in sched)
     for earlier, later in zip(sched, sched[1:]):

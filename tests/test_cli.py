@@ -416,6 +416,16 @@ class TestEigen:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, value", [
+        ("k_max", 2.5), ("k_max", True), ("k_max", "abc"), ("dim", 2.5), ("dim", 0)])
+    def test_bad_periodic_lattice_exit_2(self, tmp_path, capsys, no_work, field, value):
+        out = tmp_path / "eigs.csv"
+        cfg = write_config(tmp_path, {"schema": 1, "kernel": {"family": "periodic", field: value},
+                                      "grid": {"nodes": 16}, "output": str(out)})
+        assert main(["eigen", cfg]) == EXIT_CONFIG
+        assert f"{field} must be an integer >= 1, got {value!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_smallest_grid_runs(self, tmp_path):
         out = tmp_path / "eigs.csv"
         cfg = write_config(tmp_path, {"schema": 1, "kernel": {"family": "matern", "nu": 0.5},

@@ -112,6 +112,15 @@ class TestMaternCov:
         with pytest.raises(DomainError):
             matern_cov(-0.1, MaternParams(1, 1, 1))
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf])
+    def test_non_finite_distance_rejected(self, r):
+        with pytest.raises(DomainError, match="finite r >= 0"):
+            matern_cov(np.array([0.5, r]), MaternParams(2.0, 0.5, 1.0))
+
+    def test_nan_point_rejected(self):
+        with pytest.raises(DomainError, match="finite r >= 0"):
+            MaternKernel(MaternParams(2.0, 0.5, 1.0)).gram([[math.nan]], [[0.5]])
+
 
 class TestSpectralDensity:
     def test_exponential_at_zero(self):

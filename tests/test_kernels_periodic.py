@@ -4,9 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from misspec_krige.diagnostics import torus_grid
 from misspec_krige.errors import DomainError
-from misspec_krige.kernels import PeriodicKernel, PeriodicSpectrum, eigen_sequence_of
+from misspec_krige.harness import DesignGenerator, generate_design
+from misspec_krige.kernels import PeriodicKernel, PeriodicSpectrum, Torus, eigen_sequence_of
+from misspec_krige.kernels import periodic
 
 
 def rational_spectrum(k_max=8):
@@ -52,10 +57,31 @@ class TestPeriodicCov:
             PeriodicSpectrum.from_callable(lambda k: 1.0 if k[0] >= 0 else 2.0,
                                            dim=1, k_max=4)
 
+    @pytest.mark.parametrize("field, value", [
+        ("k_max", 2.5), ("k_max", True), ("k_max", "abc"), ("k_max", 0),
+        ("dim", 2.5), ("dim", True), ("dim", 0)])
+    def test_lattice_sizes_must_be_integers(self, field, value):
+        with pytest.raises(DomainError, match=f"{field} must be an integer >= 1, got {value!r}"):
+            PeriodicSpectrum.from_callable(lambda k: 1.0, **{field: value})
+
+    def test_k_max_below_a_listed_index_rejected(self):
+        with pytest.raises(DomainError, match="k_max = 2 would drop the listed index of max-norm 5"):
+            PeriodicSpectrum.from_coeffs({0: 1.0, 5: 0.5}, k_max=2)
+
+    def test_whole_float_lattice_sizes_accepted(self):
+        s = PeriodicSpectrum.from_callable(lambda k: 1.0, dim=2.0, k_max=3.0)
+        assert (s.dim, s.k_max) == (2, 3)
+        assert PeriodicSpectrum.from_coeffs({1: 0.5}, k_max=2.0).k_max == 2
+
     def test_out_of_domain_points(self):
         s = rational_spectrum()
         with pytest.raises(DomainError):
             PeriodicKernel(s)(np.array([1.5]), np.array([0.2]))
+
+    @pytest.mark.parametrize("y", [None, [[0.2]]])
+    def test_nan_point_rejected(self, y):
+        with pytest.raises(DomainError, match="torus points"):
+            PeriodicKernel(rational_spectrum()).gram([[0.1], [math.nan]], y)
 
 
 class TestEigenSequence:
@@ -109,3 +135,95 @@ class TestEigenSequence:
             e = np.cos(2 * math.pi * k * grid[:, 0])
             applied = kmat @ e / n
             np.testing.assert_allclose(applied, mass * e, atol=1e-12)
+
+
+def rational_kernel(dim=1, k_max=None):
+    return PeriodicKernel(PeriodicSpectrum.from_callable(
+        lambda k: (1.0 + sum(c * c for c in k)) ** -2.0, dim=dim, k_max=k_max))
+
+
+def reference_gram(kern, x):
+    """The square Gram by the direct formula: one cosine per pair and index."""
+    x = np.asarray(x, dtype=float)
+    diff = x[:, None, :] - x[None, :, :]
+    phase = 2.0 * np.pi * diff @ kern.spectrum.rep_indices.T
+    return 2.0 * np.cos(phase) @ kern.spectrum.rep_masses + kern.spectrum.zero_mass
+
+
+class TestSquareGram:
+    """gram(x) evaluates one cosine per distinct difference up to sign and must
+    give the bits of the direct formula."""
+
+    def assert_reference(self, kern, x):
+        assert np.array_equal(kern.gram(x), reference_gram(kern, x))
+
+    def test_equispaced_designs(self):
+        kern = rational_kernel()
+        gen = DesignGenerator.equispaced(domain=Torus())
+        for n in range(1, 130):
+            self.assert_reference(kern, generate_design(gen, n).sites)
+
+    @pytest.mark.parametrize("n", [2, 17, 64, 128])
+    def test_torus_grid_and_halton(self, n):
+        kern = rational_kernel()
+        self.assert_reference(kern, torus_grid(n)[0])
+        self.assert_reference(kern, generate_design(DesignGenerator.halton(Torus()), n).sites)
+
+    def test_random_sets_and_signed_zero(self):
+        kern = rational_kernel(k_max=16)
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 3, 31, 100):
+            self.assert_reference(kern, rng.uniform(0.0, 1.0, (n, 1)))
+        self.assert_reference(kern, np.array([[0.0], [1.0], [-0.0], [0.5], [0.0]]))
+
+    @pytest.mark.parametrize("dim,k_max", [(2, 4), (2, 16), (3, 3)])
+    def test_higher_dimensions(self, dim, k_max):
+        kern = rational_kernel(dim, k_max)
+        rng = np.random.default_rng(dim * 100 + k_max)
+        for n in (1, 5, 40):
+            self.assert_reference(kern, rng.uniform(0.0, 1.0, (n, dim)))
+        self.assert_reference(kern, torus_grid(4, dim)[0])
+        self.assert_reference(kern, generate_design(DesignGenerator.halton(Torus(dim)), 30).sites)
+        # differences that agree up to the sign of one component only
+        self.assert_reference(kern, np.array([[0.5] * dim, [0.6] + [0.7] * (dim - 1),
+                                              [0.6] + [0.3] * (dim - 1)]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(dim=st.integers(1, 2), data=st.data())
+    def test_property(self, dim, data):
+        coords = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
+        n = data.draw(st.integers(1, 12))
+        x = np.array(data.draw(st.lists(coords, min_size=n * dim, max_size=n * dim)))
+        self.assert_reference(rational_kernel(dim, 4), x.reshape(n, dim))
+
+    def test_empty(self):
+        assert rational_kernel().gram(np.empty((0, 1))).shape == (0, 0)
+
+    def test_several_row_blocks(self):
+        kern = rational_kernel()
+        n, m = 203, len(kern.spectrum.rep_masses)
+        rows = periodic._GRAM_BLOCK_ENTRIES // (n * m)
+        assert 1 <= rows < n and n % rows != 0  # several blocks, the last one short
+        x = np.random.default_rng(5).uniform(0.0, 1.0, (n, 1))
+        assert np.array_equal(kern.gram(x), reference_gram(kern, x))
+
+    def test_cos_is_even_bitwise_over_the_phase_range(self):
+        # |phase| <= 2 pi |k . delta| <= 2 pi k_max d with every |delta_i| <= 1,
+        # at most 2 pi 64 for the default 1-d spectrum
+        bound = 2.0 * np.pi * 128
+        grid = (2.0 * np.pi * torus_grid(128)[0] @ np.arange(1.0, 65.0)[None, :]).ravel()
+        phases = np.concatenate([grid, np.random.default_rng(3).uniform(-bound, bound, 1 << 20)])
+        assert np.array_equal(np.cos(phases), np.cos(-phases))
+
+    def test_torus_grid_cosines_one_per_distinct_difference(self, monkeypatch):
+        evaluated = []
+        cos = np.cos
+
+        def counting_cos(a, *args, **kwargs):
+            evaluated.append(np.size(a))
+            return cos(a, *args, **kwargs)
+        monkeypatch.setattr(np, "cos", counting_cos)
+        kern = rational_kernel()
+        kern.gram(torus_grid(128)[0])
+        assert len(kern.spectrum.rep_masses) == 64
+        assert sum(evaluated) <= 128 * 64

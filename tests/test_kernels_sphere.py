@@ -126,6 +126,11 @@ class TestSphereCovariances:
         with pytest.raises(DomainError):
             SphereSeriesKernel(p)(np.array([1.0, 0.0, 1e-4]), north())
 
+    def test_nan_point_rejected(self):
+        p = SphereLegendreParams(1.0, 1.0, 1.0)
+        with pytest.raises(DomainError, match="unit vectors"):
+            SphereSeriesKernel(p).gram(np.array([[math.nan, 0.0, 0.0]]), north()[None, :])
+
 
 class TestTailBounds:
     def test_truncation_error_within_bound(self):

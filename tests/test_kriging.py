@@ -42,6 +42,15 @@ class TestDesign:
         with pytest.raises(DomainError):
             Design(np.empty((0, 1)))
 
+    @pytest.mark.parametrize("sites", [[[math.nan]], [[0.1], [math.nan]], [[0.1], [math.inf]]])
+    def test_non_finite_sites_rejected(self, sites):
+        with pytest.raises(DomainError, match="design sites must be finite"):
+            Design(np.array(sites))
+
+    def test_non_finite_target_site_rejected(self):
+        with pytest.raises(DomainError, match="target sites must be finite"):
+            TargetFunctional(0.0, np.array([[0.2], [math.nan]]), np.array([1.0, 1.0]))
+
     def test_append_preserves_order(self):
         d = Design(np.array([[0.1], [0.2]])).append([[0.5]])
         np.testing.assert_array_equal(d.sites[:, 0], [0.1, 0.2, 0.5])
