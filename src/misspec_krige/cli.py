@@ -27,8 +27,8 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .diagnostics import AssumptionBudget, assumption_report, nystrom_eigen, _quadrature_for
-from .errors import ConfigError, MisspecKrigeError, PartialResultError
+from .diagnostics import AssumptionBudget, assumption_report, nystrom_eigen
+from .errors import ConfigError, DomainError, MisspecKrigeError, PartialResultError
 from .harness import (
     DEFAULT_SCHEDULE,
     MAX_DESIGN_SIZE,
@@ -36,12 +36,12 @@ from .harness import (
     DesignGenerator,
     Scenario,
     builtin_scenario,
+    common_domain,
     default_targets,
     generate_design,
     run_scenario,
 )
 from .kernels import (
-    Box,
     MaternKernel,
     MaternParams,
     PeriodicKernel,
@@ -49,10 +49,7 @@ from .kernels import (
     SphereLegendreParams,
     SphereSeriesKernel,
     SphereSpdeParams,
-    Torus,
-    UnitSphere,
 )
-from .kernels.base import UNIT_NORM_TOL
 from .kriging import GaussianModel, TargetFunctional, constant_mean, kink_mean, linear_mean, zero_mean
 from .ratios import RATIO_NAMES, RatioTable, check_schedule
 
@@ -134,13 +131,14 @@ def _model_from_spec(spec, label: str) -> GaussianModel:
     mean, mean_label = _mean_from_spec(spec.get("mean"))
     try:
         if family == "matern":
-            if int(spec.get("dim", 1)) != 1:
+            params = MaternParams(sigma=float(spec.get("sigma", 1.0)),
+                                  nu=float(spec["nu"]),
+                                  kappa=float(spec.get("kappa", 1.0)),
+                                  dim=spec.get("dim", 1))
+            if params.dim != 1:
                 # designs, targets and quadrature on a Box are 1-d only
                 raise ConfigError(f"matern models support dim = 1 only, got "
                                   f"dim={spec['dim']!r}")
-            params = MaternParams(sigma=float(spec.get("sigma", 1.0)),
-                                  nu=float(spec["nu"]),
-                                  kappa=float(spec.get("kappa", 1.0)))
             kernel = MaternKernel(params)
         elif family == "periodic":
             coeffs = spec.get("coeffs")
@@ -159,12 +157,12 @@ def _model_from_spec(spec, label: str) -> GaussianModel:
             kernel = SphereSeriesKernel(SphereLegendreParams(
                 sigma1=float(spec.get("sigma1", 1.0)), nu1=float(spec["nu1"]),
                 kappa1=float(spec.get("kappa1", 1.0)),
-                l_max=int(spec.get("l_max", 256))))
+                l_max=spec.get("l_max", 256)))
         elif family == "sphere_spde":
             kernel = SphereSeriesKernel(SphereSpdeParams(
                 tau=float(spec.get("tau", 1.0)), nu=float(spec["nu"]),
                 kappa=float(spec.get("kappa", 1.0)),
-                l_max=int(spec.get("l_max", 256))))
+                l_max=spec.get("l_max", 256)))
         elif family in ("sphere_chordal_matern", "sphere_greatcircle_matern"):
             # comparison models on the sphere; no ratio-limit claim attached
             from .kernels import ChordalMaternKernel, GreatCircleMaternKernel
@@ -186,12 +184,7 @@ def _model_from_spec(spec, label: str) -> GaussianModel:
 
 def _generator_from_spec(spec, domain) -> DesignGenerator:
     if spec is None:
-        if isinstance(domain, Torus):
-            spec = {"kind": "equispaced"}
-        elif isinstance(domain, Box):
-            spec = {"kind": "accumulating"}
-        else:
-            spec = {"kind": "sphere_fibonacci"}
+        spec = {"kind": domain.default_design}
     if not isinstance(spec, dict):
         raise ConfigError("design spec must be an object")
     kind = spec.get("kind")
@@ -225,11 +218,9 @@ def _scenario_from_config(config: dict) -> Scenario:
     unknown = set(inline) - allowed
     if unknown:
         raise ConfigError(f"unknown experiment keys: {sorted(unknown)}")
-    true_model = _model_from_spec(inline.get("true_model"), "true")
-    wrong_model = _model_from_spec(inline.get("wrong_model"), "wrong")
-    if type(true_model.kernel.domain) is not type(wrong_model.kernel.domain):
-        raise ConfigError("the two models must live on the same domain type")
-    generator = _generator_from_spec(inline.get("design"), true_model.kernel.domain)
+    true_model, wrong_model = _model_pair(inline.get("true_model"), inline.get("wrong_model"))
+    domain = true_model.kernel.domain
+    generator = _generator_from_spec(inline.get("design"), domain)
     try:
         sched = check_schedule(inline.get(
             "schedule", DEFAULT_SCHEDULE if schedule is None else schedule))
@@ -239,7 +230,7 @@ def _scenario_from_config(config: dict) -> Scenario:
     if targets_spec is None:
         targets = default_targets(generator, max(sched))
     elif isinstance(targets_spec, list) and targets_spec:
-        targets = [TargetFunctional.point(_target_point(p, f"targets[{i}]", true_model.kernel),
+        targets = [TargetFunctional.point(_target_point(p, f"targets[{i}]", domain),
                                           label=f"u{i:02d}")
                    for i, p in enumerate(targets_spec)]
     else:
@@ -275,29 +266,30 @@ def _reject_design_sites(scenario: Scenario) -> None:
                 f"variance is 0; choose a point off the design")
 
 
-def _target_point(spec, name: str, kernel) -> np.ndarray:
-    """The inline target ``spec`` as a point of ``kernel``'s domain; ``name``
-    labels it in the error message."""
+def _target_point(spec, name: str, domain) -> np.ndarray:
+    """The inline target ``spec`` as a point of ``domain``; ``name`` labels it
+    in the error message."""
     try:
-        point = np.asarray(spec, dtype=float).reshape(-1)
+        point = np.asarray(spec, dtype=float).reshape(1, -1)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad inline targets: {exc}")
-    domain, dim = kernel.domain, kernel.point_dim
-    if point.size != dim:
-        raise ConfigError(f"{name} has dimension {point.size}; the domain needs {dim}")
-    if isinstance(domain, UnitSphere):
-        if not abs(float(np.linalg.norm(point)) - 1.0) <= UNIT_NORM_TOL:
-            raise ConfigError(f"{name} = {spec!r} is not a unit vector "
-                              f"(norm must be within {UNIT_NORM_TOL:g} of 1)")
-        return point
-    if isinstance(domain, Box):
-        lower, upper, where = domain.lower, domain.upper, "the box"
-    else:
-        lower, upper, where = (0.0,) * dim, (1.0,) * dim, "the torus"
-    if not all(lo <= x <= hi for x, lo, hi in zip(point, lower, upper)):
-        bounds = " x ".join(f"[{lo:g}, {hi:g}]" for lo, hi in zip(lower, upper))
-        raise ConfigError(f"{name} = {spec!r} lies outside {where} {bounds}")
-    return point
+    if point.size != domain.dim:
+        raise ConfigError(f"{name} has dimension {point.size}; the domain needs {domain.dim}")
+    try:
+        return domain.points(point)[0]
+    except DomainError:
+        raise ConfigError(f"{name} = {spec!r} {domain.off_domain}") from None
+
+
+def _model_pair(true_spec, wrong_spec) -> tuple[GaussianModel, GaussianModel]:
+    """The true and working models of two specs, which must share a domain."""
+    true_model = _model_from_spec(true_spec, "true")
+    wrong_model = _model_from_spec(wrong_spec, "wrong")
+    try:
+        common_domain(true_model, wrong_model)
+    except DomainError as exc:
+        raise ConfigError(str(exc))
+    return true_model, wrong_model
 
 
 def _builtin_from(name, schedule=None) -> Scenario:
@@ -415,8 +407,7 @@ def cmd_check(args) -> int:
     else:
         if "true_model" not in config or "wrong_model" not in config:
             raise ConfigError('check needs "scenario" or both "true_model" and "wrong_model"')
-        true_model = _model_from_spec(config["true_model"], "true")
-        wrong_model = _model_from_spec(config["wrong_model"], "wrong")
+        true_model, wrong_model = _model_pair(config["true_model"], config["wrong_model"])
     budget, _ = _tolerances_from(config)
     report = assumption_report(true_model, wrong_model, budget=budget)
     sys.stdout.write(_json_dumps(report))
@@ -439,7 +430,10 @@ def cmd_eigen(args) -> int:
                        f"an integer in [2, {MAX_DESIGN_SIZE}]")
     rank_cutoff = _bounded(grid_spec.get("rank_cutoff", 1e-12), "grid.rank_cutoff",
                            lambda x: 0.0 <= x < math.inf, "a finite number >= 0")
-    nodes, weights = _quadrature_for(model.kernel.domain, int(n_nodes))
+    try:
+        nodes, weights = model.kernel.domain.quadrature(int(n_nodes), exact=True)
+    except DomainError as exc:
+        raise ConfigError(f"grid.nodes: {exc}")
     eig = nystrom_eigen(model.kernel, nodes, weights, rank_cutoff=rank_cutoff)
     lines = ["index,eigenvalue"]
     lines += [f"{j},{_fmt(val)}" for j, val in enumerate(eig.eigenvalues)]

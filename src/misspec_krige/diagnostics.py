@@ -21,7 +21,6 @@ import scipy.linalg
 
 from .errors import DomainError, NumericalFailureError
 from .kernels import (
-    Box,
     CovarianceKernel,
     EigenSequence,
     MaternKernel,
@@ -29,10 +28,10 @@ from .kernels import (
     PeriodicKernel,
     SphereSeriesKernel,
     SpectralDensity,
-    Torus,
-    UnitSphere,
     eigen_sequence_of,
 )
+# the domains' quadrature rules, importable from here as well
+from .kernels.base import fibonacci_sphere_grid, torus_grid, uniform_grid  # noqa: F401
 from .kriging import GaussianModel
 from .verdicts import LimitKind, RatioVerdict, TailWindow
 
@@ -250,43 +249,6 @@ def nystrom_eigen(kernel: CovarianceKernel, nodes, weights,
                         eigenvectors=funcs, node_gram=node_gram)
 
 
-def uniform_grid(n: int, lower: float = 0.0, upper: float = 1.0):
-    """Trapezoid rule on [lower, upper] with n nodes (endpoints included)."""
-    if n < 2:
-        raise DomainError("need at least 2 nodes")
-    nodes = np.linspace(lower, upper, n)
-    h = (upper - lower) / (n - 1)
-    weights = np.full(n, h)
-    weights[0] = weights[-1] = h / 2.0
-    return nodes[:, None], weights
-
-
-def torus_grid(n: int, dim: int = 1):
-    """Periodic rectangle rule on [0, 1)^dim; exact for retained harmonics up
-    to the grid's Nyquist index."""
-    if n < 2:
-        raise DomainError("need at least 2 nodes per dimension")
-    axis = np.arange(n) / n
-    if dim == 1:
-        return axis[:, None], np.full(n, 1.0 / n)
-    grids = np.meshgrid(*([axis] * dim), indexing="ij")
-    nodes = np.stack([g.ravel() for g in grids], axis=1)
-    return nodes, np.full(nodes.shape[0], 1.0 / n ** dim)
-
-
-def fibonacci_sphere_grid(n: int, rotate: float = 0.0):
-    """Deterministic near-uniform sphere nodes with equal weights 4 pi / n."""
-    if n < 2:
-        raise DomainError("need at least 2 nodes")
-    i = np.arange(n)
-    z = 1.0 - (2.0 * i + 1.0) / n
-    golden = math.pi * (3.0 - math.sqrt(5.0))
-    phi = golden * i + rotate
-    r = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
-    nodes = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
-    return nodes, np.full(n, 4.0 * math.pi / n)
-
-
 # ---------------------------------------------------------------------------
 # whitened-perturbation tail
 # ---------------------------------------------------------------------------
@@ -400,18 +362,18 @@ INCONCLUSIVE = "inconclusive"
 
 
 def assumption_report(true_model: GaussianModel, wrong_model: GaussianModel,
-                      domain=None, budget: AssumptionBudget | None = None) -> dict:
+                      budget: AssumptionBudget | None = None) -> dict:
     """Bundle the applicable probes into one report.
 
     Routes: an analytic eigenvalue route when the pair shares a known
     eigenbasis (periodic pair, sphere series pair), a spectral-density route
     for stationary Euclidean pairs, and a quadrature Galerkin route otherwise.
     The report never claims the asymptotic conditions hold; it grades each
-    check consistent / inconsistent / inconclusive at probe scale.
+    check consistent / inconsistent / inconclusive at probe scale.  The
+    quadrature and mean probes run on the true model's domain.
     """
     budget = budget or AssumptionBudget()
-    if domain is None:
-        domain = true_model.kernel.domain
+    domain = true_model.kernel.domain
     routes: dict[str, dict] = {}
 
     k_true, k_wrong = true_model.kernel, wrong_model.kernel
@@ -496,7 +458,7 @@ def _project(k_true, k_wrong, domain, budget) -> GalerkinProjection | str:
     """The pair's quadrature projection, or the message of the error that
     prevented it."""
     try:
-        nodes, weights = _quadrature_for(domain, budget.quad_nodes)
+        nodes, weights = domain.quadrature(budget.quad_nodes)
         return galerkin_projection(k_true, k_wrong, nodes, weights, budget.galerkin_basis)
     except (DomainError, NumericalFailureError) as exc:
         return str(exc)
@@ -525,21 +487,8 @@ def _tail_probe(projection, budget, a) -> dict:
         return {"error": str(exc)}
 
 
-def _quadrature_for(domain, n: int):
-    if isinstance(domain, Torus):
-        per_axis = max(2, int(round(n ** (1.0 / domain.dim))))
-        return torus_grid(per_axis, domain.dim)
-    if isinstance(domain, UnitSphere):
-        return fibonacci_sphere_grid(n)
-    if isinstance(domain, Box):
-        if domain.dim != 1:
-            raise DomainError("quadrature grids are provided for 1-d boxes only")
-        return uniform_grid(n, domain.lower[0], domain.upper[0])
-    raise DomainError(f"no quadrature rule for domain {domain!r}")
-
-
 def _mean_route(true_model, wrong_model, domain, budget) -> dict:
-    probe_pts, _ = _quadrature_for(domain, 33)
+    probe_pts, _ = domain.quadrature(33)
     delta = np.array([true_model.mean(p) - wrong_model.mean(p) for p in probe_pts])
     if float(np.max(np.abs(delta))) == 0.0:
         return {"status": "means agree on the probe grid", "grade": CONSISTENT}
@@ -547,13 +496,14 @@ def _mean_route(true_model, wrong_model, domain, budget) -> dict:
         return {"status": ("means differ but so do the kernels; the normalized "
                            "interpolation-error probe applies to shared-kernel pairs"),
                 "grade": INCONCLUSIVE}
-    if isinstance(domain, UnitSphere):
-        return {"status": "no accumulating design generator on the sphere",
-                "grade": INCONCLUSIVE}
     from .harness import DesignGenerator, generate_design
     from .kriging import TargetFunctional
     from .ratios import mean_term
-    gen = DesignGenerator.accumulating(domain=domain)
+    try:
+        gen = DesignGenerator.accumulating(domain=domain)
+    except DomainError:
+        return {"status": f"no accumulating design generator fits the domain {domain!r}",
+                "grade": INCONCLUSIVE}
     target = TargetFunctional.point(np.atleast_1d(gen.x_star), label="acc")
     sizes, values = [], []
     for n in budget.mean_design_sizes:

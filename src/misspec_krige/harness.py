@@ -18,6 +18,7 @@ from .diagnostics import AssumptionBudget, assumption_report
 from .errors import DomainError, MisspecKrigeError
 from .kernels import (
     Box,
+    Domain,
     MaternKernel,
     MaternParams,
     PeriodicKernel,
@@ -28,6 +29,7 @@ from .kernels import (
     Torus,
     UnitSphere,
 )
+from .kernels.base import fibonacci_sphere_grid
 from .kriging import Design, GaussianModel, TargetFunctional, constant_mean, kink_mean, zero_mean
 from .ratios import RatioTable, check_schedule, ratio_convergence
 
@@ -67,9 +69,18 @@ class DesignGenerator:
     """Deterministic family of designs indexed by size n."""
 
     kind: str                      # equispaced | accumulating | halton | sphere_fibonacci
-    domain: object = field(default_factory=Box)
+    domain: Domain = field(default_factory=Box)
     x_star: float | None = None
     q: float | None = None
+
+    def __post_init__(self):
+        if self.kind not in ("equispaced", "accumulating", "halton", "sphere_fibonacci"):
+            raise DomainError(f"unknown design generator kind {self.kind!r}")
+        try:
+            self.domain.points(_sites(self, 2))
+        except DomainError as exc:
+            raise DomainError(f"{self.kind} design sites are not points of "
+                              f"{self.domain!r}: {exc}") from None
 
     #: nested generators satisfy design(n).sites == design(m).sites[:n] for m >= n
     @property
@@ -124,38 +135,34 @@ def generate_design(g: DesignGenerator, n: int) -> Design:
     if n > g.max_n:
         raise DomainError(f"n={n} exceeds the largest usable size {g.max_n} "
                           f"of the {g.kind} design generator")
+    return Design(g.domain.points(_sites(g, n)))
+
+
+def _sites(g: DesignGenerator, n: int) -> np.ndarray:
+    """The generator's first n sites, not yet checked against its domain."""
     if g.kind == "equispaced":
         return _equispaced(g, n)
     if g.kind == "accumulating":
-        return Design(np.asarray(_accumulating_sites(g, n))[:, None])
+        return np.asarray(_accumulating_sites(g, n))[:, None]
     if g.kind == "halton":
-        dim = g.domain.dim if isinstance(g.domain, (Box, Torus)) else 1
-        bases = (2, 3, 5, 7, 11, 13)[:dim]
-        sites = np.array([[_van_der_corput(j + 1, base) for base in bases]
-                          for j in range(n)])
-        return Design(sites)
-    if g.kind == "sphere_fibonacci":
-        from .diagnostics import fibonacci_sphere_grid
-        nodes, _ = fibonacci_sphere_grid(max(n, 2))
-        return Design(nodes[:n])
-    raise DomainError(f"unknown design generator kind {g.kind!r}")
+        bases = (2, 3, 5, 7, 11, 13)[:g.domain.dim]
+        return np.array([[_van_der_corput(j + 1, base) for base in bases]
+                         for j in range(n)])
+    return fibonacci_sphere_grid(max(n, 2))[0][:n]
 
 
-def _equispaced(g: DesignGenerator, n: int) -> Design:
+def _equispaced(g: DesignGenerator, n: int) -> np.ndarray:
     if isinstance(g.domain, Torus):
         dim = g.domain.dim
-        if dim == 1:
-            # the small offset keeps grid sites off the default probe targets
-            sites = (np.arange(n) + DEFAULT_X_STAR) / n
-            return Design(sites[:, None] % 1.0)
         side = int(math.ceil(n ** (1.0 / dim)))
+        # the small offset keeps grid sites off the default probe targets
         axes = [(np.arange(side) + DEFAULT_X_STAR) / side] * dim
         mesh = np.meshgrid(*axes, indexing="ij")
         sites = np.stack([m.ravel() for m in mesh], axis=1)[:n]
-        return Design(sites % 1.0)
+        return sites % 1.0
     # interior grid: endpoints stay available as targets
     sites = np.arange(1, n + 1) / (n + 1.0)
-    return Design(sites[:, None])
+    return sites[:, None]
 
 
 def _accumulating_sites(g: DesignGenerator, n: int) -> list[float]:
@@ -184,7 +191,6 @@ def default_targets(generator: DesignGenerator, n_max: int,
     accumulating generators, three probes at the innermost design ring scale
     around x_star."""
     if isinstance(generator.domain, UnitSphere):
-        from .diagnostics import fibonacci_sphere_grid
         nodes, _ = fibonacci_sphere_grid(count, rotate=0.5)
         return [TargetFunctional.point(nodes[i], label=f"g{i:02d}") for i in range(count)]
     lo = TARGET_BOUNDARY_MARGIN
@@ -212,6 +218,15 @@ def default_targets(generator: DesignGenerator, n_max: int,
 # scenarios
 # ---------------------------------------------------------------------------
 
+def common_domain(true_model: GaussianModel, wrong_model: GaussianModel) -> Domain:
+    """The domain both models live on; a DomainError naming both when they differ."""
+    domain, other = true_model.kernel.domain, wrong_model.kernel.domain
+    if other != domain:
+        raise DomainError(f"the two models must live on the same domain, got {domain!r} "
+                          f"and {other!r}")
+    return domain
+
+
 @dataclass(frozen=True)
 class Scenario:
     name: str
@@ -224,6 +239,10 @@ class Scenario:
     notes: str = ""
 
     def __post_init__(self):
+        domain = common_domain(self.true_model, self.wrong_model)
+        if self.design_generator.domain != domain:
+            raise DomainError(f"the {self.design_generator.kind} design lives on "
+                              f"{self.design_generator.domain!r}, the models on {domain!r}")
         sched = check_schedule(self.n_schedule)
         if sched[-1] > self.design_generator.max_n:
             raise DomainError(f"schedule exceeds the largest usable design size "
@@ -264,8 +283,7 @@ def run_scenario(s: Scenario, budget: AssumptionBudget | None = None,
         # keep the exception type and attachments (partial tables), add context
         exc.args = (f"scenario {s.name!r}: {exc}",)
         raise
-    report = assumption_report(s.true_model, s.wrong_model,
-                               domain=s.design_generator.domain, budget=budget)
+    report = assumption_report(s.true_model, s.wrong_model, budget=budget)
     return ScenarioResult(scenario=s, table=table, report=report)
 
 

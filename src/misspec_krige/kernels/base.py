@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import numbers
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -13,12 +14,21 @@ from ..errors import DomainError
 UNIT_NORM_TOL = 1e-10
 
 
+def _members(domain, pts: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """``pts``, or a DomainError naming the first point ``inside`` rejects (NaN always)."""
+    if not np.all(inside):
+        first = int(np.argmin(inside.reshape(len(pts), -1).all(axis=1)))
+        raise DomainError(f"point {pts[first].tolist()} {domain.off_domain}")
+    return pts
+
+
 @dataclass(frozen=True)
 class Box:
     """Compact axis-aligned box in R^d with the Euclidean metric."""
 
     lower: tuple[float, ...] = (0.0,)
     upper: tuple[float, ...] = (1.0,)
+    default_design = "accumulating"  # the design kind of an experiment that names none
 
     def __post_init__(self):
         if len(self.lower) != len(self.upper):
@@ -30,28 +40,116 @@ class Box:
     def dim(self) -> int:
         return len(self.lower)
 
+    @property
+    def off_domain(self) -> str:
+        return "lies outside the box " + " x ".join(
+            f"[{lo:g}, {hi:g}]" for lo, hi in zip(self.lower, self.upper))
+
+    def points(self, x) -> np.ndarray:
+        """``x`` as (n, dim) points inside the box bounds."""
+        pts = as_points(x, self.dim)
+        return _members(self, pts, (pts >= self.lower) & (pts <= self.upper))
+
+    def quadrature(self, n: int, exact: bool = False):
+        """The n-node trapezoid rule of a 1-d box (every count is exact)."""
+        if self.dim != 1:
+            raise DomainError("quadrature grids are provided for 1-d boxes only")
+        return uniform_grid(n, self.lower[0], self.upper[0])
+
 
 @dataclass(frozen=True)
 class Torus:
     """The unit torus [0, 1]^d; all distances are taken modulo 1 per coordinate."""
 
     dim: int = 1
+    default_design = "equispaced"
 
     def __post_init__(self):
         if self.dim < 1:
             raise DomainError("torus dimension must be >= 1")
+
+    @property
+    def off_domain(self) -> str:
+        return "lies outside the torus " + " x ".join(["[0, 1]"] * self.dim)
+
+    def points(self, x) -> np.ndarray:
+        """``x`` as (n, dim) points of [0, 1]^d, to within 1e-12."""
+        pts = as_points(x, self.dim)
+        return _members(self, pts, (pts >= -1e-12) & (pts <= 1.0 + 1e-12))
+
+    def quadrature(self, n: int, exact: bool = False):
+        """Rectangle rule with round(n^(1/d)) >= 2 nodes per axis; with ``exact``,
+        an n that is no such count raises, naming the nearest that are."""
+        side = max(2, round(n ** (1.0 / self.dim)))
+        if exact and side ** self.dim != n:
+            low = side if side ** self.dim < n else side - 1
+            nearest = sorted({max(2, low) ** self.dim, (low + 1) ** self.dim})
+            raise DomainError(
+                f"a {self.dim}-d torus grid has k^{self.dim} nodes for an integer k >= 2, "
+                f"so not {n}; nearest valid counts: {', '.join(map(str, nearest))}")
+        return torus_grid(side, self.dim)
 
 
 @dataclass(frozen=True)
 class UnitSphere:
     """The unit sphere S^2 embedded in R^3."""
 
+    default_design = "sphere_fibonacci"
+
     @property
     def dim(self) -> int:
         return 3  # ambient coordinates
 
+    @property
+    def off_domain(self) -> str:
+        return f"is not a unit vector (norm must be within {UNIT_NORM_TOL:g} of 1)"
+
+    def points(self, x) -> np.ndarray:
+        """``x`` as (n, 3) vectors of norm 1 to within ``UNIT_NORM_TOL``."""
+        pts = as_points(x, 3)
+        return _members(self, pts, np.abs(np.linalg.norm(pts, axis=-1) - 1.0) <= UNIT_NORM_TOL)
+
+    def quadrature(self, n: int, exact: bool = False):
+        """The n-node Fibonacci rule (every count is exact)."""
+        return fibonacci_sphere_grid(n)
+
 
 Domain = Box | Torus | UnitSphere
+
+
+def uniform_grid(n: int, lower: float = 0.0, upper: float = 1.0):
+    """Trapezoid rule on [lower, upper] with n nodes (endpoints included)."""
+    if n < 2:
+        raise DomainError("need at least 2 nodes")
+    nodes = np.linspace(lower, upper, n)
+    h = (upper - lower) / (n - 1)
+    weights = np.full(n, h)
+    weights[0] = weights[-1] = h / 2.0
+    return nodes[:, None], weights
+
+
+def torus_grid(n: int, dim: int = 1):
+    """Periodic rectangle rule on [0, 1)^dim; exact for retained harmonics up
+    to the grid's Nyquist index."""
+    if n < 2:
+        raise DomainError("need at least 2 nodes per dimension")
+    axis = np.arange(n) / n
+    grids = np.meshgrid(*([axis] * dim), indexing="ij")
+    nodes = np.stack([g.ravel() for g in grids], axis=1)
+    return nodes, np.full(nodes.shape[0], 1.0 / n ** dim)
+
+
+def fibonacci_sphere_grid(n: int, rotate: float = 0.0):
+    """Deterministic near-uniform sphere nodes with equal weights 4 pi / n."""
+    if n < 2:
+        raise DomainError("need at least 2 nodes")
+    i = np.arange(n)
+    z = 1.0 - (2.0 * i + 1.0) / n
+    golden = math.pi * (3.0 - math.sqrt(5.0))
+    phi = golden * i + rotate
+    r = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
+    nodes = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
+    return nodes, np.full(n, 4.0 * math.pi / n)
 
 
 def is_whole_number(value) -> bool:
@@ -59,6 +157,14 @@ def is_whole_number(value) -> bool:
     everything else are False."""
     return not isinstance(value, bool) and (
         isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer()))
+
+
+def positive_integer(value, name: str) -> int:
+    """``value`` as an int >= 1; booleans and non-integral numbers are rejected
+    with a message naming ``name``."""
+    if not is_whole_number(value) or value < 1:
+        raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 def as_points(x, dim: int) -> np.ndarray:
@@ -74,14 +180,6 @@ def as_points(x, dim: int) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[1] != dim:
         raise DomainError(f"expected points of dimension {dim}, got shape {arr.shape}")
     return arr
-
-
-def check_unit_vectors(x: np.ndarray) -> np.ndarray:
-    deviation = np.abs(np.linalg.norm(x, axis=-1) - 1.0)
-    if not np.all(deviation <= UNIT_NORM_TOL):  # NaN fails
-        worst = float(np.max(deviation))
-        raise DomainError(f"sphere points must be unit vectors (worst norm deviation {worst:.3e})")
-    return x
 
 
 def inner_products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -132,10 +230,6 @@ class CovarianceKernel(ABC):
     #: the field everywhere
     rank: int | None = None
 
-    @property
-    def point_dim(self) -> int:
-        return self.domain.dim
-
     @abstractmethod
     def gram(self, x, y=None) -> np.ndarray:
         """Covariance matrix between point sets ``x`` (n, d) and ``y`` (m, d)."""
@@ -145,8 +239,8 @@ class CovarianceKernel(ABC):
         return [self.gram(x, y) for x, y in pairs]
 
     def __call__(self, x, y) -> float:
-        x = as_points(x, self.point_dim)
-        y = as_points(y, self.point_dim)
+        x = as_points(x, self.domain.dim)
+        y = as_points(y, self.domain.dim)
         return float(self.gram(x, y)[0, 0])
 
 

@@ -29,8 +29,8 @@ from scipy.special import kv
 
 from ..errors import DomainError
 from ..verdicts import RatioVerdict
-from .base import (Box, CovarianceKernel, SpectralDensity, UnitSphere, as_points,
-                   check_unit_vectors, gram_entries, inner_products)
+from .base import (Box, CovarianceKernel, SpectralDensity, UnitSphere, as_points, gram_entries,
+                   inner_products, positive_integer)
 
 # kappa*r below this is treated as zero: the (kappa r)^nu * K_nu factorization
 # would overflow/underflow in double precision long before the value departs
@@ -54,9 +54,7 @@ class MaternParams:
     def __post_init__(self):
         if not (self.sigma > 0 and self.nu > 0 and self.kappa > 0):
             raise DomainError("sigma, nu, kappa must all be positive")
-        if int(self.dim) != self.dim or self.dim < 1:
-            raise DomainError("dim must be a positive integer")
-        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "dim", positive_integer(self.dim, "dim"))
 
     @property
     def infill_identifiable(self) -> float:
@@ -165,8 +163,8 @@ class ChordalMaternKernel(CovarianceKernel):
     infinitely_differentiable = False
 
     def gram(self, x, y=None) -> np.ndarray:
-        x = check_unit_vectors(as_points(x, 3))
-        y = None if y is None else check_unit_vectors(as_points(y, 3))
+        x = self.domain.points(x)
+        y = None if y is None else self.domain.points(y)
         values, layout = gram_entries(cdist, x, y)
         return layout(matern_cov(values, self.params))
 
@@ -189,8 +187,8 @@ class GreatCircleMaternKernel(CovarianceKernel):
             raise DomainError("the great-circle Matern model requires nu <= 1/2")
 
     def gram(self, x, y=None) -> np.ndarray:
-        x = check_unit_vectors(as_points(x, 3))
-        y = None if y is None else check_unit_vectors(as_points(y, 3))
+        x = self.domain.points(x)
+        y = None if y is None else self.domain.points(y)
         values, layout = gram_entries(inner_products, x, y)
         return layout(matern_cov(np.arccos(values), self.params))
 

@@ -18,7 +18,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from ..errors import DomainError
-from .base import CovarianceKernel, EigenSequence, Torus, as_points, is_whole_number
+from .base import CovarianceKernel, EigenSequence, Torus, positive_integer
 
 #: default truncation (max-norm radius of retained lattice indices) per dimension
 DEFAULT_K_MAX = {1: 64, 2: 16}
@@ -28,14 +28,6 @@ _SYMMETRY_TOL = 1e-12
 #: entries of the (rows, n, M) cosine block a square Gram's lattice sum reads
 #: at once (1 MiB of doubles); bounds its memory at any n
 _GRAM_BLOCK_ENTRIES = 1 << 17
-
-
-def _lattice_size(value, name: str) -> int:
-    """``value`` as an int >= 1; booleans and non-integral numbers are rejected
-    with a message naming ``name``."""
-    if not is_whole_number(value) or value < 1:
-        raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
-    return int(value)
 
 
 def _first_nonzero(rows: np.ndarray) -> np.ndarray:
@@ -77,8 +69,8 @@ class PeriodicSpectrum:
         return hash((self.dim, self.k_max, self.zero_mass, self.rep_masses.tobytes()))
 
     def __post_init__(self):
-        object.__setattr__(self, "dim", _lattice_size(self.dim, "dim"))
-        object.__setattr__(self, "k_max", _lattice_size(self.k_max, "k_max"))
+        object.__setattr__(self, "dim", positive_integer(self.dim, "dim"))
+        object.__setattr__(self, "k_max", positive_integer(self.k_max, "k_max"))
         masses = np.asarray(self.rep_masses, dtype=float)
         if self.zero_mass < 0.0 or np.any(masses < 0.0) or not np.all(np.isfinite(masses)):
             raise DomainError("spectral masses must be finite and nonnegative")
@@ -88,8 +80,8 @@ class PeriodicSpectrum:
     def from_callable(cls, f: Callable[[tuple[int, ...]], float], dim: int = 1,
                       k_max: int | None = None) -> "PeriodicSpectrum":
         """Build from a function on lattice indices; f(-k) = f(k) is verified."""
-        dim = _lattice_size(dim, "dim")
-        k_max = _lattice_size(DEFAULT_K_MAX.get(dim, 8) if k_max is None else k_max, "k_max")
+        dim = positive_integer(dim, "dim")
+        k_max = positive_integer(DEFAULT_K_MAX.get(dim, 8) if k_max is None else k_max, "k_max")
         reps = _positive_representatives(dim, k_max)
         masses = np.array([float(f(tuple(k))) for k in reps])
         mirrored = np.array([float(f(tuple(-k))) for k in reps])
@@ -108,7 +100,7 @@ class PeriodicSpectrum:
         Indices may be given for either sign of a pair; unlisted indices carry
         zero mass.
         """
-        dim = _lattice_size(dim, "dim")
+        dim = positive_integer(dim, "dim")
         table: dict[tuple[int, ...], float] = {}
         for key, val in coeffs.items():
             k = (key,) if isinstance(key, int) else tuple(int(c) for c in key)
@@ -122,7 +114,7 @@ class PeriodicSpectrum:
         span = max((max(abs(c) for c in k) for k in table if any(k)), default=1)
         if k_max is None:
             k_max = span
-        elif span > _lattice_size(k_max, "k_max"):
+        elif span > positive_integer(k_max, "k_max"):
             raise DomainError(f"k_max = {k_max!r} would drop the listed index of max-norm {span}")
         return cls.from_callable(lambda k: table.get(
             k if (not any(k)) or next(c for c in k if c != 0) > 0 else tuple(-c for c in k),
@@ -177,10 +169,10 @@ class PeriodicKernel(CovarianceKernel):
         exactly and ``np.cos`` is even, and the lattice sum is one gemv per
         (n, M) slice either way.
         Cross blocks rarely repeat a difference and keep the direct formula."""
-        x = self._validated(x)
+        x = self.domain.points(x)
         reps, masses = self.spectrum.rep_indices, self.spectrum.rep_masses
         if y is not None:
-            diff = x[:, None, :] - self._validated(y)[None, :, :]  # (n, m, d)
+            diff = x[:, None, :] - self.domain.points(y)[None, :, :]  # (n, m, d)
             phase = 2.0 * np.pi * diff @ reps.T                     # (n, m, M)
             return 2.0 * np.cos(phase) @ masses + self.spectrum.zero_mass
         n, dim = x.shape
@@ -198,9 +190,3 @@ class PeriodicKernel(CovarianceKernel):
         for i in range(0, n, rows):
             out[i:i + rows] = table[inverse[i:i + rows]] @ masses
         return out + self.spectrum.zero_mass
-
-    def _validated(self, pts) -> np.ndarray:
-        pts = as_points(pts, self.spectrum.dim)
-        if not np.all((pts >= -1e-12) & (pts <= 1.0 + 1e-12)):  # NaN fails both
-            raise DomainError("torus points must lie in [0, 1]^d")
-        return pts

@@ -33,8 +33,8 @@ import numpy as np
 from numpy.polynomial.legendre import legval
 
 from ..errors import DomainError
-from .base import (CovarianceKernel, EigenSequence, UnitSphere, as_points, check_unit_vectors,
-                   gram_entries, inner_products)
+from .base import (CovarianceKernel, EigenSequence, UnitSphere, gram_entries, inner_products,
+                   positive_integer)
 
 DEFAULT_L_MAX = 256
 
@@ -94,7 +94,8 @@ class SphereLegendreParams(SphereSeriesParams):
     l_max: int = DEFAULT_L_MAX
 
     def __post_init__(self):
-        if not (self.sigma1 > 0 and self.nu1 > 0 and self.kappa1 > 0 and self.l_max > 0):
+        object.__setattr__(self, "l_max", positive_integer(self.l_max, "l_max"))
+        if not (self.sigma1 > 0 and self.nu1 > 0 and self.kappa1 > 0):
             raise DomainError("all Legendre-model parameters must be positive")
 
     def coefficient(self, ell) -> np.ndarray:
@@ -121,7 +122,8 @@ class SphereSpdeParams(SphereSeriesParams):
     l_max: int = DEFAULT_L_MAX
 
     def __post_init__(self):
-        if not (self.tau > 0 and self.nu > 0 and self.kappa > 0 and self.l_max > 0):
+        object.__setattr__(self, "l_max", positive_integer(self.l_max, "l_max"))
+        if not (self.tau > 0 and self.nu > 0 and self.kappa > 0):
             raise DomainError("all parameters must be positive")
 
     def eigenvalue(self, ell) -> np.ndarray:
@@ -207,7 +209,7 @@ class SphereSeriesKernel(CovarianceKernel):
 
         def unit(a):
             if id(a) not in checked:
-                checked[id(a)] = check_unit_vectors(as_points(a, 3))
+                checked[id(a)] = self.domain.points(a)
             return checked[id(a)]
 
         entries = [gram_entries(inner_products, unit(x), None if y is None else unit(y))

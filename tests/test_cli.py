@@ -32,6 +32,14 @@ def no_work(monkeypatch):
         monkeypatch.setattr(cli, name, refuse)
 
 
+MATERN_PAIR = {"true_model": {"family": "matern", "nu": 0.5},
+               "wrong_model": {"family": "matern", "nu": 0.5, "sigma": 2.0}}
+SPHERE_PAIR = {"true_model": {"family": "sphere_legendre", "nu1": 1.0},
+               "wrong_model": {"family": "sphere_spde", "nu": 1.0}}
+TORUS2_PAIR = {"true_model": {"family": "periodic", "dim": 2, "k_max": 4},
+               "wrong_model": {"family": "periodic", "dim": 2, "k_max": 4, "scale": 2.0}}
+
+
 class TestRun:
     def test_identical_scenario_csv(self, tmp_path):
         cfg = write_config(tmp_path, {"schema": 1, "scenario": "identical",
@@ -252,6 +260,66 @@ class TestRun:
         assert main(["check", cfg]) == EXIT_CONFIG
         assert "dim = 1 only" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("models, design, message", [
+        (SPHERE_PAIR, {"kind": "halton"},
+         "halton design sites are not points of UnitSphere(): point [0.5, "),
+        (SPHERE_PAIR, {"kind": "equispaced"},
+         "equispaced design sites are not points of UnitSphere(): expected points of "
+         "dimension 3, got shape (2, 1)"),
+        (SPHERE_PAIR, {"kind": "accumulating"},
+         "accumulating design sites are not points of UnitSphere()"),
+        (TORUS2_PAIR, {"kind": "accumulating"},
+         "accumulating design sites are not points of Torus(dim=2): expected points of "
+         "dimension 2, got shape (2, 1)"),
+        (MATERN_PAIR, {"kind": "sphere_fibonacci"},
+         "the sphere_fibonacci design lives on UnitSphere(), the models on "
+         "Box(lower=(0.0,), upper=(1.0,))"),
+    ], ids=["sphere-halton", "sphere-equispaced", "sphere-accumulating",
+            "torus2-accumulating", "matern-sphere-fibonacci"])
+    def test_design_off_the_models_domain_exit_2_before_any_work(
+            self, tmp_path, capsys, no_work, models, design, message):
+        cfg = write_config(tmp_path, {"schema": 1, "experiment": {
+            **models, "design": design, "schedule": [8, 16]}})
+        assert main(["run", cfg, "--output", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out" / "ratios.csv").exists()
+
+    @pytest.mark.parametrize("true_model, wrong_model, message", [
+        ({"family": "periodic"}, {"family": "periodic", "dim": 2, "k_max": 4},
+         "the two models must live on the same domain, got Torus(dim=1) and Torus(dim=2)"),
+        ({"family": "matern", "nu": 0.5}, {"family": "periodic"},
+         "the two models must live on the same domain, got Box(lower=(0.0,), "
+         "upper=(1.0,)) and Torus(dim=1)"),
+    ], ids=["torus-dim-1-vs-2", "matern-vs-periodic"])
+    def test_models_on_different_domains_exit_2_before_any_work(
+            self, tmp_path, capsys, no_work, true_model, wrong_model, message):
+        pair = {"true_model": true_model, "wrong_model": wrong_model}
+        cfg = write_config(tmp_path, {"schema": 1, "experiment": pair})
+        assert main(["run", cfg, "--output", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out" / "ratios.csv").exists()
+        cfg = write_config(tmp_path, {"schema": 1, **pair}, name="check.json")
+        assert main(["check", cfg]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
+    def test_mean_shift_on_two_dimensional_torus_runs(self, tmp_path, capsys):
+        # no accumulating design fits the 2-d torus: the mean probe is inconclusive
+        true_model = {"family": "periodic", "dim": 2, "k_max": 4}
+        wrong_model = dict(true_model, mean={"kind": "constant", "value": 1.0})
+        cfg = write_config(tmp_path, {"schema": 1, "true_model": true_model,
+                                      "wrong_model": wrong_model}, name="check.json")
+        assert main(["check", cfg]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["mean_check"] == {
+            "status": "no accumulating design generator fits the domain Torus(dim=2)",
+            "grade": "inconclusive"}
+        cfg = write_config(tmp_path, {"schema": 1, "experiment": {
+            "true_model": true_model, "wrong_model": wrong_model, "schedule": [8, 16]}})
+        assert main(["run", cfg, "--output", str(tmp_path / "out")]) == EXIT_OK
+        diag = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
+        assert diag["report"]["mean_check"] == report["mean_check"]
+        assert {r["n"] for r in read_rows(tmp_path / "out" / "ratios.csv")} == {"8", "16"}
+
     def test_inline_experiment(self, tmp_path):
         cfg = write_config(tmp_path, {
             "schema": 1,
@@ -425,6 +493,46 @@ class TestEigen:
         assert main(["eigen", cfg]) == EXIT_CONFIG
         assert f"{field} must be an integer >= 1, got {value!r}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("family, field, value", [
+        ("sphere_legendre", "l_max", 6.5), ("sphere_legendre", "l_max", "7"),
+        ("sphere_legendre", "l_max", True), ("sphere_spde", "l_max", 0),
+        ("matern", "dim", 1.5), ("matern", "dim", True), ("matern", "dim", "1")])
+    def test_bad_integer_field_exit_2(self, tmp_path, capsys, no_work, family, field, value):
+        out = tmp_path / "eigs.csv"
+        nu = "nu1" if family == "sphere_legendre" else "nu"
+        cfg = write_config(tmp_path, {"schema": 1,
+                                      "kernel": {"family": family, nu: 1.0, field: value},
+                                      "grid": {"nodes": 16}, "output": str(out)})
+        assert main(["eigen", cfg]) == EXIT_CONFIG
+        assert f"{field} must be an integer >= 1, got {value!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dim, nodes, message", [
+        (2, 2048, "so not 2048; nearest valid counts: 2025, 2116"),
+        (3, 2048, "so not 2048; nearest valid counts: 1728, 2197"),
+        (2, 3, "so not 3; nearest valid counts: 4"),
+        (3, 2, "so not 2; nearest valid counts: 8"),
+    ], ids=["2d-2048", "3d-2048", "2d-3", "3d-2"])
+    def test_torus_node_count_not_a_power_exit_2(self, tmp_path, capsys, no_work,
+                                                 dim, nodes, message):
+        out = tmp_path / "eigs.csv"
+        cfg = write_config(tmp_path, {"schema": 1,
+                                      "kernel": {"family": "periodic", "dim": dim, "k_max": 2},
+                                      "grid": {"nodes": nodes}, "output": str(out)})
+        assert main(["eigen", cfg]) == EXIT_CONFIG
+        assert (f"grid.nodes: a {dim}-d torus grid has k^{dim} nodes for an integer k >= 2, "
+                f"{message}") in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_torus_node_count_a_power_runs(self, tmp_path):
+        out = tmp_path / "eigs.csv"
+        cfg = write_config(tmp_path, {"schema": 1,
+                                      "kernel": {"family": "periodic", "dim": 2, "k_max": 2},
+                                      "grid": {"nodes": 64}, "output": str(out)})
+        assert main(["eigen", cfg]) == EXIT_OK
+        # the 8 x 8 grid resolves all 25 lattice masses of k_max = 2
+        assert len(read_rows(out)) == 25
 
     def test_smallest_grid_runs(self, tmp_path):
         out = tmp_path / "eigs.csv"

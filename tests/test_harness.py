@@ -15,7 +15,18 @@ from misspec_krige.harness import (
     generate_design,
     run_scenario,
 )
-from misspec_krige.kernels import SphereLegendreParams, SphereSeriesKernel, SphereSpdeParams
+from misspec_krige.kernels import (
+    Box,
+    MaternKernel,
+    MaternParams,
+    PeriodicKernel,
+    PeriodicSpectrum,
+    SphereLegendreParams,
+    SphereSeriesKernel,
+    SphereSpdeParams,
+    Torus,
+    UnitSphere,
+)
 from misspec_krige.kriging import GaussianModel, error_moments, kriging_predictor, zero_mean
 from misspec_krige.ratios import SUP_TARGET_ID
 
@@ -106,6 +117,37 @@ class TestGenerators:
         for n in (9, 16):
             assert table.sup_record(n).deviations["r_var_3"] <= 1e-10
 
+    @pytest.mark.parametrize("make, domain, message", [
+        (DesignGenerator.halton, UnitSphere(), "is not a unit vector"),
+        (DesignGenerator.equispaced, UnitSphere(), "expected points of dimension 3"),
+        (lambda domain: DesignGenerator.accumulating(domain=domain), UnitSphere(),
+         "expected points of dimension 3"),
+        (lambda domain: DesignGenerator.accumulating(domain=domain), Torus(2),
+         "expected points of dimension 2"),
+        (DesignGenerator.equispaced, Box((0.0, 0.0), (1.0, 1.0)),
+         "expected points of dimension 2"),
+        (DesignGenerator.halton, Box((0.0,), (0.4,)), r"point \[0.5\] lies outside the box"),
+        (DesignGenerator.halton, Box((0.0,) * 7, (1.0,) * 7), "expected points of dimension 7"),
+    ], ids=["halton-sphere", "equispaced-sphere", "accumulating-sphere",
+            "accumulating-torus2", "equispaced-box2", "halton-short-box", "halton-box7"])
+    def test_generator_off_its_domain_rejected_when_built(self, make, domain, message):
+        with pytest.raises(DomainError, match=message) as info:
+            make(domain=domain)
+        kind = str(info.value).split()[0]
+        assert str(info.value).startswith(f"{kind} design sites are not points of {domain!r}: ")
+
+    def test_unknown_kind_rejected_when_built(self):
+        with pytest.raises(DomainError, match="unknown design generator kind 'spiral'"):
+            DesignGenerator(kind="spiral")
+
+    @pytest.mark.parametrize("gen", [
+        DesignGenerator.halton(domain=Torus(2)), DesignGenerator.equispaced(domain=Torus(3)),
+        DesignGenerator.accumulating(domain=Torus(1)), DesignGenerator.sphere_fibonacci(),
+        DesignGenerator.halton(domain=Box((0.0, 0.0), (1.0, 1.0)))])
+    def test_designs_are_points_of_their_domain(self, gen):
+        sites = generate_design(gen, 40).sites
+        assert gen.domain.points(sites) is sites
+
     def test_x_star_range_guard(self):
         with pytest.raises(DomainError):
             DesignGenerator.accumulating(x_star=0.1)
@@ -155,6 +197,27 @@ class TestScenarios:
             builtin_scenario("identical", n_schedule=[4, 16, 8])
         with pytest.raises(DomainError, match="list of design sizes"):
             builtin_scenario("identical", n_schedule=8)
+
+    def test_models_on_different_domains_rejected(self):
+        matern = GaussianModel(zero_mean, MaternKernel(MaternParams(1.0, 0.5, 1.0)), "m")
+        spec = PeriodicSpectrum.from_coeffs({0: 1.0, 1: 0.5})
+        torus1 = GaussianModel(zero_mean, PeriodicKernel(spec), "t1")
+        torus2 = GaussianModel(zero_mean, PeriodicKernel(
+            PeriodicSpectrum.from_coeffs({(0, 0): 1.0, (1, 0): 0.5}, dim=2)), "t2")
+        for true, wrong, gen in [(torus1, torus2, DesignGenerator.equispaced(Torus(1))),
+                                 (matern, torus1, DesignGenerator.accumulating())]:
+            with pytest.raises(DomainError) as info:
+                Scenario("mixed", true, wrong, gen, targets=(), n_schedule=(8,))
+            assert str(info.value) == (f"the two models must live on the same domain, got "
+                                       f"{true.kernel.domain!r} and {wrong.kernel.domain!r}")
+
+    def test_generator_on_another_domain_rejected(self):
+        matern = GaussianModel(zero_mean, MaternKernel(MaternParams(1.0, 0.5, 1.0)), "m")
+        for gen in (DesignGenerator.sphere_fibonacci(), DesignGenerator.halton(Torus(1))):
+            with pytest.raises(DomainError) as info:
+                Scenario("off", matern, matern, gen, targets=(), n_schedule=(8,))
+            assert str(info.value) == (f"the {gen.kind} design lives on {gen.domain!r}, "
+                                       f"the models on {Box()!r}")
 
     def test_run_identical_flat(self):
         res = run_scenario(builtin_scenario("identical", n_schedule=[8, 16]))

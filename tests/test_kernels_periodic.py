@@ -80,7 +80,7 @@ class TestPeriodicCov:
 
     @pytest.mark.parametrize("y", [None, [[0.2]]])
     def test_nan_point_rejected(self, y):
-        with pytest.raises(DomainError, match="torus points"):
+        with pytest.raises(DomainError, match="lies outside the torus"):
             PeriodicKernel(rational_spectrum()).gram([[0.1], [math.nan]], y)
 
 

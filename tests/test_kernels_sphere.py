@@ -128,7 +128,7 @@ class TestSphereCovariances:
 
     def test_nan_point_rejected(self):
         p = SphereLegendreParams(1.0, 1.0, 1.0)
-        with pytest.raises(DomainError, match="unit vectors"):
+        with pytest.raises(DomainError, match="is not a unit vector"):
             SphereSeriesKernel(p).gram(np.array([[math.nan, 0.0, 0.0]]), north()[None, :])
 
 
@@ -213,7 +213,7 @@ ALL_KERNELS = {
 def mixed_pairs(kernel, rng):
     """Blocks of several shapes: cross blocks against one shared design,
     ``y=None`` target blocks, single- and multi-site targets."""
-    if kernel.point_dim == 3:
+    if kernel.domain.dim == 3:
         def points(n):
             return unit_rows(rng, n)
     else:
