@@ -30,7 +30,9 @@ from . import __version__
 from .diagnostics import AssumptionBudget, assumption_report, nystrom_eigen
 from .errors import ConfigError, DomainError, MisspecKrigeError, PartialResultError
 from .harness import (
+    DEFAULT_CONTRACTION,
     DEFAULT_SCHEDULE,
+    DEFAULT_X_STAR,
     MAX_DESIGN_SIZE,
     SCENARIO_NAMES,
     DesignGenerator,
@@ -42,6 +44,7 @@ from .harness import (
     run_scenario,
 )
 from .kernels import (
+    DEFAULT_L_MAX,
     MaternKernel,
     MaternParams,
     PeriodicKernel,
@@ -117,7 +120,7 @@ def _mean_from_spec(spec) -> tuple:
             return (linear_mean(float(spec.get("intercept", 0.0)), spec.get("slope", 1.0)),
                     "linear")
         if kind == "kink":
-            return (kink_mean(spec.get("x0", 0.37), float(spec["alpha"]),
+            return (kink_mean(spec.get("x0", DEFAULT_X_STAR), float(spec["alpha"]),
                               float(spec.get("scale", 1.0))), "kink")
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad mean spec {spec!r}: {exc}")
@@ -157,12 +160,12 @@ def _model_from_spec(spec, label: str) -> GaussianModel:
             kernel = SphereSeriesKernel(SphereLegendreParams(
                 sigma1=float(spec.get("sigma1", 1.0)), nu1=float(spec["nu1"]),
                 kappa1=float(spec.get("kappa1", 1.0)),
-                l_max=spec.get("l_max", 256)))
+                l_max=spec.get("l_max", DEFAULT_L_MAX)))
         elif family == "sphere_spde":
             kernel = SphereSeriesKernel(SphereSpdeParams(
                 tau=float(spec.get("tau", 1.0)), nu=float(spec["nu"]),
                 kappa=float(spec.get("kappa", 1.0)),
-                l_max=spec.get("l_max", 256)))
+                l_max=spec.get("l_max", DEFAULT_L_MAX)))
         elif family in ("sphere_chordal_matern", "sphere_greatcircle_matern"):
             # comparison models on the sphere; no ratio-limit claim attached
             from .kernels import ChordalMaternKernel, GreatCircleMaternKernel
@@ -192,8 +195,9 @@ def _generator_from_spec(spec, domain) -> DesignGenerator:
         if kind == "equispaced":
             return DesignGenerator.equispaced(domain)
         if kind == "accumulating":
-            return DesignGenerator.accumulating(float(spec.get("x_star", 0.37)),
-                                                float(spec.get("q", 0.6)), domain)
+            return DesignGenerator.accumulating(float(spec.get("x_star", DEFAULT_X_STAR)),
+                                                float(spec.get("q", DEFAULT_CONTRACTION)),
+                                                domain)
         if kind == "halton":
             return DesignGenerator.halton(domain)
         if kind == "sphere_fibonacci":
@@ -324,12 +328,12 @@ def table_to_csv(table: RatioTable, scenario_name: str) -> str:
     out = io.StringIO()
     out.write(CSV_HEADER + "\n")
     for rec in table.records:
+        deviations = rec.deviations
         for ratio_name in RATIO_NAMES + ("mean_term",):
-            limit = rec.limits.get(ratio_name)
-            dev = rec.deviations.get(ratio_name)
             out.write(",".join([
                 scenario_name, str(rec.n), rec.target_id, ratio_name,
-                _fmt(rec.value(ratio_name)), _fmt(limit), _fmt(dev),
+                _fmt(rec.value(ratio_name)), _fmt(rec.limits.get(ratio_name)),
+                _fmt(deviations.get(ratio_name)),
             ]) + "\n")
     return out.getvalue()
 

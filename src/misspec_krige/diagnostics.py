@@ -41,6 +41,9 @@ DEFAULT_TOL = 1e-2
 #: a checkpoint trend must shrink/grow past this factor to call divergence
 _DIVERGENCE_FACTOR = 2.0
 
+#: the T_a tail starts where every magnitude is below this fraction of the largest
+TAIL_TOL_REL = 0.1
+
 
 # ---------------------------------------------------------------------------
 # ratio-limit probes
@@ -281,21 +284,20 @@ class TaTailReport:
 
 
 def t_a_tail_spectrum(true_kernel: CovarianceKernel, wrong_kernel: CovarianceKernel,
-                      nodes, weights, a: float, basis_size: int,
-                      tail_tol_rel: float = 0.1) -> TaTailReport:
+                      nodes, weights, a: float, basis_size: int) -> TaTailReport:
     """Project the whitened covariance perturbation onto a leading eigenbasis.
 
     Builds B = G^(-1/2) E' W K~ W E G^(-1/2) - a I on the leading
     ``basis_size`` quadrature eigenpairs (E, G) of the true kernel and returns
     the magnitude-sorted spectrum of B.  ``tail_index`` is the first position
-    after which every magnitude is below ``tail_tol_rel`` times the largest.
+    after which every magnitude is below ``TAIL_TOL_REL`` times the largest.
     ``a = 0`` is allowed and exposes the plain whitened spectrum, which is
     nonnegative for any covariance pair.
     """
     if a < 0.0:
         raise DomainError("the constant a must be nonnegative")
     projection = galerkin_projection(true_kernel, wrong_kernel, nodes, weights, basis_size)
-    return projection.tail(a, basis_size, tail_tol_rel)
+    return projection.tail(a, basis_size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,7 +309,7 @@ class GalerkinProjection:
     projected: np.ndarray    # E' W K~ W E on those eigenfunctions
     resolved: int            # eigenpairs the quadrature resolves above its cutoff
 
-    def tail(self, a: float, basis_size: int, tail_tol_rel: float = 0.1) -> TaTailReport:
+    def tail(self, a: float, basis_size: int) -> TaTailReport:
         """The :func:`t_a_tail_spectrum` report on the leading ``basis_size`` block."""
         if self.resolved < basis_size:
             raise DomainError(
@@ -320,7 +322,7 @@ class GalerkinProjection:
         order = np.argsort(np.abs(eigs))[::-1]
         eigs = eigs[order]
         top = abs(eigs[0]) if eigs.size else 0.0
-        below = np.abs(eigs) < tail_tol_rel * top if top > 0 else np.ones_like(eigs, bool)
+        below = np.abs(eigs) < TAIL_TOL_REL * top if top > 0 else np.ones_like(eigs, bool)
         tail_index = int(np.argmax(below)) if np.any(below) else int(eigs.size)
         return TaTailReport(a_used=a, galerkin_eigs=eigs, tail_index=tail_index,
                             basis_size=basis_size)
@@ -387,7 +389,12 @@ def assumption_report(true_model: GaussianModel, wrong_model: GaussianModel,
         # no known shared basis
         projection = _project(k_true, k_wrong, domain, budget)
         galerkin_verdict = _galerkin_route(projection, budget, routes)
-    primary = spectral_verdict or eigen_verdict or galerkin_verdict
+    # the first route that gave a verdict is primary; a failed route gives none
+    verdicts = {"spectral": spectral_verdict, "eigen_analytic": eigen_verdict,
+                "eigen_galerkin": galerkin_verdict}
+    primary_route = next((name for name, verdict in verdicts.items() if verdict is not None),
+                         None)
+    primary = verdicts.get(primary_route)
 
     t_a = None
     if primary is not None and primary.kind is LimitKind.CONVERGES:
@@ -402,7 +409,7 @@ def assumption_report(true_model: GaussianModel, wrong_model: GaussianModel,
         "true_model": true_model.label,
         "wrong_model": wrong_model.label,
         "routes": routes,
-        "primary_route": _primary_name(routes, spectral_verdict, eigen_verdict),
+        "primary_route": primary_route,
         "ratio_verdict": primary.to_dict() if primary else None,
         "t_a_tail": t_a,
         "mean_check": mean_probe,
@@ -410,14 +417,6 @@ def assumption_report(true_model: GaussianModel, wrong_model: GaussianModel,
         "disclaimer": ("all verdicts are finite-probe observations; no "
                        "infinite-dimensional property is certified"),
     }
-
-
-def _primary_name(routes, spectral_verdict, eigen_verdict) -> str | None:
-    if spectral_verdict is not None:
-        return "spectral"
-    if eigen_verdict is not None:
-        return "eigen_analytic"
-    return "eigen_galerkin" if "eigen_galerkin" in routes else None
 
 
 def _eigen_route(k_true, k_wrong, budget, routes) -> RatioVerdict | None:
@@ -488,7 +487,11 @@ def _tail_probe(projection, budget, a) -> dict:
 
 
 def _mean_route(true_model, wrong_model, domain, budget) -> dict:
-    probe_pts, _ = domain.quadrature(33)
+    try:
+        probe_pts, _ = domain.quadrature(33)
+    except DomainError:
+        return {"status": f"no mean probe grid fits the domain {domain!r}",
+                "grade": INCONCLUSIVE}
     delta = np.array([true_model.mean(p) - wrong_model.mean(p) for p in probe_pts])
     if float(np.max(np.abs(delta))) == 0.0:
         return {"status": "means agree on the probe grid", "grade": CONSISTENT}
@@ -504,7 +507,7 @@ def _mean_route(true_model, wrong_model, domain, budget) -> dict:
     except DomainError:
         return {"status": f"no accumulating design generator fits the domain {domain!r}",
                 "grade": INCONCLUSIVE}
-    target = TargetFunctional.point(np.atleast_1d(gen.x_star), label="acc")
+    target = TargetFunctional.point(domain.from_unit([gen.x_star])[0], label="acc")
     sizes, values = [], []
     for n in budget.mean_design_sizes:
         design = generate_design(gen, n)

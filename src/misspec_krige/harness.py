@@ -94,7 +94,7 @@ class DesignGenerator:
         accumulating offsets end below the float spacing at x_star."""
         if self.kind != "accumulating":
             return MAX_DESIGN_SIZE
-        sites = np.array(_accumulating_sites(self, MAX_DESIGN_SIZE))
+        sites = _sites(self, MAX_DESIGN_SIZE)[:, 0]
         repeats = np.setdiff1d(np.arange(sites.size), np.unique(sites, return_index=True)[1])
         return int(repeats[0]) if repeats.size else MAX_DESIGN_SIZE
 
@@ -139,16 +139,19 @@ def generate_design(g: DesignGenerator, n: int) -> Design:
 
 
 def _sites(g: DesignGenerator, n: int) -> np.ndarray:
-    """The generator's first n sites, not yet checked against its domain."""
+    """The generator's first n sites, not yet checked against its domain.  Box
+    and torus designs are built in unit-cube coordinates and mapped onto the
+    domain's bounds."""
+    if g.kind == "sphere_fibonacci":
+        return fibonacci_sphere_grid(max(n, 2))[0][:n]
     if g.kind == "equispaced":
-        return _equispaced(g, n)
-    if g.kind == "accumulating":
-        return np.asarray(_accumulating_sites(g, n))[:, None]
-    if g.kind == "halton":
+        unit = _equispaced(g, n)
+    elif g.kind == "accumulating":
+        unit = np.asarray(_accumulating_sites(g, n))[:, None]
+    else:
         bases = (2, 3, 5, 7, 11, 13)[:g.domain.dim]
-        return np.array([[_van_der_corput(j + 1, base) for base in bases]
-                         for j in range(n)])
-    return fibonacci_sphere_grid(max(n, 2))[0][:n]
+        unit = [[_van_der_corput(j + 1, base) for base in bases] for j in range(n)]
+    return g.domain.from_unit(unit)
 
 
 def _equispaced(g: DesignGenerator, n: int) -> np.ndarray:
@@ -189,29 +192,29 @@ def default_targets(generator: DesignGenerator, n_max: int,
                     count: int = DEFAULT_TARGET_COUNT) -> list[TargetFunctional]:
     """Probe targets: ``count`` spread-out held-out points, plus, for
     accumulating generators, three probes at the innermost design ring scale
-    around x_star."""
-    if isinstance(generator.domain, UnitSphere):
+    around x_star and one at x_star.  On a box or torus they are placed in
+    unit-cube coordinates, as the design is, and mapped onto its bounds."""
+    domain = generator.domain
+    if isinstance(domain, UnitSphere):
         nodes, _ = fibonacci_sphere_grid(count, rotate=0.5)
         return [TargetFunctional.point(nodes[i], label=f"g{i:02d}") for i in range(count)]
     lo = TARGET_BOUNDARY_MARGIN
     hi = 1.0 - TARGET_BOUNDARY_MARGIN
-    if isinstance(generator.domain, Torus) and generator.domain.dim > 1:
-        dim = generator.domain.dim
-        bases = (3, 5, 7, 11, 13)[:dim]  # offset from the design's base-2 stream
-        return [TargetFunctional.point(
-            np.array([lo + (hi - lo) * _van_der_corput(i + 1, b) for b in bases]),
-            label=f"g{i:02d}") for i in range(count)]
-    # the golden-ratio offset keeps the grid off dyadic design sites
-    pts = [lo + (hi - lo) * (i + 0.618) / count for i in range(count)]
-    targets = [TargetFunctional.point(np.array([p]), label=f"g{i:02d}")
-               for i, p in enumerate(pts)]
+    labels = [f"g{i:02d}" for i in range(count)]
+    if domain.dim > 1:
+        bases = (3, 5, 7, 11, 13, 17)[:domain.dim]  # offset from the design's base-2 stream
+        unit = [[lo + (hi - lo) * _van_der_corput(i + 1, b) for b in bases]
+                for i in range(count)]
+    else:
+        # the golden-ratio offset keeps the grid off dyadic design sites
+        unit = [[lo + (hi - lo) * (i + 0.618) / count] for i in range(count)]
     if generator.kind == "accumulating":
         ring = generator.q ** ((n_max + 1) // 2) * _ACC_AMPLITUDE
-        for i, mult in enumerate((1.1, 1.6, 2.3)):
-            targets.append(TargetFunctional.point(
-                np.array([generator.x_star + mult * ring]), label=f"a{i}"))
-        targets.append(TargetFunctional.point(np.array([generator.x_star]), label="acc"))
-    return targets
+        unit += [[generator.x_star + mult * ring] for mult in (1.1, 1.6, 2.3)]
+        unit.append([generator.x_star])
+        labels += ["a0", "a1", "a2", "acc"]
+    return [TargetFunctional.point(p, label=label)
+            for p, label in zip(domain.from_unit(unit), labels)]
 
 
 # ---------------------------------------------------------------------------

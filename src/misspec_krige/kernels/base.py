@@ -50,6 +50,12 @@ class Box:
         pts = as_points(x, self.dim)
         return _members(self, pts, (pts >= self.lower) & (pts <= self.upper))
 
+    def from_unit(self, u) -> np.ndarray:
+        """Unit-cube coordinates ``u`` as (n, dim) points of the box, lower +
+        (upper - lower) * u; on the unit box that is exactly u."""
+        lower = np.array(self.lower)
+        return lower + (np.array(self.upper) - lower) * as_points(u, self.dim)
+
     def quadrature(self, n: int, exact: bool = False):
         """The n-node trapezoid rule of a 1-d box (every count is exact)."""
         if self.dim != 1:
@@ -76,6 +82,11 @@ class Torus:
         """``x`` as (n, dim) points of [0, 1]^d, to within 1e-12."""
         pts = as_points(x, self.dim)
         return _members(self, pts, (pts >= -1e-12) & (pts <= 1.0 + 1e-12))
+
+    def from_unit(self, u) -> np.ndarray:
+        """Unit-cube coordinates ``u`` as (n, dim) torus points; the torus's
+        bounds are [0, 1]^d, so they are u itself."""
+        return as_points(u, self.dim)
 
     def quadrature(self, n: int, exact: bool = False):
         """Rectangle rule with round(n^(1/d)) >= 2 nodes per axis; with ``exact``,
@@ -108,6 +119,11 @@ class UnitSphere:
         """``x`` as (n, 3) vectors of norm 1 to within ``UNIT_NORM_TOL``."""
         pts = as_points(x, 3)
         return _members(self, pts, np.abs(np.linalg.norm(pts, axis=-1) - 1.0) <= UNIT_NORM_TOL)
+
+    def from_unit(self, u) -> np.ndarray:
+        """Unit-cube coordinates ``u`` as (n, 3) vectors, unmapped: no affine map
+        takes a cube onto the sphere, so ``points`` rejects them."""
+        return as_points(u, 3)
 
     def quadrature(self, n: int, exact: bool = False):
         """The n-node Fibonacci rule (every count is exact)."""

@@ -33,7 +33,8 @@ MeanFunction = Callable[[np.ndarray], float]
 JITTER_START = 1e-12
 JITTER_MAX = 1e-6
 
-#: moment assemblies switch to compensated summation from this size upward
+#: ``_dot`` sums intercepts and error means with compensated summation from
+#: this vector length upward
 _COMPENSATED_FROM = 256
 
 _NEGATIVE_VARIANCE_TOL = 1e-10
@@ -158,7 +159,6 @@ class GramFactor:
 
     lower: np.ndarray
     jitter: float
-    cond_estimate: float
     matrix: np.ndarray
     sigma: np.ndarray
 
@@ -251,15 +251,12 @@ def build_gram(design: Design, kernel: CovarianceKernel) -> GramFactor:
             f"Gram factorization failed up to jitter {jitter:.3e}"
             + (f" (leading minor {minor})" if minor else ""),
             leading_minor=minor, max_jitter=jitter) from last_error
-    diag = np.diag(lower)
-    cond_estimate = float((diag.max() / diag.min()) ** 2)
     system = sigma + jitter * np.eye(design.n) if jitter else sigma
     resid = float(np.max(np.abs(lower @ lower.T - system)))
     if resid > 1e-8 * float(np.max(np.diag(sigma))):
         raise NumericalFailureError(
             f"Cholesky reconstruction error {resid:.3e} exceeds tolerance")
-    return GramFactor(lower=lower, jitter=jitter, cond_estimate=cond_estimate,
-                      matrix=system, sigma=sigma)
+    return GramFactor(lower=lower, jitter=jitter, matrix=system, sigma=sigma)
 
 
 def _leading_minor(exc: Exception) -> int | None:

@@ -33,7 +33,7 @@ import numpy as np
 from .errors import (DomainError, MisspecKrigeError, NumericalFailureError, OptimalityError,
                      PartialResultError)
 from .kernels.base import is_whole_number
-from .kriging import Design, GaussianModel, LevelSystem, TargetFunctional, _dot, build_gram
+from .kriging import Design, GaussianModel, LevelSystem, TargetFunctional, build_gram
 
 RATIO_NAMES = ("r_var_1", "r_var_2", "r_var_3", "r_var_4",
                "r_mom_1", "r_mom_2", "r_mom_3", "r_mom_4")
@@ -53,7 +53,7 @@ class RatioRecord:
     ``limits`` maps ratio names to their attached analytic limits (1 for the
     own-measure ratios, a and 1/a for the cross-measure ones when the model
     pair supports a known constant, 0 for the mean term when the kernels
-    agree); ``deviations`` stores |value - limit| for exactly those names.
+    agree); ``deviations`` derives |value - limit| for exactly those names.
     """
 
     n: int
@@ -68,7 +68,6 @@ class RatioRecord:
     r_mom_4: float
     mean_term: float
     limits: Mapping[str, float] = field(default_factory=dict)
-    deviations: Mapping[str, float] = field(default_factory=dict)
     true_variance: float = float("nan")
 
     def __post_init__(self):
@@ -91,8 +90,9 @@ class RatioRecord:
             raise KeyError(name)
         return getattr(self, name)
 
-    def deviation(self, name: str) -> float | None:
-        return self.deviations.get(name)
+    @property
+    def deviations(self) -> dict[str, float]:
+        return {name: abs(self.value(name) - limit) for name, limit in self.limits.items()}
 
 
 def _ratio_limits(limit_a: float | None, kernels_match: bool) -> dict[str, float]:
@@ -110,8 +110,7 @@ def _ratio_limits(limit_a: float | None, kernels_match: bool) -> dict[str, float
 def efficiency_ratios(design: Design, targets: Sequence[TargetFunctional],
                       true_model: GaussianModel, wrong_model: GaussianModel,
                       *, limit_a: float | None = None,
-                      variance_floor: float = VARIANCE_FLOOR,
-                      n_value: int | None = None) -> list[RatioRecord]:
+                      variance_floor: float = VARIANCE_FLOOR) -> list[RatioRecord]:
     """Per-target ratio records plus one SUP record for a fixed design.
 
     Targets whose true-model kriging variance falls below ``variance_floor``
@@ -121,7 +120,7 @@ def efficiency_ratios(design: Design, targets: Sequence[TargetFunctional],
     """
     if not targets:
         raise DomainError("at least one target is required")
-    n = design.n if n_value is None else n_value
+    n = design.n
     shared_kernel = true_model.kernel == wrong_model.kernel
     limits = _ratio_limits(limit_a, shared_kernel)
     true_system = LevelSystem(design, targets, true_model.kernel)
@@ -143,12 +142,10 @@ def efficiency_ratios(design: Design, targets: Sequence[TargetFunctional],
                 f"target {target_id} excluded: {name} error variance "
                 f"{value:.3e} below {variance_floor:.1e}", stacklevel=2)
             continue
-        values = _assemble_ratios(mom)
-        deviations = {name: abs(values[name] - lim) for name, lim in limits.items()}
         try:
             records.append(RatioRecord(
-                n=n, target_id=target_id, limits=limits, deviations=deviations,
-                true_variance=mom[("true", "true")].variance, **values))
+                n=n, target_id=target_id, limits=limits,
+                true_variance=mom[("true", "true")].variance, **_assemble_ratios(mom)))
         except OptimalityError as exc:
             grams = ", ".join(
                 f"{system.gram.inverse_rcond:.2g} for the {tag} Gram at jitter "
@@ -204,18 +201,11 @@ def _assemble_ratios(mom) -> dict[str, float]:
 def _sup_record(records: list[RatioRecord], n: int,
                 limits: Mapping[str, float]) -> RatioRecord:
     values: dict[str, float] = {}
-    deviations: dict[str, float] = {}
     for name in RATIO_NAMES + ("mean_term",):
         per_target = np.array([rec.value(name) for rec in records])
-        if name in limits:
-            deviation = np.abs(per_target - limits[name])
-            pick = int(np.argmax(deviation))
-            deviations[name] = float(deviation[pick])
-        else:
-            pick = int(np.argmax(per_target))
-        values[name] = float(per_target[pick])
+        key = np.abs(per_target - limits[name]) if name in limits else per_target
+        values[name] = float(per_target[int(np.argmax(key))])
     return RatioRecord(n=n, target_id=SUP_TARGET_ID, limits=dict(limits),
-                       deviations=deviations,
                        true_variance=min(rec.true_variance for rec in records),
                        **values)
 
@@ -227,19 +217,18 @@ def mean_term(design: Design, target: TargetFunctional, true_model: GaussianMode
     With a shared kernel, the working-measure expectation of the optimal
     predictor's error equals the kriging interpolation error of the mean
     difference at the target; its square over the kriging variance is the
-    exact excess of the second-moment ratio above the variance ratio.
+    exact excess of the second-moment ratio above the variance ratio.  Both
+    come from the moment block, as the ratios' error means do.
     """
     if true_model.kernel != shifted_mean_model.kernel:
         raise DomainError("mean_term requires the two models to share one kernel")
     system = LevelSystem(design, [target], true_model.kernel)
     pred = system.predictors(true_model)[0]
-    delta = true_model.mean_at(design.sites) - shifted_mean_model.mean_at(design.sites)
-    delta_t = true_model.mean_at(target.sites) - shifted_mean_model.mean_at(target.sites)
-    numerator = (float(target.coeffs @ delta_t) - _dot(pred.weights, delta)) ** 2
+    bias = system.moments([[pred]], shifted_mean_model)[0][0].mean
     variance = system.moments([[pred]], true_model)[0][0].variance
     if variance < VARIANCE_FLOOR:
         raise NumericalFailureError("target kriging variance below the floor")
-    return numerator / variance
+    return bias ** 2 / variance
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,28 +279,30 @@ def ratio_convergence(true_model: GaussianModel, wrong_model: GaussianModel,
                       design_generator, targets: Sequence[TargetFunctional],
                       n_schedule: Sequence[int], *, limit_a: float | None = None,
                       variance_floor: float = VARIANCE_FLOOR,
-                      max_workers: int | None = None,
                       metadata: dict | None = None) -> RatioTable:
     """Evaluate the ratios over an increasing schedule of design sizes.
 
-    ``design_generator`` is any callable n -> Design.  Levels run on a small
-    thread pool (capped by MISSPEC_KRIGE_THREADS); assembly is a deterministic
-    merge by n, so the result is independent of completion order.
+    ``design_generator`` is any callable n -> Design of n sites.  Levels run
+    on a small thread pool whose size MISSPEC_KRIGE_THREADS sets (default
+    min(4, cpu count)); assembly is a deterministic merge by n, so the result
+    is independent of completion order.
     """
     schedule = list(check_schedule(n_schedule))
 
     def level(n: int) -> tuple[list[RatioRecord], dict]:
         design = design_generator(n)
+        if design.n != n:
+            raise DomainError(f"the design generator returned {design.n} sites "
+                              f"for schedule level n={n}")
         records = efficiency_ratios(design, targets, true_model, wrong_model,
-                                    limit_a=limit_a, n_value=n,
-                                    variance_floor=variance_floor)
+                                    limit_a=limit_a, variance_floor=variance_floor)
         # conditioning is recorded rather than thresholded: how close a target
         # may sit to a clustered design has no principled cutoff
         conditioning = {}
         for tag, model in (("true", true_model), ("wrong", wrong_model)):
             factor = build_gram(design, model.kernel)
             conditioning[tag] = {"jitter": factor.jitter,
-                                 "cond_estimate": factor.cond_estimate}
+                                 "inverse_rcond": factor.inverse_rcond}
         return records, conditioning
 
     def safe_level(n: int):
@@ -320,7 +311,7 @@ def ratio_convergence(true_model: GaussianModel, wrong_model: GaussianModel,
         except MisspecKrigeError as exc:
             return exc
 
-    workers = max_workers or _default_workers()
+    workers = _default_workers()
     if workers > 1 and len(schedule) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             per_level = list(pool.map(safe_level, schedule))

@@ -420,6 +420,41 @@ class TestAssumptionReport:
         for key in ("max_abs", "last_quartile_max"):
             assert tail[key] == pytest.approx(direct[key], rel=1e-12)
 
+    def test_failed_galerkin_route_names_no_primary_route(self, monkeypatch):
+        import misspec_krige.diagnostics as diagnostics
+        from misspec_krige.errors import NumericalFailureError
+        from misspec_krige.kernels import ChordalMaternKernel
+        true = GaussianModel(zero_mean, ChordalMaternKernel(MaternParams(1.0, 0.5, 1.0)), "c1")
+        wrong = GaussianModel(zero_mean, ChordalMaternKernel(MaternParams(2.0, 0.5, 0.5)),
+                              "c2")
+        report = assumption_report(true, wrong)
+        assert report["primary_route"] == "eigen_galerkin"
+        assert report["ratio_verdict"] == report["routes"]["eigen_galerkin"]
+
+        def failing(*args, **kwargs):
+            raise NumericalFailureError("eigendecomposition failed")
+        monkeypatch.setattr(diagnostics, "galerkin_projection", failing)
+        report = assumption_report(true, wrong)
+        assert report["routes"] == {"eigen_galerkin": {"error": "eigendecomposition failed"}}
+        assert report["primary_route"] is None
+        assert report["ratio_verdict"] is None
+        assert report["assessment"]["bounded_ratio_limit"] == "inconclusive"
+
+    def test_two_dimensional_box_grades_the_mean_probe_inconclusive(self):
+        from misspec_krige.kernels import Box
+        square = Box((0.0, 0.0), (1.0, 1.0))
+        true = GaussianModel(zero_mean, MaternKernel(MaternParams(1.0, 0.5, 1.0, dim=2),
+                                                     square), "t")
+        wrong = GaussianModel(constant_mean(1.0), MaternKernel(
+            MaternParams(2.0, 0.5, 0.5, dim=2), square), "w")
+        report = assumption_report(true, wrong)
+        assert report["mean_check"] == {
+            "status": f"no mean probe grid fits the domain {square!r}",
+            "grade": "inconclusive"}
+        assert report["primary_route"] == "spectral"
+        assert report["ratio_verdict"]["kind"] == "converges"
+        assert report["ratio_verdict"]["a_estimate"] == pytest.approx(2.0, rel=1e-3)
+
     def test_report_tail_names_an_unresolved_basis(self):
         report = assumption_report(*self.matern_pair(),
                                    budget=AssumptionBudget(quad_nodes=16))

@@ -126,10 +126,9 @@ class TestGenerators:
          "expected points of dimension 2"),
         (DesignGenerator.equispaced, Box((0.0, 0.0), (1.0, 1.0)),
          "expected points of dimension 2"),
-        (DesignGenerator.halton, Box((0.0,), (0.4,)), r"point \[0.5\] lies outside the box"),
         (DesignGenerator.halton, Box((0.0,) * 7, (1.0,) * 7), "expected points of dimension 7"),
     ], ids=["halton-sphere", "equispaced-sphere", "accumulating-sphere",
-            "accumulating-torus2", "equispaced-box2", "halton-short-box", "halton-box7"])
+            "accumulating-torus2", "equispaced-box2", "halton-box7"])
     def test_generator_off_its_domain_rejected_when_built(self, make, domain, message):
         with pytest.raises(DomainError, match=message) as info:
             make(domain=domain)
@@ -151,6 +150,74 @@ class TestGenerators:
     def test_x_star_range_guard(self):
         with pytest.raises(DomainError):
             DesignGenerator.accumulating(x_star=0.1)
+
+
+class TestBoxBounds:
+    """Box designs and default targets are built in unit-cube coordinates and
+    mapped onto the box: lower + (upper - lower) * u."""
+
+    @pytest.mark.parametrize("make", [
+        DesignGenerator.halton, DesignGenerator.equispaced,
+        lambda domain: DesignGenerator.accumulating(domain=domain)],
+        ids=["halton", "equispaced", "accumulating"])
+    def test_design_on_a_wider_box_is_the_mapped_unit_design(self, make):
+        unit = generate_design(make(domain=Box()), 64).sites
+        wide = generate_design(make(domain=Box((0.0,), (2.0,))), 64).sites
+        assert np.array_equal(wide, 2.0 * unit)
+        assert wide.min() > 0.0 and wide.max() > 1.9
+        shifted_gen = make(domain=Box((-1.0,), (1.0,)))
+        shifted = generate_design(shifted_gen, 64).sites
+        assert np.array_equal(shifted, -1.0 + 2.0 * unit)
+        assert shifted_gen.domain.points(shifted) is shifted
+
+    def test_halton_on_a_short_box_stays_inside(self):
+        gen = DesignGenerator.halton(domain=Box((0.0,), (0.4,)))
+        sites = generate_design(gen, 64).sites
+        assert gen.domain.points(sites) is sites
+        assert np.array_equal(sites, 0.4 * generate_design(DesignGenerator.halton(), 64).sites)
+
+    def test_unit_box_and_torus_designs_are_the_unit_coordinates(self):
+        from misspec_krige.harness import _accumulating_sites
+        gen = DesignGenerator.accumulating()
+        sites = generate_design(gen, 64).sites[:, 0]
+        assert sites.tolist() == _accumulating_sites(gen, 64)
+        torus = DesignGenerator.accumulating(domain=Torus(1))
+        assert generate_design(torus, 64).sites[:, 0].tolist() == _accumulating_sites(gen, 64)
+
+    def test_accumulating_largest_n_is_checked_on_the_box(self):
+        # mapped onto [1000, 1001], the offsets collide long before they do on [0, 1]
+        gen = DesignGenerator.accumulating(domain=Box((1000.0,), (1001.0,)))
+        assert gen.max_n < DesignGenerator.accumulating().max_n
+        assert generate_design(gen, gen.max_n).n == gen.max_n
+
+    def test_default_targets_follow_the_box(self):
+        unit = default_targets(DesignGenerator.accumulating(), 64)
+        wide = default_targets(DesignGenerator.accumulating(domain=Box((0.0,), (2.0,))), 64)
+        assert [t.label for t in wide] == [t.label for t in unit]
+        for u, w in zip(unit, wide):
+            assert np.array_equal(w.sites, 2.0 * u.sites)
+        pts = np.array([t.sites[0, 0] for t in wide])
+        assert pts.min() == pytest.approx(0.326, abs=1e-3)
+        assert pts.max() == pytest.approx(1.684, abs=1e-3)
+
+    @pytest.mark.parametrize("domain", [Box((0.0, -1.0), (2.0, 1.0)), Torus(6)],
+                             ids=["box2", "torus6"])
+    def test_default_targets_have_the_domain_dimension(self, domain):
+        gen = DesignGenerator.halton(domain=domain)
+        targets = default_targets(gen, 16, count=9)
+        pts = np.vstack([t.sites for t in targets])
+        assert pts.shape == (9, domain.dim)
+        assert gen.domain.points(pts) is pts
+
+    def test_scenario_on_a_wider_box_runs(self):
+        box = Box((0.0,), (2.0,))
+        true = GaussianModel(zero_mean, MaternKernel(MaternParams(1.0, 0.5, 1.0), box), "t")
+        wrong = GaussianModel(zero_mean, MaternKernel(MaternParams(2.0, 0.5, 0.5), box), "w")
+        gen = DesignGenerator.accumulating(domain=box)
+        res = run_scenario(Scenario("wide", true, wrong, gen, default_targets(gen, 16),
+                                    n_schedule=(8, 16), limit_a=2.0))
+        assert res.table.n_values == [8, 16]
+        assert res.report["primary_route"] == "spectral"
 
 
 class TestTargets:

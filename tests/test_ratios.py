@@ -7,14 +7,18 @@ import warnings
 import numpy as np
 import pytest
 
-from misspec_krige.errors import DomainError, NumericalFailureError
+from misspec_krige.errors import DomainError, NumericalFailureError, PartialResultError
 from misspec_krige.kernels import MaternKernel, MaternParams
 from misspec_krige.kriging import (
     Design,
     GaussianModel,
+    LevelSystem,
     TargetFunctional,
+    _dot,
+    build_gram,
     constant_mean,
     error_moments,
+    kink_mean,
     kriging_predictor,
     linear_mean,
     zero_mean,
@@ -22,6 +26,7 @@ from misspec_krige.kriging import (
 from misspec_krige.ratios import (
     RATIO_NAMES,
     SUP_TARGET_ID,
+    VARIANCE_FLOOR,
     RatioRecord,
     efficiency_ratios,
     mean_term,
@@ -176,6 +181,53 @@ class TestEfficiencyRatios:
         assert all(1e13 < float(value) < 1e16 for value in match.groups())
 
 
+def stored_deviations(values, limits):
+    """|value - limit| as each record stored it before deviations were derived."""
+    return {name: abs(values[name] - lim) for name, lim in limits.items()}
+
+
+def stored_sup(records, limits):
+    """The SUP values and deviations as the SUP record stored them before
+    deviations were derived."""
+    values, deviations = {}, {}
+    for name in RATIO_NAMES + ("mean_term",):
+        per_target = np.array([rec.value(name) for rec in records])
+        if name in limits:
+            deviation = np.abs(per_target - limits[name])
+            pick = int(np.argmax(deviation))
+            deviations[name] = float(deviation[pick])
+        else:
+            pick = int(np.argmax(per_target))
+        values[name] = float(per_target[pick])
+    return values, deviations
+
+
+class TestDerivedDeviations:
+    @pytest.mark.parametrize("accumulating, n, wrong, limit_a", [
+        (False, 9, exp_model(sigma=2.0, kappa=0.5), 2.0),
+        (False, 14, exp_model(sigma=2.0, kappa=0.5), None),
+        (False, 11, exp_model(mean=linear_mean(-0.3, 1.1)), 1.0),
+        (True, 32, exp_model(sigma=1.3, kappa=0.4, mean=constant_mean(0.6)), None),
+    ], ids=["limit-a", "no-limit-a", "shared-kernel", "accumulating-no-limit"])
+    def test_equal_to_stored_deviations(self, accumulating, n, wrong, limit_a):
+        from misspec_krige.harness import DesignGenerator, default_targets, generate_design
+        if accumulating:
+            gen = DesignGenerator.accumulating()
+            design, targets = generate_design(gen, n), default_targets(gen, n, count=9)
+        else:
+            design, targets = grid_design(n), grid_targets()
+        records = efficiency_ratios(design, targets, exp_model(), wrong, limit_a=limit_a)
+        per_target, sup = records[:-1], records[-1]
+        for rec in per_target:
+            values = {name: rec.value(name) for name in RATIO_NAMES + ("mean_term",)}
+            assert rec.deviations == stored_deviations(values, rec.limits)
+        values, deviations = stored_sup(per_target, sup.limits)
+        assert {name: sup.value(name) for name in values} == values
+        assert sup.deviations == deviations
+        if limit_a is None:
+            assert "r_var_3" not in sup.deviations and "r_mom_4" not in sup.deviations
+
+
 class TestSharedKernel:
     """Models with equal kernels share one factor, one set of blocks and one
     solve; only the intercepts and error means differ."""
@@ -197,10 +249,11 @@ class TestSharedKernel:
                           exp_model(sigma=1.3, kappa=0.4))
         assert kernel_work == {"build_gram": 3, "gram_pairs": 3}
 
-    def test_one_block_call_per_schedule_level(self, kernel_work):
+    def test_one_block_call_per_schedule_level(self, kernel_work, monkeypatch):
+        monkeypatch.setenv("MISSPEC_KRIGE_THREADS", "1")
         true, wrong = self.pair()
         ratio_convergence(true, wrong, grid_design, self.targets(), [5, 9, 13],
-                          limit_a=1.0, max_workers=1)
+                          limit_a=1.0)
         assert kernel_work["gram_pairs"] == 3
 
     def test_records_equal_one_target_moments(self):
@@ -268,6 +321,66 @@ class TestMeanTerm:
                       exp_model(), exp_model(kappa=3.0))
 
 
+def stored_mean_term(design, target, true_model, shifted_mean_model):
+    """The mean term as computed before it was read off the moment block: the
+    interpolation error of delta = m - m~, squared, over the kriging variance."""
+    system = LevelSystem(design, [target], true_model.kernel)
+    pred = system.predictors(true_model)[0]
+    delta = true_model.mean_at(design.sites) - shifted_mean_model.mean_at(design.sites)
+    delta_t = true_model.mean_at(target.sites) - shifted_mean_model.mean_at(target.sites)
+    numerator = (float(target.coeffs @ delta_t) - _dot(pred.weights, delta)) ** 2
+    return numerator / system.moments([[pred]], true_model)[0][0].variance
+
+
+MEANS = {"zero": zero_mean, "constant": constant_mean(1.0),
+         "linear": linear_mean(0.3, 1.1), "kink": kink_mean(0.37, 0.2)}
+
+
+class TestMeanTermFromMomentBlock:
+    def cases(self):
+        from misspec_krige.harness import DesignGenerator, generate_design
+        gen = DesignGenerator.accumulating()
+        for n in (8, 16, 32, 64, 128, 144):
+            design = generate_design(gen, n)
+            for x in (0.37, 0.45, 0.9):
+                yield design, TargetFunctional.point([x])
+
+    def check(self, true_mean, shifted_mean, compare):
+        kernel = exp_model().kernel
+        true = GaussianModel(MEANS[true_mean], kernel)
+        shifted = GaussianModel(MEANS[shifted_mean], kernel)
+        compared = 0
+        for design, target in self.cases():
+            system = LevelSystem(design, [target], kernel)
+            pred = system.predictors(true)[0]
+            if system.moments([[pred]], true)[0][0].variance < VARIANCE_FLOOR:
+                with pytest.raises(NumericalFailureError):
+                    mean_term(design, target, true, shifted)
+                continue
+            compare(mean_term(design, target, true, shifted),
+                    stored_mean_term(design, target, true, shifted))
+            compared += 1
+        assert compared >= 12
+
+    @pytest.mark.parametrize("true_mean, shifted_mean", [
+        ("zero", "constant"), ("zero", "linear"), ("zero", "kink"),
+        ("constant", "zero"), ("linear", "zero"), ("kink", "zero")])
+    def test_equal_to_the_delta_formula_when_one_mean_is_zero(self, true_mean, shifted_mean):
+        def equal(got, want):
+            assert got == want
+        self.check(true_mean, shifted_mean, equal)
+
+    @pytest.mark.parametrize("true_mean, shifted_mean", [
+        ("constant", "linear"), ("linear", "kink"), ("kink", "constant")])
+    def test_within_roundoff_of_the_delta_formula_otherwise(self, true_mean, shifted_mean):
+        # the moment block interpolates the two means one after the other, the
+        # delta formula their difference; the normalized error means agree to
+        # roundoff
+        def close(got, want):
+            assert abs(math.sqrt(got) - math.sqrt(want)) <= 1e-10
+        self.check(true_mean, shifted_mean, close)
+
+
 class TestRatioConvergence:
     def test_schedule_must_increase(self):
         with pytest.raises(DomainError):
@@ -289,38 +402,65 @@ class TestRatioConvergence:
         for n in table.n_values:
             assert table.sup_record(n).r_var_3 == pytest.approx(4.0, abs=1e-10)
 
-    def test_deterministic_across_worker_counts(self):
+    def test_deterministic_across_worker_counts(self, monkeypatch):
         args = (exp_model(), exp_model(sigma=2.0, kappa=0.5), grid_design,
                 grid_targets(), [4, 8, 16])
-        t1 = ratio_convergence(*args, max_workers=1)
-        t4 = ratio_convergence(*args, max_workers=4)
+        monkeypatch.setenv("MISSPEC_KRIGE_THREADS", "1")
+        t1 = ratio_convergence(*args)
+        monkeypatch.setenv("MISSPEC_KRIGE_THREADS", "4")
+        t4 = ratio_convergence(*args)
         for r1, r4 in zip(t1.records, t4.records):
             assert (r1.n, r1.target_id) == (r4.n, r4.target_id)
             for name in RATIO_NAMES:
                 assert r1.value(name) == r4.value(name)
 
-    def test_partial_results_attached_on_level_failure(self):
+    def test_partial_results_attached_on_level_failure(self, monkeypatch):
         from misspec_krige.errors import PartialResultError
+        monkeypatch.setenv("MISSPEC_KRIGE_THREADS", "1")
         # the single target sits on a design site at n=3 but not at n=4
         target = [TargetFunctional.point([0.25], label="edge")]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             with pytest.raises(PartialResultError) as err:
                 ratio_convergence(exp_model(), exp_model(sigma=2.0), grid_design,
-                                  target, [3, 4], max_workers=1)
+                                  target, [3, 4])
         table = err.value.partial_table
         assert table.n_values == [4]
         assert "3" in table.metadata["failed_levels"]
 
-    def test_all_levels_failing_is_plain_failure(self):
+    def test_all_levels_failing_is_plain_failure(self, monkeypatch):
+        monkeypatch.setenv("MISSPEC_KRIGE_THREADS", "1")
         target = [TargetFunctional.point([0.25], label="edge")]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             with pytest.raises(NumericalFailureError) as err:
                 ratio_convergence(exp_model(), exp_model(sigma=2.0), grid_design,
-                                  target, [3], max_workers=1)
+                                  target, [3])
         assert not isinstance(err.value, __import__(
             "misspec_krige").PartialResultError)
+
+    def test_conditioning_records_the_factor_inverse_rcond(self):
+        true, wrong = exp_model(), exp_model(sigma=2.0, kappa=0.5)
+        table = ratio_convergence(true, wrong, grid_design, grid_targets(), [4, 8, 16])
+        conditioning = table.metadata["conditioning"]
+        assert set(conditioning) == {"4", "8", "16"}
+        for n, per_model in conditioning.items():
+            assert set(per_model) == {"true", "wrong"}
+            for tag, model in (("true", true), ("wrong", wrong)):
+                factor = build_gram(grid_design(int(n)), model.kernel)
+                assert per_model[tag] == {"jitter": factor.jitter,
+                                          "inverse_rcond": factor.inverse_rcond}
+
+    def test_design_of_another_size_fails_its_level(self):
+        def generator(n):
+            return grid_design(n + 1 if n == 8 else n)
+        with pytest.raises(PartialResultError) as err:
+            ratio_convergence(exp_model(), exp_model(sigma=2.0), generator,
+                              grid_targets(), [4, 8])
+        table = err.value.partial_table
+        assert table.n_values == [4]
+        assert table.metadata["failed_levels"] == {
+            "8": "the design generator returned 9 sites for schedule level n=8"}
 
     def test_same_nu_matern_approaches_limit(self):
         """Cross ratio converging, monotonically, to the
