@@ -7,6 +7,7 @@ from .base import (
     CovarianceKernel,
     Domain,
     EigenSequence,
+    ProfileKernel,
     SpectralDensity,
     Torus,
     UnitSphere,
@@ -29,7 +30,6 @@ from .sphere import (
     SphereSeriesKernel,
     SphereSeriesParams,
     SphereSpdeParams,
-    l_max_for_tolerance,
     legendre_p,
     sphere_eigen_ratio,
     sphere_eigen_sequence,
@@ -59,13 +59,13 @@ def eigen_sequence_of(model, truncation: int | None = None) -> EigenSequence:
 
 __all__ = [
     "Box", "Torus", "UnitSphere", "Domain",
-    "CovarianceKernel", "SpectralDensity", "EigenSequence",
+    "CovarianceKernel", "ProfileKernel", "SpectralDensity", "EigenSequence",
     "MaternParams", "MaternKernel", "ChordalMaternKernel", "GreatCircleMaternKernel",
     "MaternSpectralDensity", "bessel_k", "matern_cov", "matern_spectral_density",
     "matern_ratio_limit",
     "PeriodicSpectrum", "PeriodicKernel", "DEFAULT_K_MAX",
     "SphereSeriesParams", "SphereLegendreParams", "SphereSpdeParams", "SphereSeriesKernel",
-    "legendre_p", "sphere_eigen_ratio", "sphere_eigen_sequence", "l_max_for_tolerance",
+    "legendre_p", "sphere_eigen_ratio", "sphere_eigen_sequence",
     "DEFAULT_L_MAX",
     "eigen_sequence_of",
 ]

@@ -13,6 +13,10 @@ from ..errors import DomainError
 
 UNIT_NORM_TOL = 1e-10
 
+#: statistic entries per profile call: one chunk's temporaries stay in cache,
+#: and an elementwise profile gives the same doubles under any split
+_PROFILE_CHUNK = 1 << 14
+
 
 def _members(domain, pts: np.ndarray, inside: np.ndarray) -> np.ndarray:
     """``pts``, or a DomainError naming the first point ``inside`` rejects (NaN always)."""
@@ -260,6 +264,49 @@ class CovarianceKernel(ABC):
         return float(self.gram(x, y)[0, 0])
 
 
+class ProfileKernel(CovarianceKernel):
+    """A covariance that is an elementwise ``profile`` of one pairwise
+    ``statistic`` of the points, such as a distance or an inner product."""
+
+    @abstractmethod
+    def statistic(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """The (n, m) statistic of every point pair, e.g. ``cdist``."""
+
+    @abstractmethod
+    def profile(self, values: np.ndarray) -> np.ndarray:
+        """The covariance at each statistic value, elementwise."""
+
+    def points(self, x) -> np.ndarray:
+        return self.domain.points(x)
+
+    def gram(self, x, y=None) -> np.ndarray:
+        return self._evaluate([(x, y)])[0]
+
+    def gram_pairs(self, pairs) -> list[np.ndarray]:
+        return self._evaluate(pairs)
+
+    def _evaluate(self, pairs) -> list[np.ndarray]:
+        """The Gram of every ``(x, y)`` pair from one chunked pass of the
+        profile over all their statistic entries.  Each distinct point array is
+        checked once; each pair keeps its own statistic (stacking rows into one
+        product changes how they round), of which a ``y=None`` pair gives its
+        upper triangle only.  The profile is elementwise, so the bits are those
+        of one call per pair."""
+        if not pairs:
+            return []
+        arrays = {id(a): a for pair in pairs for a in pair if a is not None}
+        checked = {key: self.points(a) for key, a in arrays.items()}
+        stats, layouts = zip(*[gram_entries(self.statistic, checked[id(x)],
+                                            None if y is None else checked[id(y)])
+                               for x, y in pairs])
+        ends = np.cumsum([values.size for values in stats])[:-1]
+        flat = np.concatenate(stats)
+        del stats  # ``flat`` holds the entries now; free each pair's copy before the profile
+        for start in range(0, flat.size, _PROFILE_CHUNK):
+            flat[start:start + _PROFILE_CHUNK] = self.profile(flat[start:start + _PROFILE_CHUNK])
+        return [layout(block) for block, layout in zip(np.split(flat, ends), layouts)]
+
+
 class SpectralDensity(ABC):
     """A nonnegative spectral density on R^d, evaluated at a single frequency."""
 
@@ -279,8 +326,7 @@ class EigenSequence:
 
     Multiplicities are expanded (one entry per eigenfunction) so that two
     models sharing an eigenbasis produce index-aligned sequences.  Values are
-    required to be strictly positive; a valid trace-class operator has them
-    accumulating only at zero, which :meth:`tail_is_monotone` probes.
+    required to be finite and strictly positive.
     """
 
     values: np.ndarray
@@ -296,10 +342,3 @@ class EigenSequence:
 
     def __len__(self) -> int:
         return int(self.values.size)
-
-    def accumulates_at_zero(self, decade_fraction: float = 0.1) -> bool:
-        """Cheap sanity probe: after sorting descending, the trailing
-        ``decade_fraction`` of the values sits strictly below the leading one."""
-        sorted_desc = np.sort(self.values)[::-1]
-        tail_start = max(1, int(sorted_desc.size * (1.0 - decade_fraction)))
-        return bool(sorted_desc[tail_start:].max(initial=0.0) < sorted_desc[0])

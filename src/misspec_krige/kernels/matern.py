@@ -29,8 +29,8 @@ from scipy.special import kv
 
 from ..errors import DomainError
 from ..verdicts import RatioVerdict
-from .base import (Box, CovarianceKernel, SpectralDensity, UnitSphere, as_points, gram_entries,
-                   inner_products, positive_integer)
+from .base import (Box, ProfileKernel, SpectralDensity, UnitSphere, as_points, inner_products,
+                   positive_integer)
 
 # kappa*r below this is treated as zero: the (kappa r)^nu * K_nu factorization
 # would overflow/underflow in double precision long before the value departs
@@ -130,27 +130,29 @@ def matern_ratio_limit(p: MaternParams, p_tilde: MaternParams) -> RatioVerdict:
 
 
 @dataclass(frozen=True)
-class MaternKernel(CovarianceKernel):
-    """Matern covariance on a compact Euclidean box."""
+class MaternKernel(ProfileKernel):
+    """Matern covariance on a compact Euclidean box; the formula holds on all of
+    R^d, so points are not bounds-checked."""
 
     params: MaternParams
     domain: Box = field(default_factory=Box)
 
     infinitely_differentiable = False
+    statistic = staticmethod(cdist)
 
     def __post_init__(self):
         if self.domain.dim != self.params.dim:
             raise DomainError("kernel domain dimension must match params.dim")
 
-    def gram(self, x, y=None) -> np.ndarray:
-        x = as_points(x, self.domain.dim)
-        y = None if y is None else as_points(y, self.domain.dim)
-        values, layout = gram_entries(cdist, x, y)
-        return layout(matern_cov(values, self.params))
+    def points(self, x) -> np.ndarray:
+        return as_points(x, self.domain.dim)
+
+    def profile(self, r: np.ndarray) -> np.ndarray:
+        return matern_cov(r, self.params)
 
 
 @dataclass(frozen=True)
-class ChordalMaternKernel(CovarianceKernel):
+class ChordalMaternKernel(ProfileKernel):
     """Matern covariance of the chordal (embedded Euclidean) distance on S^2.
 
     Valid for every nu > 0.  Included for comparison runs; no ratio-limit
@@ -161,16 +163,14 @@ class ChordalMaternKernel(CovarianceKernel):
     domain: UnitSphere = field(default_factory=UnitSphere)
 
     infinitely_differentiable = False
+    statistic = staticmethod(cdist)
 
-    def gram(self, x, y=None) -> np.ndarray:
-        x = self.domain.points(x)
-        y = None if y is None else self.domain.points(y)
-        values, layout = gram_entries(cdist, x, y)
-        return layout(matern_cov(values, self.params))
+    def profile(self, r: np.ndarray) -> np.ndarray:
+        return matern_cov(r, self.params)
 
 
 @dataclass(frozen=True)
-class GreatCircleMaternKernel(CovarianceKernel):
+class GreatCircleMaternKernel(ProfileKernel):
     """Matern covariance of the great-circle distance on S^2.
 
     Strict positive definiteness requires nu <= 1/2; the boundary value is
@@ -181,16 +181,14 @@ class GreatCircleMaternKernel(CovarianceKernel):
     domain: UnitSphere = field(default_factory=UnitSphere)
 
     infinitely_differentiable = False
+    statistic = staticmethod(inner_products)
 
     def __post_init__(self):
         if self.params.nu > 0.5:
             raise DomainError("the great-circle Matern model requires nu <= 1/2")
 
-    def gram(self, x, y=None) -> np.ndarray:
-        x = self.domain.points(x)
-        y = None if y is None else self.domain.points(y)
-        values, layout = gram_entries(inner_products, x, y)
-        return layout(matern_cov(np.arccos(values), self.params))
+    def profile(self, t: np.ndarray) -> np.ndarray:
+        return matern_cov(np.arccos(t), self.params)
 
 
 @dataclass(frozen=True)

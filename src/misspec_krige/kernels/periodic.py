@@ -120,11 +120,6 @@ class PeriodicSpectrum:
             k if (not any(k)) or next(c for c in k if c != 0) > 0 else tuple(-c for c in k),
             0.0), dim=dim, k_max=k_max)
 
-    @property
-    def total_mass(self) -> float:
-        """rho(x, x) = sum of all retained masses (pairs counted twice)."""
-        return self.zero_mass + 2.0 * float(self.rep_masses.sum())
-
     def eigen_sequence(self, k_max: int | None = None) -> EigenSequence:
         """Positive eigenvalues in canonical order: f(0), then each representative's
         mass twice (cosine and sine eigenfunctions).  Zero masses are dropped, which

@@ -33,8 +33,7 @@ import numpy as np
 from numpy.polynomial.legendre import legval
 
 from ..errors import DomainError
-from .base import (CovarianceKernel, EigenSequence, UnitSphere, gram_entries, inner_products,
-                   positive_integer)
+from .base import EigenSequence, ProfileKernel, UnitSphere, inner_products, positive_integer
 
 DEFAULT_L_MAX = 256
 
@@ -142,27 +141,6 @@ class SphereSpdeParams(SphereSeriesParams):
         return (m * m + m) ** (-self.nu) / (4.0 * math.pi * self.nu * self.tau ** 2)
 
 
-def l_max_for_tolerance(params: SphereSeriesParams, tol_rel: float = 1e-10,
-                        hard_cap: int = 1 << 20) -> int:
-    """Smallest truncation degree whose tail bound is below tol_rel times the
-    (truncated-at-that-degree) diagonal value."""
-    if not 0 < tol_rel < 1:
-        raise DomainError("tol_rel must lie in (0, 1)")
-    lo, hi = 1, 1
-    diag_ref = float(params.coefficient(np.arange(0, 8)).sum())
-    while params.tail_bound(hi) > tol_rel * diag_ref:
-        hi *= 2
-        if hi > hard_cap:
-            raise DomainError("requested tolerance needs a truncation beyond the hard cap")
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if params.tail_bound(mid) <= tol_rel * diag_ref:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
 def sphere_eigen_ratio(p1: SphereLegendreParams, p2: SphereSpdeParams, ell: int) -> float:
     """Per-degree eigenvalue ratio lambda_2(ell)/lambda_1(ell) of the two models.
 
@@ -184,37 +162,18 @@ def sphere_eigen_sequence(params: SphereSeriesParams, l_max: int | None = None) 
 
 
 @dataclass(frozen=True)
-class SphereSeriesKernel(CovarianceKernel):
+class SphereSeriesKernel(ProfileKernel):
     """Truncated Legendre series covariance of either sphere parameter set."""
 
     params: SphereSeriesParams
     domain: UnitSphere = field(default_factory=UnitSphere)
+
+    statistic = staticmethod(inner_products)
 
     @property
     def rank(self) -> int:
         """Number of spherical harmonics of degree <= l_max."""
         return (self.params.l_max + 1) ** 2
 
-    def gram(self, x, y=None) -> np.ndarray:
-        return self.gram_pairs([(x, y)])[0]
-
-    def gram_pairs(self, pairs) -> list[np.ndarray]:
-        """One Clenshaw pass over every pair's inner products, of which a
-        ``y=None`` pair contributes its upper triangle only.  Each pair keeps
-        its own ``x @ y.T``: stacking rows into one product changes how they
-        round, while ``legval`` is elementwise and so bit-identical per pair."""
-        if not pairs:
-            return []
-        checked = {}  # id -> unit vectors; ``pairs`` keeps every key alive
-
-        def unit(a):
-            if id(a) not in checked:
-                checked[id(a)] = self.domain.points(a)
-            return checked[id(a)]
-
-        entries = [gram_entries(inner_products, unit(x), None if y is None else unit(y))
-                   for x, y in pairs]
-        flat = legval(np.concatenate([values for values, _ in entries]),
-                      self.params.coefficients())
-        ends = np.cumsum([values.size for values, _ in entries])[:-1]
-        return [layout(block) for block, (_, layout) in zip(np.split(flat, ends), entries)]
+    def profile(self, t: np.ndarray) -> np.ndarray:
+        return legval(t, self.params.coefficients())

@@ -169,10 +169,13 @@ class GramFactor:
     @property
     def inverse_rcond(self) -> float:
         """1/rcond of the factored system in the 1-norm: LAPACK ``dpocon`` on
-        the factor, O(n^2)."""
+        the factor, O(n^2), rounded to 12 significant digits.  ``dpocon``'s
+        last digits depend on where its workspace lands in memory, so the same
+        factor can give two values in one process; the estimate errs by up to
+        3x anyway, and the rounded value is reproducible."""
         rcond, _ = scipy.linalg.lapack.dpocon(self.lower, np.linalg.norm(self.matrix, 1),
                                               uplo="L")
-        return 1.0 / rcond if rcond > 0.0 else math.inf
+        return float(f"{1.0 / rcond:.12g}") if rcond > 0.0 else math.inf
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         x = scipy.linalg.cho_solve((self.lower, True), rhs)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from numpy.polynomial.legendre import legval
 
 from misspec_krige.errors import DomainError
+from misspec_krige.kernels import base as kernels_base
 from misspec_krige.kernels import sphere as sphere_module
 from misspec_krige.kernels import (
     ChordalMaternKernel,
@@ -17,11 +18,11 @@ from misspec_krige.kernels import (
     MaternParams,
     PeriodicKernel,
     PeriodicSpectrum,
+    ProfileKernel,
     SphereLegendreParams,
     SphereSeriesKernel,
     SphereSpdeParams,
     eigen_sequence_of,
-    l_max_for_tolerance,
     legendre_p,
     sphere_eigen_ratio,
 )
@@ -146,15 +147,6 @@ class TestTailBounds:
         bounds = [p.tail_bound(l) for l in (16, 32, 64, 128)]
         assert all(a > b for a, b in zip(bounds, bounds[1:]))
 
-    def test_l_max_for_tolerance_meets_request(self):
-        for params in (SphereLegendreParams(1.0, 2.0, 1.0),
-                       SphereSpdeParams(1.0, 2.0, 1.0)):
-            for tol in (1e-6, 1e-10):
-                l = l_max_for_tolerance(params, tol)
-                diag_ref = float(params.coefficient(np.arange(0, 8)).sum())
-                assert params.tail_bound(l) <= tol * diag_ref
-                assert l == 1 or params.tail_bound(l - 1) > tol * diag_ref
-
 
 class TestEigenRatio:
     def test_limit_value_at_high_degree(self):
@@ -234,6 +226,18 @@ class TestGramPairs:
         assert len(blocks) == len(pairs)
         for block, (x, y) in zip(blocks, pairs):
             assert np.array_equal(block, kernel.gram(x, y))
+        assert kernel.gram_pairs([]) == []
+
+    @pytest.mark.parametrize("name", sorted(
+        name for name, kernel in ALL_KERNELS.items() if isinstance(kernel, ProfileKernel)))
+    def test_profile_chunk_boundaries_keep_the_bits(self, monkeypatch, name):
+        # an odd chunk splits every block, and triangles, off their row ends
+        kernel = ALL_KERNELS[name]
+        pairs = mixed_pairs(kernel, np.random.default_rng(7))
+        default = kernel.gram_pairs(pairs)
+        monkeypatch.setattr(kernels_base, "_PROFILE_CHUNK", 7)
+        for block, chunked in zip(default, kernel.gram_pairs(pairs), strict=True):
+            assert np.array_equal(block, chunked)
         assert kernel.gram_pairs([]) == []
 
     @pytest.mark.parametrize("name", sorted(SPHERE_KERNELS))

@@ -77,6 +77,21 @@ class TestBuildGram:
         # LAPACK's estimate of the inverse's norm is a lower bound, and tight
         assert cond1 / 3 <= factor.inverse_rcond <= cond1 * (1 + 1e-8)
 
+    def test_inverse_rcond_is_reproducible_under_heap_churn(self):
+        # dpocon's last digits follow where its workspace lands; allocations of
+        # varying size between calls move it, and the rounded estimate must not
+        from misspec_krige.harness import DesignGenerator, generate_design
+        design = generate_design(DesignGenerator.halton(), 512)
+        factor = build_gram(design, MaternKernel(MaternParams(2.0, 0.5, 0.5)))
+        rng = np.random.default_rng(0)
+        held, values = [], set()
+        for _ in range(200):
+            held.append(np.empty(int(rng.integers(1, 4000))))
+            if len(held) > 5:
+                held.pop(int(rng.integers(0, 5)))
+            values.add(factor.inverse_rcond)
+        assert len(values) == 1
+
     def test_rank_deficient_kernel_gets_jitter(self):
         # a three-harmonic kernel is exactly rank 3: five sites force the ladder
         from misspec_krige.kernels import PeriodicKernel, PeriodicSpectrum
