@@ -9,9 +9,11 @@ list-scenarios     print the built-in scenario names
 version            print the package version
 
 Configs are JSON documents with a mandatory ``"schema": 1`` field; unknown
-top-level keys are hard errors.  Exit codes: 0 success, 2 configuration
-error, 3 numerical failure.  All floating-point output uses 17 significant
-digits so files round-trip losslessly.
+keys are hard errors.  Each subcommand reads and checks its config, then
+returns the work to do; :func:`main` alone maps failures to exit codes: 0
+success, 2 for any failure while reading the config, 3 for any failure
+during the work.  All floating-point output uses 17 significant digits so
+files round-trip losslessly.
 """
 
 from __future__ import annotations
@@ -99,10 +101,43 @@ def _load_config(path: str, allowed_keys: set[str]) -> dict:
         raise ConfigError("config must be a JSON object")
     if config.get("schema") != 1:
         raise ConfigError('config must declare "schema": 1')
-    unknown = set(config) - allowed_keys - {"schema"}
-    if unknown:
-        raise ConfigError(f"unknown top-level config keys: {sorted(unknown)}")
+    _check_keys(config, allowed_keys | {"schema"}, "top-level config")
     return config
+
+
+def _check_keys(spec: dict, allowed, what: str) -> None:
+    unknown = set(spec) - set(allowed)
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+
+
+def _kind_of(spec: dict, field: str, keys: dict, what: str) -> str:
+    """``spec[field]``, which must name an entry of ``keys``; ``spec`` may hold
+    ``field`` and that entry's keys only."""
+    kind = spec.get(field)
+    if not isinstance(kind, str) or kind not in keys:
+        raise ConfigError(f"unknown {what} {field} {kind!r}")
+    _check_keys(spec, keys[kind] | {field}, f"{kind} {what}")
+    return kind
+
+
+#: each mean kind's keys besides "kind"
+_MEAN_KEYS = {"zero": set(), "constant": {"value"}, "linear": {"intercept", "slope"},
+              "kink": {"x0", "alpha", "scale"}}
+
+#: each model family's keys besides "family"
+_MODEL_KEYS = {family: keys | {"label", "mean"} for family, keys in {
+    "matern": {"sigma", "nu", "kappa", "dim"},
+    "periodic": {"coeffs", "power", "scale", "dim", "k_max"},
+    "sphere_legendre": {"sigma1", "nu1", "kappa1", "l_max"},
+    "sphere_spde": {"tau", "nu", "kappa", "l_max"},
+    "sphere_chordal_matern": {"sigma", "nu", "kappa"},
+    "sphere_greatcircle_matern": {"sigma", "nu", "kappa"},
+}.items()}
+
+#: each design kind's keys besides "kind"
+_DESIGN_KEYS = {"equispaced": set(), "accumulating": {"x_star", "q"}, "halton": set(),
+                "sphere_fibonacci": set()}
 
 
 def _mean_from_spec(spec) -> tuple:
@@ -110,7 +145,7 @@ def _mean_from_spec(spec) -> tuple:
         return zero_mean, "0"
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError('mean spec must be an object with a "kind"')
-    kind = spec["kind"]
+    kind = _kind_of(spec, "kind", _MEAN_KEYS, "mean")
     try:
         if kind == "zero":
             return zero_mean, "0"
@@ -119,20 +154,18 @@ def _mean_from_spec(spec) -> tuple:
         if kind == "linear":
             return (linear_mean(float(spec.get("intercept", 0.0)), spec.get("slope", 1.0)),
                     "linear")
-        if kind == "kink":
-            return (kink_mean(spec.get("x0", DEFAULT_X_STAR), float(spec["alpha"]),
-                              float(spec.get("scale", 1.0))), "kink")
+        return (kink_mean(spec.get("x0", DEFAULT_X_STAR), float(spec["alpha"]),
+                          float(spec.get("scale", 1.0))), "kink")
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad mean spec {spec!r}: {exc}")
-    raise ConfigError(f"unknown mean kind {kind!r}")
 
 
 def _model_from_spec(spec, label: str) -> GaussianModel:
     if not isinstance(spec, dict) or "family" not in spec:
         raise ConfigError('model spec must be an object with a "family"')
-    family = spec["family"]
-    mean, mean_label = _mean_from_spec(spec.get("mean"))
     try:
+        family = _kind_of(spec, "family", _MODEL_KEYS, "model")
+        mean, mean_label = _mean_from_spec(spec.get("mean"))
         if family == "matern":
             params = MaternParams(sigma=float(spec.get("sigma", 1.0)),
                                   nu=float(spec["nu"]),
@@ -146,6 +179,9 @@ def _model_from_spec(spec, label: str) -> GaussianModel:
         elif family == "periodic":
             coeffs = spec.get("coeffs")
             if coeffs is not None:
+                clash = sorted({"dim", "power", "scale"} & set(spec))
+                if clash:
+                    raise ConfigError(f"coeffs fix a 1-d spectrum, so {clash} must not be given")
                 table = {int(k): float(v) for k, v in coeffs.items()}
                 spectrum = PeriodicSpectrum.from_coeffs(table, dim=1,
                                                         k_max=spec.get("k_max"))
@@ -166,7 +202,7 @@ def _model_from_spec(spec, label: str) -> GaussianModel:
                 tau=float(spec.get("tau", 1.0)), nu=float(spec["nu"]),
                 kappa=float(spec.get("kappa", 1.0)),
                 l_max=spec.get("l_max", DEFAULT_L_MAX)))
-        elif family in ("sphere_chordal_matern", "sphere_greatcircle_matern"):
+        else:
             # comparison models on the sphere; no ratio-limit claim attached
             from .kernels import ChordalMaternKernel, GreatCircleMaternKernel
             params = MaternParams(sigma=float(spec.get("sigma", 1.0)),
@@ -175,11 +211,7 @@ def _model_from_spec(spec, label: str) -> GaussianModel:
             kernel = (ChordalMaternKernel(params)
                       if family == "sphere_chordal_matern"
                       else GreatCircleMaternKernel(params))
-        else:
-            raise ConfigError(f"unknown model family {family!r}")
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError, MisspecKrigeError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, MisspecKrigeError) as exc:
         raise ConfigError(f"bad model spec for {label}: {exc}")
     return GaussianModel(mean=mean, kernel=kernel,
                          label=spec.get("label", f"{family}[{label}]+{mean_label}"))
@@ -190,7 +222,7 @@ def _generator_from_spec(spec, domain) -> DesignGenerator:
         spec = {"kind": domain.default_design}
     if not isinstance(spec, dict):
         raise ConfigError("design spec must be an object")
-    kind = spec.get("kind")
+    kind = _kind_of(spec, "kind", _DESIGN_KEYS, "design")
     try:
         if kind == "equispaced":
             return DesignGenerator.equispaced(domain)
@@ -200,11 +232,9 @@ def _generator_from_spec(spec, domain) -> DesignGenerator:
                                                 domain)
         if kind == "halton":
             return DesignGenerator.halton(domain)
-        if kind == "sphere_fibonacci":
-            return DesignGenerator.sphere_fibonacci()
+        return DesignGenerator.sphere_fibonacci()
     except MisspecKrigeError as exc:
         raise ConfigError(f"bad design spec: {exc}")
-    raise ConfigError(f"unknown design kind {kind!r}")
 
 
 def _scenario_from_config(config: dict) -> Scenario:
@@ -217,19 +247,13 @@ def _scenario_from_config(config: dict) -> Scenario:
         return _builtin_from(name, schedule)
     if not isinstance(inline, dict):
         raise ConfigError('"experiment" must be an object')
-    allowed = {"name", "true_model", "wrong_model", "design", "targets",
-               "schedule", "limit_a"}
-    unknown = set(inline) - allowed
-    if unknown:
-        raise ConfigError(f"unknown experiment keys: {sorted(unknown)}")
+    _check_keys(inline, {"name", "true_model", "wrong_model", "design", "targets",
+                         "schedule", "limit_a"}, "experiment")
     true_model, wrong_model = _model_pair(inline.get("true_model"), inline.get("wrong_model"))
     domain = true_model.kernel.domain
     generator = _generator_from_spec(inline.get("design"), domain)
-    try:
-        sched = check_schedule(inline.get(
-            "schedule", DEFAULT_SCHEDULE if schedule is None else schedule))
-    except MisspecKrigeError as exc:
-        raise ConfigError(str(exc))
+    sched = check_schedule(inline.get(
+        "schedule", DEFAULT_SCHEDULE if schedule is None else schedule))
     targets_spec = inline.get("targets")
     if targets_spec is None:
         targets = default_targets(generator, max(sched))
@@ -243,12 +267,9 @@ def _scenario_from_config(config: dict) -> Scenario:
     if limit_a is not None:
         limit_a = _bounded(limit_a, "limit_a", lambda x: 0.0 < x < math.inf,
                            "a finite number > 0")
-    try:
-        scenario = Scenario(name=inline.get("name", "inline"), true_model=true_model,
-                            wrong_model=wrong_model, design_generator=generator,
-                            targets=tuple(targets), n_schedule=sched, limit_a=limit_a)
-    except MisspecKrigeError as exc:
-        raise ConfigError(str(exc))
+    scenario = Scenario(name=inline.get("name", "inline"), true_model=true_model,
+                        wrong_model=wrong_model, design_generator=generator,
+                        targets=tuple(targets), n_schedule=sched, limit_a=limit_a)
     if targets_spec is not None:
         _reject_design_sites(scenario)
     return scenario
@@ -289,20 +310,14 @@ def _model_pair(true_spec, wrong_spec) -> tuple[GaussianModel, GaussianModel]:
     """The true and working models of two specs, which must share a domain."""
     true_model = _model_from_spec(true_spec, "true")
     wrong_model = _model_from_spec(wrong_spec, "wrong")
-    try:
-        common_domain(true_model, wrong_model)
-    except DomainError as exc:
-        raise ConfigError(str(exc))
+    common_domain(true_model, wrong_model)
     return true_model, wrong_model
 
 
 def _builtin_from(name, schedule=None) -> Scenario:
     if not isinstance(name, str):
         raise ConfigError('"scenario" must be a string')
-    try:
-        return builtin_scenario(name, n_schedule=schedule)
-    except MisspecKrigeError as exc:
-        raise ConfigError(str(exc))
+    return builtin_scenario(name, n_schedule=schedule)
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +379,7 @@ def _tolerances_from(config: dict):
     spec = config.get("tolerances", {})
     if not isinstance(spec, dict):
         raise ConfigError('"tolerances" must be an object')
-    unknown = set(spec) - set(_TOLERANCE_LIMITS)
-    if unknown:
-        raise ConfigError(f"unknown tolerance keys: {sorted(unknown)}")
+    _check_keys(spec, _TOLERANCE_LIMITS, "tolerance")
     values = {k: _bounded(v, f"tolerances.{k}", *_TOLERANCE_LIMITS[k])
               for k, v in spec.items()}
     budget_kwargs = {k: values[k] for k in ("verdict_window", "verdict_tol")
@@ -375,34 +388,38 @@ def _tolerances_from(config: dict):
     return budget, values.get("variance_floor")
 
 
-def cmd_run(args) -> int:
+def _output_path(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be a path string, got {value!r}")
+    return value
+
+
+def cmd_run(args):
     config = _load_config(args.config,
                           {"scenario", "experiment", "schedule", "output_dir",
                            "tolerances"})
     scenario = _scenario_from_config(config)
     budget, variance_floor = _tolerances_from(config)
-    out_dir = config.get("output_dir", args.output or ".")
-    try:
-        result = run_scenario(scenario, budget=budget,
-                              variance_floor=variance_floor)
-    except PartialResultError as exc:
-        # flush completed levels alongside the failure marker, then fail
-        table = exc.partial_table
-        _atomic_write(os.path.join(out_dir, "ratios.csv"),
-                      table_to_csv(table, scenario.name))
-        diag = {"scenario": scenario.name, "metadata": table.metadata,
-                "failure": str(exc)}
+    out_dir = _output_path(config.get("output_dir", args.output or "."), "output_dir")
+
+    def write(table: RatioTable, **outcome) -> None:
+        _atomic_write(os.path.join(out_dir, "ratios.csv"), table_to_csv(table, scenario.name))
+        diag = {"scenario": scenario.name, "metadata": table.metadata, **outcome}
         _atomic_write(os.path.join(out_dir, "diagnostics.json"), _json_dumps(diag))
-        raise
-    _atomic_write(os.path.join(out_dir, "ratios.csv"),
-                  table_to_csv(result.table, scenario.name))
-    diag = {"scenario": scenario.name, "metadata": result.table.metadata,
-            "report": result.report}
-    _atomic_write(os.path.join(out_dir, "diagnostics.json"), _json_dumps(diag))
-    return EXIT_OK
+
+    def work() -> None:
+        try:
+            result = run_scenario(scenario, budget=budget,
+                                  variance_floor=variance_floor)
+        except PartialResultError as exc:
+            # flush completed levels alongside the failure marker, then fail
+            write(exc.partial_table, failure=str(exc))
+            raise
+        write(result.table, report=result.report)
+    return work
 
 
-def cmd_check(args) -> int:
+def cmd_check(args):
     config = _load_config(args.config,
                           {"scenario", "true_model", "wrong_model", "tolerances"})
     if "scenario" in config:
@@ -413,12 +430,11 @@ def cmd_check(args) -> int:
             raise ConfigError('check needs "scenario" or both "true_model" and "wrong_model"')
         true_model, wrong_model = _model_pair(config["true_model"], config["wrong_model"])
     budget, _ = _tolerances_from(config)
-    report = assumption_report(true_model, wrong_model, budget=budget)
-    sys.stdout.write(_json_dumps(report))
-    return EXIT_OK
+    return lambda: sys.stdout.write(
+        _json_dumps(assumption_report(true_model, wrong_model, budget=budget)))
 
 
-def cmd_eigen(args) -> int:
+def cmd_eigen(args):
     config = _load_config(args.config, {"kernel", "grid", "output"})
     if "kernel" not in config:
         raise ConfigError('eigen needs a "kernel" model spec')
@@ -426,9 +442,7 @@ def cmd_eigen(args) -> int:
     grid_spec = config.get("grid", {})
     if not isinstance(grid_spec, dict):
         raise ConfigError('"grid" must be an object')
-    unknown = set(grid_spec) - {"nodes", "rank_cutoff"}
-    if unknown:
-        raise ConfigError(f"unknown grid keys: {sorted(unknown)}")
+    _check_keys(grid_spec, {"nodes", "rank_cutoff"}, "grid")
     n_nodes = _bounded(grid_spec.get("nodes", 128), "grid.nodes",
                        lambda x: 2 <= x <= MAX_DESIGN_SIZE and x.is_integer(),
                        f"an integer in [2, {MAX_DESIGN_SIZE}]")
@@ -438,23 +452,22 @@ def cmd_eigen(args) -> int:
         nodes, weights = model.kernel.domain.quadrature(int(n_nodes), exact=True)
     except DomainError as exc:
         raise ConfigError(f"grid.nodes: {exc}")
-    eig = nystrom_eigen(model.kernel, nodes, weights, rank_cutoff=rank_cutoff)
-    lines = ["index,eigenvalue"]
-    lines += [f"{j},{_fmt(val)}" for j, val in enumerate(eig.eigenvalues)]
-    out_path = config.get("output", args.output or "eigenvalues.csv")
-    _atomic_write(out_path, "\n".join(lines) + "\n")
-    return EXIT_OK
+    out_path = _output_path(config.get("output", args.output or "eigenvalues.csv"), "output")
+
+    def work() -> None:
+        eig = nystrom_eigen(model.kernel, nodes, weights, rank_cutoff=rank_cutoff)
+        lines = ["index,eigenvalue"]
+        lines += [f"{j},{_fmt(val)}" for j, val in enumerate(eig.eigenvalues)]
+        _atomic_write(out_path, "\n".join(lines) + "\n")
+    return work
 
 
-def cmd_list_scenarios(_args) -> int:
-    for name in SCENARIO_NAMES:
-        sys.stdout.write(name + "\n")
-    return EXIT_OK
+def cmd_list_scenarios(_args):
+    return lambda: sys.stdout.write("".join(name + "\n" for name in SCENARIO_NAMES))
 
 
-def cmd_version(_args) -> int:
-    sys.stdout.write(__version__ + "\n")
-    return EXIT_OK
+def cmd_version(_args):
+    return lambda: sys.stdout.write(__version__ + "\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -485,20 +498,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _report_failure(what: str, exc: Exception) -> None:
+    kind = "" if isinstance(exc, MisspecKrigeError) else f" ({type(exc).__name__})"
+    print(f"{what}{kind}: {exc}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand.  Exit codes are contractually {0, 2, 3}: any failure
+    while reading the config is 2, any failure during the work is 3."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        work = args.func(args)
+    except Exception as exc:
+        _report_failure("config error", exc)
         return EXIT_CONFIG
-    except MisspecKrigeError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+    try:
+        work()
+    except Exception as exc:
+        _report_failure("numerical failure", exc)
         return EXIT_NUMERICAL
-    except Exception as exc:  # exit codes are contractually {0, 2, 3}
-        print(f"numerical failure ({type(exc).__name__}): {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ scale.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -19,7 +20,7 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 
-from .errors import DomainError, NumericalFailureError
+from .errors import DomainError, MisspecKrigeError, NumericalFailureError
 from .kernels import (
     CovarianceKernel,
     EigenSequence,
@@ -369,38 +370,46 @@ def assumption_report(true_model: GaussianModel, wrong_model: GaussianModel,
 
     Routes: an analytic eigenvalue route when the pair shares a known
     eigenbasis (periodic pair, sphere series pair), a spectral-density route
-    for stationary Euclidean pairs, and a quadrature Galerkin route otherwise.
-    The report never claims the asymptotic conditions hold; it grades each
-    check consistent / inconsistent / inconclusive at probe scale.  The
-    quadrature and mean probes run on the true model's domain.
+    for stationary Euclidean pairs, and a quadrature Galerkin route whenever
+    the analytic route gives no verdict.  A route that raises a library error
+    is recorded as ``{"error": message}`` and gives no verdict; the report
+    goes on.  The report never claims the asymptotic conditions hold; it
+    grades each check consistent / inconsistent / inconclusive at probe
+    scale.  The quadrature and mean probes run on the true model's domain.
     """
     budget = budget or AssumptionBudget()
     domain = true_model.kernel.domain
-    routes: dict[str, dict] = {}
-
     k_true, k_wrong = true_model.kernel, wrong_model.kernel
-    eigen_verdict = _eigen_route(k_true, k_wrong, budget, routes)
-    spectral_verdict = _spectral_route(k_true, k_wrong, budget, routes)
-    # one quadrature projection serves both the Galerkin route and the tail
-    projection = None
-    galerkin_verdict = None
-    if eigen_verdict is None:
-        # quadrature route stands in for the eigen view whenever the pair has
-        # no known shared basis
-        projection = _project(k_true, k_wrong, domain, budget)
-        galerkin_verdict = _galerkin_route(projection, budget, routes)
-    # the first route that gave a verdict is primary; a failed route gives none
-    verdicts = {"spectral": spectral_verdict, "eigen_analytic": eigen_verdict,
-                "eigen_galerkin": galerkin_verdict}
+    probes: dict[str, dict] = {}
+
+    def guarded(name: str, probe, *args):
+        """``probe(*args)``, which records its own result under ``name``; a
+        raised library error is recorded there instead and gives no result."""
+        try:
+            return probe(*args)
+        except MisspecKrigeError as exc:
+            probes[name] = {"error": str(exc)}
+            return None
+
+    @functools.cache
+    def projection() -> GalerkinProjection:
+        # one quadrature projection serves both the Galerkin route and the tail
+        nodes, weights = domain.quadrature(budget.quad_nodes)
+        return galerkin_projection(k_true, k_wrong, nodes, weights, budget.galerkin_basis)
+
+    verdicts = {name: guarded(name, route, k_true, k_wrong, budget, probes)
+                for name, route in (("spectral", _spectral_route),
+                                    ("eigen_analytic", _eigen_route))}
+    if verdicts["eigen_analytic"] is None:
+        verdicts["eigen_galerkin"] = guarded("eigen_galerkin", _galerkin_route,
+                                             projection, budget, probes)
+    # the first route that gave a verdict is primary
     primary_route = next((name for name, verdict in verdicts.items() if verdict is not None),
                          None)
     primary = verdicts.get(primary_route)
-
-    t_a = None
     if primary is not None and primary.kind is LimitKind.CONVERGES:
-        if projection is None:
-            projection = _project(k_true, k_wrong, domain, budget)
-        t_a = _tail_probe(projection, budget, primary.a_estimate)
+        guarded("t_a_tail", _tail_route, projection, budget, primary.a_estimate, probes)
+    t_a = probes.pop("t_a_tail", None)
 
     mean_probe = _mean_route(true_model, wrong_model, domain, budget)
 
@@ -408,7 +417,7 @@ def assumption_report(true_model: GaussianModel, wrong_model: GaussianModel,
     return {
         "true_model": true_model.label,
         "wrong_model": wrong_model.label,
-        "routes": routes,
+        "routes": probes,
         "primary_route": primary_route,
         "ratio_verdict": primary.to_dict() if primary else None,
         "t_a_tail": t_a,
@@ -419,7 +428,7 @@ def assumption_report(true_model: GaussianModel, wrong_model: GaussianModel,
     }
 
 
-def _eigen_route(k_true, k_wrong, budget, routes) -> RatioVerdict | None:
+def _eigen_route(k_true, k_wrong, budget, probes) -> RatioVerdict | None:
     if isinstance(k_true, PeriodicKernel) and isinstance(k_wrong, PeriodicKernel):
         common = min(k_true.spectrum.k_max, k_wrong.spectrum.k_max)
     elif isinstance(k_true, SphereSeriesKernel) and isinstance(k_wrong, SphereSeriesKernel):
@@ -430,15 +439,14 @@ def _eigen_route(k_true, k_wrong, budget, routes) -> RatioVerdict | None:
     g = eigen_sequence_of(k_true, common)
     g_t = eigen_sequence_of(k_wrong, common)
     if len(g) != len(g_t):
-        routes["eigen_analytic"] = {"error": "spectra have mismatched supports"}
-        return None
+        raise DomainError("spectra have mismatched supports")
     verdict = eigen_ratio_limit(g, g_t, window=budget.verdict_window,
                                 tol=budget.verdict_tol)
-    routes["eigen_analytic"] = verdict.to_dict()
+    probes["eigen_analytic"] = verdict.to_dict()
     return verdict
 
 
-def _spectral_route(k_true, k_wrong, budget, routes) -> RatioVerdict | None:
+def _spectral_route(k_true, k_wrong, budget, probes) -> RatioVerdict | None:
     if not (isinstance(k_true, MaternKernel) and isinstance(k_wrong, MaternKernel)):
         return None
     f = MaternSpectralDensity(k_true.params)
@@ -448,42 +456,24 @@ def _spectral_route(k_true, k_wrong, budget, routes) -> RatioVerdict | None:
     verdict = spectral_ratio_limit(f, f_t, radii, tol=budget.verdict_tol)
     k_hat, big_k_hat = spectral_equivalence_bounds(
         f, f_t, [r * u for r in radii for u in _default_directions(f.dim)])
-    routes["spectral"] = dict(verdict.to_dict(),
+    probes["spectral"] = dict(verdict.to_dict(),
                               equivalence_bounds={"k_hat": k_hat, "K_hat": big_k_hat})
     return verdict
 
 
-def _project(k_true, k_wrong, domain, budget) -> GalerkinProjection | str:
-    """The pair's quadrature projection, or the message of the error that
-    prevented it."""
-    try:
-        nodes, weights = domain.quadrature(budget.quad_nodes)
-        return galerkin_projection(k_true, k_wrong, nodes, weights, budget.galerkin_basis)
-    except (DomainError, NumericalFailureError) as exc:
-        return str(exc)
-
-
-def _galerkin_route(projection, budget, routes) -> RatioVerdict | None:
-    if isinstance(projection, str):
-        routes["eigen_galerkin"] = {"error": projection}
-        return None
-    diag_ratios = np.diag(projection.projected) / projection.eigenvalues
+def _galerkin_route(projection, budget, probes) -> RatioVerdict:
+    galerkin = projection()
+    diag_ratios = np.diag(galerkin.projected) / galerkin.eigenvalues
     if np.any(diag_ratios <= 0):
-        routes["eigen_galerkin"] = {"error": "nonpositive projected ratios"}
-        return None
+        raise NumericalFailureError("nonpositive projected ratios")
     verdict = _tail_verdict(diag_ratios, window=max(0.25, budget.verdict_window),
                             tol=budget.verdict_tol)
-    routes["eigen_galerkin"] = verdict.to_dict()
+    probes["eigen_galerkin"] = verdict.to_dict()
     return verdict
 
 
-def _tail_probe(projection, budget, a) -> dict:
-    if isinstance(projection, str):
-        return {"error": projection}
-    try:
-        return projection.tail(a, min(budget.galerkin_basis, 64)).to_dict()
-    except DomainError as exc:
-        return {"error": str(exc)}
+def _tail_route(projection, budget, a, probes) -> None:
+    probes["t_a_tail"] = projection().tail(a, min(budget.galerkin_basis, 64)).to_dict()
 
 
 def _mean_route(true_model, wrong_model, domain, budget) -> dict:

@@ -187,6 +187,14 @@ def positive_integer(value, name: str) -> int:
     return int(value)
 
 
+def positive_finite(**params) -> None:
+    """Reject the parameters unless each is a finite number > 0; the message
+    names them all."""
+    if not all(0 < value < math.inf for value in params.values()):
+        shown = ", ".join(f"{name}={value!r}" for name, value in params.items())
+        raise DomainError(f"{', '.join(params)} must all be finite and > 0, got {shown}")
+
+
 def as_points(x, dim: int) -> np.ndarray:
     """Coerce scalars / sequences / arrays to a float array of shape (n, dim)."""
     arr = np.atleast_1d(np.asarray(x, dtype=float))

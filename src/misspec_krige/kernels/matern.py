@@ -30,7 +30,7 @@ from scipy.special import kv
 from ..errors import DomainError
 from ..verdicts import RatioVerdict
 from .base import (Box, ProfileKernel, SpectralDensity, UnitSphere, as_points, inner_products,
-                   positive_integer)
+                   positive_finite, positive_integer)
 
 # kappa*r below this is treated as zero: the (kappa r)^nu * K_nu factorization
 # would overflow/underflow in double precision long before the value departs
@@ -52,8 +52,7 @@ class MaternParams:
     dim: int = 1
 
     def __post_init__(self):
-        if not (self.sigma > 0 and self.nu > 0 and self.kappa > 0):
-            raise DomainError("sigma, nu, kappa must all be positive")
+        positive_finite(sigma=self.sigma, nu=self.nu, kappa=self.kappa)
         object.__setattr__(self, "dim", positive_integer(self.dim, "dim"))
 
     @property

@@ -33,7 +33,8 @@ import numpy as np
 from numpy.polynomial.legendre import legval
 
 from ..errors import DomainError
-from .base import EigenSequence, ProfileKernel, UnitSphere, inner_products, positive_integer
+from .base import (EigenSequence, ProfileKernel, UnitSphere, inner_products, positive_finite,
+                   positive_integer)
 
 DEFAULT_L_MAX = 256
 
@@ -94,8 +95,7 @@ class SphereLegendreParams(SphereSeriesParams):
 
     def __post_init__(self):
         object.__setattr__(self, "l_max", positive_integer(self.l_max, "l_max"))
-        if not (self.sigma1 > 0 and self.nu1 > 0 and self.kappa1 > 0):
-            raise DomainError("all Legendre-model parameters must be positive")
+        positive_finite(sigma1=self.sigma1, nu1=self.nu1, kappa1=self.kappa1)
 
     def coefficient(self, ell) -> np.ndarray:
         """P_ell multiplier sigma_1^2 / (kappa_1^2 + ell^2)^(nu_1 + 1/2)."""
@@ -122,8 +122,7 @@ class SphereSpdeParams(SphereSeriesParams):
 
     def __post_init__(self):
         object.__setattr__(self, "l_max", positive_integer(self.l_max, "l_max"))
-        if not (self.tau > 0 and self.nu > 0 and self.kappa > 0):
-            raise DomainError("all parameters must be positive")
+        positive_finite(tau=self.tau, nu=self.nu, kappa=self.kappa)
 
     def eigenvalue(self, ell) -> np.ndarray:
         """Eigenvalue tau^-2 / (kappa^2 + ell (ell + 1))^(nu + 1) per harmonic."""

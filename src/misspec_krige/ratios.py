@@ -218,14 +218,15 @@ def mean_term(design: Design, target: TargetFunctional, true_model: GaussianMode
     predictor's error equals the kriging interpolation error of the mean
     difference at the target; its square over the kriging variance is the
     exact excess of the second-moment ratio above the variance ratio.  Both
-    come from the moment block, as the ratios' error means do.
+    come from one moment block under the shifted model, as the ratios' error
+    means do; the kernel is shared, so its variance is the true model's.
     """
     if true_model.kernel != shifted_mean_model.kernel:
         raise DomainError("mean_term requires the two models to share one kernel")
     system = LevelSystem(design, [target], true_model.kernel)
     pred = system.predictors(true_model)[0]
-    bias = system.moments([[pred]], shifted_mean_model)[0][0].mean
-    variance = system.moments([[pred]], true_model)[0][0].variance
+    moments = system.moments([[pred]], shifted_mean_model)[0][0]
+    bias, variance = moments.mean, moments.variance
     if variance < VARIANCE_FLOOR:
         raise NumericalFailureError("target kriging variance below the floor")
     return bias ** 2 / variance

@@ -394,6 +394,98 @@ class TestRun:
             warnings.simplefilter("ignore")
             assert main(["run", cfg]) == EXIT_NUMERICAL
 
+    @pytest.mark.parametrize("pair", [
+        {"true_model": {"family": "periodic", "k_max": 4},
+         "wrong_model": {"family": "periodic", "k_max": 4, "scale": 2.0}},
+        {"true_model": {"family": "sphere_legendre", "nu1": 1.0, "l_max": 3},
+         "wrong_model": {"family": "sphere_spde", "nu": 1.0, "l_max": 3}},
+    ], ids=["periodic-k_max-4", "sphere-l_max-3"])
+    def test_short_analytic_spectrum_still_writes_the_table(self, tmp_path, pair):
+        cfg = write_config(tmp_path, {"schema": 1, "experiment": {**pair, "schedule": [4, 8]}})
+        assert main(["run", cfg, "--output", str(tmp_path / "out")]) == EXIT_OK
+        assert {r["n"] for r in read_rows(tmp_path / "out" / "ratios.csv")} == {"4", "8"}
+        diag = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
+        assert diag["report"]["routes"]["eigen_analytic"] == {
+            "error": "need at least 20 eigenvalues for a tail verdict"}
+
+    def test_output_dir_must_be_a_string(self, tmp_path, capsys, no_work):
+        cfg = write_config(tmp_path, {"schema": 1, "scenario": "identical",
+                                      "schedule": [8], "output_dir": 5})
+        assert main(["run", cfg]) == EXIT_CONFIG
+        assert "output_dir must be a path string, got 5" in capsys.readouterr().err
+
+
+MODEL_SPEC_CASES = [
+    ({"family": "matern", "nu": 0.5, "sigma": 1e400},
+     "bad model spec for true: sigma, nu, kappa must all be finite and > 0, got sigma=inf"),
+    ({"family": "matern", "nu": float("nan")},
+     "bad model spec for true: sigma, nu, kappa must all be finite and > 0, got sigma=1.0, "
+     "nu=nan"),
+    ({"family": "sphere_spde", "nu": 1.0, "tau": 1e400},
+     "bad model spec for true: tau, nu, kappa must all be finite and > 0, got tau=inf"),
+    ({"family": "sphere_legendre", "nu1": 1.0, "kappa1": -1e400},
+     "bad model spec for true: sigma1, nu1, kappa1 must all be finite and > 0"),
+    ({"family": "matern", "nu": 0.5, "kapa": 2},
+     "bad model spec for true: unknown matern model keys: ['kapa']"),
+    ({"family": "sphere_spde", "nu1": 1.0, "nu": 1.0},
+     "bad model spec for true: unknown sphere_spde model keys: ['nu1']"),
+    ({"family": "maten", "nu": 0.5}, "bad model spec for true: unknown model family 'maten'"),
+    ({"family": "periodic", "coeffs": [1, 2]},
+     "bad model spec for true: 'list' object has no attribute 'items'"),
+    ({"family": "periodic", "coeffs": {"0": 1.0, "1": 0.5}, "dim": 2},
+     "bad model spec for true: coeffs fix a 1-d spectrum, so ['dim'] must not be given"),
+    ({"family": "periodic", "coeffs": {"0": 1.0}, "power": 3, "scale": 2},
+     "coeffs fix a 1-d spectrum, so ['power', 'scale'] must not be given"),
+    ({"family": "matern", "nu": 0.5, "mean": {"kind": "constant", "value": 1, "vaule": 2}},
+     "bad model spec for true: unknown constant mean keys: ['vaule']"),
+]
+MODEL_SPEC_IDS = ["sigma-inf", "nu-nan", "tau-inf", "kappa1-minus-inf", "matern-typo",
+                  "spde-legendre-key", "unknown-family", "coeffs-list", "coeffs-with-dim",
+                  "coeffs-with-power-scale", "mean-typo"]
+
+
+class TestRejectedBeforeAnyWork:
+    """Each config here is malformed; every subcommand exits 2 without work."""
+
+    @pytest.mark.parametrize("spec, message", MODEL_SPEC_CASES, ids=MODEL_SPEC_IDS)
+    def test_bad_model_spec_exit_2(self, tmp_path, capsys, no_work, spec, message):
+        wrong = {"family": spec["family"], "nu": 1.0}
+        configs = {
+            "run": {"schema": 1, "experiment": {"true_model": spec, "wrong_model": wrong}},
+            "check": {"schema": 1, "true_model": spec, "wrong_model": wrong},
+            "eigen": {"schema": 1, "kernel": spec, "grid": {"nodes": 16},
+                      "output": str(tmp_path / "eigs.csv")},
+        }
+        for command, payload in configs.items():
+            if command == "eigen":
+                message = message.replace("for true:", "for kernel:")
+            cfg = write_config(tmp_path, payload)
+            argv = [command, cfg] + (["--output", str(tmp_path / "out")]
+                                     if command == "run" else [])
+            assert main(argv) == EXIT_CONFIG
+            assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists() and not (tmp_path / "eigs.csv").exists()
+
+    @pytest.mark.parametrize("design, message", [
+        ({"kind": "accumulating", "qq": 0.2}, "unknown accumulating design keys: ['qq']"),
+        ({"kind": "halton", "q": 0.6}, "unknown halton design keys: ['q']"),
+        ({"kind": "accumulating", "q": "fast"},
+         "config error (ValueError): could not convert string to float: 'fast'"),
+    ], ids=["accumulating-typo", "halton-q", "q-not-a-number"])
+    def test_bad_design_spec_exit_2(self, tmp_path, capsys, no_work, design, message):
+        cfg = write_config(tmp_path, {"schema": 1, "experiment": {
+            "true_model": {"family": "matern", "nu": 0.5},
+            "wrong_model": {"family": "matern", "nu": 0.5}, "design": design}})
+        assert main(["run", cfg, "--output", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_eigen_output_must_be_a_string(self, tmp_path, capsys, no_work):
+        cfg = write_config(tmp_path, {"schema": 1, "kernel": {"family": "matern", "nu": 0.5},
+                                      "grid": {"nodes": 16}, "output": ["eigs.csv"]})
+        assert main(["eigen", cfg]) == EXIT_CONFIG
+        assert "output must be a path string, got ['eigs.csv']" in capsys.readouterr().err
+
 
 class TestCheck:
     def test_identical_pair_json(self, tmp_path, capsys):
@@ -426,6 +518,22 @@ class TestCheck:
         assert report["ratio_verdict"]["a_estimate"] == pytest.approx(
             1.0 / (2 * math.pi), rel=0.05)
 
+
+    @pytest.mark.parametrize("pair", [
+        {"true_model": {"family": "periodic", "k_max": k_max},
+         "wrong_model": {"family": "periodic", "k_max": k_max, "scale": 2.0}}
+        for k_max in (4, 9)
+    ] + [SPHERE_PAIR | {"true_model": {**SPHERE_PAIR["true_model"], "l_max": 3},
+                        "wrong_model": {**SPHERE_PAIR["wrong_model"], "l_max": 3}}],
+        ids=["periodic-k_max-4", "periodic-k_max-9", "sphere-l_max-3"])
+    def test_short_analytic_spectrum_is_recorded(self, tmp_path, capsys, pair):
+        cfg = write_config(tmp_path, {"schema": 1, **pair})
+        assert main(["check", cfg]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["routes"]["eigen_analytic"] == {
+            "error": "need at least 20 eigenvalues for a tail verdict"}
+        assert report["primary_route"] == "eigen_galerkin"
+        assert report["ratio_verdict"]["kind"] == "converges"
 
     @pytest.mark.parametrize("scenario, message", [
         ("nope", "unknown scenario 'nope'"),

@@ -462,3 +462,39 @@ class TestAssumptionReport:
         assert report["t_a_tail"] == {
             "error": ("quadrature resolves only 16 eigenpairs above the cutoff; "
                       "requested a basis of 24")}
+
+    @staticmethod
+    def periodic_pair(true_coeffs, wrong_coeffs):
+        def model(coeffs, label):
+            spectrum = PeriodicSpectrum.from_coeffs(coeffs, dim=1, k_max=max(coeffs))
+            return GaussianModel(zero_mean, PeriodicKernel(spectrum), label)
+        return model(true_coeffs, "t"), model(wrong_coeffs, "w")
+
+    @pytest.mark.parametrize("true_coeffs, message", [
+        ({0: 1.0, 1: 0.5, 2: 0.25}, "need at least 20 eigenvalues for a tail verdict"),
+        ({0: 1.0, 2: 0.25}, "spectra have mismatched supports"),
+    ], ids=["short-spectrum", "mismatched-supports"])
+    def test_failed_analytic_route_is_recorded_and_galerkin_stands_in(self, true_coeffs,
+                                                                      message):
+        true, wrong = self.periodic_pair(true_coeffs, {0: 2.0, 1: 1.0, 2: 0.5})
+        report = assumption_report(true, wrong)
+        assert report["routes"]["eigen_analytic"] == {"error": message}
+        assert report["primary_route"] == "eigen_galerkin"
+        assert report["ratio_verdict"] == report["routes"]["eigen_galerkin"]
+        assert report["ratio_verdict"]["a_estimate"] == pytest.approx(2.0, rel=1e-10)
+
+    def test_nonpositive_projected_ratios_are_recorded(self, monkeypatch):
+        import misspec_krige.diagnostics as diagnostics
+        original = diagnostics.galerkin_projection
+
+        def negated(*args, **kwargs):
+            projection = original(*args, **kwargs)
+            return diagnostics.GalerkinProjection(
+                eigenvalues=projection.eigenvalues, projected=-projection.projected,
+                resolved=projection.resolved)
+        monkeypatch.setattr(diagnostics, "galerkin_projection", negated)
+        report = assumption_report(*self.matern_pair())
+        assert report["routes"]["eigen_galerkin"] == {"error": "nonpositive projected ratios"}
+        assert report["primary_route"] == "spectral"
+        # the tail still uses the one projection of the report
+        assert "max_abs" in report["t_a_tail"]

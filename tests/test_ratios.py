@@ -380,6 +380,36 @@ class TestMeanTermFromMomentBlock:
             assert abs(math.sqrt(got) - math.sqrt(want)) <= 1e-10
         self.check(true_mean, shifted_mean, close)
 
+    @pytest.mark.parametrize("true_mean, shifted_mean", [
+        ("zero", "constant"), ("constant", "linear"), ("kink", "zero")])
+    def test_one_moment_block_gives_the_bits_of_two(self, monkeypatch, true_mean,
+                                                    shifted_mean):
+        # the kernel is shared, so the variance under the shifted model is the
+        # true model's to the bit
+        kernel = exp_model().kernel
+        true = GaussianModel(MEANS[true_mean], kernel)
+        shifted = GaussianModel(MEANS[shifted_mean], kernel)
+        blocks = []
+        original = LevelSystem.moments
+
+        def counting(self, predictor_sets, model):
+            blocks.append(model)
+            return original(self, predictor_sets, model)
+        compared = 0
+        for design, target in self.cases():
+            system = LevelSystem(design, [target], kernel)
+            pred = system.predictors(true)[0]
+            bias = system.moments([[pred]], shifted)[0][0].mean
+            variance = system.moments([[pred]], true)[0][0].variance
+            if variance < VARIANCE_FLOOR:
+                continue
+            with monkeypatch.context() as patch:
+                patch.setattr(LevelSystem, "moments", counting)
+                assert mean_term(design, target, true, shifted) == bias ** 2 / variance
+            compared += 1
+        assert compared >= 12
+        assert blocks == [shifted] * compared
+
 
 class TestRatioConvergence:
     def test_schedule_must_increase(self):
