@@ -29,7 +29,7 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .diagnostics import AssumptionBudget, assumption_report, nystrom_eigen
+from .diagnostics import RANK_CUTOFF, AssumptionBudget, assumption_report, nystrom_eigen
 from .errors import ConfigError, DomainError, MisspecKrigeError, PartialResultError
 from .harness import (
     DEFAULT_CONTRACTION,
@@ -446,7 +446,7 @@ def cmd_eigen(args):
     n_nodes = _bounded(grid_spec.get("nodes", 128), "grid.nodes",
                        lambda x: 2 <= x <= MAX_DESIGN_SIZE and x.is_integer(),
                        f"an integer in [2, {MAX_DESIGN_SIZE}]")
-    rank_cutoff = _bounded(grid_spec.get("rank_cutoff", 1e-12), "grid.rank_cutoff",
+    rank_cutoff = _bounded(grid_spec.get("rank_cutoff", RANK_CUTOFF), "grid.rank_cutoff",
                            lambda x: 0.0 <= x < math.inf, "a finite number >= 0")
     try:
         nodes, weights = model.kernel.domain.quadrature(int(n_nodes), exact=True)

@@ -45,6 +45,10 @@ _DIVERGENCE_FACTOR = 2.0
 #: the T_a tail starts where every magnitude is below this fraction of the largest
 TAIL_TOL_REL = 0.1
 
+#: quadrature eigenvalues, and projected ratios, at or below this fraction of
+#: the largest are not resolved in double precision
+RANK_CUTOFF = 1e-12
+
 
 # ---------------------------------------------------------------------------
 # ratio-limit probes
@@ -218,7 +222,7 @@ class NystromEigen:
 
 
 def nystrom_eigen(kernel: CovarianceKernel, nodes, weights,
-                  rank_cutoff: float = 1e-12) -> NystromEigen:
+                  rank_cutoff: float = RANK_CUTOFF) -> NystromEigen:
     """Discretize the covariance integral operator on a quadrature rule.
 
     Solves the symmetric eigenproblem of W^(1/2) K W^(1/2) and rescales the
@@ -466,6 +470,11 @@ def _galerkin_route(projection, budget, probes) -> RatioVerdict:
     diag_ratios = np.diag(galerkin.projected) / galerkin.eigenvalues
     if np.any(diag_ratios <= 0):
         raise NumericalFailureError("nonpositive projected ratios")
+    smallest, largest = float(diag_ratios.min()), float(diag_ratios.max())
+    if smallest <= RANK_CUTOFF * largest:
+        raise NumericalFailureError(
+            f"projected ratio {smallest:.3e} is at or below {RANK_CUTOFF:.0e} times the "
+            f"largest ({largest:.3e}), so it is not resolved")
     verdict = _tail_verdict(diag_ratios, window=max(0.25, budget.verdict_window),
                             tol=budget.verdict_tol)
     probes["eigen_galerkin"] = verdict.to_dict()

@@ -210,6 +210,24 @@ def as_points(x, dim: int) -> np.ndarray:
     return arr
 
 
+def euclidean(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The (n, m) Euclidean distances |x_i - y_j| of (n, d) and (m, d) points.
+    Per coordinate the squared differences are added in order, then the
+    square root is taken, in place on the (n, m) result (with one scratch
+    block for d > 1).  That is the formula of ``scipy.spatial.distance.cdist``,
+    so the doubles are its doubles, and ``euclidean(x, x)`` is exactly
+    symmetric."""
+    out = np.subtract.outer(x[:, 0], y[:, 0])
+    np.square(out, out=out)
+    if x.shape[1] > 1:
+        diff = np.empty_like(out)
+        for k in range(1, x.shape[1]):
+            np.subtract.outer(x[:, k], y[:, k], out=diff)
+            np.square(diff, out=diff)
+            out += diff
+    return np.sqrt(out, out=out)
+
+
 def inner_products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """<x_i, y_j> of unit vectors, clipped to [-1, 1]."""
     return np.clip(x @ y.T, -1.0, 1.0)
@@ -219,7 +237,7 @@ def gram_entries(stat, x: np.ndarray, y: np.ndarray | None):
     """The flat entries of ``stat(x, y)`` a covariance profile is evaluated on,
     and the map laying the profiled values out as the Gram.  With ``y=None``
     they are the upper triangle, diagonal included, and the map mirrors it: for
-    an exactly symmetric statistic (``cdist(x, x)``, or ``x @ x.T``, which BLAS
+    an exactly symmetric statistic (``euclidean(x, x)``, or ``x @ x.T``, which BLAS
     ``syrk`` computes on one triangle) and an elementwise profile, the same
     doubles from n(n+1)/2 evaluations instead of n^2."""
     if y is not None:
@@ -278,7 +296,7 @@ class ProfileKernel(CovarianceKernel):
 
     @abstractmethod
     def statistic(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """The (n, m) statistic of every point pair, e.g. ``cdist``."""
+        """The (n, m) statistic of every point pair, e.g. ``euclidean``."""
 
     @abstractmethod
     def profile(self, values: np.ndarray) -> np.ndarray:

@@ -23,14 +23,13 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
 from scipy.special import gamma as gamma_fn
 from scipy.special import kv
 
 from ..errors import DomainError
 from ..verdicts import RatioVerdict
-from .base import (Box, ProfileKernel, SpectralDensity, UnitSphere, as_points, inner_products,
-                   positive_finite, positive_integer)
+from .base import (Box, ProfileKernel, SpectralDensity, UnitSphere, as_points, euclidean,
+                   inner_products, positive_finite, positive_integer)
 
 # kappa*r below this is treated as zero: the (kappa r)^nu * K_nu factorization
 # would overflow/underflow in double precision long before the value departs
@@ -137,7 +136,7 @@ class MaternKernel(ProfileKernel):
     domain: Box = field(default_factory=Box)
 
     infinitely_differentiable = False
-    statistic = staticmethod(cdist)
+    statistic = staticmethod(euclidean)
 
     def __post_init__(self):
         if self.domain.dim != self.params.dim:
@@ -162,7 +161,7 @@ class ChordalMaternKernel(ProfileKernel):
     domain: UnitSphere = field(default_factory=UnitSphere)
 
     infinitely_differentiable = False
-    statistic = staticmethod(cdist)
+    statistic = staticmethod(euclidean)
 
     def profile(self, r: np.ndarray) -> np.ndarray:
         return matern_cov(r, self.params)

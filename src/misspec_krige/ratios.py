@@ -23,6 +23,7 @@ target farthest from the attached limit (plain max when no limit is known).
 from __future__ import annotations
 
 import os
+import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -118,6 +119,30 @@ def efficiency_ratios(design: Design, targets: Sequence[TargetFunctional],
     gets one ``LevelSystem`` (one factor, one solve for all targets); each
     measure's error moments for both predictors come from one block.
     """
+    excluded: list[str] = []
+    try:
+        return _level_ratios(design, targets, true_model, wrong_model, limit_a,
+                             variance_floor, excluded)
+    finally:
+        _warn_excluded(excluded)
+
+
+def _warn_excluded(messages: list[str]) -> None:
+    """One warning per excluded target, attributed to the first stack frame
+    outside this package: the line of the caller's code that asked for it."""
+    frame, stacklevel = sys._getframe(1), 2
+    while frame is not None and frame.f_globals.get("__name__", "").split(".")[0] == __package__:
+        frame, stacklevel = frame.f_back, stacklevel + 1
+    for message in messages:
+        warnings.warn(message, stacklevel=stacklevel)
+
+
+def _level_ratios(design: Design, targets: Sequence[TargetFunctional],
+                  true_model: GaussianModel, wrong_model: GaussianModel,
+                  limit_a: float | None, variance_floor: float,
+                  excluded: list[str]) -> list[RatioRecord]:
+    """The records of :func:`efficiency_ratios`; the message of each excluded
+    target is appended to ``excluded`` instead of warned."""
     if not targets:
         raise DomainError("at least one target is required")
     n = design.n
@@ -138,9 +163,8 @@ def efficiency_ratios(design: Design, targets: Sequence[TargetFunctional],
         degenerate = _degenerate_measure(mom, variance_floor)
         if degenerate is not None:
             name, value = degenerate
-            warnings.warn(
-                f"target {target_id} excluded: {name} error variance "
-                f"{value:.3e} below {variance_floor:.1e}", stacklevel=2)
+            excluded.append(f"target {target_id} excluded: {name} error variance "
+                            f"{value:.3e} below {variance_floor:.1e}")
             continue
         try:
             records.append(RatioRecord(
@@ -286,17 +310,20 @@ def ratio_convergence(true_model: GaussianModel, wrong_model: GaussianModel,
     ``design_generator`` is any callable n -> Design of n sites.  Levels run
     on a small thread pool whose size MISSPEC_KRIGE_THREADS sets (default
     min(4, cpu count)); assembly is a deterministic merge by n, so the result
-    is independent of completion order.
+    is independent of completion order.  Excluded targets are warned about
+    from the calling thread once every level is done, in schedule order,
+    failed levels included.
     """
     schedule = list(check_schedule(n_schedule))
+    excluded: dict[int, list[str]] = {n: [] for n in schedule}
 
     def level(n: int) -> tuple[list[RatioRecord], dict]:
         design = design_generator(n)
         if design.n != n:
             raise DomainError(f"the design generator returned {design.n} sites "
                               f"for schedule level n={n}")
-        records = efficiency_ratios(design, targets, true_model, wrong_model,
-                                    limit_a=limit_a, variance_floor=variance_floor)
+        records = _level_ratios(design, targets, true_model, wrong_model, limit_a,
+                                variance_floor, excluded[n])
         # conditioning is recorded rather than thresholded: how close a target
         # may sit to a clustered design has no principled cutoff
         conditioning = {}
@@ -318,6 +345,7 @@ def ratio_convergence(true_model: GaussianModel, wrong_model: GaussianModel,
             per_level = list(pool.map(safe_level, schedule))
     else:
         per_level = [safe_level(n) for n in schedule]
+    _warn_excluded([message for n in schedule for message in excluded[n]])
 
     completed = [(n, res) for n, res in zip(schedule, per_level)
                  if not isinstance(res, Exception)]

@@ -4,6 +4,9 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -679,3 +682,14 @@ class TestMisc:
         assert main(["run", cfg]) == EXIT_OK
         monkeypatch.setenv("MISSPEC_KRIGE_THREADS", "not-a-number")
         assert main(["run", cfg]) == EXIT_NUMERICAL
+
+    def test_import_loads_no_scipy_spatial(self):
+        import misspec_krige
+        src = str(Path(misspec_krige.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        probe = ("import sys, misspec_krige.cli; "
+                 "print(sorted(m for m in sys.modules if m.startswith('scipy.spatial')))")
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, check=True, timeout=60)
+        assert out.stdout.strip() == "[]"

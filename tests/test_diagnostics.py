@@ -483,6 +483,17 @@ class TestAssumptionReport:
         assert report["ratio_verdict"] == report["routes"]["eigen_galerkin"]
         assert report["ratio_verdict"]["a_estimate"] == pytest.approx(2.0, rel=1e-10)
 
+    def test_unresolved_projected_ratios_are_not_graded_consistent(self):
+        # the working kernel has no mass at |k| = 1: two projected ratios are roundoff
+        report = assumption_report(*self.periodic_pair({0: 1.0, 1: 0.5, 2: 0.25},
+                                                       {0: 2.0, 2: 0.5}))
+        error = report["routes"]["eigen_galerkin"]["error"]
+        assert error.startswith("projected ratio ")
+        assert "at or below 1e-12 times the largest" in error
+        assert report["primary_route"] is None
+        assert not report["assessment"]["bounded_ratio_limit"].startswith("consistent")
+        assert report["assessment"]["variance_norm_equivalence"] != "consistent"
+
     def test_nonpositive_projected_ratios_are_recorded(self, monkeypatch):
         import misspec_krige.diagnostics as diagnostics
         original = diagnostics.galerkin_projection

@@ -25,6 +25,7 @@ from misspec_krige.kernels import (
     matern_ratio_limit,
     matern_spectral_density,
 )
+from misspec_krige.kernels.base import euclidean
 from misspec_krige.verdicts import LimitKind
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -218,6 +219,34 @@ class TestKernels:
         y = np.array([0.0, 1.0, 0.0])
         assert chordal(x, y) == pytest.approx(
             matern_cov(math.sqrt(2.0), chordal.params), rel=1e-12)
+
+
+def mixed_scale_points(rng, n, dim):
+    """Points whose coordinates span 1e-8 to 1e3, a different scale per axis."""
+    return rng.standard_normal((n, dim)) * 10.0 ** rng.uniform(-8.0, 3.0, dim)
+
+
+class TestEuclidean:
+    """The Euclidean statistic gives the doubles of ``cdist``, the reference."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 57), (57, 1), (23, 40)])
+    def test_equals_cdist(self, dim, shape):
+        rng = np.random.default_rng(dim * 100 + shape[0] + shape[1])
+        for _ in range(25):
+            x, y = mixed_scale_points(rng, shape[0], dim), mixed_scale_points(rng, shape[1], dim)
+            assert np.array_equal(euclidean(x, y), cdist(x, y))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_square_block_equals_cdist(self, dim):
+        x = np.random.default_rng(dim).uniform(0.0, 1.0, (300, dim))
+        assert np.array_equal(euclidean(x, x), cdist(x, x))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_gram_without_y_equals_cdist(self, dim):
+        kern = euclid_kernel(dim, 1.5)
+        x = mixed_scale_points(np.random.default_rng(dim), 50, dim)
+        assert_same_symmetric(kern.gram(x), full_matern(x, kern.params))
 
 
 # The full-matrix formulas: every entry of the n x n statistic evaluated.  The

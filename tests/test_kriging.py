@@ -33,10 +33,33 @@ def exp_model(sigma=1.0, kappa=1.0, mean=zero_mean, label="exp"):
     return GaussianModel(mean, MaternKernel(MaternParams(sigma, 0.5, kappa)), label)
 
 
+def spread_sites(moved=None):
+    """300 distinct 2-d sites, more than one row block of the distinct check;
+    ``moved=(i, j)`` puts site j onto site i."""
+    sites = np.random.default_rng(3).uniform(0.0, 1.0, (300, 2))
+    if moved is not None:
+        sites[moved[1]] = sites[moved[0]]
+    return sites
+
+
 class TestDesign:
     def test_duplicate_sites_rejected(self):
         with pytest.raises(DomainError):
             Design(np.array([[0.3], [0.3]]))
+
+    @pytest.mark.parametrize("sites", [
+        [[0.0], [1e-200]],  # the distance underflows to 0
+        spread_sites((0, 299)),
+        spread_sites((250, 260)),
+        spread_sites((10, 11)),
+    ], ids=["underflow", "first-and-last", "last-block", "first-block"])
+    def test_coincident_sites_rejected(self, sites):
+        with pytest.raises(DomainError, match="pairwise distinct"):
+            Design(np.array(sites))
+
+    def test_close_distinct_sites_accepted(self):
+        assert Design(np.array([[0.0], [1e-150]])).n == 2
+        assert Design(spread_sites()).n == 300
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError):

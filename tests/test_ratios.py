@@ -95,6 +95,7 @@ class TestEfficiencyRatios:
             efficiency_ratios(grid_design(9), targets, exp_model(), exp_model(sigma=2.0))
         messages = [str(w.message) for w in caught]
         assert len(messages) == 1
+        assert caught[0].filename == __file__   # the warning names its caller
         assert re.fullmatch(r"target on-site excluded: optimal-predictor true-measure "
                             r"error variance -?\d\.\d{3}e[+-]\d+ below 1\.0e-12",
                             messages[0])
@@ -457,6 +458,24 @@ class TestRatioConvergence:
         table = err.value.partial_table
         assert table.n_values == [4]
         assert "3" in table.metadata["failed_levels"]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_exclusions_warn_at_the_caller_in_schedule_order(self, monkeypatch, threads):
+        monkeypatch.setenv("MISSPEC_KRIGE_THREADS", threads)
+        # 0.25 is a site at n = 3 and n = 7, 1/6 at n = 5; the level n = 8 fails
+        targets = grid_targets() + [TargetFunctional.point([0.25], label="quarter"),
+                                    TargetFunctional.point([1.0 / 6.0], label="sixth")]
+
+        def generator(n):
+            return grid_design(n + 1 if n == 8 else n)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(PartialResultError):
+                ratio_convergence(exp_model(), exp_model(sigma=2.0), generator, targets,
+                                  [3, 5, 7, 8])
+        assert [str(w.message).split(" excluded")[0] for w in caught] == [
+            "target quarter", "target sixth", "target quarter"]
+        assert {w.filename for w in caught} == {__file__}
 
     def test_all_levels_failing_is_plain_failure(self, monkeypatch):
         monkeypatch.setenv("MISSPEC_KRIGE_THREADS", "1")
