@@ -140,24 +140,41 @@ _DESIGN_KEYS = {"equispaced": set(), "accumulating": {"x_star", "q"}, "halton": 
                 "sphere_fibonacci": set()}
 
 
-def _mean_from_spec(spec) -> tuple:
+def _mean_from_spec(spec, dim: int) -> tuple:
+    """The mean function of ``spec`` on a domain of dimension ``dim``: every
+    parameter finite, ``alpha`` >= 0, and ``slope`` and ``x0`` points of the
+    domain's dimension (a number, too, on a 1-d domain)."""
     if spec is None:
         return zero_mean, "0"
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError('mean spec must be an object with a "kind"')
     kind = _kind_of(spec, "kind", _MEAN_KEYS, "mean")
-    try:
-        if kind == "zero":
-            return zero_mean, "0"
-        if kind == "constant":
-            return constant_mean(float(spec["value"])), f"const({spec['value']})"
-        if kind == "linear":
-            return (linear_mean(float(spec.get("intercept", 0.0)), spec.get("slope", 1.0)),
-                    "linear")
-        return (kink_mean(spec.get("x0", DEFAULT_X_STAR), float(spec["alpha"]),
-                          float(spec.get("scale", 1.0))), "kink")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad mean spec {spec!r}: {exc}")
+
+    def number(key, default=None, ok=math.isfinite, limit="a finite number"):
+        if key not in spec and default is None:
+            raise ConfigError(f"a {kind} mean needs {key!r}")
+        return _bounded(spec.get(key, default), f"mean.{key}", ok, limit)
+
+    def point(key, default):
+        value = spec.get(key, [default] * dim)
+        if dim == 1 and not isinstance(value, list):
+            value = [value]
+        if not isinstance(value, list) or len(value) != dim:
+            raise ConfigError(f"mean.{key} must be a list of {dim} finite numbers, "
+                              f"got {value!r}")
+        return [_bounded(v, f"mean.{key}[{i}]", math.isfinite, "a finite number")
+                for i, v in enumerate(value)]
+
+    if kind == "zero":
+        return zero_mean, "0"
+    if kind == "constant":
+        return constant_mean(number("value")), f"const({spec['value']})"
+    if kind == "linear":
+        return linear_mean(number("intercept", 0.0), point("slope", 1.0)), "linear"
+    return (kink_mean(point("x0", DEFAULT_X_STAR),
+                      number("alpha", ok=lambda x: 0.0 <= x < math.inf,
+                             limit="a finite number >= 0"),
+                      number("scale", 1.0)), "kink")
 
 
 def _model_from_spec(spec, label: str) -> GaussianModel:
@@ -165,14 +182,14 @@ def _model_from_spec(spec, label: str) -> GaussianModel:
         raise ConfigError('model spec must be an object with a "family"')
     try:
         family = _kind_of(spec, "family", _MODEL_KEYS, "model")
-        mean, mean_label = _mean_from_spec(spec.get("mean"))
         if family == "matern":
             params = MaternParams(sigma=float(spec.get("sigma", 1.0)),
                                   nu=float(spec["nu"]),
                                   kappa=float(spec.get("kappa", 1.0)),
                                   dim=spec.get("dim", 1))
             if params.dim != 1:
-                # designs, targets and quadrature on a Box are 1-d only
+                # the Galerkin route and the mean probe need a quadrature
+                # grid, and Box.quadrature exists for d = 1 only
                 raise ConfigError(f"matern models support dim = 1 only, got "
                                   f"dim={spec['dim']!r}")
             kernel = MaternKernel(params)
@@ -211,6 +228,7 @@ def _model_from_spec(spec, label: str) -> GaussianModel:
             kernel = (ChordalMaternKernel(params)
                       if family == "sphere_chordal_matern"
                       else GreatCircleMaternKernel(params))
+        mean, mean_label = _mean_from_spec(spec.get("mean"), kernel.domain.dim)
     except (AttributeError, KeyError, TypeError, ValueError, MisspecKrigeError) as exc:
         raise ConfigError(f"bad model spec for {label}: {exc}")
     return GaussianModel(mean=mean, kernel=kernel,

@@ -49,6 +49,13 @@ TAIL_TOL_REL = 0.1
 #: the largest are not resolved in double precision
 RANK_CUTOFF = 1e-12
 
+# probe sizes of the composed report
+EIGEN_TERMS = 2000
+SPECTRAL_RADII = (1.0, 1.0e3, 25)  # (min, max, count), log-spaced
+QUAD_NODES = 128
+GALERKIN_BASIS = 24
+MEAN_DESIGN_SIZES = (8, 32, 64)
+
 
 # ---------------------------------------------------------------------------
 # ratio-limit probes
@@ -113,15 +120,14 @@ def _checkpoint_stats(ratios: np.ndarray) -> list[float]:
 
 def spectral_ratio_limit(f: SpectralDensity, f_tilde: SpectralDensity,
                          radii: Sequence[float],
-                         directions: Sequence[np.ndarray] | None = None,
                          tol: float = DEFAULT_TOL) -> RatioVerdict:
     """Verdict on f_tilde / f along rays as the frequency norm grows.
 
     Needs at least 3 radii spanning two decades.  The ratio is probed on the
-    radii x directions grid; convergence requires the last-decade values to
-    agree within ``tol`` in log space across both radii and directions (the
-    geometric handling makes the verdict exactly symmetric under swapping the
-    two densities).  A monotone checkpoint trend beyond a factor of two is
+    radii x ``_default_directions`` grid; convergence requires the last-decade
+    values to agree within ``tol`` in log space across both radii and
+    directions (the geometric handling makes the verdict exactly symmetric
+    under swapping the two densities).  A monotone checkpoint trend beyond a factor of two is
     reported as divergence.
     """
     if f.dim != f_tilde.dim:
@@ -131,9 +137,7 @@ def spectral_ratio_limit(f: SpectralDensity, f_tilde: SpectralDensity,
         raise DomainError("need at least 3 positive radii")
     if radii[-1] < 100.0 * radii[0]:
         raise DomainError("radii must span at least two decades")
-    if directions is None:
-        directions = _default_directions(f.dim)
-    dirs = [np.asarray(u, dtype=float) / np.linalg.norm(u) for u in directions]
+    dirs = [u / np.linalg.norm(u) for u in _default_directions(f.dim)]
 
     grid = np.empty((len(dirs), radii.size))
     for i, u in enumerate(dirs):
@@ -352,13 +356,8 @@ def galerkin_projection(true_kernel: CovarianceKernel, wrong_kernel: CovarianceK
 
 @dataclass(frozen=True)
 class AssumptionBudget:
-    """Probe sizes and verdict tolerances for the composed report."""
+    """Verdict tolerances for the composed report."""
 
-    eigen_terms: int = 2000
-    radii: tuple[float, float, int] = (1.0, 1.0e3, 25)  # (min, max, count), log-spaced
-    quad_nodes: int = 128
-    galerkin_basis: int = 24
-    mean_design_sizes: tuple[int, ...] = (8, 32, 64)
     verdict_window: float = DEFAULT_WINDOW
     verdict_tol: float = DEFAULT_TOL
 
@@ -398,8 +397,8 @@ def assumption_report(true_model: GaussianModel, wrong_model: GaussianModel,
     @functools.cache
     def projection() -> GalerkinProjection:
         # one quadrature projection serves both the Galerkin route and the tail
-        nodes, weights = domain.quadrature(budget.quad_nodes)
-        return galerkin_projection(k_true, k_wrong, nodes, weights, budget.galerkin_basis)
+        nodes, weights = domain.quadrature(QUAD_NODES)
+        return galerkin_projection(k_true, k_wrong, nodes, weights, GALERKIN_BASIS)
 
     verdicts = {name: guarded(name, route, k_true, k_wrong, budget, probes)
                 for name, route in (("spectral", _spectral_route),
@@ -412,10 +411,10 @@ def assumption_report(true_model: GaussianModel, wrong_model: GaussianModel,
                          None)
     primary = verdicts.get(primary_route)
     if primary is not None and primary.kind is LimitKind.CONVERGES:
-        guarded("t_a_tail", _tail_route, projection, budget, primary.a_estimate, probes)
+        guarded("t_a_tail", _tail_route, projection, primary.a_estimate, probes)
     t_a = probes.pop("t_a_tail", None)
 
-    mean_probe = _mean_route(true_model, wrong_model, domain, budget)
+    mean_probe = _mean_route(true_model, wrong_model, domain)
 
     assessment = _grade(primary, true_model.kernel, mean_probe)
     return {
@@ -437,7 +436,7 @@ def _eigen_route(k_true, k_wrong, budget, probes) -> RatioVerdict | None:
         common = min(k_true.spectrum.k_max, k_wrong.spectrum.k_max)
     elif isinstance(k_true, SphereSeriesKernel) and isinstance(k_wrong, SphereSeriesKernel):
         common = min(k_true.params.l_max, k_wrong.params.l_max,
-                     int(math.isqrt(budget.eigen_terms)))
+                     math.isqrt(EIGEN_TERMS))
     else:
         return None
     g = eigen_sequence_of(k_true, common)
@@ -455,8 +454,8 @@ def _spectral_route(k_true, k_wrong, budget, probes) -> RatioVerdict | None:
         return None
     f = MaternSpectralDensity(k_true.params)
     f_t = MaternSpectralDensity(k_wrong.params)
-    lo, hi, count = budget.radii
-    radii = np.logspace(math.log10(lo), math.log10(hi), int(count))
+    lo, hi, count = SPECTRAL_RADII
+    radii = np.logspace(math.log10(lo), math.log10(hi), count)
     verdict = spectral_ratio_limit(f, f_t, radii, tol=budget.verdict_tol)
     k_hat, big_k_hat = spectral_equivalence_bounds(
         f, f_t, [r * u for r in radii for u in _default_directions(f.dim)])
@@ -481,11 +480,11 @@ def _galerkin_route(projection, budget, probes) -> RatioVerdict:
     return verdict
 
 
-def _tail_route(projection, budget, a, probes) -> None:
-    probes["t_a_tail"] = projection().tail(a, min(budget.galerkin_basis, 64)).to_dict()
+def _tail_route(projection, a, probes) -> None:
+    probes["t_a_tail"] = projection().tail(a, GALERKIN_BASIS).to_dict()
 
 
-def _mean_route(true_model, wrong_model, domain, budget) -> dict:
+def _mean_route(true_model, wrong_model, domain) -> dict:
     try:
         probe_pts, _ = domain.quadrature(33)
     except DomainError:
@@ -508,7 +507,7 @@ def _mean_route(true_model, wrong_model, domain, budget) -> dict:
                 "grade": INCONCLUSIVE}
     target = TargetFunctional.point(domain.from_unit([gen.x_star])[0], label="acc")
     sizes, values = [], []
-    for n in budget.mean_design_sizes:
+    for n in MEAN_DESIGN_SIZES:
         design = generate_design(gen, n)
         try:
             values.append(mean_term(design, target, true_model, wrong_model))

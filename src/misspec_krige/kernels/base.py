@@ -213,19 +213,25 @@ def as_points(x, dim: int) -> np.ndarray:
 def euclidean(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The (n, m) Euclidean distances |x_i - y_j| of (n, d) and (m, d) points.
     Per coordinate the squared differences are added in order, then the
-    square root is taken, in place on the (n, m) result (with one scratch
-    block for d > 1).  That is the formula of ``scipy.spatial.distance.cdist``,
-    so the doubles are its doubles, and ``euclidean(x, x)`` is exactly
-    symmetric."""
-    out = np.subtract.outer(x[:, 0], y[:, 0])
-    np.square(out, out=out)
-    if x.shape[1] > 1:
-        diff = np.empty_like(out)
+    square root is taken.  That is the formula of
+    ``scipy.spatial.distance.cdist``, so the doubles are its doubles, and
+    ``euclidean(x, x)`` is exactly symmetric.  Rows are done in blocks of
+    about ``_PROFILE_CHUNK`` entries, so each block and its scratch stay in
+    cache across the coordinates."""
+    out = np.empty((x.shape[0], y.shape[0]))
+    rows = max(1, _PROFILE_CHUNK // max(1, y.shape[0]))
+    diff = np.empty((min(rows, x.shape[0]), y.shape[0]))
+    for start in range(0, x.shape[0], rows):
+        block, xb = out[start:start + rows], x[start:start + rows]
+        np.subtract.outer(xb[:, 0], y[:, 0], out=block)
+        np.square(block, out=block)
         for k in range(1, x.shape[1]):
-            np.subtract.outer(x[:, k], y[:, k], out=diff)
-            np.square(diff, out=diff)
-            out += diff
-    return np.sqrt(out, out=out)
+            scratch = diff[:len(block)]
+            np.subtract.outer(xb[:, k], y[:, k], out=scratch)
+            np.square(scratch, out=scratch)
+            block += scratch
+        np.sqrt(block, out=block)
+    return out
 
 
 def inner_products(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -73,10 +73,6 @@ class SphereSeriesParams:
     def coefficients(self) -> np.ndarray:
         return self.coefficient(np.arange(self.l_max + 1))
 
-    def diagonal(self) -> float:
-        """rho(x, x) of the truncated series (P_l(1) = 1)."""
-        return float(self.coefficients().sum())
-
     def tail_bound(self, l_trunc: int) -> float:
         """Upper bound on sum_{l > l_trunc} |P_l coefficient|."""
         mid = np.arange(l_trunc + 1, l_trunc + 1 + _TAIL_EXACT_SPAN)

@@ -36,8 +36,15 @@ from .errors import (DomainError, MisspecKrigeError, NumericalFailureError, Opti
 from .kernels.base import is_whole_number
 from .kriging import Design, GaussianModel, LevelSystem, TargetFunctional, build_gram
 
-RATIO_NAMES = ("r_var_1", "r_var_2", "r_var_3", "r_var_4",
-               "r_mom_1", "r_mom_2", "r_mom_3", "r_mom_4")
+#: r_var_i and r_mom_i, i = 1..4: the error variance or second moment of the
+#: numerator's (predictor, measure) pair over the denominator's
+_RATIO_PAIRS = ((("wrong", "true"), ("true", "true")),
+                (("true", "wrong"), ("wrong", "wrong")),
+                (("true", "wrong"), ("true", "true")),
+                (("wrong", "true"), ("wrong", "wrong")))
+
+RATIO_NAMES = tuple(f"r_{kind}_{i}" for kind in ("var", "mom")
+                    for i in range(1, len(_RATIO_PAIRS) + 1))
 
 SUP_TARGET_ID = "SUP"
 
@@ -97,12 +104,16 @@ class RatioRecord:
 
 
 def _ratio_limits(limit_a: float | None, kernels_match: bool) -> dict[str, float]:
-    limits = {"r_var_1": 1.0, "r_var_2": 1.0, "r_mom_1": 1.0, "r_mom_2": 1.0}
+    """1 for a ratio within one measure; with ``limit_a``, a from the true to
+    the working measure and 1/a back; 0 for the mean term of equal kernels."""
+    by_measures = {("true", "true"): 1.0, ("wrong", "wrong"): 1.0}
     if limit_a is not None:
         if not limit_a > 0:
             raise DomainError("the limit constant must be positive")
-        limits.update({"r_var_3": limit_a, "r_mom_3": limit_a,
-                       "r_var_4": 1.0 / limit_a, "r_mom_4": 1.0 / limit_a})
+        by_measures.update({("wrong", "true"): limit_a, ("true", "wrong"): 1.0 / limit_a})
+    limits = {f"r_{kind}_{i}": by_measures[num[1], den[1]]
+              for kind in ("var", "mom") for i, (num, den) in enumerate(_RATIO_PAIRS, 1)
+              if (num[1], den[1]) in by_measures}
     if kernels_match:
         limits["mean_term"] = 0.0
     return limits
@@ -201,25 +212,12 @@ def _degenerate_measure(mom, floor: float):
 
 
 def _assemble_ratios(mom) -> dict[str, float]:
-    var_tt = mom[("true", "true")].variance
-    var_wt = mom[("wrong", "true")].variance
-    var_tw = mom[("true", "wrong")].variance
-    var_ww = mom[("wrong", "wrong")].variance
-    mom_tt = mom[("true", "true")].second_moment
-    mom_wt = mom[("wrong", "true")].second_moment
-    mom_tw = mom[("true", "wrong")].second_moment
-    mom_ww = mom[("wrong", "wrong")].second_moment
-    return {
-        "r_var_1": var_wt / var_tt,
-        "r_var_2": var_tw / var_ww,
-        "r_var_3": var_tw / var_tt,
-        "r_var_4": var_wt / var_ww,
-        "r_mom_1": mom_wt / mom_tt,
-        "r_mom_2": mom_tw / mom_ww,
-        "r_mom_3": mom_tw / mom_tt,
-        "r_mom_4": mom_wt / mom_ww,
-        "mean_term": mom[("true", "wrong")].mean ** 2 / mom_tt,
-    }
+    ratios = {}
+    for i, (num, den) in enumerate(_RATIO_PAIRS, 1):
+        ratios[f"r_var_{i}"] = mom[num].variance / mom[den].variance
+        ratios[f"r_mom_{i}"] = mom[num].second_moment / mom[den].second_moment
+    ratios["mean_term"] = mom[("true", "wrong")].mean ** 2 / mom[("true", "true")].second_moment
+    return ratios
 
 
 def _sup_record(records: list[RatioRecord], n: int,

@@ -158,7 +158,7 @@ def test_criterion_07_mean_shift_identity():
         design = Design((np.arange(1, n + 1) / (n + 1.0))[:, None])
         for shifted in shifts:
             worst = max(worst, mean_shift_identity_check(
-                target, design, base, shifted, n_probes=10))
+                target, design, base, shifted))
     _report(7, worst <= 1e-10,
             f"predictor mean-shift identity: max deviation {worst:.2e}")
 

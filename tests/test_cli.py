@@ -441,10 +441,30 @@ MODEL_SPEC_CASES = [
      "coeffs fix a 1-d spectrum, so ['power', 'scale'] must not be given"),
     ({"family": "matern", "nu": 0.5, "mean": {"kind": "constant", "value": 1, "vaule": 2}},
      "bad model spec for true: unknown constant mean keys: ['vaule']"),
+    ({"family": "matern", "nu": 0.5, "mean": {"kind": "constant", "value": 1e400}},
+     "bad model spec for true: mean.value must be a finite number, got inf"),
+    ({"family": "matern", "nu": 0.5, "mean": {"kind": "linear", "intercept": 1e400}},
+     "bad model spec for true: mean.intercept must be a finite number, got inf"),
+    ({"family": "matern", "nu": 0.5, "mean": {"kind": "kink", "alpha": "nan"}},
+     "bad model spec for true: mean.alpha must be a finite number >= 0, got 'nan'"),
+    ({"family": "matern", "nu": 0.5, "mean": {"kind": "kink", "alpha": -1}},
+     "bad model spec for true: mean.alpha must be a finite number >= 0, got -1"),
+    ({"family": "matern", "nu": 0.5, "mean": {"kind": "linear", "slope": [1, 2]}},
+     "bad model spec for true: mean.slope must be a list of 1 finite numbers, got [1, 2]"),
+    ({"family": "matern", "nu": 0.5,
+      "mean": {"kind": "kink", "alpha": 0.5, "x0": [0.1, 0.2]}},
+     "bad model spec for true: mean.x0 must be a list of 1 finite numbers, got [0.1, 0.2]"),
+    ({"family": "periodic", "dim": 2, "mean": {"kind": "linear", "slope": 1.0}},
+     "bad model spec for true: mean.slope must be a list of 2 finite numbers, got 1.0"),
+    ({"family": "periodic", "dim": 2, "mean": {"kind": "kink", "alpha": 1, "x0": [0.5, 1e400]}},
+     "bad model spec for true: mean.x0[1] must be a finite number, got inf"),
 ]
 MODEL_SPEC_IDS = ["sigma-inf", "nu-nan", "tau-inf", "kappa1-minus-inf", "matern-typo",
                   "spde-legendre-key", "unknown-family", "coeffs-list", "coeffs-with-dim",
-                  "coeffs-with-power-scale", "mean-typo"]
+                  "coeffs-with-power-scale", "mean-typo", "mean-value-inf",
+                  "mean-intercept-inf", "mean-alpha-nan", "mean-alpha-negative",
+                  "mean-slope-too-long", "mean-x0-too-long", "mean-slope-scalar-2d",
+                  "mean-x0-entry-inf"]
 
 
 class TestRejectedBeforeAnyWork:

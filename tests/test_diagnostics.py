@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from misspec_krige.diagnostics import (
-    AssumptionBudget,
+    QUAD_NODES,
     assumption_report,
     eigen_ratio_limit,
     fibonacci_sphere_grid,
@@ -344,8 +344,7 @@ class TestAssumptionReport:
         kern = MaternKernel(MaternParams(1, 0.5, 1))
         base = GaussianModel(zero_mean, kern, "m0")
         shifted = GaussianModel(constant_mean(1.0), kern, "m1")
-        report = assumption_report(base, shifted,
-                                   budget=AssumptionBudget(mean_design_sizes=(8, 24)))
+        report = assumption_report(base, shifted)
         assert report["mean_check"]["grade"] == "consistent"
         assert report["mean_check"]["values"][-1] < report["mean_check"]["values"][0]
 
@@ -390,7 +389,7 @@ class TestAssumptionReport:
         original = MaternKernel.gram
 
         def counting(self, x, y=None):
-            if y is None and np.shape(x)[0] == AssumptionBudget().quad_nodes:
+            if y is None and np.shape(x)[0] == QUAD_NODES:
                 node_grams.append(x)
             return original(self, x, y)
         monkeypatch.setattr(MaternKernel, "gram", counting)
@@ -405,20 +404,6 @@ class TestAssumptionReport:
         direct = t_a_tail_spectrum(true.kernel, wrong.kernel, nodes, weights,
                                    report["ratio_verdict"]["a_estimate"], basis_size=24)
         assert report["t_a_tail"] == direct.to_dict()
-
-    def test_report_tail_uses_leading_64_block_of_a_larger_basis(self):
-        true, wrong = self.matern_pair()
-        report = assumption_report(true, wrong, budget=AssumptionBudget(galerkin_basis=80))
-        nodes, weights = uniform_grid(128)
-        direct = t_a_tail_spectrum(true.kernel, wrong.kernel, nodes, weights,
-                                   report["ratio_verdict"]["a_estimate"],
-                                   basis_size=64).to_dict()
-        tail = report["t_a_tail"]
-        assert tail["basis_size"] == 64
-        assert tail["a_used"] == direct["a_used"]
-        assert tail["tail_index"] == direct["tail_index"]
-        for key in ("max_abs", "last_quartile_max"):
-            assert tail[key] == pytest.approx(direct[key], rel=1e-12)
 
     def test_failed_galerkin_route_names_no_primary_route(self, monkeypatch):
         import misspec_krige.diagnostics as diagnostics
@@ -456,11 +441,15 @@ class TestAssumptionReport:
         assert report["ratio_verdict"]["a_estimate"] == pytest.approx(2.0, rel=1e-3)
 
     def test_report_tail_names_an_unresolved_basis(self):
-        report = assumption_report(*self.matern_pair(),
-                                   budget=AssumptionBudget(quad_nodes=16))
+        # the README's k_max = 4 periodic pair: its kernels have rank 9
+        def model(scale, label):
+            spectrum = PeriodicSpectrum.from_callable(
+                lambda k: scale * (1.0 + sum(c * c for c in k)) ** -2.0, dim=1, k_max=4)
+            return GaussianModel(zero_mean, PeriodicKernel(spectrum), label)
+        report = assumption_report(model(1.0, "t"), model(2.0, "w"))
         assert report["routes"]["eigen_galerkin"]["kind"] in ("converges", "inconclusive")
         assert report["t_a_tail"] == {
-            "error": ("quadrature resolves only 16 eigenpairs above the cutoff; "
+            "error": ("quadrature resolves only 9 eigenpairs above the cutoff; "
                       "requested a basis of 24")}
 
     @staticmethod

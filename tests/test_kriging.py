@@ -74,10 +74,6 @@ class TestDesign:
         with pytest.raises(DomainError, match="target sites must be finite"):
             TargetFunctional(0.0, np.array([[0.2], [math.nan]]), np.array([1.0, 1.0]))
 
-    def test_append_preserves_order(self):
-        d = Design(np.array([[0.1], [0.2]])).append([[0.5]])
-        np.testing.assert_array_equal(d.sites[:, 0], [0.1, 0.2, 0.5])
-
 
 class TestBuildGram:
     def test_single_site(self):
@@ -459,8 +455,7 @@ class TestProjectionInvariants:
                 w = self.pred.weights.copy()
                 w[j] += eps
                 perturbed = type(self.pred)(design=self.design, weights=w,
-                                            intercept=self.pred.intercept,
-                                            built_under="perturbed")
+                                            intercept=self.pred.intercept)
                 var = error_moments(perturbed, self.target, self.model).variance
                 assert var >= base - 1e-12
 
