@@ -285,6 +285,8 @@ def _scenario_from_config(config: dict) -> Scenario:
     if limit_a is not None:
         limit_a = _bounded(limit_a, "limit_a", lambda x: 0.0 < x < math.inf,
                            "a finite number > 0")
+        _bounded(limit_a, "limit_a", lambda x: 1.0 / x < math.inf,
+                 "large enough that its reciprocal, the limit 1/a, is finite")
     scenario = Scenario(name=inline.get("name", "inline"), true_model=true_model,
                         wrong_model=wrong_model, design_generator=generator,
                         targets=tuple(targets), n_schedule=sched, limit_a=limit_a)
@@ -466,6 +468,8 @@ def cmd_eigen(args):
                        f"an integer in [2, {MAX_DESIGN_SIZE}]")
     rank_cutoff = _bounded(grid_spec.get("rank_cutoff", RANK_CUTOFF), "grid.rank_cutoff",
                            lambda x: 0.0 <= x < math.inf, "a finite number >= 0")
+    _bounded(rank_cutoff, "grid.rank_cutoff", lambda x: x < 1.0,
+             "below 1, since a cutoff of 1 or more drops even the leading eigenvalue")
     try:
         nodes, weights = model.kernel.domain.quadrature(int(n_nodes), exact=True)
     except DomainError as exc:

@@ -28,7 +28,6 @@ from .kernels import (
     MaternSpectralDensity,
     PeriodicKernel,
     SphereSeriesKernel,
-    SpectralDensity,
     eigen_sequence_of,
 )
 # the domains' quadrature rules, importable from here as well
@@ -118,17 +117,18 @@ def _checkpoint_stats(ratios: np.ndarray) -> list[float]:
     return stats
 
 
-def spectral_ratio_limit(f: SpectralDensity, f_tilde: SpectralDensity,
+def spectral_ratio_limit(f: MaternSpectralDensity, f_tilde: MaternSpectralDensity,
                          radii: Sequence[float],
                          tol: float = DEFAULT_TOL) -> RatioVerdict:
     """Verdict on f_tilde / f along rays as the frequency norm grows.
 
-    Needs at least 3 radii spanning two decades.  The ratio is probed on the
-    radii x ``_default_directions`` grid; convergence requires the last-decade
-    values to agree within ``tol`` in log space across both radii and
-    directions (the geometric handling makes the verdict exactly symmetric
-    under swapping the two densities).  A monotone checkpoint trend beyond a factor of two is
-    reported as divergence.
+    A density is a callable of one frequency with a ``dim``, such as
+    :class:`MaternSpectralDensity`.  Needs at least 3 radii spanning two
+    decades.  The ratio is probed on the radii x ``_default_directions``
+    grid; convergence requires the last-decade values to agree within ``tol``
+    in log space across both radii and directions (the geometric handling
+    makes the verdict exactly symmetric under swapping the two densities).  A
+    monotone checkpoint trend beyond a factor of two is reported as divergence.
     """
     if f.dim != f_tilde.dim:
         raise DomainError("spectral densities must share the ambient dimension")
@@ -170,7 +170,7 @@ def _default_directions(dim: int) -> list[np.ndarray]:
     return dirs
 
 
-def spectral_equivalence_bounds(f: SpectralDensity, f_tilde: SpectralDensity,
+def spectral_equivalence_bounds(f: MaternSpectralDensity, f_tilde: MaternSpectralDensity,
                                 probe_grid: Sequence[np.ndarray]) -> tuple[float, float]:
     """Empirical (min, max) of f_tilde / f over a frequency probe grid.
 
@@ -231,8 +231,11 @@ def nystrom_eigen(kernel: CovarianceKernel, nodes, weights,
 
     Solves the symmetric eigenproblem of W^(1/2) K W^(1/2) and rescales the
     eigenvectors to weight-orthonormal node values; eigenvalues at or below
-    ``rank_cutoff`` times the leading one are dropped.
+    ``rank_cutoff`` times the leading one are dropped; it must lie in [0, 1),
+    or even the leading eigenvalue would go.
     """
+    if not 0.0 <= rank_cutoff < 1.0:
+        raise DomainError(f"rank_cutoff must lie in [0, 1), got {rank_cutoff!r}")
     nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
     if nodes.shape[0] < 2:
         raise DomainError("need at least two quadrature nodes")
@@ -374,25 +377,24 @@ def assumption_report(true_model: GaussianModel, wrong_model: GaussianModel,
     Routes: an analytic eigenvalue route when the pair shares a known
     eigenbasis (periodic pair, sphere series pair), a spectral-density route
     for stationary Euclidean pairs, and a quadrature Galerkin route whenever
-    the analytic route gives no verdict.  A route that raises a library error
-    is recorded as ``{"error": message}`` and gives no verdict; the report
-    goes on.  The report never claims the asymptotic conditions hold; it
-    grades each check consistent / inconsistent / inconclusive at probe
-    scale.  The quadrature and mean probes run on the true model's domain.
+    the analytic route gives no verdict.  Each route returns its record, or
+    None when it does not apply; a library error it raises is recorded as
+    ``{"error": message}``, with no verdict.  The report never claims the
+    asymptotic conditions hold; it grades each check consistent /
+    inconsistent / inconclusive at probe scale.  The quadrature and mean
+    probes run on the true model's domain.
     """
     budget = budget or AssumptionBudget()
     domain = true_model.kernel.domain
     k_true, k_wrong = true_model.kernel, wrong_model.kernel
-    probes: dict[str, dict] = {}
 
-    def guarded(name: str, probe, *args):
-        """``probe(*args)``, which records its own result under ``name``; a
-        raised library error is recorded there instead and gives no result."""
+    def guarded(probe, *args) -> dict | None:
+        """The record ``probe(*args)`` returns, or ``{"error": message}`` for a
+        library error it raises."""
         try:
             return probe(*args)
         except MisspecKrigeError as exc:
-            probes[name] = {"error": str(exc)}
-            return None
+            return {"error": str(exc)}
 
     @functools.cache
     def projection() -> GalerkinProjection:
@@ -400,38 +402,37 @@ def assumption_report(true_model: GaussianModel, wrong_model: GaussianModel,
         nodes, weights = domain.quadrature(QUAD_NODES)
         return galerkin_projection(k_true, k_wrong, nodes, weights, GALERKIN_BASIS)
 
-    verdicts = {name: guarded(name, route, k_true, k_wrong, budget, probes)
-                for name, route in (("spectral", _spectral_route),
-                                    ("eigen_analytic", _eigen_route))}
-    if verdicts["eigen_analytic"] is None:
-        verdicts["eigen_galerkin"] = guarded("eigen_galerkin", _galerkin_route,
-                                             projection, budget, probes)
+    records = {"spectral": guarded(_spectral_route, k_true, k_wrong, budget),
+               "eigen_analytic": guarded(_eigen_route, k_true, k_wrong, budget)}
+    if "kind" not in (records["eigen_analytic"] or {}):
+        records["eigen_galerkin"] = guarded(_galerkin_route, projection, budget)
+    routes = {name: record for name, record in records.items() if record is not None}
     # the first route that gave a verdict is primary
-    primary_route = next((name for name, verdict in verdicts.items() if verdict is not None),
+    primary_route = next((name for name, record in routes.items() if "kind" in record),
                          None)
-    primary = verdicts.get(primary_route)
-    if primary is not None and primary.kind is LimitKind.CONVERGES:
-        guarded("t_a_tail", _tail_route, projection, primary.a_estimate, probes)
-    t_a = probes.pop("t_a_tail", None)
+    primary = routes.get(primary_route)
+    t_a = None
+    if primary is not None and primary["kind"] == LimitKind.CONVERGES.value:
+        t_a = guarded(lambda: projection().tail(primary["a_estimate"],
+                                                GALERKIN_BASIS).to_dict())
 
     mean_probe = _mean_route(true_model, wrong_model, domain)
-
-    assessment = _grade(primary, true_model.kernel, mean_probe)
     return {
         "true_model": true_model.label,
         "wrong_model": wrong_model.label,
-        "routes": probes,
+        "routes": routes,
         "primary_route": primary_route,
-        "ratio_verdict": primary.to_dict() if primary else None,
+        "ratio_verdict": (None if primary is None else
+                          {key: primary[key] for key in ("kind", "a_estimate", "evidence")}),
         "t_a_tail": t_a,
         "mean_check": mean_probe,
-        "assessment": assessment,
+        "assessment": _grade(primary, true_model.kernel, mean_probe),
         "disclaimer": ("all verdicts are finite-probe observations; no "
                        "infinite-dimensional property is certified"),
     }
 
 
-def _eigen_route(k_true, k_wrong, budget, probes) -> RatioVerdict | None:
+def _eigen_route(k_true, k_wrong, budget) -> dict | None:
     if isinstance(k_true, PeriodicKernel) and isinstance(k_wrong, PeriodicKernel):
         common = min(k_true.spectrum.k_max, k_wrong.spectrum.k_max)
     elif isinstance(k_true, SphereSeriesKernel) and isinstance(k_wrong, SphereSeriesKernel):
@@ -443,13 +444,11 @@ def _eigen_route(k_true, k_wrong, budget, probes) -> RatioVerdict | None:
     g_t = eigen_sequence_of(k_wrong, common)
     if len(g) != len(g_t):
         raise DomainError("spectra have mismatched supports")
-    verdict = eigen_ratio_limit(g, g_t, window=budget.verdict_window,
-                                tol=budget.verdict_tol)
-    probes["eigen_analytic"] = verdict.to_dict()
-    return verdict
+    return eigen_ratio_limit(g, g_t, window=budget.verdict_window,
+                             tol=budget.verdict_tol).to_dict()
 
 
-def _spectral_route(k_true, k_wrong, budget, probes) -> RatioVerdict | None:
+def _spectral_route(k_true, k_wrong, budget) -> dict | None:
     if not (isinstance(k_true, MaternKernel) and isinstance(k_wrong, MaternKernel)):
         return None
     f = MaternSpectralDensity(k_true.params)
@@ -459,12 +458,10 @@ def _spectral_route(k_true, k_wrong, budget, probes) -> RatioVerdict | None:
     verdict = spectral_ratio_limit(f, f_t, radii, tol=budget.verdict_tol)
     k_hat, big_k_hat = spectral_equivalence_bounds(
         f, f_t, [r * u for r in radii for u in _default_directions(f.dim)])
-    probes["spectral"] = dict(verdict.to_dict(),
-                              equivalence_bounds={"k_hat": k_hat, "K_hat": big_k_hat})
-    return verdict
+    return dict(verdict.to_dict(), equivalence_bounds={"k_hat": k_hat, "K_hat": big_k_hat})
 
 
-def _galerkin_route(projection, budget, probes) -> RatioVerdict:
+def _galerkin_route(projection, budget) -> dict:
     galerkin = projection()
     diag_ratios = np.diag(galerkin.projected) / galerkin.eigenvalues
     if np.any(diag_ratios <= 0):
@@ -474,14 +471,8 @@ def _galerkin_route(projection, budget, probes) -> RatioVerdict:
         raise NumericalFailureError(
             f"projected ratio {smallest:.3e} is at or below {RANK_CUTOFF:.0e} times the "
             f"largest ({largest:.3e}), so it is not resolved")
-    verdict = _tail_verdict(diag_ratios, window=max(0.25, budget.verdict_window),
-                            tol=budget.verdict_tol)
-    probes["eigen_galerkin"] = verdict.to_dict()
-    return verdict
-
-
-def _tail_route(projection, a, probes) -> None:
-    probes["t_a_tail"] = projection().tail(a, GALERKIN_BASIS).to_dict()
+    return _tail_verdict(diag_ratios, window=max(0.25, budget.verdict_window),
+                         tol=budget.verdict_tol).to_dict()
 
 
 def _mean_route(true_model, wrong_model, domain) -> dict:
@@ -521,14 +512,13 @@ def _mean_route(true_model, wrong_model, domain) -> dict:
             "design_sizes": sizes, "values": values, "grade": grade}
 
 
-def _grade(verdict: RatioVerdict | None, true_kernel, mean_probe) -> dict:
-    if verdict is None:
-        ratio_grade = INCONCLUSIVE
-        equivalence_grade = INCONCLUSIVE
-    elif verdict.kind is LimitKind.CONVERGES:
-        ratio_grade = f"{CONSISTENT} (a~{verdict.a_estimate:.6g})"
+def _grade(record: dict | None, true_kernel, mean_probe) -> dict:
+    """Grades from the primary route's record; no record reads inconclusive."""
+    kind = LimitKind(record["kind"]) if record else LimitKind.INCONCLUSIVE
+    if kind is LimitKind.CONVERGES:
+        ratio_grade = f"{CONSISTENT} (a~{record['a_estimate']:.6g})"
         equivalence_grade = CONSISTENT
-    elif verdict.kind is LimitKind.INCONCLUSIVE:
+    elif kind is LimitKind.INCONCLUSIVE:
         ratio_grade = INCONCLUSIVE
         equivalence_grade = INCONCLUSIVE
     else:

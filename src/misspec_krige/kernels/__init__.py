@@ -1,4 +1,4 @@
-"""Covariance families, spectral densities and eigenvalue sequences."""
+"""Covariance families, the Matern spectral density and eigenvalue sequences."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ from .base import (
     Domain,
     EigenSequence,
     ProfileKernel,
-    SpectralDensity,
     Torus,
     UnitSphere,
 )
@@ -21,7 +20,6 @@ from .matern import (
     bessel_k,
     matern_cov,
     matern_ratio_limit,
-    matern_spectral_density,
 )
 from .periodic import DEFAULT_K_MAX, PeriodicKernel, PeriodicSpectrum
 from .sphere import (
@@ -32,7 +30,6 @@ from .sphere import (
     SphereSpdeParams,
     legendre_p,
     sphere_eigen_ratio,
-    sphere_eigen_sequence,
 )
 
 from ..errors import DomainError
@@ -50,22 +47,18 @@ def eigen_sequence_of(model, truncation: int | None = None) -> EigenSequence:
         model = model.spectrum
     if isinstance(model, SphereSeriesKernel):
         model = model.params
-    if isinstance(model, PeriodicSpectrum):
+    if isinstance(model, (PeriodicSpectrum, SphereSeriesParams)):
         return model.eigen_sequence(truncation)
-    if isinstance(model, SphereSeriesParams):
-        return sphere_eigen_sequence(model, truncation)
     raise DomainError(f"no analytic eigenvalue sequence for {type(model).__name__}")
 
 
 __all__ = [
     "Box", "Torus", "UnitSphere", "Domain",
-    "CovarianceKernel", "ProfileKernel", "SpectralDensity", "EigenSequence",
+    "CovarianceKernel", "ProfileKernel", "EigenSequence",
     "MaternParams", "MaternKernel", "ChordalMaternKernel", "GreatCircleMaternKernel",
-    "MaternSpectralDensity", "bessel_k", "matern_cov", "matern_spectral_density",
-    "matern_ratio_limit",
+    "MaternSpectralDensity", "bessel_k", "matern_cov", "matern_ratio_limit",
     "PeriodicSpectrum", "PeriodicKernel", "DEFAULT_K_MAX",
     "SphereSeriesParams", "SphereLegendreParams", "SphereSpdeParams", "SphereSeriesKernel",
-    "legendre_p", "sphere_eigen_ratio", "sphere_eigen_sequence",
-    "DEFAULT_L_MAX",
+    "legendre_p", "sphere_eigen_ratio", "DEFAULT_L_MAX",
     "eigen_sequence_of",
 ]

@@ -1,4 +1,4 @@
-"""Domain descriptors and the abstract kernel / spectral-density interfaces."""
+"""Domain descriptors, the abstract kernel interface and eigenvalue sequences."""
 
 from __future__ import annotations
 
@@ -339,19 +339,6 @@ class ProfileKernel(CovarianceKernel):
         return [layout(block) for block, layout in zip(np.split(flat, ends), layouts)]
 
 
-class SpectralDensity(ABC):
-    """A nonnegative spectral density on R^d, evaluated at a single frequency."""
-
-    dim: int
-
-    #: smoothness flag with the same meaning as on CovarianceKernel
-    infinitely_differentiable: bool | None = None
-
-    @abstractmethod
-    def __call__(self, omega) -> float:
-        """Evaluate f(omega) >= 0 at omega in R^d."""
-
-
 @dataclass(frozen=True, eq=False)
 class EigenSequence:
     """Eigenvalues of a covariance operator in a model's canonical ordering.
@@ -362,7 +349,6 @@ class EigenSequence:
     """
 
     values: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)

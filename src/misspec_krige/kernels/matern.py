@@ -19,7 +19,6 @@ densities exists exactly when the smoothness parameters agree.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,8 +27,8 @@ from scipy.special import kv
 
 from ..errors import DomainError
 from ..verdicts import RatioVerdict
-from .base import (Box, ProfileKernel, SpectralDensity, UnitSphere, as_points, euclidean,
-                   inner_products, positive_finite, positive_integer)
+from .base import (Box, ProfileKernel, UnitSphere, as_points, euclidean, inner_products,
+                   positive_finite, positive_integer)
 
 # kappa*r below this is treated as zero: the (kappa r)^nu * K_nu factorization
 # would overflow/underflow in double precision long before the value departs
@@ -60,14 +59,12 @@ class MaternParams:
         return self.sigma ** 2 * self.kappa ** (2.0 * self.nu)
 
 
-def bessel_k(nu: float, x, *, saturate: bool = False):
+def bessel_k(nu: float, x):
     """Modified Bessel function of the second kind K_nu(x) for x > 0, nu >= 0.
 
     Accurate to well over 10 significant digits on x in [1e-6, 50],
     nu in [0.05, 10] (validated against high-precision reference values).
-    K_nu overflows double precision as x -> 0 for nu > 0; by default that
-    raises, with ``saturate=True`` the largest finite float is returned
-    instead.
+    K_nu overflows double precision as x -> 0 for nu > 0, and that raises.
     """
     if nu < 0:
         raise DomainError("bessel_k requires nu >= 0")
@@ -76,11 +73,7 @@ def bessel_k(nu: float, x, *, saturate: bool = False):
         raise DomainError("bessel_k requires x > 0")
     out = kv(nu, x_arr)
     if np.any(np.isinf(out)):
-        if not saturate:
-            raise DomainError(
-                "K_nu(x) overflows double precision for this (nu, x); "
-                "pass saturate=True to clamp to the largest finite float")
-        out = np.where(np.isinf(out), sys.float_info.max, out)
+        raise DomainError("K_nu(x) overflows double precision for this (nu, x)")
     return out if isinstance(x, np.ndarray) else float(out)
 
 
@@ -98,16 +91,6 @@ def matern_cov(r, p: MaternParams):
     # guard the rare factored overflow (tiny x with large nu)
     vals = np.where(np.isfinite(vals), vals, p.sigma ** 2)
     return vals if isinstance(r, np.ndarray) else float(vals)
-
-
-def matern_spectral_density(omega, p: MaternParams) -> float:
-    """Spectral density of the Matern covariance on R^d at frequency omega."""
-    w = np.atleast_1d(np.asarray(omega, dtype=float))
-    if w.ndim != 1 or w.size != p.dim:
-        raise DomainError(f"omega must be a vector in R^{p.dim}")
-    norm2 = float(w @ w)
-    const = gamma_fn(p.nu + p.dim / 2.0) / (gamma_fn(p.nu) * math.pi ** (p.dim / 2.0))
-    return const * p.infill_identifiable / (p.kappa ** 2 + norm2) ** (p.nu + p.dim / 2.0)
 
 
 def matern_ratio_limit(p: MaternParams, p_tilde: MaternParams) -> RatioVerdict:
@@ -190,16 +173,22 @@ class GreatCircleMaternKernel(ProfileKernel):
 
 
 @dataclass(frozen=True)
-class MaternSpectralDensity(SpectralDensity):
-    """Callable wrapper around :func:`matern_spectral_density`."""
+class MaternSpectralDensity:
+    """The spectral density f(omega) of the Matern covariance on R^d, as given
+    in the module docstring."""
 
     params: MaternParams
-
-    infinitely_differentiable = False
 
     @property
     def dim(self) -> int:
         return self.params.dim
 
     def __call__(self, omega) -> float:
-        return matern_spectral_density(omega, self.params)
+        """f(omega) >= 0 at one frequency omega in R^d."""
+        p = self.params
+        w = np.atleast_1d(np.asarray(omega, dtype=float))
+        if w.ndim != 1 or w.size != p.dim:
+            raise DomainError(f"omega must be a vector in R^{p.dim}")
+        norm2 = float(w @ w)
+        const = gamma_fn(p.nu + p.dim / 2.0) / (gamma_fn(p.nu) * math.pi ** (p.dim / 2.0))
+        return const * p.infill_identifiable / (p.kappa ** 2 + norm2) ** (p.nu + p.dim / 2.0)

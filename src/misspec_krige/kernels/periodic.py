@@ -132,10 +132,7 @@ class PeriodicSpectrum:
         keep = np.max(np.abs(self.rep_indices), axis=1) <= k_max
         doubled = np.repeat(self.rep_masses[keep], 2)
         values = np.concatenate(([self.zero_mass], doubled))
-        positive = values > 0.0
-        if not np.all(positive):
-            values = values[positive]
-        return EigenSequence(values, label=f"periodic(dim={self.dim}, k_max={k_max})")
+        return EigenSequence(values[values > 0.0])
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,7 @@ harmonic basis:
   and eigenvalue tau^-2 / (kappa^2 + l(l+1))^(nu + 1) per degree-l harmonic.
 
 Both are evaluated by one :class:`SphereSeriesKernel` from their P_l
-coefficients.  Since |P_l| <= 1, truncating either series at L incurs at most
-the sum of the dropped P_l coefficients, which :func:`tail_bound` bounds
-rigorously.
+coefficients, truncated at degree ``l_max``.
 """
 
 from __future__ import annotations
@@ -37,10 +35,6 @@ from .base import (EigenSequence, ProfileKernel, UnitSphere, inner_products, pos
                    positive_integer)
 
 DEFAULT_L_MAX = 256
-
-# how far past L the coefficient sum is taken exactly before switching to an
-# integral remainder bound
-_TAIL_EXACT_SPAN = 4096
 
 
 def legendre_p(ell: int, y):
@@ -64,20 +58,19 @@ def legendre_p(ell: int, y):
 
 
 class SphereSeriesParams:
-    """What the two sphere parameter sets share: the P_l coefficients through
-    degree ``l_max`` and the exact part of the truncation tail bound.  Each
-    subclass supplies ``coefficient``, ``eigenvalue`` and ``_remainder``."""
+    """What the two sphere parameter sets share: the P_l coefficients and the
+    eigenvalue sequence through degree ``l_max``.  Each subclass supplies
+    ``coefficient`` and ``eigenvalue``."""
 
     l_max: int
 
     def coefficients(self) -> np.ndarray:
         return self.coefficient(np.arange(self.l_max + 1))
 
-    def tail_bound(self, l_trunc: int) -> float:
-        """Upper bound on sum_{l > l_trunc} |P_l coefficient|."""
-        mid = np.arange(l_trunc + 1, l_trunc + 1 + _TAIL_EXACT_SPAN)
-        exact = float(self.coefficient(mid).sum())
-        return exact + self._remainder(float(mid[-1]))
+    def eigen_sequence(self, l_max: int | None = None) -> EigenSequence:
+        """Eigenvalues expanding each degree's multiplicity 2 ell + 1, ell ascending."""
+        ells = np.arange((self.l_max if l_max is None else l_max) + 1)
+        return EigenSequence(np.repeat(self.eigenvalue(ells), 2 * ells + 1))
 
 
 @dataclass(frozen=True)
@@ -103,9 +96,6 @@ class SphereLegendreParams(SphereSeriesParams):
         ell = np.asarray(ell, dtype=float)
         return self.coefficient(ell) * 4.0 * math.pi / (2.0 * ell + 1.0)
 
-    def _remainder(self, m: float) -> float:
-        return self.sigma1 ** 2 * m ** (-2.0 * self.nu1) / (2.0 * self.nu1)
-
 
 @dataclass(frozen=True)
 class SphereSpdeParams(SphereSeriesParams):
@@ -130,11 +120,6 @@ class SphereSpdeParams(SphereSeriesParams):
         ell = np.asarray(ell, dtype=float)
         return self.eigenvalue(ell) * (2.0 * ell + 1.0) / (4.0 * math.pi)
 
-    def _remainder(self, m: float) -> float:
-        # (2t+1)/(kappa^2 + t(t+1))^(nu+1) <= (2t+1)/(t^2+t)^(nu+1), which
-        # integrates to (m^2+m)^-nu / nu past m
-        return (m * m + m) ** (-self.nu) / (4.0 * math.pi * self.nu * self.tau ** 2)
-
 
 def sphere_eigen_ratio(p1: SphereLegendreParams, p2: SphereSpdeParams, ell: int) -> float:
     """Per-degree eigenvalue ratio lambda_2(ell)/lambda_1(ell) of the two models.
@@ -145,15 +130,6 @@ def sphere_eigen_ratio(p1: SphereLegendreParams, p2: SphereSpdeParams, ell: int)
     if ell < 0 or int(ell) != ell:
         raise DomainError("ell must be a nonnegative integer")
     return float(p2.eigenvalue(ell) / p1.eigenvalue(ell))
-
-
-def sphere_eigen_sequence(params: SphereSeriesParams, l_max: int | None = None) -> EigenSequence:
-    """Eigenvalues expanding each degree's multiplicity 2 ell + 1, ell ascending."""
-    if l_max is None:
-        l_max = params.l_max
-    ells = np.arange(l_max + 1)
-    values = np.repeat(params.eigenvalue(ells), 2 * ells + 1)
-    return EigenSequence(values, label=f"{type(params).__name__}(l_max={l_max})")
 
 
 @dataclass(frozen=True)

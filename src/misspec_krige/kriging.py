@@ -232,7 +232,11 @@ class ErrorMoments:
                 f"error variance {self.variance:.3e} is negative beyond tolerance")
         variance = max(self.variance, 0.0)
         object.__setattr__(self, "variance", variance)
-        object.__setattr__(self, "second_moment", variance + self.mean ** 2)
+        try:
+            object.__setattr__(self, "second_moment", variance + self.mean ** 2)
+        except OverflowError:
+            raise NumericalFailureError(
+                f"error mean {self.mean:.3e} overflows when squared") from None
 
 
 # ---------------------------------------------------------------------------

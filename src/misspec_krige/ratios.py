@@ -108,8 +108,9 @@ def _ratio_limits(limit_a: float | None, kernels_match: bool) -> dict[str, float
     the working measure and 1/a back; 0 for the mean term of equal kernels."""
     by_measures = {("true", "true"): 1.0, ("wrong", "wrong"): 1.0}
     if limit_a is not None:
-        if not limit_a > 0:
-            raise DomainError("the limit constant must be positive")
+        if not (limit_a > 0 and 1.0 / limit_a < np.inf):
+            raise DomainError(f"the limit constant must be positive with a finite "
+                              f"reciprocal, got {limit_a!r}")
         by_measures.update({("wrong", "true"): limit_a, ("true", "wrong"): 1.0 / limit_a})
     limits = {f"r_{kind}_{i}": by_measures[num[1], den[1]]
               for kind in ("var", "mom") for i, (num, den) in enumerate(_RATIO_PAIRS, 1)

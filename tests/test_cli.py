@@ -39,6 +39,10 @@ MATERN_PAIR = {"true_model": {"family": "matern", "nu": 0.5},
                "wrong_model": {"family": "matern", "nu": 0.5, "sigma": 2.0}}
 SPHERE_PAIR = {"true_model": {"family": "sphere_legendre", "nu1": 1.0},
                "wrong_model": {"family": "sphere_spde", "nu": 1.0}}
+# a working mean whose error means overflow once squared
+BIG_MEAN_PAIR = {"true_model": {"family": "matern", "nu": 0.5},
+                 "wrong_model": {"family": "matern", "nu": 0.5,
+                                 "mean": {"kind": "constant", "value": 1e300}}}
 TORUS2_PAIR = {"true_model": {"family": "periodic", "dim": 2, "k_max": 4},
                "wrong_model": {"family": "periodic", "dim": 2, "k_max": 4, "scale": 2.0}}
 
@@ -163,11 +167,13 @@ class TestRun:
         ("limit_a", 0, "limit_a must be a finite number > 0, got 0"),
         ("limit_a", -2, "limit_a must be a finite number > 0, got -2"),
         ("limit_a", "x", "limit_a must be a finite number > 0, got 'x'"),
+        ("limit_a", 1e-320, "limit_a must be large enough that its reciprocal, the limit "
+                            "1/a, is finite, got 1e-320"),
         ("targets", [], '"targets" must be a nonempty list of points'),
         ("targets", [[0.3, 0.4]], "targets[0] has dimension 2; the domain needs 1"),
         ("targets", [[0.5], [1.7]], "targets[1] = [1.7] lies outside the box [0, 1]"),
         ("targets", [-0.1], "targets[0] = -0.1 lies outside the box [0, 1]"),
-    ], ids=["limit-zero", "limit-negative", "limit-string", "targets-empty",
+    ], ids=["limit-zero", "limit-negative", "limit-string", "limit-reciprocal", "targets-empty",
             "targets-wrong-dim", "targets-above-box", "targets-below-box"])
     def test_bad_inline_field_exit_2_before_any_work(self, tmp_path, capsys, no_work,
                                                       field, value, message):
@@ -397,6 +403,14 @@ class TestRun:
             warnings.simplefilter("ignore")
             assert main(["run", cfg]) == EXIT_NUMERICAL
 
+    def test_mean_that_overflows_when_squared_is_named(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"schema": 1, "experiment": {
+            **BIG_MEAN_PAIR, "schedule": [8, 16]}})
+        assert main(["run", cfg, "--output", str(tmp_path / "out")]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "first error: error mean 1.653e+297 overflows when squared" in err
+        assert "(OverflowError)" not in err
+
     @pytest.mark.parametrize("pair", [
         {"true_model": {"family": "periodic", "k_max": 4},
          "wrong_model": {"family": "periodic", "k_max": 4, "scale": 2.0}},
@@ -558,6 +572,15 @@ class TestCheck:
         assert report["primary_route"] == "eigen_galerkin"
         assert report["ratio_verdict"]["kind"] == "converges"
 
+    def test_mean_that_overflows_when_squared_is_an_inconclusive_probe(self, tmp_path,
+                                                                       capsys):
+        cfg = write_config(tmp_path, {"schema": 1, **BIG_MEAN_PAIR})
+        assert main(["check", cfg]) == EXIT_OK
+        mean_check = json.loads(capsys.readouterr().out)["mean_check"]
+        assert mean_check["status"] == ("mean probe degenerate at n=8: error mean "
+                                        "-8.741e+296 overflows when squared")
+        assert mean_check["grade"] == "inconclusive"
+
     @pytest.mark.parametrize("scenario, message", [
         ("nope", "unknown scenario 'nope'"),
         (5, '"scenario" must be a string'),
@@ -604,9 +627,12 @@ class TestEigen:
         ({"nodes": 100000}, "grid.nodes must be an integer in [2, 2048], got 100000"),
         ({"rank_cutoff": "x"}, "grid.rank_cutoff must be a finite number >= 0, got 'x'"),
         ({"rank_cutoff": -1e-9}, "grid.rank_cutoff must be a finite number >= 0"),
+        ({"rank_cutoff": 1.0}, "grid.rank_cutoff must be below 1, since a cutoff of 1 or "
+                               "more drops even the leading eigenvalue, got 1.0"),
+        ({"rank_cutoff": 2.0}, "grid.rank_cutoff must be below 1"),
         ({"nodes": 64, "points": 3}, "unknown grid keys: ['points']"),
     ], ids=["nodes-one", "nodes-string", "nodes-fraction", "nodes-above-cap", "cutoff-string",
-            "cutoff-negative", "unknown-key"])
+            "cutoff-negative", "cutoff-one", "cutoff-two", "unknown-key"])
     def test_bad_grid_exit_2(self, tmp_path, capsys, no_work, grid, message):
         out = tmp_path / "eigs.csv"
         cfg = write_config(tmp_path, {"schema": 1, "kernel": {"family": "matern", "nu": 0.5},

@@ -1,10 +1,12 @@
-"""A hypothesis sweep of inline experiment configs over the README's ranges.
+"""Hypothesis sweeps of CLI configs over the README's ranges.
 
-Every model family, mean kind and design kind is drawn against every domain,
-with schedules up to [8, 16], and ``cli.main`` runs ``run`` and ``check`` in
-process.  A config either runs (exit 0) or is rejected before any work
-(exit 2); no failure may surface during the work, and no error may name a
-non-library exception type, which ``main`` prints as ``(TypeName)``.
+Inline experiments draw every model family, mean kind and design kind
+against every domain, with schedules up to [8, 16], and ``cli.main`` runs
+``run`` and ``check`` on them in process; ``eigen`` configs draw every family
+with a quadrature grid of up to 256 nodes.  A config either runs (exit 0) or
+is rejected before any work (exit 2); no failure may surface during the
+work, and no error may name a non-library exception type, which ``main``
+prints as ``(TypeName)``.
 """
 
 import json
@@ -128,6 +130,21 @@ def experiments(draw):
     return experiment
 
 
+@st.composite
+def eigen_configs(draw):
+    domain = draw(st.sampled_from(sorted(_FAMILIES)))
+    dim = draw(st.integers(1, 3)) if domain == "torus" else 1
+    # a d-dimensional torus grid has k^d nodes, k >= 2
+    per_axis = draw(st.integers(2, round(256 ** (1 / dim)) if domain == "torus" else 256))
+    grid = {"nodes": per_axis ** dim if domain == "torus" else per_axis}
+    if draw(st.booleans()):
+        grid["rank_cutoff"] = draw(st.one_of(
+            st.floats(0.0, 1.0, exclude_max=True),
+            st.sampled_from([-1e-9, -1.0, 1.0, 2.0, "x", math.nan])))
+    family = draw(st.sampled_from(_FAMILIES[domain]))
+    return {"schema": 1, "kernel": draw(_model(family, dim)), "grid": grid}
+
+
 #: how ``main`` names an exception that is not one of the library's own
 _FOREIGN_TYPE = re.compile(r"^(config error|numerical failure) \(\w+\)", re.M)
 
@@ -147,3 +164,15 @@ def test_inline_experiment_runs_or_is_rejected_up_front(tmp_path, capsys, experi
         err = capsys.readouterr().err
         assert code in (EXIT_OK, EXIT_CONFIG), (command, config, err)
         assert not _FOREIGN_TYPE.search(err), (command, config, err)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(config=eigen_configs())
+def test_eigen_config_runs_or_is_rejected_up_front(tmp_path, capsys, config):
+    path = tmp_path / "eigen.json"
+    path.write_text(json.dumps(config))
+    code = main(["eigen", str(path), "--output", str(tmp_path / "eigs.csv")])
+    err = capsys.readouterr().err
+    assert code in (EXIT_OK, EXIT_CONFIG), (config, err)
+    assert not _FOREIGN_TYPE.search(err), (config, err)

@@ -33,8 +33,8 @@ from misspec_krige.kriging import GaussianModel, constant_mean, zero_mean
 from misspec_krige.verdicts import LimitKind
 
 
-def seq(values, label=""):
-    return EigenSequence(np.asarray(values, dtype=float), label)
+def seq(values):
+    return EigenSequence(np.asarray(values, dtype=float))
 
 
 class TestEigenRatioLimit:
@@ -137,9 +137,7 @@ class TestSpectralRatioLimit:
             spectral_ratio_limit(f, f, [1.0, 2.0, 4.0])
 
     def test_direction_dependent_limit_is_inconclusive(self):
-        from misspec_krige.kernels import SpectralDensity
-
-        class Anisotropic(SpectralDensity):
+        class Anisotropic:
             """Ratio over the base tends to 3 along the first axis, 1 along
             the second; no direction-free limit exists."""
             dim = 2
@@ -241,6 +239,13 @@ class TestNystromEigen:
         nodes, weights = uniform_grid(16)
         with pytest.raises(DomainError):
             nystrom_eigen(small_periodic_kernel(), nodes, -weights)
+
+    @pytest.mark.parametrize("cutoff", [-1e-9, 1.0, 2.0, math.nan])
+    def test_rank_cutoff_outside_unit_interval_rejected(self, cutoff):
+        # a cutoff of 1 or more would drop even the leading eigenvalue
+        nodes, weights = uniform_grid(16)
+        with pytest.raises(DomainError, match=r"rank_cutoff must lie in \[0, 1\)"):
+            nystrom_eigen(small_periodic_kernel(), nodes, weights, rank_cutoff=cutoff)
 
 
 class TestTaTail:

@@ -152,6 +152,46 @@ class TestGenerators:
             DesignGenerator.accumulating(x_star=0.1)
 
 
+#: the README's design-kind x domain table: per kind, whether it fits the
+#: interval, the torus with d = 1, the torus with d >= 2 (Halton up to d = 6)
+#: and the sphere
+DESIGN_TABLE = {"equispaced": (True, True, True, False),
+                "accumulating": (True, True, False, False),
+                "halton": (True, True, True, False),
+                "sphere_fibonacci": (False, False, False, True)}
+DESIGN_TABLE_COLUMNS = ([Box()], [Torus(1)], [Torus(2), Torus(3), Torus(6)], [UnitSphere()])
+
+
+def table_generator(kind, domain):
+    if kind == "accumulating":
+        return DesignGenerator.accumulating(domain=domain)
+    return DesignGenerator(kind=kind, domain=domain)
+
+
+class TestDesignTable:
+    @pytest.mark.parametrize("kind", sorted(DESIGN_TABLE))
+    def test_each_cell_of_the_readme_table(self, kind):
+        for fits, domains in zip(DESIGN_TABLE[kind], DESIGN_TABLE_COLUMNS):
+            for domain in domains:
+                if not fits:
+                    with pytest.raises(DomainError):
+                        table_generator(kind, domain)
+                    continue
+                gen = table_generator(kind, domain)
+                largest = generate_design(gen, 64).sites
+                for n in (1, 2, 7, 64):
+                    sites = generate_design(gen, n).sites
+                    assert sites.shape == (n, domain.dim)
+                    np.testing.assert_array_equal(domain.points(sites), sites)
+                    assert len(np.unique(sites, axis=0)) == n, (kind, domain, n)
+                    if gen.nested:
+                        np.testing.assert_array_equal(sites, largest[:n])
+
+    def test_halton_stops_at_six_torus_dimensions(self):
+        with pytest.raises(DomainError):
+            table_generator("halton", Torus(7))
+
+
 class TestBoxBounds:
     """Box designs and default targets are built in unit-cube coordinates and
     mapped onto the box: lower + (upper - lower) * u."""

@@ -133,21 +133,6 @@ class TestSphereCovariances:
             SphereSeriesKernel(p).gram(np.array([[math.nan, 0.0, 0.0]]), north()[None, :])
 
 
-class TestTailBounds:
-    def test_truncation_error_within_bound(self):
-        full = SphereLegendreParams(1.0, 1.0, 1.0, l_max=4096)
-        short = SphereLegendreParams(1.0, 1.0, 1.0, l_max=64)
-        x, y = north(), on_sphere(0.8, 0.5)
-        err = abs(SphereSeriesKernel(full)(x, y)
-                  - SphereSeriesKernel(short)(x, y))
-        assert err <= short.tail_bound(64) * (1 + 1e-9)
-
-    def test_bound_monotone(self):
-        p = SphereSpdeParams(1.0, 1.0, 1.0)
-        bounds = [p.tail_bound(l) for l in (16, 32, 64, 128)]
-        assert all(a > b for a, b in zip(bounds, bounds[1:]))
-
-
 class TestEigenRatio:
     def test_limit_value_at_high_degree(self):
         p1 = SphereLegendreParams(1.0, 1.0, 1.0)

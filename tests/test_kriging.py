@@ -242,6 +242,13 @@ class TestErrorMoments:
         assert clamped.variance == 0.0
         assert clamped.second_moment == 0.25
 
+    def test_mean_that_overflows_when_squared_is_named(self):
+        from misspec_krige.errors import NumericalFailureError
+        from misspec_krige.kriging import ErrorMoments
+        with pytest.raises(NumericalFailureError,
+                           match="error mean -1.000e\\+300 overflows when squared"):
+            ErrorMoments(mean=-1e300, variance=1.0)
+
     def test_multi_site_functional(self):
         """Contrast Z(t1) - Z(t2): moments against a direct bilinear oracle."""
         model = exp_model()

@@ -66,6 +66,13 @@ class TestEfficiencyRatios:
             assert rec.r_var_3 == pytest.approx(4.0, abs=1e-10)
             assert rec.r_var_4 == pytest.approx(0.25, abs=1e-10)
 
+    @pytest.mark.parametrize("limit_a", [0.0, -2.0, math.nan, 1e-320])
+    def test_limit_without_a_finite_reciprocal_rejected(self, limit_a):
+        # the cross ratios back to the true measure tend to 1/a
+        with pytest.raises(DomainError, match="positive with a finite reciprocal"):
+            efficiency_ratios(grid_design(8), grid_targets(), exp_model(),
+                              exp_model(sigma=2.0), limit_a=limit_a)
+
     def test_sup_record_takes_max_deviation(self):
         recs = efficiency_ratios(grid_design(9), grid_targets(),
                                  exp_model(), exp_model(sigma=2.0, kappa=0.5),
