@@ -23,7 +23,6 @@ from .kriging import (
     build_gram,
     error_moments,
     kriging_predictor,
-    mean_shift_identity_check,
 )
 from .ratios import RatioRecord, RatioTable, efficiency_ratios, mean_term, ratio_convergence
 from .verdicts import LimitKind, RatioVerdict
@@ -34,7 +33,7 @@ __all__ = [
     "MisspecKrigeError", "DomainError", "IllConditionedDesignError",
     "NumericalFailureError", "PartialResultError", "ConfigError",
     "GaussianModel", "Design", "TargetFunctional", "LinearPredictor", "ErrorMoments",
-    "build_gram", "kriging_predictor", "error_moments", "mean_shift_identity_check",
+    "build_gram", "kriging_predictor", "error_moments",
     "RatioRecord", "RatioTable", "efficiency_ratios", "mean_term", "ratio_convergence",
     "LimitKind", "RatioVerdict",
 ]

@@ -22,6 +22,7 @@ import argparse
 import io
 import json
 import math
+import numbers
 import os
 import sys
 import tempfile
@@ -71,14 +72,15 @@ def _fmt(value: float | None) -> str:
     return "" if value is None else _FLOAT_FMT % value
 
 
-def _bounded(value, name: str, ok, limit: str) -> float:
+def _bounded(value, name: str, ok=math.isfinite, limit: str = "a finite number") -> float:
     """``value`` of config field ``name`` as a float for which ``ok`` holds;
-    ``limit`` words that condition for the error message."""
+    ``limit`` words that condition for the error message.  Booleans and
+    strings are no numbers here."""
     number = math.nan
-    if not isinstance(value, bool):
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
         try:
             number = float(value)
-        except (TypeError, ValueError):
+        except OverflowError:  # an integer beyond the float range
             pass
     if not ok(number):
         raise ConfigError(f"{name} must be {limit}, got {value!r}")
@@ -150,10 +152,10 @@ def _mean_from_spec(spec, dim: int) -> tuple:
         raise ConfigError('mean spec must be an object with a "kind"')
     kind = _kind_of(spec, "kind", _MEAN_KEYS, "mean")
 
-    def number(key, default=None, ok=math.isfinite, limit="a finite number"):
+    def number(key, default=None, **bounds):
         if key not in spec and default is None:
             raise ConfigError(f"a {kind} mean needs {key!r}")
-        return _bounded(spec.get(key, default), f"mean.{key}", ok, limit)
+        return _bounded(spec.get(key, default), f"mean.{key}", **bounds)
 
     def point(key, default):
         value = spec.get(key, [default] * dim)
@@ -162,8 +164,7 @@ def _mean_from_spec(spec, dim: int) -> tuple:
         if not isinstance(value, list) or len(value) != dim:
             raise ConfigError(f"mean.{key} must be a list of {dim} finite numbers, "
                               f"got {value!r}")
-        return [_bounded(v, f"mean.{key}[{i}]", math.isfinite, "a finite number")
-                for i, v in enumerate(value)]
+        return [_bounded(v, f"mean.{key}[{i}]") for i, v in enumerate(value)]
 
     if kind == "zero":
         return zero_mean, "0"
@@ -183,10 +184,8 @@ def _model_from_spec(spec, label: str) -> GaussianModel:
     try:
         family = _kind_of(spec, "family", _MODEL_KEYS, "model")
         if family == "matern":
-            params = MaternParams(sigma=float(spec.get("sigma", 1.0)),
-                                  nu=float(spec["nu"]),
-                                  kappa=float(spec.get("kappa", 1.0)),
-                                  dim=spec.get("dim", 1))
+            params = MaternParams(sigma=spec.get("sigma", 1.0), nu=spec["nu"],
+                                  kappa=spec.get("kappa", 1.0), dim=spec.get("dim", 1))
             if params.dim != 1:
                 # the Galerkin route and the mean probe need a quadrature
                 # grid, and Box.quadrature exists for d = 1 only
@@ -199,32 +198,29 @@ def _model_from_spec(spec, label: str) -> GaussianModel:
                 clash = sorted({"dim", "power", "scale"} & set(spec))
                 if clash:
                     raise ConfigError(f"coeffs fix a 1-d spectrum, so {clash} must not be given")
-                table = {int(k): float(v) for k, v in coeffs.items()}
+                table = {int(k): _bounded(v, f"coeffs.{k}") for k, v in coeffs.items()}
                 spectrum = PeriodicSpectrum.from_coeffs(table, dim=1,
                                                         k_max=spec.get("k_max"))
             else:
-                power = float(spec.get("power", 2.0))
-                scale = float(spec.get("scale", 1.0))
+                power = _bounded(spec.get("power", 2.0), "power")
+                scale = _bounded(spec.get("scale", 1.0), "scale")
                 spectrum = PeriodicSpectrum.from_callable(
                     lambda k: scale * (1.0 + sum(c * c for c in k)) ** -power,
                     dim=spec.get("dim", 1), k_max=spec.get("k_max"))
             kernel = PeriodicKernel(spectrum)
         elif family == "sphere_legendre":
             kernel = SphereSeriesKernel(SphereLegendreParams(
-                sigma1=float(spec.get("sigma1", 1.0)), nu1=float(spec["nu1"]),
-                kappa1=float(spec.get("kappa1", 1.0)),
+                sigma1=spec.get("sigma1", 1.0), nu1=spec["nu1"], kappa1=spec.get("kappa1", 1.0),
                 l_max=spec.get("l_max", DEFAULT_L_MAX)))
         elif family == "sphere_spde":
             kernel = SphereSeriesKernel(SphereSpdeParams(
-                tau=float(spec.get("tau", 1.0)), nu=float(spec["nu"]),
-                kappa=float(spec.get("kappa", 1.0)),
+                tau=spec.get("tau", 1.0), nu=spec["nu"], kappa=spec.get("kappa", 1.0),
                 l_max=spec.get("l_max", DEFAULT_L_MAX)))
         else:
             # comparison models on the sphere; no ratio-limit claim attached
             from .kernels import ChordalMaternKernel, GreatCircleMaternKernel
-            params = MaternParams(sigma=float(spec.get("sigma", 1.0)),
-                                  nu=float(spec["nu"]),
-                                  kappa=float(spec.get("kappa", 1.0)), dim=3)
+            params = MaternParams(sigma=spec.get("sigma", 1.0), nu=spec["nu"],
+                                  kappa=spec.get("kappa", 1.0), dim=3)
             kernel = (ChordalMaternKernel(params)
                       if family == "sphere_chordal_matern"
                       else GreatCircleMaternKernel(params))
@@ -245,9 +241,9 @@ def _generator_from_spec(spec, domain) -> DesignGenerator:
         if kind == "equispaced":
             return DesignGenerator.equispaced(domain)
         if kind == "accumulating":
-            return DesignGenerator.accumulating(float(spec.get("x_star", DEFAULT_X_STAR)),
-                                                float(spec.get("q", DEFAULT_CONTRACTION)),
-                                                domain)
+            return DesignGenerator.accumulating(
+                _bounded(spec.get("x_star", DEFAULT_X_STAR), "design.x_star"),
+                _bounded(spec.get("q", DEFAULT_CONTRACTION), "design.q"), domain)
         if kind == "halton":
             return DesignGenerator.halton(domain)
         return DesignGenerator.sphere_fibonacci()

@@ -28,10 +28,7 @@ from .kernels import (
     MaternSpectralDensity,
     PeriodicKernel,
     SphereSeriesKernel,
-    eigen_sequence_of,
 )
-# the domains' quadrature rules, importable from here as well
-from .kernels.base import fibonacci_sphere_grid, torus_grid, uniform_grid  # noqa: F401
 from .kriging import GaussianModel
 from .verdicts import LimitKind, RatioVerdict, TailWindow
 
@@ -219,10 +216,6 @@ class NystromEigen:
     @property
     def rank(self) -> int:
         return int(self.eigenvalues.size)
-
-    def mercer_reconstruction(self) -> np.ndarray:
-        """sum_j gamma_j e_j(x) e_j(x') on the node grid."""
-        return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.T
 
 
 def nystrom_eigen(kernel: CovarianceKernel, nodes, weights,
@@ -435,13 +428,15 @@ def assumption_report(true_model: GaussianModel, wrong_model: GaussianModel,
 def _eigen_route(k_true, k_wrong, budget) -> dict | None:
     if isinstance(k_true, PeriodicKernel) and isinstance(k_wrong, PeriodicKernel):
         common = min(k_true.spectrum.k_max, k_wrong.spectrum.k_max)
+        g = k_true.spectrum.eigen_sequence(common)
+        g_t = k_wrong.spectrum.eigen_sequence(common)
     elif isinstance(k_true, SphereSeriesKernel) and isinstance(k_wrong, SphereSeriesKernel):
         common = min(k_true.params.l_max, k_wrong.params.l_max,
                      math.isqrt(EIGEN_TERMS))
+        g = k_true.params.eigen_sequence(common)
+        g_t = k_wrong.params.eigen_sequence(common)
     else:
         return None
-    g = eigen_sequence_of(k_true, common)
-    g_t = eigen_sequence_of(k_wrong, common)
     if len(g) != len(g_t):
         raise DomainError("spectra have mismatched supports")
     return eigen_ratio_limit(g, g_t, window=budget.verdict_window,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -61,10 +62,17 @@ class Box:
         return lower + (np.array(self.upper) - lower) * as_points(u, self.dim)
 
     def quadrature(self, n: int, exact: bool = False):
-        """The n-node trapezoid rule of a 1-d box (every count is exact)."""
+        """The n-node trapezoid rule of a 1-d box, endpoints included (every
+        count is exact)."""
         if self.dim != 1:
             raise DomainError("quadrature grids are provided for 1-d boxes only")
-        return uniform_grid(n, self.lower[0], self.upper[0])
+        if n < 2:
+            raise DomainError("need at least 2 nodes")
+        lower, upper = self.lower[0], self.upper[0]
+        h = (upper - lower) / (n - 1)
+        weights = np.full(n, h)
+        weights[0] = weights[-1] = h / 2.0
+        return np.linspace(lower, upper, n)[:, None], weights
 
 
 @dataclass(frozen=True)
@@ -93,8 +101,9 @@ class Torus:
         return as_points(u, self.dim)
 
     def quadrature(self, n: int, exact: bool = False):
-        """Rectangle rule with round(n^(1/d)) >= 2 nodes per axis; with ``exact``,
-        an n that is no such count raises, naming the nearest that are."""
+        """Periodic rectangle rule on [0, 1)^d with round(n^(1/d)) >= 2 nodes per
+        axis, exact for retained harmonics up to the grid's Nyquist index; with
+        ``exact``, an n that is no such count raises, naming the nearest that are."""
         side = max(2, round(n ** (1.0 / self.dim)))
         if exact and side ** self.dim != n:
             low = side if side ** self.dim < n else side - 1
@@ -102,7 +111,10 @@ class Torus:
             raise DomainError(
                 f"a {self.dim}-d torus grid has k^{self.dim} nodes for an integer k >= 2, "
                 f"so not {n}; nearest valid counts: {', '.join(map(str, nearest))}")
-        return torus_grid(side, self.dim)
+        axis = np.arange(side) / side
+        grids = np.meshgrid(*([axis] * self.dim), indexing="ij")
+        nodes = np.stack([g.ravel() for g in grids], axis=1)
+        return nodes, np.full(nodes.shape[0], 1.0 / side ** self.dim)
 
 
 @dataclass(frozen=True)
@@ -137,28 +149,6 @@ class UnitSphere:
 Domain = Box | Torus | UnitSphere
 
 
-def uniform_grid(n: int, lower: float = 0.0, upper: float = 1.0):
-    """Trapezoid rule on [lower, upper] with n nodes (endpoints included)."""
-    if n < 2:
-        raise DomainError("need at least 2 nodes")
-    nodes = np.linspace(lower, upper, n)
-    h = (upper - lower) / (n - 1)
-    weights = np.full(n, h)
-    weights[0] = weights[-1] = h / 2.0
-    return nodes[:, None], weights
-
-
-def torus_grid(n: int, dim: int = 1):
-    """Periodic rectangle rule on [0, 1)^dim; exact for retained harmonics up
-    to the grid's Nyquist index."""
-    if n < 2:
-        raise DomainError("need at least 2 nodes per dimension")
-    axis = np.arange(n) / n
-    grids = np.meshgrid(*([axis] * dim), indexing="ij")
-    nodes = np.stack([g.ravel() for g in grids], axis=1)
-    return nodes, np.full(nodes.shape[0], 1.0 / n ** dim)
-
-
 def fibonacci_sphere_grid(n: int, rotate: float = 0.0):
     """Deterministic near-uniform sphere nodes with equal weights 4 pi / n."""
     if n < 2:
@@ -188,9 +178,10 @@ def positive_integer(value, name: str) -> int:
 
 
 def positive_finite(**params) -> None:
-    """Reject the parameters unless each is a finite number > 0; the message
-    names them all."""
-    if not all(0 < value < math.inf for value in params.values()):
+    """Reject the parameters unless each is a real number, not a boolean, that
+    is > 0 and finite as a float; the message names them all."""
+    if not all(isinstance(value, numbers.Real) and not isinstance(value, bool)
+               and 0 < value <= sys.float_info.max for value in params.values()):
         shown = ", ".join(f"{name}={value!r}" for name, value in params.items())
         raise DomainError(f"{', '.join(params)} must all be finite and > 0, got {shown}")
 

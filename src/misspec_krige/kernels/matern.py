@@ -26,7 +26,6 @@ from scipy.special import gamma as gamma_fn
 from scipy.special import kv
 
 from ..errors import DomainError
-from ..verdicts import RatioVerdict
 from .base import (Box, ProfileKernel, UnitSphere, as_points, euclidean, inner_products,
                    positive_finite, positive_integer)
 
@@ -59,24 +58,6 @@ class MaternParams:
         return self.sigma ** 2 * self.kappa ** (2.0 * self.nu)
 
 
-def bessel_k(nu: float, x):
-    """Modified Bessel function of the second kind K_nu(x) for x > 0, nu >= 0.
-
-    Accurate to well over 10 significant digits on x in [1e-6, 50],
-    nu in [0.05, 10] (validated against high-precision reference values).
-    K_nu overflows double precision as x -> 0 for nu > 0, and that raises.
-    """
-    if nu < 0:
-        raise DomainError("bessel_k requires nu >= 0")
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr <= 0.0):
-        raise DomainError("bessel_k requires x > 0")
-    out = kv(nu, x_arr)
-    if np.any(np.isinf(out)):
-        raise DomainError("K_nu(x) overflows double precision for this (nu, x)")
-    return out if isinstance(x, np.ndarray) else float(out)
-
-
 def matern_cov(r, p: MaternParams):
     """Matern covariance at finite distance(s) r >= 0; the r = 0 limit is sigma^2."""
     r_arr = np.asarray(r, dtype=float)
@@ -91,23 +72,6 @@ def matern_cov(r, p: MaternParams):
     # guard the rare factored overflow (tiny x with large nu)
     vals = np.where(np.isfinite(vals), vals, p.sigma ** 2)
     return vals if isinstance(r, np.ndarray) else float(vals)
-
-
-def matern_ratio_limit(p: MaternParams, p_tilde: MaternParams) -> RatioVerdict:
-    """High-frequency limit of f_tilde / f for two Matern spectral densities.
-
-    The ratio converges to a positive constant exactly when the smoothness
-    parameters agree, in which case the constant is the ratio of the
-    infill-identifiable combinations.  Otherwise it diverges to zero
-    (nu_tilde > nu) or infinity (nu_tilde < nu).
-    """
-    if p.dim != p_tilde.dim:
-        raise DomainError("spectral densities must share the ambient dimension")
-    if p_tilde.nu > p.nu:
-        return RatioVerdict.diverges_to_zero()
-    if p_tilde.nu < p.nu:
-        return RatioVerdict.diverges_to_infinity()
-    return RatioVerdict.converges(p_tilde.infill_identifiable / p.infill_identifiable)
 
 
 @dataclass(frozen=True)

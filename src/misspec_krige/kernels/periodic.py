@@ -12,7 +12,7 @@ function and f(k), twice, for every representative k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
@@ -101,24 +101,22 @@ class PeriodicSpectrum:
         zero mass.
         """
         dim = positive_integer(dim, "dim")
-        table: dict[tuple[int, ...], float] = {}
+        table: dict[tuple[int, ...], float] = {}  # both signs of every listed index
         for key, val in coeffs.items():
             k = (key,) if isinstance(key, int) else tuple(int(c) for c in key)
             if len(k) != dim:
                 raise DomainError(f"index {k} does not match dim={dim}")
-            canon = k if (not any(k)) or next(c for c in k if c != 0) > 0 \
-                else tuple(-c for c in k)
+            pair = (k, tuple(-c for c in k))
+            canon = max(pair)  # the sign whose first nonzero component is positive
             if canon in table and abs(table[canon] - float(val)) > _SYMMETRY_TOL:
                 raise DomainError(f"conflicting masses for the index pair +-{canon}")
-            table[canon] = float(val)
+            table.update(dict.fromkeys(pair, float(val)))
         span = max((max(abs(c) for c in k) for k in table if any(k)), default=1)
         if k_max is None:
             k_max = span
         elif span > positive_integer(k_max, "k_max"):
             raise DomainError(f"k_max = {k_max!r} would drop the listed index of max-norm {span}")
-        return cls.from_callable(lambda k: table.get(
-            k if (not any(k)) or next(c for c in k if c != 0) > 0 else tuple(-c for c in k),
-            0.0), dim=dim, k_max=k_max)
+        return cls.from_callable(lambda k: table.get(k, 0.0), dim=dim, k_max=k_max)
 
     def eigen_sequence(self, k_max: int | None = None) -> EigenSequence:
         """Positive eigenvalues in canonical order: f(0), then each representative's
@@ -140,11 +138,11 @@ class PeriodicKernel(CovarianceKernel):
     """Covariance kernel on the torus induced by a :class:`PeriodicSpectrum`."""
 
     spectrum: PeriodicSpectrum
-    domain: Torus = field(default_factory=Torus)
 
-    def __post_init__(self):
-        if self.domain.dim != self.spectrum.dim:
-            object.__setattr__(self, "domain", Torus(self.spectrum.dim))
+    @property
+    def domain(self) -> Torus:
+        """The torus of the spectrum's dimension."""
+        return Torus(self.spectrum.dim)
 
     @property
     def rank(self) -> int:

@@ -30,31 +30,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import legval
 
-from ..errors import DomainError
 from .base import (EigenSequence, ProfileKernel, UnitSphere, inner_products, positive_finite,
                    positive_integer)
 
 DEFAULT_L_MAX = 256
-
-
-def legendre_p(ell: int, y):
-    """Legendre polynomial P_ell(y) on [-1, 1] by the three-term recurrence
-
-        (l + 1) P_{l+1}(y) = (2l + 1) y P_l(y) - l P_{l-1}(y).
-    """
-    if ell < 0 or int(ell) != ell:
-        raise DomainError("ell must be a nonnegative integer")
-    y_arr = np.asarray(y, dtype=float)
-    if np.any(np.abs(y_arr) > 1.0 + 1e-12):
-        raise DomainError("legendre_p requires |y| <= 1")
-    y_arr = np.clip(y_arr, -1.0, 1.0)
-    p_prev = np.ones_like(y_arr)
-    if ell == 0:
-        return p_prev if isinstance(y, np.ndarray) else float(p_prev)
-    p_curr = y_arr.copy()
-    for l in range(1, ell):
-        p_prev, p_curr = p_curr, ((2 * l + 1) * y_arr * p_curr - l * p_prev) / (l + 1)
-    return p_curr if isinstance(y, np.ndarray) else float(p_curr)
 
 
 class SphereSeriesParams:
@@ -119,17 +98,6 @@ class SphereSpdeParams(SphereSeriesParams):
         """P_ell multiplier (eigenvalue times (2 ell + 1) / (4 pi))."""
         ell = np.asarray(ell, dtype=float)
         return self.eigenvalue(ell) * (2.0 * ell + 1.0) / (4.0 * math.pi)
-
-
-def sphere_eigen_ratio(p1: SphereLegendreParams, p2: SphereSpdeParams, ell: int) -> float:
-    """Per-degree eigenvalue ratio lambda_2(ell)/lambda_1(ell) of the two models.
-
-    Tends to 1 / (tau^2 sigma_1^2 2 pi) as ell grows exactly when nu_1 = nu;
-    to 0 when nu_1 < nu and to infinity when nu_1 > nu.
-    """
-    if ell < 0 or int(ell) != ell:
-        raise DomainError("ell must be a nonnegative integer")
-    return float(p2.eigenvalue(ell) / p1.eigenvalue(ell))
 
 
 @dataclass(frozen=True)

@@ -397,24 +397,3 @@ def _moment_block(predictor_sets, targets, sigma: np.ndarray, cross, tblocks,
             row.append(ErrorMoments(mean=mean, variance=float(q + anchor * tilt ** 2)))
         moments.append(row)
     return moments
-
-
-def mean_shift_identity_check(target: TargetFunctional, design: Design,
-                              model_a: GaussianModel, model_b: GaussianModel) -> float:
-    """Consistency of predictors built under two mean functions sharing a kernel.
-
-    The model-a predictor must equal the model-b predictor minus the model-a
-    expectation of the model-b predictor's error; returns the max absolute
-    deviation of that identity over ten seeded probe observation vectors.
-    """
-    if model_a.kernel != model_b.kernel:
-        raise DomainError("the two models must share the same covariance kernel")
-    system = LevelSystem(design, [target], model_a.kernel)
-    pred_a, pred_b = system.predictors(model_a)[0], system.predictors(model_b)[0]
-    bias = system.moments([[pred_b]], model_a)[0][0].mean
-    rng = np.random.default_rng(20240601)
-    worst = 0.0
-    for _ in range(10):
-        z = rng.standard_normal(design.n)
-        worst = max(worst, abs(pred_a.predict(z) - (pred_b.predict(z) - bias)))
-    return worst

@@ -267,10 +267,6 @@ class RatioTable:
         if ns != sorted(set(ns)):
             raise DomainError("records must be grouped by strictly increasing n")
 
-    @property
-    def n_values(self) -> list[int]:
-        return sorted({rec.n for rec in self.records})
-
     def sup_record(self, n: int) -> RatioRecord:
         for rec in self.records:
             if rec.n == n and rec.target_id == SUP_TARGET_ID:

@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from misspec_krige.diagnostics import eigen_ratio_limit, nystrom_eigen, t_a_tail_spectrum, torus_grid
+from misspec_krige.diagnostics import eigen_ratio_limit, nystrom_eigen, t_a_tail_spectrum
 from misspec_krige.harness import SCENARIO_NAMES, builtin_scenario, generate_design, run_scenario
 from misspec_krige.kernels import (
     MaternKernel,
@@ -22,11 +22,8 @@ from misspec_krige.kernels import (
     PeriodicSpectrum,
     SphereLegendreParams,
     SphereSpdeParams,
-    bessel_k,
-    eigen_sequence_of,
-    legendre_p,
+    Torus,
     matern_cov,
-    sphere_eigen_ratio,
 )
 from misspec_krige.kriging import (
     Design,
@@ -34,11 +31,13 @@ from misspec_krige.kriging import (
     TargetFunctional,
     constant_mean,
     linear_mean,
-    mean_shift_identity_check,
     zero_mean,
 )
 from misspec_krige.ratios import RATIO_NAMES, SUP_TARGET_ID, efficiency_ratios, mean_term
 from misspec_krige.verdicts import LimitKind
+
+from closed_forms import (bessel_k, legendre_p, mean_shift_identity_check,
+                          mercer_reconstruction, sphere_eigen_ratio)
 
 ACCEPTANCE_LOG: list[str] = []
 
@@ -138,8 +137,7 @@ def test_criterion_06_sphere_limit():
     p2 = SphereSpdeParams(tau=1.0, nu=1.0, kappa=1.0)
     want = 1.0 / (2.0 * math.pi)
     at_2000 = sphere_eigen_ratio(p1, p2, 2000)
-    verdict = eigen_ratio_limit(eigen_sequence_of(p1, 2000),
-                                eigen_sequence_of(p2, 2000))
+    verdict = eigen_ratio_limit(p1.eigen_sequence(2000), p2.eigen_sequence(2000))
     ok = (abs(at_2000 - want) < 1e-3
           and verdict.kind is LimitKind.CONVERGES
           and abs(verdict.a_estimate - want) < 1e-2)
@@ -211,10 +209,10 @@ def test_criterion_09_special_functions():
 
 def test_criterion_10_nystrom_fidelity():
     kern = PeriodicKernel(PeriodicSpectrum.from_coeffs({0: 1.0, 1: 0.5}, dim=1))
-    nodes, weights = torus_grid(64)
+    nodes, weights = Torus().quadrature(64)
     eig = nystrom_eigen(kern, nodes, weights, rank_cutoff=1e-9)
     eig_err = float(np.max(np.abs(eig.eigenvalues - np.array([1.0, 0.5, 0.5]))))
-    mercer_err = float(np.max(np.abs(eig.mercer_reconstruction()
+    mercer_err = float(np.max(np.abs(mercer_reconstruction(eig)
                                      - kern.gram(nodes))))
     ok = eig.rank == 3 and eig_err <= 1e-6 and mercer_err <= 1e-6
     _report(10, ok, f"eigenvalues off by {eig_err:.1e}, "
@@ -243,7 +241,7 @@ def test_criterion_11_ratio_invariants_all_scenarios():
 def test_criterion_12_whitened_tail_sanity():
     base = lambda k: (1.0 + float(k[0]) ** 2) ** -2.0
     spec = PeriodicSpectrum.from_callable(base, dim=1, k_max=32)
-    nodes, weights = torus_grid(128)
+    nodes, weights = Torus().quadrature(128)
     # working covariance = a * truth: the whitened image vanishes
     scaled = PeriodicSpectrum.from_callable(lambda k: 3.0 * base(k), dim=1, k_max=32)
     zero_img = t_a_tail_spectrum(PeriodicKernel(spec), PeriodicKernel(scaled),

@@ -472,13 +472,37 @@ MODEL_SPEC_CASES = [
      "bad model spec for true: mean.slope must be a list of 2 finite numbers, got 1.0"),
     ({"family": "periodic", "dim": 2, "mean": {"kind": "kink", "alpha": 1, "x0": [0.5, 1e400]}},
      "bad model spec for true: mean.x0[1] must be a finite number, got inf"),
+    ({"family": "matern", "nu": True},
+     "bad model spec for true: sigma, nu, kappa must all be finite and > 0, got sigma=1.0, "
+     "nu=True"),
+    ({"family": "matern", "nu": 0.5, "sigma": True},
+     "bad model spec for true: sigma, nu, kappa must all be finite and > 0, got sigma=True"),
+    ({"family": "sphere_spde", "nu": True},
+     "bad model spec for true: tau, nu, kappa must all be finite and > 0, got tau=1.0, "
+     "nu=True"),
+    ({"family": "periodic", "power": True},
+     "bad model spec for true: power must be a finite number, got True"),
+    ({"family": "periodic", "coeffs": {"0": 1.0, "1": True}},
+     "bad model spec for true: coeffs.1 must be a finite number, got True"),
+    ({"family": "matern", "nu": "0.5"},
+     "bad model spec for true: sigma, nu, kappa must all be finite and > 0, got sigma=1.0, "
+     "nu='0.5'"),
+    ({"family": "matern", "nu": 0.5, "mean": {"kind": "constant", "value": "1.5"}},
+     "bad model spec for true: mean.value must be a finite number, got '1.5'"),
+    ({"family": "matern", "nu": 10 ** 400},
+     "bad model spec for true: sigma, nu, kappa must all be finite and > 0, got sigma=1.0, "
+     "nu=1000"),
+    ({"family": "matern", "nu": 0.5, "mean": {"kind": "constant", "value": -10 ** 400}},
+     "bad model spec for true: mean.value must be a finite number, got -1000"),
 ]
 MODEL_SPEC_IDS = ["sigma-inf", "nu-nan", "tau-inf", "kappa1-minus-inf", "matern-typo",
                   "spde-legendre-key", "unknown-family", "coeffs-list", "coeffs-with-dim",
                   "coeffs-with-power-scale", "mean-typo", "mean-value-inf",
                   "mean-intercept-inf", "mean-alpha-nan", "mean-alpha-negative",
                   "mean-slope-too-long", "mean-x0-too-long", "mean-slope-scalar-2d",
-                  "mean-x0-entry-inf"]
+                  "mean-x0-entry-inf", "matern-nu-bool", "matern-sigma-bool", "spde-nu-bool",
+                  "periodic-power-bool", "coeffs-mass-bool", "matern-nu-string",
+                  "mean-value-string", "matern-nu-huge-int", "mean-value-huge-int"]
 
 
 class TestRejectedBeforeAnyWork:
@@ -507,7 +531,7 @@ class TestRejectedBeforeAnyWork:
         ({"kind": "accumulating", "qq": 0.2}, "unknown accumulating design keys: ['qq']"),
         ({"kind": "halton", "q": 0.6}, "unknown halton design keys: ['q']"),
         ({"kind": "accumulating", "q": "fast"},
-         "config error (ValueError): could not convert string to float: 'fast'"),
+         "config error: bad design spec: design.q must be a finite number, got 'fast'"),
     ], ids=["accumulating-typo", "halton-q", "q-not-a-number"])
     def test_bad_design_spec_exit_2(self, tmp_path, capsys, no_work, design, message):
         cfg = write_config(tmp_path, {"schema": 1, "experiment": {

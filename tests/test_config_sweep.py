@@ -6,7 +6,8 @@ against every domain, with schedules up to [8, 16], and ``cli.main`` runs
 with a quadrature grid of up to 256 nodes.  A config either runs (exit 0) or
 is rejected before any work (exit 2); no failure may surface during the
 work, and no error may name a non-library exception type, which ``main``
-prints as ``(TypeName)``.
+prints as ``(TypeName)``.  A config holding a value the README says is
+rejected must exit 2.
 """
 
 import json
@@ -37,9 +38,29 @@ _FINITE = st.floats(-10.0, 10.0)
 _BAD_FINITE = st.sampled_from([math.inf, -math.inf, math.nan, "nan", [], True])
 
 
+class _Bad:
+    """A drawn value that must get its config rejected; ``_unwrap`` strips the tag."""
+
+    def __init__(self, value):
+        self.value = value
+
+
+def _unwrap(value):
+    """``value`` with every ``_Bad`` replaced by what it holds, and whether it held one."""
+    if isinstance(value, _Bad):
+        return _unwrap(value.value)[0], True
+    if isinstance(value, dict):
+        pairs = {key: _unwrap(v) for key, v in value.items()}
+        return {key: v for key, (v, _) in pairs.items()}, any(bad for _, bad in pairs.values())
+    if isinstance(value, list):
+        pairs = [_unwrap(v) for v in value]
+        return [v for v, _ in pairs], any(bad for _, bad in pairs)
+    return value, False
+
+
 def _maybe_bad(good, bad):
-    """``bad`` one time in eight: most drawn configs should get to run."""
-    return st.integers(0, 7).flatmap(lambda i: bad if i == 0 else good)
+    """``bad``, tagged, one time in eight: most drawn configs should get to run."""
+    return st.integers(0, 7).flatmap(lambda i: bad.map(_Bad) if i == 0 else good)
 
 
 @st.composite
@@ -49,7 +70,8 @@ def _point(draw, dim):
     if dim == 1 and draw(st.booleans()):
         return draw(_maybe_bad(_FINITE, _BAD_FINITE))
     size = draw(st.sampled_from([dim, dim, dim, dim + 1]))
-    return draw(st.lists(_maybe_bad(_FINITE, _BAD_FINITE), min_size=size, max_size=size))
+    point = draw(st.lists(_maybe_bad(_FINITE, _BAD_FINITE), min_size=size, max_size=size))
+    return point if size == dim else _Bad(point)
 
 
 @st.composite
@@ -140,7 +162,7 @@ def eigen_configs(draw):
     if draw(st.booleans()):
         grid["rank_cutoff"] = draw(st.one_of(
             st.floats(0.0, 1.0, exclude_max=True),
-            st.sampled_from([-1e-9, -1.0, 1.0, 2.0, "x", math.nan])))
+            st.sampled_from([-1e-9, -1.0, 1.0, 2.0, "x", math.nan]).map(_Bad)))
     family = draw(st.sampled_from(_FAMILIES[domain]))
     return {"schema": 1, "kernel": draw(_model(family, dim)), "grid": grid}
 
@@ -153,9 +175,10 @@ _FOREIGN_TYPE = re.compile(r"^(config error|numerical failure) \(\w+\)", re.M)
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
 @given(experiment=experiments())
 def test_inline_experiment_runs_or_is_rejected_up_front(tmp_path, capsys, experiment):
-    pair = {key: experiment[key] for key in ("true_model", "wrong_model")}
-    for command, config in (("run", {"schema": 1, "experiment": experiment}),
-                            ("check", {"schema": 1, **pair})):
+    pair, pair_bad = _unwrap({key: experiment[key] for key in ("true_model", "wrong_model")})
+    experiment, bad = _unwrap(experiment)
+    for command, config, rejected in (("run", {"schema": 1, "experiment": experiment}, bad),
+                                      ("check", {"schema": 1, **pair}, pair_bad)):
         path = tmp_path / f"{command}.json"
         path.write_text(json.dumps(config))
         argv = [command, str(path)] + (["--output", str(tmp_path / "out")]
@@ -163,6 +186,7 @@ def test_inline_experiment_runs_or_is_rejected_up_front(tmp_path, capsys, experi
         code = main(argv)
         err = capsys.readouterr().err
         assert code in (EXIT_OK, EXIT_CONFIG), (command, config, err)
+        assert code == EXIT_CONFIG or not rejected, (command, config, err)
         assert not _FOREIGN_TYPE.search(err), (command, config, err)
 
 
@@ -170,9 +194,11 @@ def test_inline_experiment_runs_or_is_rejected_up_front(tmp_path, capsys, experi
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
 @given(config=eigen_configs())
 def test_eigen_config_runs_or_is_rejected_up_front(tmp_path, capsys, config):
+    config, rejected = _unwrap(config)
     path = tmp_path / "eigen.json"
     path.write_text(json.dumps(config))
     code = main(["eigen", str(path), "--output", str(tmp_path / "eigs.csv")])
     err = capsys.readouterr().err
     assert code in (EXIT_OK, EXIT_CONFIG), (config, err)
+    assert code == EXIT_CONFIG or not rejected, (config, err)
     assert not _FOREIGN_TYPE.search(err), (config, err)

@@ -11,26 +11,27 @@ from misspec_krige.diagnostics import (
     QUAD_NODES,
     assumption_report,
     eigen_ratio_limit,
-    fibonacci_sphere_grid,
     nystrom_eigen,
     spectral_equivalence_bounds,
     spectral_ratio_limit,
     t_a_tail_spectrum,
-    torus_grid,
-    uniform_grid,
 )
 from misspec_krige.errors import DomainError
 from misspec_krige.kernels import (
+    Box,
     EigenSequence,
     MaternKernel,
     MaternParams,
     MaternSpectralDensity,
     PeriodicKernel,
     PeriodicSpectrum,
-    eigen_sequence_of,
+    Torus,
 )
+from misspec_krige.kernels.base import fibonacci_sphere_grid
 from misspec_krige.kriging import GaussianModel, constant_mean, zero_mean
 from misspec_krige.verdicts import LimitKind
+
+from closed_forms import mercer_reconstruction
 
 
 def seq(values):
@@ -191,7 +192,7 @@ def small_periodic_kernel():
 
 class TestNystromEigen:
     def test_rank_one_constant_kernel(self):
-        from misspec_krige.kernels import Box, CovarianceKernel
+        from misspec_krige.kernels import CovarianceKernel
 
         class ConstantKernel(CovarianceKernel):
             domain = Box()
@@ -201,27 +202,27 @@ class TestNystromEigen:
                 m = n if y is None else np.atleast_2d(y).shape[0]
                 return np.full((n, m), 0.7)
 
-        nodes, weights = uniform_grid(40)
+        nodes, weights = Box().quadrature(40)
         eig = nystrom_eigen(ConstantKernel(), nodes, weights, rank_cutoff=1e-10)
         assert eig.rank == 1
         assert eig.eigenvalues[0] == pytest.approx(0.7, rel=1e-12)
 
     def test_periodic_small_spectrum(self):
-        nodes, weights = torus_grid(64)
+        nodes, weights = Torus().quadrature(64)
         eig = nystrom_eigen(small_periodic_kernel(), nodes, weights,
                             rank_cutoff=1e-9)
         assert eig.rank == 3
         np.testing.assert_allclose(eig.eigenvalues, [1.0, 0.5, 0.5], atol=1e-6)
 
     def test_mercer_reconstruction_on_nodes(self):
-        nodes, weights = torus_grid(64)
+        nodes, weights = Torus().quadrature(64)
         kern = small_periodic_kernel()
         eig = nystrom_eigen(kern, nodes, weights, rank_cutoff=1e-9)
-        recon = eig.mercer_reconstruction()
+        recon = mercer_reconstruction(eig)
         np.testing.assert_allclose(recon, kern.gram(nodes), atol=1e-6)
 
     def test_trace_consistency(self):
-        nodes, weights = uniform_grid(80)
+        nodes, weights = Box().quadrature(80)
         kern = MaternKernel(MaternParams(1.0, 1.5, 3.0))
         eig = nystrom_eigen(kern, nodes, weights, rank_cutoff=0.0)
         diag_integral = float(weights @ np.diag(kern.gram(nodes)))
@@ -229,28 +230,28 @@ class TestNystromEigen:
             diag_integral, rel=1e-8)
 
     def test_matern_descending_positive(self):
-        nodes, weights = uniform_grid(128)
+        nodes, weights = Box().quadrature(128)
         eig = nystrom_eigen(MaternKernel(MaternParams(1.0, 0.5, 1.0)),
                             nodes, weights)
         assert np.all(eig.eigenvalues > 0)
         assert np.all(np.diff(eig.eigenvalues) <= 0)
 
     def test_bad_weights(self):
-        nodes, weights = uniform_grid(16)
+        nodes, weights = Box().quadrature(16)
         with pytest.raises(DomainError):
             nystrom_eigen(small_periodic_kernel(), nodes, -weights)
 
     @pytest.mark.parametrize("cutoff", [-1e-9, 1.0, 2.0, math.nan])
     def test_rank_cutoff_outside_unit_interval_rejected(self, cutoff):
         # a cutoff of 1 or more would drop even the leading eigenvalue
-        nodes, weights = uniform_grid(16)
+        nodes, weights = Box().quadrature(16)
         with pytest.raises(DomainError, match=r"rank_cutoff must lie in \[0, 1\)"):
             nystrom_eigen(small_periodic_kernel(), nodes, weights, rank_cutoff=cutoff)
 
 
 class TestTaTail:
     def test_scaled_kernel_gives_zero(self):
-        nodes, weights = torus_grid(64)
+        nodes, weights = Torus().quadrature(64)
         spec = PeriodicSpectrum.from_callable(
             lambda k: (1.0 + float(k[0]) ** 2) ** -2.0, dim=1, k_max=16)
         scaled = PeriodicSpectrum.from_callable(
@@ -260,7 +261,7 @@ class TestTaTail:
         assert report.max_abs <= 1e-8
 
     def test_diagonal_limit_three_tail_decay(self):
-        nodes, weights = torus_grid(128)
+        nodes, weights = Torus().quadrature(128)
         base = lambda k: (1.0 + float(k[0]) ** 2) ** -2.0
         spec = PeriodicSpectrum.from_callable(base, dim=1, k_max=32)
         wobble = PeriodicSpectrum.from_callable(
@@ -271,7 +272,7 @@ class TestTaTail:
         assert report.last_quartile_max() < 0.1 * report.max_abs
 
     def test_wrong_a_leaves_tail_offset(self):
-        nodes, weights = torus_grid(128)
+        nodes, weights = Torus().quadrature(128)
         base = lambda k: (1.0 + float(k[0]) ** 2) ** -2.0
         spec = PeriodicSpectrum.from_callable(base, dim=1, k_max=32)
         wobble = PeriodicSpectrum.from_callable(
@@ -283,7 +284,7 @@ class TestTaTail:
         assert report.last_quartile_max() > 0.5 * abs(3.0 - off)
 
     def test_a_zero_image_is_positive(self):
-        nodes, weights = torus_grid(64)
+        nodes, weights = Torus().quadrature(64)
         spec = PeriodicSpectrum.from_callable(
             lambda k: (1.0 + float(k[0]) ** 2) ** -2.0, dim=1, k_max=16)
         kern = PeriodicKernel(spec)
@@ -294,7 +295,7 @@ class TestTaTail:
             t_a_tail_spectrum(kern, kern, nodes, weights, a=-1.0, basis_size=8)
 
     def test_basis_larger_than_resolved_rank(self):
-        nodes, weights = torus_grid(32)
+        nodes, weights = Torus().quadrature(32)
         with pytest.raises(DomainError):
             t_a_tail_spectrum(small_periodic_kernel(), small_periodic_kernel(),
                               nodes, weights, a=1.0, basis_size=10)
@@ -302,11 +303,11 @@ class TestTaTail:
 
 class TestQuadratures:
     def test_uniform_grid_weights_sum(self):
-        _, weights = uniform_grid(33, 0.0, 2.0)
+        _, weights = Box((0.0,), (2.0,)).quadrature(33)
         assert weights.sum() == pytest.approx(2.0)
 
     def test_torus_grid_exactness(self):
-        nodes, weights = torus_grid(16)
+        nodes, weights = Torus().quadrature(16)
         assert weights.sum() == pytest.approx(1.0)
         # exact for low harmonics
         assert float(weights @ np.cos(2 * np.pi * nodes[:, 0])) == pytest.approx(
@@ -405,7 +406,7 @@ class TestAssumptionReport:
     def test_report_tail_equals_direct_probe(self):
         true, wrong = self.matern_pair()
         report = assumption_report(true, wrong)
-        nodes, weights = uniform_grid(128)
+        nodes, weights = Box().quadrature(128)
         direct = t_a_tail_spectrum(true.kernel, wrong.kernel, nodes, weights,
                                    report["ratio_verdict"]["a_estimate"], basis_size=24)
         assert report["t_a_tail"] == direct.to_dict()
@@ -431,7 +432,6 @@ class TestAssumptionReport:
         assert report["assessment"]["bounded_ratio_limit"] == "inconclusive"
 
     def test_two_dimensional_box_grades_the_mean_probe_inconclusive(self):
-        from misspec_krige.kernels import Box
         square = Box((0.0, 0.0), (1.0, 1.0))
         true = GaussianModel(zero_mean, MaternKernel(MaternParams(1.0, 0.5, 1.0, dim=2),
                                                      square), "t")

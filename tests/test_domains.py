@@ -1,12 +1,12 @@
 """Domain geometry: each domain checks its own points and builds its own
 quadrature rule."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from misspec_krige import diagnostics
 from misspec_krige.errors import DomainError
 from misspec_krige.kernels import (
     Box,
@@ -21,12 +21,27 @@ from misspec_krige.kernels import (
     Torus,
     UnitSphere,
 )
-from misspec_krige.kernels.base import fibonacci_sphere_grid, torus_grid, uniform_grid
+from misspec_krige.kernels.base import fibonacci_sphere_grid
 
 
 def assert_rule_equal(rule, reference):
     np.testing.assert_array_equal(rule[0], reference[0])
     np.testing.assert_array_equal(rule[1], reference[1])
+
+
+def trapezoid(n, lower=0.0, upper=1.0):
+    """The n-node trapezoid rule on [lower, upper], endpoints included."""
+    h = (upper - lower) / (n - 1)
+    weights = np.full(n, h)
+    weights[0] = weights[-1] = h / 2.0
+    return np.linspace(lower, upper, n)[:, None], weights
+
+
+def rectangle_rule(side, dim=1):
+    """The rule with nodes k / side, k = 0 .. side - 1, on each axis of [0, 1)^dim,
+    the last axis varying fastest, and equal weights."""
+    nodes = np.array(list(itertools.product(np.arange(side) / side, repeat=dim)))
+    return nodes, np.full(side ** dim, 1.0 / side ** dim)
 
 
 class TestPoints:
@@ -109,6 +124,13 @@ class TestKernelsAskTheDomain:
         with pytest.raises(DomainError, match="is not a unit vector"):
             kernel.gram(north, [[0.0, 0.5, 0.5]])
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_periodic_torus_follows_the_spectrum(self, dim):
+        kern = PeriodicKernel(PeriodicSpectrum.from_callable(lambda k: 1.0, dim=dim, k_max=2))
+        assert kern.domain == Torus(dim)
+        with pytest.raises(AttributeError):
+            kern.domain = Torus(dim + 1)
+
     def test_matern_gram_keeps_plain_coercion(self):
         # the Euclidean formula holds off the box, and a Gram is not bounds-checked
         kern = MaternKernel(MaternParams(1.0, 0.5, 1.0))
@@ -118,21 +140,25 @@ class TestKernelsAskTheDomain:
 class TestQuadrature:
     @pytest.mark.parametrize("n", [2, 33, 128])
     def test_box_trapezoid(self, n):
-        assert_rule_equal(Box().quadrature(n), uniform_grid(n))
-        assert_rule_equal(Box((-1.0,), (2.0,)).quadrature(n), uniform_grid(n, -1.0, 2.0))
+        assert_rule_equal(Box().quadrature(n), trapezoid(n))
+        assert_rule_equal(Box((-1.0,), (2.0,)).quadrature(n), trapezoid(n, -1.0, 2.0))
 
     def test_box_above_one_dimension_rejected(self):
         with pytest.raises(DomainError, match="1-d boxes only"):
             Box((0.0, 0.0), (1.0, 1.0)).quadrature(16)
 
+    def test_box_needs_two_nodes(self):
+        with pytest.raises(DomainError, match="need at least 2 nodes"):
+            Box().quadrature(1)
+
     @pytest.mark.parametrize("n", [2, 33, 128, 2048])
     def test_one_dimensional_torus_exact(self, n):
-        assert_rule_equal(Torus(1).quadrature(n, exact=True), torus_grid(n))
+        assert_rule_equal(Torus(1).quadrature(n, exact=True), rectangle_rule(n))
 
     @pytest.mark.parametrize("dim, n, side", [
         (2, 128, 11), (2, 33, 6), (2, 2048, 45), (3, 2048, 13), (3, 128, 5), (3, 2, 2)])
     def test_torus_rounds_per_axis(self, dim, n, side):
-        assert_rule_equal(Torus(dim).quadrature(n), torus_grid(side, dim))
+        assert_rule_equal(Torus(dim).quadrature(n), rectangle_rule(side, dim))
 
     @pytest.mark.parametrize("dim, n, nearest", [
         (2, 2048, "2025, 2116"), (3, 2048, "1728, 2197"), (2, 3, "4"), (2, 10, "9, 16"),
@@ -145,7 +171,8 @@ class TestQuadrature:
 
     @pytest.mark.parametrize("dim, side", [(2, 45), (3, 5), (3, 12)])
     def test_torus_exact_powers_accepted(self, dim, side):
-        assert_rule_equal(Torus(dim).quadrature(side ** dim, exact=True), torus_grid(side, dim))
+        assert_rule_equal(Torus(dim).quadrature(side ** dim, exact=True),
+                          rectangle_rule(side, dim))
 
     @pytest.mark.parametrize("n", [2, 33, 128])
     def test_sphere_fibonacci(self, n):
@@ -156,11 +183,6 @@ class TestQuadrature:
         nodes, weights = domain.quadrature(64)
         assert domain.points(nodes) is nodes
         assert np.all(weights > 0)
-
-    def test_grids_importable_from_diagnostics(self):
-        assert diagnostics.uniform_grid is uniform_grid
-        assert diagnostics.torus_grid is torus_grid
-        assert diagnostics.fibonacci_sphere_grid is fibonacci_sphere_grid
 
 
 class TestIntegerFields:

@@ -20,12 +20,12 @@ from misspec_krige.kernels import (
     MaternKernel,
     MaternParams,
     MaternSpectralDensity,
-    bessel_k,
     matern_cov,
-    matern_ratio_limit,
 )
 from misspec_krige.kernels.base import euclidean
 from misspec_krige.verdicts import LimitKind
+
+from closed_forms import bessel_k, matern_ratio_limit
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -104,7 +104,10 @@ class TestMaternCov:
     def test_invalid_params(self):
         for bad in [dict(sigma=0.0, nu=1.0, kappa=1.0),
                     dict(sigma=1.0, nu=-1.0, kappa=1.0),
-                    dict(sigma=1.0, nu=1.0, kappa=0.0)]:
+                    dict(sigma=1.0, nu=1.0, kappa=0.0),
+                    dict(sigma=1.0, nu=True, kappa=1.0),
+                    dict(sigma=1.0, nu="0.5", kappa=1.0),
+                    dict(sigma=10 ** 400, nu=1.0, kappa=1.0)]:
             with pytest.raises(DomainError):
                 MaternParams(**bad)
         with pytest.raises(DomainError):

@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from misspec_krige.diagnostics import torus_grid
 from misspec_krige.errors import DomainError
 from misspec_krige.harness import DesignGenerator, generate_design
-from misspec_krige.kernels import PeriodicKernel, PeriodicSpectrum, Torus, eigen_sequence_of
+from misspec_krige.kernels import PeriodicKernel, PeriodicSpectrum, Torus
 from misspec_krige.kernels import periodic
 
 
@@ -85,12 +84,12 @@ class TestPeriodicCov:
 
 class TestEigenSequence:
     def test_canonical_order_d1(self):
-        seq = eigen_sequence_of(rational_spectrum(k_max=3))
+        seq = rational_spectrum(k_max=3).eigen_sequence()
         want = [1.0, 0.25, 0.25, 0.04, 0.04, 0.01, 0.01]
         np.testing.assert_allclose(seq.values, want, rtol=1e-14)
 
     def test_all_positive(self):
-        seq = eigen_sequence_of(rational_spectrum(k_max=32))
+        seq = rational_spectrum(k_max=32).eigen_sequence()
         assert np.all(seq.values > 0)
 
     def test_truncation_restriction(self):
@@ -164,7 +163,7 @@ class TestSquareGram:
     @pytest.mark.parametrize("n", [2, 17, 64, 128])
     def test_torus_grid_and_halton(self, n):
         kern = rational_kernel()
-        self.assert_reference(kern, torus_grid(n)[0])
+        self.assert_reference(kern, Torus().quadrature(n)[0])
         self.assert_reference(kern, generate_design(DesignGenerator.halton(Torus()), n).sites)
 
     def test_random_sets_and_signed_zero(self):
@@ -180,7 +179,7 @@ class TestSquareGram:
         rng = np.random.default_rng(dim * 100 + k_max)
         for n in (1, 5, 40):
             self.assert_reference(kern, rng.uniform(0.0, 1.0, (n, dim)))
-        self.assert_reference(kern, torus_grid(4, dim)[0])
+        self.assert_reference(kern, Torus(dim).quadrature(4 ** dim)[0])
         self.assert_reference(kern, generate_design(DesignGenerator.halton(Torus(dim)), 30).sites)
         # differences that agree up to the sign of one component only
         self.assert_reference(kern, np.array([[0.5] * dim, [0.6] + [0.7] * (dim - 1),
@@ -209,7 +208,7 @@ class TestSquareGram:
         # |phase| <= 2 pi |k . delta| <= 2 pi k_max d with every |delta_i| <= 1,
         # at most 2 pi 64 for the default 1-d spectrum
         bound = 2.0 * np.pi * 128
-        grid = (2.0 * np.pi * torus_grid(128)[0] @ np.arange(1.0, 65.0)[None, :]).ravel()
+        grid = (2.0 * np.pi * Torus().quadrature(128)[0] @ np.arange(1.0, 65.0)[None, :]).ravel()
         phases = np.concatenate([grid, np.random.default_rng(3).uniform(-bound, bound, 1 << 20)])
         assert np.array_equal(np.cos(phases), np.cos(-phases))
 
@@ -222,6 +221,6 @@ class TestSquareGram:
             return cos(a, *args, **kwargs)
         monkeypatch.setattr(np, "cos", counting_cos)
         kern = rational_kernel()
-        kern.gram(torus_grid(128)[0])
+        kern.gram(Torus().quadrature(128)[0])
         assert len(kern.spectrum.rep_masses) == 64
         assert sum(evaluated) <= 128 * 64

@@ -22,10 +22,9 @@ from misspec_krige.kernels import (
     SphereLegendreParams,
     SphereSeriesKernel,
     SphereSpdeParams,
-    eigen_sequence_of,
-    legendre_p,
-    sphere_eigen_ratio,
 )
+
+from closed_forms import legendre_p, sphere_eigen_ratio
 
 # explicit polynomials up to degree 6 (independent of the recurrence)
 EXPLICIT = {
@@ -162,7 +161,7 @@ class TestEigenRatio:
 
     def test_multiplicity_expansion(self):
         p2 = SphereSpdeParams(1.0, 1.0, 1.0)
-        seq = eigen_sequence_of(p2, 3)
+        seq = p2.eigen_sequence(3)
         assert len(seq) == 1 + 3 + 5 + 7
         lam1 = 1.0 / (1.0 + 2.0) ** 2
         np.testing.assert_allclose(seq.values[1:4], lam1, rtol=1e-14)
