@@ -386,7 +386,7 @@ def _json_dumps(obj) -> str:
 #: each tolerance's admissible values and their wording
 _TOLERANCE_LIMITS = {
     "verdict_window": (lambda x: 0.0 < x <= 1.0, "a number in (0, 1]"),
-    "verdict_tol": (lambda x: x > 0.0, "a number > 0"),
+    "verdict_tol": (lambda x: 0.0 < x <= 1.0, "a number in (0, 1]"),
     "variance_floor": (lambda x: 0.0 <= x < math.inf, "a finite number >= 0"),
 }
 

@@ -29,6 +29,7 @@ from .kernels import (
     PeriodicKernel,
     SphereSeriesKernel,
 )
+from .kernels.base import block_threads
 from .kriging import GaussianModel
 from .verdicts import LimitKind, RatioVerdict, TailWindow
 
@@ -229,6 +230,7 @@ def nystrom_eigen(kernel: CovarianceKernel, nodes, weights,
     """
     if not 0.0 <= rank_cutoff < 1.0:
         raise DomainError(f"rank_cutoff must lie in [0, 1), got {rank_cutoff!r}")
+    block_threads()  # a bad MISSPEC_KRIGE_THREADS fails here, whatever the kernel
     nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
     if nodes.shape[0] < 2:
         raise DomainError("need at least two quadrature nodes")
@@ -377,6 +379,7 @@ def assumption_report(true_model: GaussianModel, wrong_model: GaussianModel,
     inconsistent / inconclusive at probe scale.  The quadrature and mean
     probes run on the true model's domain.
     """
+    block_threads()  # a bad MISSPEC_KRIGE_THREADS fails the report, not its routes
     budget = budget or AssumptionBudget()
     domain = true_model.kernel.domain
     k_true, k_wrong = true_model.kernel, wrong_model.kernel

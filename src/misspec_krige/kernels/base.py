@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
+import os
 import sys
 from abc import ABC, abstractmethod
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +20,51 @@ UNIT_NORM_TOL = 1e-10
 #: statistic entries per profile call: one chunk's temporaries stay in cache,
 #: and an elementwise profile gives the same doubles under any split
 _PROFILE_CHUNK = 1 << 14
+
+#: 80-bit multiply-adds from which a product splits into row blocks over the
+#: block threads; below it, a hand-off to another thread costs more than it saves
+_SPLIT_FROM = 1 << 20
+
+
+def block_threads() -> int:
+    """``MISSPEC_KRIGE_THREADS``, or min(4, cpu count) when it is unset: the
+    threads a large block is split over, read on every split."""
+    env = os.environ.get("MISSPEC_KRIGE_THREADS")
+    if env:
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise DomainError(f"MISSPEC_KRIGE_THREADS must be an integer, got {env!r}")
+    return min(4, os.cpu_count() or 1)
+
+
+@functools.cache
+def _block_pool() -> ThreadPoolExecutor:
+    # made on the first split; it starts a thread only when all it has are busy
+    return ThreadPoolExecutor(thread_name_prefix="misspec-krige-block")
+
+
+# a forked child inherits the pool but none of its threads, so it makes its own
+os.register_at_fork(after_in_child=_block_pool.cache_clear)
+
+
+def map_blocks(fn, count: int, multiply_adds: float | None = None) -> list:
+    """``[fn(start, stop)]`` over consecutive ranges covering ``range(count)``:
+    one per block thread when the job is large (its ``multiply_adds`` reach
+    ``_SPLIT_FROM``, or, not given, it has several large blocks such as
+    profile chunks), else one.  The caller runs the first range, the block
+    pool the rest; ``fn`` must compute each output entry by itself."""
+    parts = min(block_threads(), count)
+    if parts <= 1 or (multiply_adds is not None and multiply_adds < _SPLIT_FROM):
+        return [fn(0, count)]
+    bounds = [count * i // parts for i in range(parts + 1)]
+    futures = [_block_pool().submit(fn, start, stop)
+               for start, stop in zip(bounds[1:-1], bounds[2:])]
+    try:
+        first = fn(0, bounds[1])
+    finally:
+        wait(futures)
+    return [first] + [future.result() for future in futures]
 
 
 def _members(domain, pts: np.ndarray, inside: np.ndarray) -> np.ndarray:
@@ -314,7 +362,7 @@ class ProfileKernel(CovarianceKernel):
         checked once; each pair keeps its own statistic (stacking rows into one
         product changes how they round), of which a ``y=None`` pair gives its
         upper triangle only.  The profile is elementwise, so the bits are those
-        of one call per pair."""
+        of one call per pair, whichever block thread runs a chunk."""
         if not pairs:
             return []
         arrays = {id(a): a for pair in pairs for a in pair if a is not None}
@@ -325,8 +373,13 @@ class ProfileKernel(CovarianceKernel):
         ends = np.cumsum([values.size for values in stats])[:-1]
         flat = np.concatenate(stats)
         del stats  # ``flat`` holds the entries now; free each pair's copy before the profile
-        for start in range(0, flat.size, _PROFILE_CHUNK):
-            flat[start:start + _PROFILE_CHUNK] = self.profile(flat[start:start + _PROFILE_CHUNK])
+        starts = range(0, flat.size, _PROFILE_CHUNK)
+
+        def profile_chunks(first: int, last: int) -> None:
+            for start in starts[first:last]:
+                chunk = flat[start:start + _PROFILE_CHUNK]
+                chunk[...] = self.profile(chunk)
+        map_blocks(profile_chunks, len(starts))
         return [layout(block) for block, layout in zip(np.split(flat, ends), layouts)]
 
 

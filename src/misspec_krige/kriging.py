@@ -26,7 +26,7 @@ import scipy.linalg
 
 from .errors import DomainError, IllConditionedDesignError, NumericalFailureError
 from .kernels import CovarianceKernel
-from .kernels.base import euclidean
+from .kernels.base import euclidean, map_blocks
 
 MeanFunction = Callable[[np.ndarray], float]
 
@@ -189,10 +189,7 @@ class GramFactor:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         x = scipy.linalg.cho_solve((self.lower, True), rhs)
-        # np.dot sums each 80-bit row product in order, as matmul does, but
-        # holds the running sum in a register instead of storing it per term
-        residual = (rhs.astype(np.longdouble)
-                    - np.dot(self.matrix.astype(np.longdouble), x.astype(np.longdouble)))
+        residual = rhs.astype(np.longdouble) - _long_dot(self.matrix, x.astype(np.longdouble))
         return x + scipy.linalg.cho_solve((self.lower, True),
                                           residual.astype(float))
 
@@ -256,8 +253,9 @@ def build_gram(design: Design, kernel: CovarianceKernel) -> GramFactor:
     last_error: Exception | None = None
     jitter = 0.0
     for jitter in ladder:
+        system = sigma + jitter * np.eye(design.n) if jitter else sigma
         try:
-            lower = scipy.linalg.cholesky(sigma + jitter * np.eye(design.n), lower=True)
+            lower = scipy.linalg.cholesky(system, lower=True)
             break
         except scipy.linalg.LinAlgError as exc:
             last_error = exc
@@ -267,12 +265,35 @@ def build_gram(design: Design, kernel: CovarianceKernel) -> GramFactor:
             f"Gram factorization failed up to jitter {jitter:.3e}"
             + (f" (leading minor {minor})" if minor else ""),
             leading_minor=minor, max_jitter=jitter) from last_error
-    system = sigma + jitter * np.eye(design.n) if jitter else sigma
-    resid = float(np.max(np.abs(lower @ lower.T - system)))
+    # the blocks work in the caller's buffer: what a pool thread allocates
+    # stays in its own malloc arena, held against the peak RSS
+    llt = np.empty_like(system)
+
+    def resid_rows(start: int, stop: int) -> float:
+        block = np.matmul(lower[start:stop], lower.T, out=llt[start:stop])
+        block -= system[start:stop]
+        return float(np.max(np.abs(block, out=block)))
+    # a BLAS float64 multiply-add costs under 1/16 of an 80-bit one, and numpy
+    # forms an unsplit LL^T by syrk in half the flops: splits pay from n = 256
+    resid = max(map_blocks(resid_rows, design.n, float(design.n) ** 3 / 16))
     if resid > 1e-8 * float(np.max(np.diag(sigma))):
         raise NumericalFailureError(
             f"Cholesky reconstruction error {resid:.3e} exceeds tolerance")
     return GramFactor(lower=lower, jitter=jitter, matrix=system, sigma=sigma)
+
+
+def _long_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.dot(a, b)`` of a 2-d ``a`` in 80-bit precision, in row blocks over
+    the block threads.  np.dot sums each 80-bit row product in order, as
+    matmul does, but holds the running sum in a register instead of storing
+    it per term; each row is its own sums, so the bits are those of one call."""
+    a = np.asarray(a, dtype=np.longdouble)
+    out = np.empty((len(a),) + b.shape[1:], dtype=np.longdouble)
+
+    def rows(start: int, stop: int) -> None:
+        np.dot(a[start:stop], b, out=out[start:stop])
+    map_blocks(rows, len(a), a.size * (b.size // len(b)))
+    return out
 
 
 def _leading_minor(exc: Exception) -> int | None:
@@ -380,7 +401,7 @@ def _moment_block(predictor_sets, targets, sigma: np.ndarray, cross, tblocks,
         vo[t, :size] = -target.coeffs
     vd = np.array([[pred.weights for pred in preds] for preds in predictor_sets],
                   dtype=np.longdouble)
-    ud = np.dot(vd, kdd)
+    ud = _long_dot(vd.reshape(-1, n), kdd).reshape(vd.shape)
     uo = (vd[..., None, :] @ kc.transpose(0, 2, 1))[..., 0, :]
     for l in range(width):
         ud += vo[:, l, None] * kc[:, l]

@@ -36,3 +36,23 @@ def kernel_work(monkeypatch):
     count(kriging, "build_gram")
     count(MaternKernel, "gram_pairs")
     return calls
+
+
+@pytest.fixture(params=[1, 2, 3])
+def split_blocks(request, monkeypatch):
+    """Every block of two or more rows or chunks split over ``request.param``
+    threads (``MISSPEC_KRIGE_THREADS``).  The value is a dict: ``threads``,
+    and ``handed``, one entry per block handed to the pool, so a test can
+    check that its blocks really split."""
+    from misspec_krige.kernels import base
+
+    handed = []
+    block_pool = base._block_pool
+
+    def recorded():
+        handed.append(request.param)
+        return block_pool()
+    monkeypatch.setattr(base, "_SPLIT_FROM", 1)
+    monkeypatch.setattr(base, "_block_pool", recorded)
+    monkeypatch.setenv("MISSPEC_KRIGE_THREADS", str(request.param))
+    return {"threads": request.param, "handed": handed}

@@ -188,13 +188,16 @@ class TestRun:
     @pytest.mark.parametrize("tolerances, message", [
         ({"verdict_window": 0}, "tolerances.verdict_window must be a number in (0, 1], got 0"),
         ({"verdict_window": 5}, "tolerances.verdict_window must be a number in (0, 1], got 5"),
-        ({"verdict_tol": 0}, "tolerances.verdict_tol must be a number > 0, got 0"),
-        ({"verdict_tol": "x"}, "tolerances.verdict_tol must be a number > 0, got 'x'"),
+        ({"verdict_tol": 0}, "tolerances.verdict_tol must be a number in (0, 1], got 0"),
+        ({"verdict_tol": "x"}, "tolerances.verdict_tol must be a number in (0, 1], got 'x'"),
+        ({"verdict_tol": 10}, "tolerances.verdict_tol must be a number in (0, 1], got 10"),
+        ({"verdict_tol": float("inf")},
+         "tolerances.verdict_tol must be a number in (0, 1], got inf"),
         ({"variance_floor": float("nan")},
          "tolerances.variance_floor must be a finite number >= 0, got nan"),
         ({"variance_floor": -1}, "tolerances.variance_floor must be a finite number >= 0"),
-    ], ids=["window-zero", "window-above-one", "tol-zero", "tol-string", "floor-nan",
-            "floor-negative"])
+    ], ids=["window-zero", "window-above-one", "tol-zero", "tol-string", "tol-above-one",
+            "tol-infinite", "floor-nan", "floor-negative"])
     def test_bad_tolerance_exit_2_before_any_work(self, tmp_path, capsys, no_work,
                                                    tolerances, message):
         for scenario in ("periodic_ratio3", "matern_same_nu"):
@@ -752,6 +755,20 @@ class TestMisc:
         assert main(["run", cfg]) == EXIT_OK
         monkeypatch.setenv("MISSPEC_KRIGE_THREADS", "not-a-number")
         assert main(["run", cfg]) == EXIT_NUMERICAL
+
+    @pytest.mark.parametrize("command, config", [
+        ("check", {"schema": 1, "scenario": "identical"}),
+        ("check", {"schema": 1, "scenario": "periodic_ratio3"}),
+        ("eigen", {"schema": 1, "kernel": {"family": "periodic"}}),
+    ], ids=["check-matern", "check-periodic", "eigen-periodic"])
+    def test_bad_threads_env_fails_check_and_eigen(self, tmp_path, monkeypatch, capsys,
+                                                   command, config):
+        # a route of the report records its own failure; this one fails the command
+        monkeypatch.setenv("MISSPEC_KRIGE_THREADS", "not-a-number")
+        argv = [command, write_config(tmp_path, config)] + (
+            ["--output", str(tmp_path / "eigs.csv")] if command == "eigen" else [])
+        assert main(argv) == EXIT_NUMERICAL
+        assert "MISSPEC_KRIGE_THREADS must be an integer" in capsys.readouterr().err
 
     def test_import_loads_no_scipy_spatial(self):
         import misspec_krige

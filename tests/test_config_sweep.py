@@ -14,7 +14,7 @@ import json
 import math
 import re
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from misspec_krige.cli import EXIT_CONFIG, EXIT_OK, main
@@ -167,6 +167,28 @@ def eigen_configs(draw):
     return {"schema": 1, "kernel": draw(_model(family, dim)), "grid": grid}
 
 
+#: a valid model of each family, and one of its real parameters, which a JSON
+#: ``true`` in its place must get rejected
+_TRUE_PARAMETERS = [
+    ({"family": "matern", "nu": 0.5}, "kappa"),
+    ({"family": "periodic"}, "scale"),
+    ({"family": "sphere_legendre", "nu1": 1.0}, "sigma1"),
+    ({"family": "sphere_spde", "nu": 1.0}, "kappa"),
+    ({"family": "sphere_chordal_matern", "nu": 0.5}, "sigma"),
+    ({"family": "sphere_greatcircle_matern", "nu": 0.5}, "nu"),
+]
+
+
+def _with_true_parameters(test):
+    """One example per family whose working model has ``true`` for a real
+    parameter: the draws alone need not put a boolean where it is read."""
+    for model, key in _TRUE_PARAMETERS:
+        test = example(experiment={"true_model": dict(model),
+                                   "wrong_model": {**model, key: _Bad(True)},
+                                   "schedule": [8]})(test)
+    return test
+
+
 #: how ``main`` names an exception that is not one of the library's own
 _FOREIGN_TYPE = re.compile(r"^(config error|numerical failure) \(\w+\)", re.M)
 
@@ -174,6 +196,7 @@ _FOREIGN_TYPE = re.compile(r"^(config error|numerical failure) \(\w+\)", re.M)
 @settings(max_examples=100, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
 @given(experiment=experiments())
+@_with_true_parameters
 def test_inline_experiment_runs_or_is_rejected_up_front(tmp_path, capsys, experiment):
     pair, pair_bad = _unwrap({key: experiment[key] for key in ("true_model", "wrong_model")})
     experiment, bad = _unwrap(experiment)

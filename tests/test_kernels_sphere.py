@@ -224,6 +224,19 @@ class TestGramPairs:
             assert np.array_equal(block, chunked)
         assert kernel.gram_pairs([]) == []
 
+    @pytest.mark.parametrize("name", sorted(
+        name for name, kernel in ALL_KERNELS.items() if isinstance(kernel, ProfileKernel)))
+    def test_chunks_split_over_threads_keep_the_bits(self, split_blocks, monkeypatch, name):
+        kernel = ALL_KERNELS[name]
+        pairs = mixed_pairs(kernel, np.random.default_rng(9))
+        monkeypatch.setenv("MISSPEC_KRIGE_THREADS", "1")
+        unsplit = kernel.gram_pairs(pairs)
+        monkeypatch.setenv("MISSPEC_KRIGE_THREADS", str(split_blocks["threads"]))
+        monkeypatch.setattr(kernels_base, "_PROFILE_CHUNK", 7)
+        for block, split in zip(unsplit, kernel.gram_pairs(pairs), strict=True):
+            assert np.array_equal(block, split)
+        assert bool(split_blocks["handed"]) == (split_blocks["threads"] > 1)
+
     @pytest.mark.parametrize("name", sorted(SPHERE_KERNELS))
     def test_sphere_matches_one_series_evaluation_per_block(self, name):
         # the reference is the series evaluated on each block alone
@@ -263,6 +276,17 @@ class TestGramPairs:
         for kernel in SPHERE_KERNELS.values():
             with pytest.raises(DomainError):
                 kernel.gram_pairs(pairs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(l_max=st.integers(1, 300), t=st.lists(st.floats(-1.0, 1.0), max_size=40),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_legendre_series_is_legval_bit_for_bit(l_max, t, seed):
+    coeffs = np.random.default_rng(seed).standard_normal(l_max + 1)
+    t = np.array(t + [-1.0, 0.0, 1.0])
+    given_t = t.copy()
+    assert np.array_equal(sphere_module.legendre_series(t, coeffs), legval(t, coeffs))
+    assert np.array_equal(t, given_t)
 
 
 def full_series(x, params):
@@ -311,12 +335,12 @@ class TestTriangleGram:
 
     @pytest.mark.parametrize("n", [1, 7, 64])
     def test_series_runs_on_the_triangle_only(self, monkeypatch, n):
-        evaluated, legval_ = [], sphere_module.legval
+        evaluated, series = [], sphere_module.legendre_series
 
-        def counting_legval(t, coeffs):
+        def counting_series(t, coeffs):
             evaluated.append(np.size(t))
-            return legval_(t, coeffs)
-        monkeypatch.setattr(sphere_module, "legval", counting_legval)
+            return series(t, coeffs)
+        monkeypatch.setattr(sphere_module, "legendre_series", counting_series)
         kernel = SPHERE_KERNELS["legendre"]
         kernel.gram(unit_rows(np.random.default_rng(n), n))
         assert evaluated == [n * (n + 1) // 2]

@@ -1,6 +1,8 @@
 """Predictor construction, error moments, and the projection invariants."""
 
 import math
+import multiprocessing
+import sys
 
 import numpy as np
 import pytest
@@ -447,6 +449,69 @@ class TestMomentBlockMatchesDenseAssembly:
         targets = TestLevelSystem.targets()
         assert LevelSystem(design, targets, kern).gram.jitter > 0.0
         self.assert_bit_identical(design, targets, [model, exp_model()], model)
+
+
+@pytest.mark.parametrize("case", ["test_point_targets_both_predictor_sets",
+                                  "test_multi_site_targets_of_unequal_length",
+                                  "test_clustered_design_near_vanishing_variance",
+                                  "test_jittered_gram"])
+def test_split_moment_block_matches_dense_assembly(split_blocks, case):
+    # the dense reference multiplies in one matmul, whatever the threads
+    getattr(TestMomentBlockMatchesDenseAssembly(), case)()
+    assert bool(split_blocks["handed"]) == (split_blocks["threads"] > 1)
+
+
+@pytest.mark.parametrize("columns", [None, 1, 6])
+def test_split_solve_matches_unsplit(split_blocks, monkeypatch, columns):
+    design = Design(np.concatenate([np.arange(1, 30) / 30.0, 0.37 + 1e-3 * 0.6 ** np.arange(9)])
+                    [:, None])
+    rhs = np.random.default_rng(4).standard_normal(
+        design.n if columns is None else (design.n, columns))
+    factor = build_gram(design, exp_model().kernel)
+    split = factor.solve(rhs)
+    monkeypatch.setenv("MISSPEC_KRIGE_THREADS", "1")
+    assert np.array_equal(split, factor.solve(rhs))
+    assert bool(split_blocks["handed"]) == (split_blocks["threads"] > 1)
+
+
+def test_map_blocks_covers_each_row_once_in_order(monkeypatch):
+    # more threads than cores, switching as often as the interpreter allows
+    from misspec_krige.kernels import base
+    monkeypatch.setattr(base, "_SPLIT_FROM", 1)
+    monkeypatch.setenv("MISSPEC_KRIGE_THREADS", "8")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for count in range(1, 40):
+            hits = np.zeros(count, dtype=int)
+
+            def fill(start, stop):
+                hits[start:stop] += 1
+                return start, stop
+            ranges = base.map_blocks(fill, count, 1.0)
+            assert np.all(hits == 1)
+            assert [start for start, _ in ranges] == [0] + [stop for _, stop in ranges[:-1]]
+            assert len(ranges) == min(8, count)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_forked_child_splits_on_a_pool_of_its_own(monkeypatch):
+    from misspec_krige.kernels import base
+    monkeypatch.setattr(base, "_SPLIT_FROM", 1)
+    monkeypatch.setenv("MISSPEC_KRIGE_THREADS", "2")
+    assert base.map_blocks(lambda start, stop: stop - start, 4, 1.0) == [2, 2]
+
+    def split_in_child():
+        assert base.map_blocks(lambda start, stop: stop - start, 4, 1.0) == [2, 2]
+    child = multiprocessing.get_context("fork").Process(target=split_in_child)
+    child.start()
+    child.join(timeout=20)
+    hung = child.is_alive()
+    if hung:
+        child.kill()
+        child.join()
+    assert not hung and child.exitcode == 0
 
 
 class TestProjectionInvariants:

@@ -2,6 +2,8 @@
 
 import math
 import re
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -453,6 +455,33 @@ class TestRatioConvergence:
             assert (r1.n, r1.target_id) == (r4.n, r4.target_id)
             for name in RATIO_NAMES:
                 assert r1.value(name) == r4.value(name)
+
+    def test_levels_never_overlap(self, monkeypatch):
+        # a level starts when its design is drawn and ends when its records
+        # are; the generator sleeps so that overlapping levels would meet
+        from misspec_krige import ratios
+        monkeypatch.setenv("MISSPEC_KRIGE_THREADS", "4")
+        lock, running, seen = threading.Lock(), [0], []
+        level_ratios = ratios._level_ratios
+
+        def generator(n):
+            with lock:
+                running[0] += 1
+                seen.append(running[0])
+            time.sleep(0.02)
+            return grid_design(n)
+
+        def finishing_level(*args):
+            try:
+                return level_ratios(*args)
+            finally:
+                with lock:
+                    running[0] -= 1
+        monkeypatch.setattr(ratios, "_level_ratios", finishing_level)
+        table = ratio_convergence(exp_model(), exp_model(sigma=2.0), generator,
+                                  grid_targets(), [4, 8, 16, 32])
+        assert n_values(table) == [4, 8, 16, 32]
+        assert seen == [1, 1, 1, 1]
 
     def test_partial_results_attached_on_level_failure(self, monkeypatch):
         from misspec_krige.errors import PartialResultError
