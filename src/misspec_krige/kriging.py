@@ -240,10 +240,14 @@ class ErrorMoments:
 # operations
 # ---------------------------------------------------------------------------
 
-def build_gram(design: Design, kernel: CovarianceKernel) -> GramFactor:
+def build_gram(design: Design, kernel: CovarianceKernel,
+               sigma: np.ndarray | None = None) -> GramFactor:
     """Cholesky-factorize the design covariance matrix with an escalating
-    jitter ladder (1e-12 .. 1e-6 times tr(Sigma)/n) for near-singular cases."""
-    sigma = kernel.gram(design.sites)
+    jitter ladder (1e-12 .. 1e-6 times tr(Sigma)/n) for near-singular cases.
+    ``sigma``, when given, is ``kernel.gram(design.sites)`` already evaluated."""
+    sigma = kernel.gram(design.sites) if sigma is None else sigma
+    if sigma.shape != (design.n,) * 2:
+        raise DomainError(f"sigma has shape {sigma.shape}, not {(design.n,) * 2}")
     scale = float(np.trace(sigma)) / design.n
     if not scale > 0.0:
         raise NumericalFailureError("covariance matrix has nonpositive trace")
@@ -304,17 +308,23 @@ def _leading_minor(exc: Exception) -> int | None:
 class LevelSystem:
     """What a kernel fixes at a schedule level: the factored design Gram, each
     target's cross-covariance and target block (all from one ``gram_pairs``
-    call) and each target's kriging weights (one multi-column solve).  Models
-    sharing the kernel share the system; their means enter only through
-    ``predictors`` (the intercepts) and ``moments`` (the error means)."""
+    call, the design Gram first) and each target's kriging weights (one
+    multi-column solve).  Models sharing the kernel share the system; their
+    means enter only through ``predictors`` (the intercepts) and ``moments``
+    (the error means)."""
 
     def __init__(self, design: Design, targets, kernel: CovarianceKernel):
         self.design, self.targets = design, list(targets)
-        self.gram = build_gram(design, kernel)
-        # (t, t), not (t, None): the same doubles without the triangle set-up
-        blocks = kernel.gram_pairs([(t.sites, design.sites) for t in self.targets]
-                                   + [(t.sites, t.sites) for t in self.targets])
+        # target blocks as (t, t), not (t, None): the same doubles without the
+        # triangle set-up
+        sigma, *blocks = kernel.gram_pairs([(design.sites, None)]
+                                           + [(t.sites, design.sites) for t in self.targets]
+                                           + [(t.sites, t.sites) for t in self.targets])
+        # copies: a view would hold the whole evaluation buffer, the design's
+        # triangle included, through the factorization and after it
+        blocks = [block.copy() for block in blocks]
         self.cross, self.tblocks = blocks[:len(self.targets)], blocks[len(self.targets):]
+        self.gram = build_gram(design, kernel, sigma=sigma)
         rhs = np.column_stack([t.coeffs @ c for t, c in zip(self.targets, self.cross)])
         self.weights = np.ascontiguousarray(self.gram.solve(rhs).T)
 

@@ -133,7 +133,7 @@ def efficiency_ratios(design: Design, targets: Sequence[TargetFunctional],
     excluded: list[str] = []
     try:
         return _level_ratios(design, targets, true_model, wrong_model, limit_a,
-                             variance_floor, excluded)
+                             variance_floor, excluded)[0]
     finally:
         _warn_excluded(excluded)
 
@@ -151,9 +151,10 @@ def _warn_excluded(messages: list[str]) -> None:
 def _level_ratios(design: Design, targets: Sequence[TargetFunctional],
                   true_model: GaussianModel, wrong_model: GaussianModel,
                   limit_a: float | None, variance_floor: float,
-                  excluded: list[str]) -> list[RatioRecord]:
-    """The records of :func:`efficiency_ratios`; the message of each excluded
-    target is appended to ``excluded`` instead of warned."""
+                  excluded: list[str]) -> tuple[list[RatioRecord], dict[str, np.ndarray]]:
+    """The records of :func:`efficiency_ratios` and the design Gram each model's
+    system evaluated, by tag; the message of each excluded target is appended
+    to ``excluded`` instead of warned."""
     if not targets:
         raise DomainError("at least one target is required")
     n = design.n
@@ -191,7 +192,7 @@ def _level_ratios(design: Design, targets: Sequence[TargetFunctional],
     if not records:
         raise NumericalFailureError("every target was excluded by the variance floor")
     records.append(_sup_record(records, n, limits))
-    return records
+    return records, {"true": true_system.gram.sigma, "wrong": wrong_system.gram.sigma}
 
 
 _MEASURE_NAMES = {
@@ -317,13 +318,13 @@ def ratio_convergence(true_model: GaussianModel, wrong_model: GaussianModel,
         if design.n != n:
             raise DomainError(f"the design generator returned {design.n} sites "
                               f"for schedule level n={n}")
-        records = _level_ratios(design, targets, true_model, wrong_model, limit_a,
-                                variance_floor, excluded[n])
+        records, sigmas = _level_ratios(design, targets, true_model, wrong_model, limit_a,
+                                        variance_floor, excluded[n])
         # conditioning is recorded rather than thresholded: how close a target
         # may sit to a clustered design has no principled cutoff
         conditioning = {}
         for tag, model in (("true", true_model), ("wrong", wrong_model)):
-            factor = build_gram(design, model.kernel)
+            factor = build_gram(design, model.kernel, sigma=sigmas[tag])
             conditioning[tag] = {"jitter": factor.jitter,
                                  "inverse_rcond": factor.inverse_rcond}
         return records, conditioning

@@ -18,12 +18,15 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture
 def kernel_work(monkeypatch):
-    """Counts of ``build_gram`` calls and of Matérn ``gram_pairs`` calls (the
-    kernel part of a ``LevelSystem``) made while the test runs."""
+    """Counts of ``build_gram`` calls, of Matérn ``gram_pairs`` calls (the
+    kernel part of a ``LevelSystem``) and of ``ProfileKernel._evaluate`` calls
+    (one pass of a profile kernel over its statistic entries) made while the
+    test runs."""
     from misspec_krige import kriging
     from misspec_krige.kernels import MaternKernel
+    from misspec_krige.kernels.base import ProfileKernel
 
-    calls = {"build_gram": 0, "gram_pairs": 0}
+    calls = {"build_gram": 0, "gram_pairs": 0, "_evaluate": 0}
 
     def count(owner, name):
         original = getattr(owner, name)
@@ -35,6 +38,7 @@ def kernel_work(monkeypatch):
 
     count(kriging, "build_gram")
     count(MaternKernel, "gram_pairs")
+    count(ProfileKernel, "_evaluate")
     return calls
 
 

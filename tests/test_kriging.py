@@ -2,6 +2,7 @@
 
 import math
 import multiprocessing
+import re
 import sys
 
 import numpy as np
@@ -122,6 +123,31 @@ class TestBuildGram:
         factor = build_gram(design, kern)
         assert factor.jitter > 0.0
         assert factor.jitter <= 1e-6 * np.trace(kern.gram(design.sites)) / 5
+
+    @staticmethod
+    def ladder_case(jittered):
+        """A design and kernel factored at the first rung, or (the rank-3
+        kernel of test_rank_deficient_kernel_gets_jitter) past it."""
+        if jittered:
+            from misspec_krige.kernels import PeriodicKernel, PeriodicSpectrum
+            return (Design((np.arange(5) / 5.0 + 0.01)[:, None]),
+                    PeriodicKernel(PeriodicSpectrum.from_coeffs({0: 1.0, 1: 0.5}, dim=1)))
+        return Design(np.linspace(0.1, 0.9, 32)[:, None]), exp_model().kernel
+
+    @pytest.mark.parametrize("jittered", [False, True])
+    def test_given_sigma_factors_bit_for_bit(self, jittered):
+        design, kern = self.ladder_case(jittered)
+        own = build_gram(design, kern)
+        given = build_gram(design, kern, sigma=kern.gram(design.sites))
+        assert (own.jitter > 0.0) == jittered
+        assert given.lower.tobytes() == own.lower.tobytes()
+        assert (given.jitter, given.inverse_rcond) == (own.jitter, own.inverse_rcond)
+
+    @pytest.mark.parametrize("shape", [(4, 3), (16,), (5, 5)])
+    def test_given_sigma_of_another_shape_rejected(self, shape):
+        design = Design(np.linspace(0.1, 0.9, 4)[:, None])
+        with pytest.raises(DomainError, match=re.escape(f"shape {shape}")):
+            build_gram(design, exp_model().kernel, sigma=np.ones(shape))
 
     def test_indefinite_matrix_exhausts_ladder(self):
         from misspec_krige.kernels import Box, CovarianceKernel
@@ -335,15 +361,20 @@ class TestLevelSystem:
         self.assert_batched_equals_single(design, model, model)
         self.assert_batched_equals_single(design, exp_model(), model)
 
+    def test_blocks_hold_no_share_of_the_evaluation_buffer(self):
+        # the design Gram's triangle, the cross and the target blocks are
+        # profiled in one flat buffer; a block kept as a view of it would hold
+        # all of it for as long as the system lives
+        design = Design((np.arange(1, 41) / 41.0)[:, None])
+        system = LevelSystem(design, self.targets(), exp_model().kernel)
+        for block in system.cross + system.tblocks:
+            owner = block if block.base is None else block.base
+            assert owner.nbytes == block.nbytes
+            assert not np.shares_memory(block, system.gram.sigma)
+
     @pytest.mark.parametrize("jittered", [False, True])
     def test_multi_column_solve_equals_single_columns(self, jittered):
-        from misspec_krige.kernels import PeriodicKernel, PeriodicSpectrum
-        if jittered:
-            kern = PeriodicKernel(PeriodicSpectrum.from_coeffs({0: 1.0, 1: 0.5}, dim=1))
-            design = Design((np.arange(5) / 5.0 + 0.01)[:, None])
-        else:
-            kern = exp_model().kernel
-            design = Design((np.arange(1, 41) / 41.0)[:, None])
+        design, kern = TestBuildGram.ladder_case(jittered)
         gram = build_gram(design, kern)
         assert (gram.jitter > 0.0) == jittered
         rhs = np.random.default_rng(7).standard_normal((design.n, 6))
@@ -589,4 +620,4 @@ class TestMeanShiftIdentity:
         dev = mean_shift_identity_check(TargetFunctional.point([0.415]), design,
                                         exp_model(), exp_model(mean=constant_mean(0.8)))
         assert dev <= 1e-10
-        assert kernel_work == {"build_gram": 1, "gram_pairs": 1}
+        assert kernel_work == {"build_gram": 1, "gram_pairs": 1, "_evaluate": 1}

@@ -256,10 +256,10 @@ class TestSharedKernel:
     def test_one_factor_and_one_block_call_per_level(self, kernel_work):
         true, wrong = self.pair()
         efficiency_ratios(grid_design(11), self.targets(), true, wrong, limit_a=1.0)
-        assert kernel_work == {"build_gram": 1, "gram_pairs": 1}
+        assert kernel_work == {"build_gram": 1, "gram_pairs": 1, "_evaluate": 1}
         efficiency_ratios(grid_design(11), self.targets(), true,
                           exp_model(sigma=1.3, kappa=0.4))
-        assert kernel_work == {"build_gram": 3, "gram_pairs": 3}
+        assert kernel_work == {"build_gram": 3, "gram_pairs": 3, "_evaluate": 3}
 
     def test_one_block_call_per_schedule_level(self, kernel_work, monkeypatch):
         monkeypatch.setenv("MISSPEC_KRIGE_THREADS", "1")
@@ -267,6 +267,15 @@ class TestSharedKernel:
         ratio_convergence(true, wrong, grid_design, self.targets(), [5, 9, 13],
                           limit_a=1.0)
         assert kernel_work["gram_pairs"] == 3
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "distinct"])
+    def test_one_profile_pass_per_kernel_per_level(self, kernel_work, shared):
+        # a kernel's design Gram, cross and target blocks come from one pass,
+        # and the conditioning record factors that same Gram
+        true, wrong = (self.pair() if shared
+                       else (exp_model(), exp_model(sigma=1.3, kappa=0.4)))
+        ratio_convergence(true, wrong, grid_design, self.targets(), [5, 9, 13])
+        assert kernel_work["_evaluate"] == (3 if shared else 6)
 
     def test_records_equal_one_target_moments(self):
         true, wrong = self.pair()
