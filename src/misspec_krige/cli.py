@@ -48,6 +48,8 @@ from .harness import (
 )
 from .kernels import (
     DEFAULT_L_MAX,
+    ChordalMaternKernel,
+    GreatCircleMaternKernel,
     MaternKernel,
     MaternParams,
     PeriodicKernel,
@@ -57,7 +59,7 @@ from .kernels import (
     SphereSpdeParams,
 )
 from .kriging import GaussianModel, TargetFunctional, constant_mean, kink_mean, linear_mean, zero_mean
-from .ratios import RATIO_NAMES, RatioTable, check_schedule
+from .ratios import RATIO_NAMES, VARIANCE_FLOOR, RatioTable, check_schedule
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -218,7 +220,6 @@ def _model_from_spec(spec, label: str) -> GaussianModel:
                 l_max=spec.get("l_max", DEFAULT_L_MAX)))
         else:
             # comparison models on the sphere; no ratio-limit claim attached
-            from .kernels import ChordalMaternKernel, GreatCircleMaternKernel
             params = MaternParams(sigma=spec.get("sigma", 1.0), nu=spec["nu"],
                                   kappa=spec.get("kappa", 1.0), dim=3)
             kernel = (ChordalMaternKernel(params)
@@ -401,7 +402,7 @@ def _tolerances_from(config: dict):
     budget_kwargs = {k: values[k] for k in ("verdict_window", "verdict_tol")
                      if k in values}
     budget = AssumptionBudget(**budget_kwargs) if budget_kwargs else None
-    return budget, values.get("variance_floor")
+    return budget, values.get("variance_floor", VARIANCE_FLOOR)
 
 
 def _output_path(value, name: str) -> str:

@@ -27,6 +27,10 @@ class OptimalityError(NumericalFailureError):
     """A predictor beat the optimal one under the optimal one's own measure."""
 
 
+class NegativeVarianceError(NumericalFailureError):
+    """An error variance came out negative beyond rounding."""
+
+
 class PartialResultError(NumericalFailureError):
     """Some schedule levels failed; the completed ones are attached.
 

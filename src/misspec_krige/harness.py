@@ -8,7 +8,7 @@ sizes, and running one produces a ratio table plus a diagnostics report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache
 from typing import Callable
 
@@ -31,7 +31,7 @@ from .kernels import (
 )
 from .kernels.base import fibonacci_sphere_grid
 from .kriging import Design, GaussianModel, TargetFunctional, constant_mean, kink_mean, zero_mean
-from .ratios import RatioTable, check_schedule, ratio_convergence
+from .ratios import VARIANCE_FLOOR, RatioTable, check_schedule, ratio_convergence
 
 MAX_DESIGN_SIZE = 2048
 
@@ -270,15 +270,14 @@ class ScenarioResult:
 
 
 def run_scenario(s: Scenario, budget: AssumptionBudget | None = None,
-                 variance_floor: float | None = None) -> ScenarioResult:
+                 variance_floor: float = VARIANCE_FLOOR) -> ScenarioResult:
     """Ratio table over the schedule plus the composed diagnostics report."""
-    from .ratios import VARIANCE_FLOOR
     try:
         table = ratio_convergence(
             s.true_model, s.wrong_model,
             lambda n: generate_design(s.design_generator, n),
             list(s.targets), list(s.n_schedule), limit_a=s.limit_a,
-            variance_floor=VARIANCE_FLOOR if variance_floor is None else variance_floor,
+            variance_floor=variance_floor,
             metadata={"scenario": s.name,
                       "design_generator": s.design_generator.describe(),
                       "notes": s.notes})
@@ -297,117 +296,79 @@ def _exp_model(label: str, sigma=1.0, kappa=1.0, mean=zero_mean, nu=0.5) -> Gaus
     return GaussianModel(mean=mean, kernel=MaternKernel(params), label=label)
 
 
-def _builtin(name: str, true_model: GaussianModel, wrong_model: GaussianModel,
-             limit_a: float | None, notes: str, gen: DesignGenerator | None = None) -> Scenario:
-    """A built-in scenario on ``gen`` (the default accumulating design when
-    omitted) with the default probe targets."""
-    gen = gen or DesignGenerator.accumulating()
-    return Scenario(name=name, true_model=true_model, wrong_model=wrong_model,
-                    design_generator=gen, targets=default_targets(gen, DEFAULT_SCHEDULE[-1]),
-                    limit_a=limit_a, notes=notes)
+def _ratio3_base(k) -> float:
+    """The true spectral density of ``periodic_ratio3``; the working one scales
+    it by 3 (1 + 1/(1 + |k|))."""
+    return (1.0 + float(k[0]) ** 2) ** -2.0
 
 
-def _builtin_identical() -> Scenario:
-    return _builtin(
-        "identical", _exp_model("matern(1,0.5,1)"), _exp_model("matern(1,0.5,1)"),
+#: each built-in scenario by name: a callable giving the fields it does not
+#: share with the others, so every call builds fresh models.  The design is
+#: the default accumulating one unless a ``design_generator`` is given.
+_BUILTINS: dict[str, Callable[[], dict]] = {
+    "identical": lambda: dict(
+        true_model=_exp_model("matern(1,0.5,1)"), wrong_model=_exp_model("matern(1,0.5,1)"),
         limit_a=1.0,
-        notes="working model equals the truth; every ratio is 1 by construction")
-
-
-def _builtin_scaled_kernel() -> Scenario:
-    return _builtin(
-        "scaled_kernel", _exp_model("matern(1,0.5,1)"),
-        _exp_model("matern(2,0.5,1)", sigma=2.0),
+        notes="working model equals the truth; every ratio is 1 by construction"),
+    "scaled_kernel": lambda: dict(
+        true_model=_exp_model("matern(1,0.5,1)"),
+        wrong_model=_exp_model("matern(2,0.5,1)", sigma=2.0),
         limit_a=4.0,
         notes=("working covariance is 4x the truth: identical weights, "
-               "own-measure ratios exactly 1, cross ratios 4 and 1/4"))
-
-
-def _builtin_matern_same_nu() -> Scenario:
-    return _builtin(
-        "matern_same_nu", _exp_model("matern(1,0.5,1)"),
-        _exp_model("matern(2,0.5,0.5)", sigma=2.0, kappa=0.5),
+               "own-measure ratios exactly 1, cross ratios 4 and 1/4")),
+    "matern_same_nu": lambda: dict(
+        true_model=_exp_model("matern(1,0.5,1)"),
+        wrong_model=_exp_model("matern(2,0.5,0.5)", sigma=2.0, kappa=0.5),
         limit_a=2.0,
-        notes="equal smoothness: cross ratios approach the identifiable-combination ratio 2")
-
-
-def _builtin_matern_diff_nu() -> Scenario:
-    return _builtin(
-        "matern_diff_nu", _exp_model("matern(1,0.5,1)"),
-        _exp_model("matern(1,1.5,1)", nu=1.5),
+        notes="equal smoothness: cross ratios approach the identifiable-combination ratio 2"),
+    "matern_diff_nu": lambda: dict(
+        true_model=_exp_model("matern(1,0.5,1)"),
+        wrong_model=_exp_model("matern(1,1.5,1)", nu=1.5),
         limit_a=None,
-        notes="smoothness mismatch: the efficiency ratios do not approach 1")
-
-
-def _ratio3_spectra() -> tuple[PeriodicSpectrum, PeriodicSpectrum]:
-    base = lambda k: (1.0 + float(k[0]) ** 2) ** -2.0
-    bumped = lambda k: 3.0 * base(k) * (1.0 + 1.0 / (1.0 + abs(float(k[0]))))
-    true_spec = PeriodicSpectrum.from_callable(base, dim=1)
-    wrong_spec = PeriodicSpectrum.from_callable(bumped, dim=1)
-    return true_spec, wrong_spec
-
-
-def _builtin_periodic_ratio3() -> Scenario:
-    true_spec, wrong_spec = _ratio3_spectra()
-    return _builtin(
-        "periodic_ratio3",
-        GaussianModel(zero_mean, PeriodicKernel(true_spec), label="periodic((1+k^2)^-2)"),
-        GaussianModel(zero_mean, PeriodicKernel(wrong_spec),
-                      label="periodic(3(1+k^2)^-2(1+1/(1+|k|)))"),
+        notes="smoothness mismatch: the efficiency ratios do not approach 1"),
+    "periodic_ratio3": lambda: dict(
+        true_model=GaussianModel(zero_mean, PeriodicKernel(
+            PeriodicSpectrum.from_callable(_ratio3_base, dim=1)),
+            label="periodic((1+k^2)^-2)"),
+        wrong_model=GaussianModel(zero_mean, PeriodicKernel(PeriodicSpectrum.from_callable(
+            lambda k: 3.0 * _ratio3_base(k) * (1.0 + 1.0 / (1.0 + abs(float(k[0])))),
+            dim=1)), label="periodic(3(1+k^2)^-2(1+1/(1+|k|)))"),
         limit_a=3.0,
         notes="shared trigonometric eigenbasis with eigenvalue ratio tending to 3",
-        gen=DesignGenerator.equispaced(domain=Torus(1)))
-
-
-def _builtin_sphere() -> Scenario:
-    p1 = SphereLegendreParams(sigma1=1.0, nu1=1.0, kappa1=1.0)
-    p2 = SphereSpdeParams(tau=1.0, nu=1.0, kappa=1.0)
-    return _builtin(
-        "sphere_legendre_vs_spde",
-        GaussianModel(zero_mean, SphereSeriesKernel(p1), label="sphere_legendre(1,1,1)"),
-        GaussianModel(zero_mean, SphereSeriesKernel(p2), label="sphere_spde(1,1,1)"),
+        design_generator=DesignGenerator.equispaced(domain=Torus(1))),
+    "sphere_legendre_vs_spde": lambda: dict(
+        true_model=GaussianModel(zero_mean, SphereSeriesKernel(SphereLegendreParams(
+            sigma1=1.0, nu1=1.0, kappa1=1.0)), label="sphere_legendre(1,1,1)"),
+        wrong_model=GaussianModel(zero_mean, SphereSeriesKernel(SphereSpdeParams(
+            tau=1.0, nu=1.0, kappa=1.0)), label="sphere_spde(1,1,1)"),
         limit_a=1.0 / (2.0 * math.pi),
         notes="equal smoothness on the sphere; eigenvalue ratio tends to 1/(2 pi)",
-        gen=DesignGenerator.sphere_fibonacci())
-
-
-def _builtin_mean_shift_constant() -> Scenario:
-    return _builtin(
-        "mean_shift_constant", _exp_model("matern(1,0.5,1)+mean0"),
-        _exp_model("matern(1,0.5,1)+mean1", mean=constant_mean(1.0)),
+        design_generator=DesignGenerator.sphere_fibonacci()),
+    "mean_shift_constant": lambda: dict(
+        true_model=_exp_model("matern(1,0.5,1)+mean0"),
+        wrong_model=_exp_model("matern(1,0.5,1)+mean1", mean=constant_mean(1.0)),
         limit_a=1.0,
         notes=("shared kernel, constant mean shift: the mean term decays as the "
-               "design accumulates"))
-
-
-def _builtin_mean_shift_kink() -> Scenario:
-    return _builtin(
-        "mean_shift_kink", _exp_model("matern(1,0.5,1)+mean0"),
-        _exp_model("matern(1,0.5,1)+kink", mean=kink_mean(DEFAULT_X_STAR, 0.2)),
+               "design accumulates")),
+    "mean_shift_kink": lambda: dict(
+        true_model=_exp_model("matern(1,0.5,1)+mean0"),
+        wrong_model=_exp_model("matern(1,0.5,1)+kink", mean=kink_mean(DEFAULT_X_STAR, 0.2)),
         limit_a=1.0,
         notes=("shared kernel, |x - x*|^0.2 mean shift: a rough mean stressing the "
-               "mean term; values are reported without a pass/fail claim"))
-
-
-_BUILTINS: dict[str, Callable[[], Scenario]] = {
-    "identical": _builtin_identical,
-    "scaled_kernel": _builtin_scaled_kernel,
-    "matern_same_nu": _builtin_matern_same_nu,
-    "matern_diff_nu": _builtin_matern_diff_nu,
-    "periodic_ratio3": _builtin_periodic_ratio3,
-    "sphere_legendre_vs_spde": _builtin_sphere,
-    "mean_shift_constant": _builtin_mean_shift_constant,
-    "mean_shift_kink": _builtin_mean_shift_kink,
+               "mean term; values are reported without a pass/fail claim")),
 }
 
 SCENARIO_NAMES = tuple(_BUILTINS)
 
 
 def builtin_scenario(name: str, n_schedule=None) -> Scenario:
-    try:
-        scenario = _BUILTINS[name]()
-    except KeyError:
+    """The built-in scenario ``name`` on ``n_schedule`` (DEFAULT_SCHEDULE when
+    omitted), probed at the default targets of DEFAULT_SCHEDULE's last level."""
+    if name not in _BUILTINS:
         raise DomainError(f"unknown scenario {name!r}; known: {', '.join(SCENARIO_NAMES)}")
-    if n_schedule is not None:
-        scenario = replace(scenario, n_schedule=n_schedule)
-    return scenario
+    fields = _BUILTINS[name]()
+    gen = fields.pop("design_generator", None) or DesignGenerator.accumulating()
+    return Scenario(name=name, design_generator=gen,
+                    targets=default_targets(gen, DEFAULT_SCHEDULE[-1]),
+                    n_schedule=DEFAULT_SCHEDULE if n_schedule is None else n_schedule,
+                    **fields)

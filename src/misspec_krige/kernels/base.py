@@ -32,9 +32,10 @@ def block_threads() -> int:
     env = os.environ.get("MISSPEC_KRIGE_THREADS")
     if env:
         try:
-            return max(1, int(env))
+            threads = int(env)
         except ValueError:
             raise DomainError(f"MISSPEC_KRIGE_THREADS must be an integer, got {env!r}")
+        return positive_integer(threads, "MISSPEC_KRIGE_THREADS")
     return min(4, os.cpu_count() or 1)
 
 

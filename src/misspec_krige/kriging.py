@@ -24,7 +24,8 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
-from .errors import DomainError, IllConditionedDesignError, NumericalFailureError
+from .errors import (DomainError, IllConditionedDesignError, NegativeVarianceError,
+                     NumericalFailureError)
 from .kernels import CovarianceKernel
 from .kernels.base import euclidean, map_blocks
 
@@ -55,7 +56,6 @@ def zero_mean(x) -> float:
 def constant_mean(value: float) -> MeanFunction:
     def mean(x) -> float:
         return value
-    mean.__name__ = f"constant_mean({value!r})"
     return mean
 
 
@@ -65,7 +65,6 @@ def linear_mean(intercept: float, slope) -> MeanFunction:
 
     def mean(x) -> float:
         return intercept + float(slope_arr @ np.atleast_1d(np.asarray(x, dtype=float)))
-    mean.__name__ = f"linear_mean({intercept!r}, {slope!r})"
     return mean
 
 
@@ -76,7 +75,6 @@ def kink_mean(x0, alpha: float, scale: float = 1.0) -> MeanFunction:
     def mean(x) -> float:
         d = np.linalg.norm(np.atleast_1d(np.asarray(x, dtype=float)) - x0_arr)
         return scale * float(d) ** alpha
-    mean.__name__ = f"kink_mean({x0!r}, {alpha!r})"
     return mean
 
 
@@ -225,7 +223,7 @@ class ErrorMoments:
 
     def __post_init__(self):
         if self.variance < -_NEGATIVE_VARIANCE_TOL:
-            raise NumericalFailureError(
+            raise NegativeVarianceError(
                 f"error variance {self.variance:.3e} is negative beyond tolerance")
         variance = max(self.variance, 0.0)
         object.__setattr__(self, "variance", variance)

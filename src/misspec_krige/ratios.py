@@ -30,8 +30,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import (DomainError, MisspecKrigeError, NumericalFailureError, OptimalityError,
-                     PartialResultError)
+from .errors import (DomainError, MisspecKrigeError, NegativeVarianceError,
+                     NumericalFailureError, OptimalityError, PartialResultError)
 from .kernels.base import block_threads as _default_workers, is_whole_number
 from .kriging import Design, GaussianModel, LevelSystem, TargetFunctional, build_gram
 
@@ -163,32 +163,31 @@ def _level_ratios(design: Design, targets: Sequence[TargetFunctional],
     true_system = LevelSystem(design, targets, true_model.kernel)
     wrong_system = (true_system if shared_kernel
                     else LevelSystem(design, targets, wrong_model.kernel))
-    predictors = [true_system.predictors(true_model), wrong_system.predictors(wrong_model)]
-    moments = {"true": true_system.moments(predictors, true_model),
-               "wrong": wrong_system.moments(predictors, wrong_model)}
-
     records: list[RatioRecord] = []
-    for idx, target in enumerate(targets):
-        target_id = target.label or f"t{idx:02d}"
-        mom = {(pred, measure): moments[measure][row][idx]
-               for row, pred in enumerate(("true", "wrong")) for measure in moments}
-        degenerate = _degenerate_measure(mom, variance_floor)
-        if degenerate is not None:
-            name, value = degenerate
-            excluded.append(f"target {target_id} excluded: {name} error variance "
-                            f"{value:.3e} below {variance_floor:.1e}")
-            continue
-        try:
+    try:
+        predictors = [true_system.predictors(true_model), wrong_system.predictors(wrong_model)]
+        moments = {"true": true_system.moments(predictors, true_model),
+                   "wrong": wrong_system.moments(predictors, wrong_model)}
+        for idx, target in enumerate(targets):
+            target_id = target.label or f"t{idx:02d}"
+            mom = {(pred, measure): moments[measure][row][idx]
+                   for row, pred in enumerate(("true", "wrong")) for measure in moments}
+            degenerate = _degenerate_measure(mom, variance_floor)
+            if degenerate is not None:
+                name, value = degenerate
+                excluded.append(f"target {target_id} excluded: {name} error variance "
+                                f"{value:.3e} below {variance_floor:.1e}")
+                continue
             records.append(RatioRecord(
                 n=n, target_id=target_id, limits=limits,
                 true_variance=mom[("true", "true")].variance, **_assemble_ratios(mom)))
-        except OptimalityError as exc:
-            grams = ", ".join(
-                f"{system.gram.inverse_rcond:.2g} for the {tag} Gram at jitter "
-                f"{system.gram.jitter:.1e}"
-                for tag, system in (("true", true_system), ("working", wrong_system)))
-            raise OptimalityError(
-                f"{exc}; the limit is Gram conditioning (1/rcond {grams})") from exc
+    except (OptimalityError, NegativeVarianceError) as exc:
+        # both break a bound that holds in exact arithmetic
+        grams = ", ".join(
+            f"{system.gram.inverse_rcond:.2g} for the {tag} Gram at jitter "
+            f"{system.gram.jitter:.1e}"
+            for tag, system in (("true", true_system), ("working", wrong_system)))
+        raise type(exc)(f"{exc}; the limit is Gram conditioning (1/rcond {grams})") from exc
     if not records:
         raise NumericalFailureError("every target was excluded by the variance floor")
     records.append(_sup_record(records, n, limits))

@@ -413,6 +413,20 @@ class TestRun:
         err = capsys.readouterr().err
         assert "first error: error mean 1.653e+297 overflows when squared" in err
         assert "(OverflowError)" not in err
+        assert "conditioning" not in err  # the overflow is the mean's, not the Gram's
+
+    def test_negative_variance_names_gram_conditioning(self, tmp_path, capsys):
+        # sites clustered far below 1/k_max on the torus: the true Gram's
+        # 1/rcond is about 1.5e13, and an error variance comes out negative
+        cfg = write_config(tmp_path, {"schema": 1, "experiment": {
+            "true_model": {"family": "periodic", "power": 2.0, "k_max": 6},
+            "wrong_model": {"family": "periodic", "power": 2.0, "k_max": 6, "scale": 2.0},
+            "design": {"kind": "accumulating", "q": 0.3, "x_star": 0.37},
+            "schedule": [12], "limit_a": 2.0}})
+        assert main(["run", cfg, "--output", str(tmp_path / "out")]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "is negative beyond tolerance; the limit is Gram conditioning (1/rcond " in err
+        assert "for the true Gram at jitter" in err and "for the working Gram at jitter" in err
 
     @pytest.mark.parametrize("pair", [
         {"true_model": {"family": "periodic", "k_max": 4},
@@ -753,8 +767,9 @@ class TestMisc:
                                       "schedule": [4, 8],
                                       "output_dir": str(tmp_path)})
         assert main(["run", cfg]) == EXIT_OK
-        monkeypatch.setenv("MISSPEC_KRIGE_THREADS", "not-a-number")
-        assert main(["run", cfg]) == EXIT_NUMERICAL
+        for value in ("not-a-number", "0", "-2"):
+            monkeypatch.setenv("MISSPEC_KRIGE_THREADS", value)
+            assert main(["run", cfg]) == EXIT_NUMERICAL
 
     @pytest.mark.parametrize("command, config", [
         ("check", {"schema": 1, "scenario": "identical"}),
@@ -764,11 +779,12 @@ class TestMisc:
     def test_bad_threads_env_fails_check_and_eigen(self, tmp_path, monkeypatch, capsys,
                                                    command, config):
         # a route of the report records its own failure; this one fails the command
-        monkeypatch.setenv("MISSPEC_KRIGE_THREADS", "not-a-number")
         argv = [command, write_config(tmp_path, config)] + (
             ["--output", str(tmp_path / "eigs.csv")] if command == "eigen" else [])
-        assert main(argv) == EXIT_NUMERICAL
-        assert "MISSPEC_KRIGE_THREADS must be an integer" in capsys.readouterr().err
+        for value in ("not-a-number", "0", "-2"):
+            monkeypatch.setenv("MISSPEC_KRIGE_THREADS", value)
+            assert main(argv) == EXIT_NUMERICAL
+            assert "MISSPEC_KRIGE_THREADS must be an integer" in capsys.readouterr().err
 
     def test_import_loads_no_scipy_spatial(self):
         import misspec_krige

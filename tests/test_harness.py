@@ -297,7 +297,23 @@ class TestScenarios:
         with pytest.raises(DomainError):
             builtin_scenario("nope")
 
+    @staticmethod
+    def fields(s):
+        """Every field of a scenario as a comparable value: targets by label and
+        sites, models by label, kernel and mean values at the targets."""
+        points = np.concatenate([t.sites for t in s.targets])
+        return {"name": s.name, "n_schedule": s.n_schedule, "limit_a": s.limit_a,
+                "notes": s.notes, "design_generator": s.design_generator,
+                "targets": [(t.label, t.sites.tolist()) for t in s.targets],
+                "models": [(m.label, m.kernel, m.mean_at(points).tolist())
+                           for m in (s.true_model, s.wrong_model)]}
+
     def test_schedule_override(self):
+        for name in SCENARIO_NAMES:
+            default = self.fields(builtin_scenario(name))
+            assert self.fields(builtin_scenario(name)) == default
+            override = builtin_scenario(name, n_schedule=[4, 8, 12])
+            assert self.fields(override) == {**default, "n_schedule": (4, 8, 12)}
         s = builtin_scenario("identical", n_schedule=[4, 8])
         assert s.n_schedule == (4, 8)
         s = builtin_scenario("identical", n_schedule=[4.0, np.int64(8)])

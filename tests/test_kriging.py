@@ -600,7 +600,9 @@ class TestMeanShiftIdentity:
     @pytest.mark.parametrize("n", [1, 4, 16])
     @pytest.mark.parametrize("shift", [constant_mean(0.8),
                                        linear_mean(0.3, 2.0),
-                                       kink_mean(0.37, 0.2)])
+                                       kink_mean(0.37, 0.2)],
+                             ids=["constant_mean(0.8)", "linear_mean(0.3, 2.0)",
+                                  "kink_mean(0.37, 0.2)"])
     def test_shifted_means(self, n, shift):
         design = Design((np.arange(1, n + 1) / (n + 1.0))[:, None])
         target = TargetFunctional.point([0.415])
