@@ -30,7 +30,7 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .diagnostics import RANK_CUTOFF, AssumptionBudget, assumption_report, nystrom_eigen
+from .diagnostics import RANK_CUTOFF, assumption_report, nystrom_eigen
 from .errors import ConfigError, DomainError, MisspecKrigeError, PartialResultError
 from .harness import (
     DEFAULT_CONTRACTION,
@@ -48,7 +48,6 @@ from .harness import (
 )
 from .kernels import (
     DEFAULT_L_MAX,
-    ChordalMaternKernel,
     GreatCircleMaternKernel,
     MaternKernel,
     MaternParams,
@@ -57,9 +56,10 @@ from .kernels import (
     SphereLegendreParams,
     SphereSeriesKernel,
     SphereSpdeParams,
+    UnitSphere,
 )
 from .kriging import GaussianModel, TargetFunctional, constant_mean, kink_mean, linear_mean, zero_mean
-from .ratios import RATIO_NAMES, VARIANCE_FLOOR, RatioTable, check_schedule
+from .ratios import RATIO_NAMES, RatioTable, check_schedule
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -222,7 +222,7 @@ def _model_from_spec(spec, label: str) -> GaussianModel:
             # comparison models on the sphere; no ratio-limit claim attached
             params = MaternParams(sigma=spec.get("sigma", 1.0), nu=spec["nu"],
                                   kappa=spec.get("kappa", 1.0), dim=3)
-            kernel = (ChordalMaternKernel(params)
+            kernel = (MaternKernel(params, UnitSphere())
                       if family == "sphere_chordal_matern"
                       else GreatCircleMaternKernel(params))
         mean, mean_label = _mean_from_spec(spec.get("mean"), kernel.domain.dim)
@@ -392,17 +392,14 @@ _TOLERANCE_LIMITS = {
 }
 
 
-def _tolerances_from(config: dict):
+def _tolerances_from(config: dict) -> dict:
+    """The checked ``tolerances`` of ``config`` by name; absent ones are left out."""
     spec = config.get("tolerances", {})
     if not isinstance(spec, dict):
         raise ConfigError('"tolerances" must be an object')
     _check_keys(spec, _TOLERANCE_LIMITS, "tolerance")
-    values = {k: _bounded(v, f"tolerances.{k}", *_TOLERANCE_LIMITS[k])
-              for k, v in spec.items()}
-    budget_kwargs = {k: values[k] for k in ("verdict_window", "verdict_tol")
-                     if k in values}
-    budget = AssumptionBudget(**budget_kwargs) if budget_kwargs else None
-    return budget, values.get("variance_floor", VARIANCE_FLOOR)
+    return {k: _bounded(v, f"tolerances.{k}", *_TOLERANCE_LIMITS[k])
+            for k, v in spec.items()}
 
 
 def _output_path(value, name: str) -> str:
@@ -416,7 +413,7 @@ def cmd_run(args):
                           {"scenario", "experiment", "schedule", "output_dir",
                            "tolerances"})
     scenario = _scenario_from_config(config)
-    budget, variance_floor = _tolerances_from(config)
+    tolerances = _tolerances_from(config)
     out_dir = _output_path(config.get("output_dir", args.output or "."), "output_dir")
 
     def write(table: RatioTable, **outcome) -> None:
@@ -426,8 +423,7 @@ def cmd_run(args):
 
     def work() -> None:
         try:
-            result = run_scenario(scenario, budget=budget,
-                                  variance_floor=variance_floor)
+            result = run_scenario(scenario, **tolerances)
         except PartialResultError as exc:
             # flush completed levels alongside the failure marker, then fail
             write(exc.partial_table, failure=str(exc))
@@ -446,9 +442,10 @@ def cmd_check(args):
         if "true_model" not in config or "wrong_model" not in config:
             raise ConfigError('check needs "scenario" or both "true_model" and "wrong_model"')
         true_model, wrong_model = _model_pair(config["true_model"], config["wrong_model"])
-    budget, _ = _tolerances_from(config)
+    tolerances = _tolerances_from(config)
+    tolerances.pop("variance_floor", None)  # no level runs in a check
     return lambda: sys.stdout.write(
-        _json_dumps(assumption_report(true_model, wrong_model, budget=budget)))
+        _json_dumps(assumption_report(true_model, wrong_model, **tolerances)))
 
 
 def cmd_eigen(args):

@@ -22,6 +22,7 @@ import scipy.linalg
 
 from .errors import DomainError, MisspecKrigeError, NumericalFailureError
 from .kernels import (
+    Box,
     CovarianceKernel,
     EigenSequence,
     MaternKernel,
@@ -30,7 +31,8 @@ from .kernels import (
     SphereSeriesKernel,
 )
 from .kernels.base import block_threads
-from .kriging import GaussianModel
+from .kriging import GaussianModel, TargetFunctional
+from .ratios import mean_term
 from .verdicts import LimitKind, RatioVerdict, TailWindow
 
 DEFAULT_WINDOW = 0.2
@@ -87,7 +89,7 @@ def _tail_verdict(ratios: np.ndarray, window: float, tol: float) -> RatioVerdict
     max_dev = float(np.max(np.abs(tail - center)))
     evidence = TailWindow(start_index=start, mean=center, max_deviation=max_dev)
     if center > 0.0 and max_dev < tol * center:
-        return RatioVerdict.converges(center, evidence)
+        return RatioVerdict(LimitKind.CONVERGES, center, evidence)
 
     return _trend_verdict(_checkpoint_stats(ratios), evidence)
 
@@ -98,10 +100,10 @@ def _trend_verdict(checkpoints: list[float], evidence: TailWindow) -> RatioVerdi
     decreasing = all(a > b for a, b in zip(checkpoints, checkpoints[1:]))
     increasing = all(a < b for a, b in zip(checkpoints, checkpoints[1:]))
     if decreasing and checkpoints[0] > _DIVERGENCE_FACTOR * checkpoints[-1]:
-        return RatioVerdict.diverges_to_zero(evidence)
+        return RatioVerdict(LimitKind.DIVERGES_TO_ZERO, None, evidence)
     if increasing and checkpoints[-1] > _DIVERGENCE_FACTOR * checkpoints[0]:
-        return RatioVerdict.diverges_to_infinity(evidence)
-    return RatioVerdict.inconclusive(evidence)
+        return RatioVerdict(LimitKind.DIVERGES_TO_INFINITY, None, evidence)
+    return RatioVerdict(LimitKind.INCONCLUSIVE, None, evidence)
 
 
 def _checkpoint_stats(ratios: np.ndarray) -> list[float]:
@@ -153,7 +155,7 @@ def spectral_ratio_limit(f: MaternSpectralDensity, f_tilde: MaternSpectralDensit
     start_index = int(np.argmax(last_decade))
     evidence = TailWindow(start_index=start_index, mean=center, max_deviation=max_dev)
     if np.all(tail_vals > 0.0) and max_dev < tol * center:
-        return RatioVerdict.converges(center, evidence)
+        return RatioVerdict(LimitKind.CONVERGES, center, evidence)
 
     per_radius = np.exp(np.mean(np.log(np.maximum(grid, np.finfo(float).tiny)), axis=0))
     return _trend_verdict([per_radius[0], per_radius[per_radius.size // 2], per_radius[-1]],
@@ -352,21 +354,14 @@ def galerkin_projection(true_kernel: CovarianceKernel, wrong_kernel: CovarianceK
 # composed report
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AssumptionBudget:
-    """Verdict tolerances for the composed report."""
-
-    verdict_window: float = DEFAULT_WINDOW
-    verdict_tol: float = DEFAULT_TOL
-
-
 CONSISTENT = "consistent"
 INCONSISTENT = "inconsistent"
 INCONCLUSIVE = "inconclusive"
 
 
 def assumption_report(true_model: GaussianModel, wrong_model: GaussianModel,
-                      budget: AssumptionBudget | None = None) -> dict:
+                      verdict_window: float = DEFAULT_WINDOW,
+                      verdict_tol: float = DEFAULT_TOL) -> dict:
     """Bundle the applicable probes into one report.
 
     Routes: an analytic eigenvalue route when the pair shares a known
@@ -377,10 +372,11 @@ def assumption_report(true_model: GaussianModel, wrong_model: GaussianModel,
     ``{"error": message}``, with no verdict.  The report never claims the
     asymptotic conditions hold; it grades each check consistent /
     inconsistent / inconclusive at probe scale.  The quadrature and mean
-    probes run on the true model's domain.
+    probes run on the true model's domain.  ``verdict_window`` and
+    ``verdict_tol`` are the trailing-window fraction and the relative
+    tolerance of the ratio-limit verdicts.
     """
     block_threads()  # a bad MISSPEC_KRIGE_THREADS fails the report, not its routes
-    budget = budget or AssumptionBudget()
     domain = true_model.kernel.domain
     k_true, k_wrong = true_model.kernel, wrong_model.kernel
 
@@ -398,10 +394,12 @@ def assumption_report(true_model: GaussianModel, wrong_model: GaussianModel,
         nodes, weights = domain.quadrature(QUAD_NODES)
         return galerkin_projection(k_true, k_wrong, nodes, weights, GALERKIN_BASIS)
 
-    records = {"spectral": guarded(_spectral_route, k_true, k_wrong, budget),
-               "eigen_analytic": guarded(_eigen_route, k_true, k_wrong, budget)}
+    records = {"spectral": guarded(_spectral_route, k_true, k_wrong, verdict_tol),
+               "eigen_analytic": guarded(_eigen_route, k_true, k_wrong, verdict_window,
+                                         verdict_tol)}
     if "kind" not in (records["eigen_analytic"] or {}):
-        records["eigen_galerkin"] = guarded(_galerkin_route, projection, budget)
+        records["eigen_galerkin"] = guarded(_galerkin_route, projection, verdict_window,
+                                            verdict_tol)
     routes = {name: record for name, record in records.items() if record is not None}
     # the first route that gave a verdict is primary
     primary_route = next((name for name, record in routes.items() if "kind" in record),
@@ -428,7 +426,7 @@ def assumption_report(true_model: GaussianModel, wrong_model: GaussianModel,
     }
 
 
-def _eigen_route(k_true, k_wrong, budget) -> dict | None:
+def _eigen_route(k_true, k_wrong, window, tol) -> dict | None:
     if isinstance(k_true, PeriodicKernel) and isinstance(k_wrong, PeriodicKernel):
         common = min(k_true.spectrum.k_max, k_wrong.spectrum.k_max)
         g = k_true.spectrum.eigen_sequence(common)
@@ -442,24 +440,25 @@ def _eigen_route(k_true, k_wrong, budget) -> dict | None:
         return None
     if len(g) != len(g_t):
         raise DomainError("spectra have mismatched supports")
-    return eigen_ratio_limit(g, g_t, window=budget.verdict_window,
-                             tol=budget.verdict_tol).to_dict()
+    return eigen_ratio_limit(g, g_t, window=window, tol=tol).to_dict()
 
 
-def _spectral_route(k_true, k_wrong, budget) -> dict | None:
-    if not (isinstance(k_true, MaternKernel) and isinstance(k_wrong, MaternKernel)):
+def _spectral_route(k_true, k_wrong, tol) -> dict | None:
+    # the R^d spectral density describes a Matern pair on a box, not on the sphere
+    if not all(isinstance(k, MaternKernel) and isinstance(k.domain, Box)
+               for k in (k_true, k_wrong)):
         return None
     f = MaternSpectralDensity(k_true.params)
     f_t = MaternSpectralDensity(k_wrong.params)
     lo, hi, count = SPECTRAL_RADII
     radii = np.logspace(math.log10(lo), math.log10(hi), count)
-    verdict = spectral_ratio_limit(f, f_t, radii, tol=budget.verdict_tol)
+    verdict = spectral_ratio_limit(f, f_t, radii, tol=tol)
     k_hat, big_k_hat = spectral_equivalence_bounds(
         f, f_t, [r * u for r in radii for u in _default_directions(f.dim)])
     return dict(verdict.to_dict(), equivalence_bounds={"k_hat": k_hat, "K_hat": big_k_hat})
 
 
-def _galerkin_route(projection, budget) -> dict:
+def _galerkin_route(projection, window, tol) -> dict:
     galerkin = projection()
     diag_ratios = np.diag(galerkin.projected) / galerkin.eigenvalues
     if np.any(diag_ratios <= 0):
@@ -469,8 +468,7 @@ def _galerkin_route(projection, budget) -> dict:
         raise NumericalFailureError(
             f"projected ratio {smallest:.3e} is at or below {RANK_CUTOFF:.0e} times the "
             f"largest ({largest:.3e}), so it is not resolved")
-    return _tail_verdict(diag_ratios, window=max(0.25, budget.verdict_window),
-                         tol=budget.verdict_tol).to_dict()
+    return _tail_verdict(diag_ratios, window=max(0.25, window), tol=tol).to_dict()
 
 
 def _mean_route(true_model, wrong_model, domain) -> dict:
@@ -487,8 +485,6 @@ def _mean_route(true_model, wrong_model, domain) -> dict:
                            "interpolation-error probe applies to shared-kernel pairs"),
                 "grade": INCONCLUSIVE}
     from .harness import DesignGenerator, generate_design
-    from .kriging import TargetFunctional
-    from .ratios import mean_term
     try:
         gen = DesignGenerator.accumulating(domain=domain)
     except DomainError:

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .diagnostics import AssumptionBudget, assumption_report
+from .diagnostics import DEFAULT_TOL, DEFAULT_WINDOW, assumption_report
 from .errors import DomainError, MisspecKrigeError
 from .kernels import (
     Box,
@@ -269,7 +269,8 @@ class ScenarioResult:
     report: dict
 
 
-def run_scenario(s: Scenario, budget: AssumptionBudget | None = None,
+def run_scenario(s: Scenario, verdict_window: float = DEFAULT_WINDOW,
+                 verdict_tol: float = DEFAULT_TOL,
                  variance_floor: float = VARIANCE_FLOOR) -> ScenarioResult:
     """Ratio table over the schedule plus the composed diagnostics report."""
     try:
@@ -285,7 +286,7 @@ def run_scenario(s: Scenario, budget: AssumptionBudget | None = None,
         # keep the exception type and attachments (partial tables), add context
         exc.args = (f"scenario {s.name!r}: {exc}",)
         raise
-    report = assumption_report(s.true_model, s.wrong_model, budget=budget)
+    report = assumption_report(s.true_model, s.wrong_model, verdict_window, verdict_tol)
     return ScenarioResult(scenario=s, table=table, report=report)
 
 

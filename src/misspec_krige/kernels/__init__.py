@@ -12,7 +12,6 @@ from .base import (
     UnitSphere,
 )
 from .matern import (
-    ChordalMaternKernel,
     GreatCircleMaternKernel,
     MaternKernel,
     MaternParams,
@@ -31,7 +30,7 @@ from .sphere import (
 __all__ = [
     "Box", "Torus", "UnitSphere", "Domain",
     "CovarianceKernel", "ProfileKernel", "EigenSequence",
-    "MaternParams", "MaternKernel", "ChordalMaternKernel", "GreatCircleMaternKernel",
+    "MaternParams", "MaternKernel", "GreatCircleMaternKernel",
     "MaternSpectralDensity", "matern_cov",
     "PeriodicSpectrum", "PeriodicKernel", "DEFAULT_K_MAX",
     "SphereSeriesParams", "SphereLegendreParams", "SphereSpdeParams", "SphereSeriesKernel",

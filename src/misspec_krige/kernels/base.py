@@ -348,9 +348,6 @@ class ProfileKernel(CovarianceKernel):
     def profile(self, values: np.ndarray) -> np.ndarray:
         """The covariance at each statistic value, elementwise."""
 
-    def points(self, x) -> np.ndarray:
-        return self.domain.points(x)
-
     def gram(self, x, y=None) -> np.ndarray:
         return self._evaluate([(x, y)])[0]
 
@@ -367,7 +364,7 @@ class ProfileKernel(CovarianceKernel):
         if not pairs:
             return []
         arrays = {id(a): a for pair in pairs for a in pair if a is not None}
-        checked = {key: self.points(a) for key, a in arrays.items()}
+        checked = {key: self.domain.points(a) for key, a in arrays.items()}
         stats, layouts = zip(*[gram_entries(self.statistic, checked[id(x)],
                                             None if y is None else checked[id(y)])
                                for x, y in pairs])

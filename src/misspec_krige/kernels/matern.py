@@ -26,8 +26,8 @@ from scipy.special import gamma as gamma_fn
 from scipy.special import kv
 
 from ..errors import DomainError
-from .base import (Box, ProfileKernel, UnitSphere, as_points, euclidean, inner_products,
-                   positive_finite, positive_integer)
+from .base import (Box, ProfileKernel, UnitSphere, euclidean, inner_products, positive_finite,
+                   positive_integer)
 
 # kappa*r below this is treated as zero: the (kappa r)^nu * K_nu factorization
 # would overflow/underflow in double precision long before the value departs
@@ -76,11 +76,12 @@ def matern_cov(r, p: MaternParams):
 
 @dataclass(frozen=True)
 class MaternKernel(ProfileKernel):
-    """Matern covariance on a compact Euclidean box; the formula holds on all of
-    R^d, so points are not bounds-checked."""
+    """Matern covariance of the Euclidean distance on a compact box, or on
+    ``UnitSphere()``, where the distance is the chordal one of the embedding
+    in R^3 (``params.dim == 3``) and the model is valid for every nu > 0."""
 
     params: MaternParams
-    domain: Box = field(default_factory=Box)
+    domain: Box | UnitSphere = field(default_factory=Box)
 
     infinitely_differentiable = False
     statistic = staticmethod(euclidean)
@@ -88,27 +89,6 @@ class MaternKernel(ProfileKernel):
     def __post_init__(self):
         if self.domain.dim != self.params.dim:
             raise DomainError("kernel domain dimension must match params.dim")
-
-    def points(self, x) -> np.ndarray:
-        return as_points(x, self.domain.dim)
-
-    def profile(self, r: np.ndarray) -> np.ndarray:
-        return matern_cov(r, self.params)
-
-
-@dataclass(frozen=True)
-class ChordalMaternKernel(ProfileKernel):
-    """Matern covariance of the chordal (embedded Euclidean) distance on S^2.
-
-    Valid for every nu > 0.  Included for comparison runs; no ratio-limit
-    claim is attached to it.
-    """
-
-    params: MaternParams
-    domain: UnitSphere = field(default_factory=UnitSphere)
-
-    infinitely_differentiable = False
-    statistic = staticmethod(euclidean)
 
     def profile(self, r: np.ndarray) -> np.ndarray:
         return matern_cov(r, self.params)

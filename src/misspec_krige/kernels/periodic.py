@@ -12,6 +12,7 @@ function and f(k), twice, for every representative k.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -47,34 +48,29 @@ def _positive_representatives(dim: int, k_max: int) -> np.ndarray:
     return reps[np.argsort(np.abs(reps).max(axis=1), kind="stable")]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class PeriodicSpectrum:
     """Truncated lattice spectral mass; indices with max-norm <= k_max are retained."""
 
     dim: int
     k_max: int
     zero_mass: float
-    rep_indices: np.ndarray  # (M, dim) lattice representatives, canonical order
-    rep_masses: np.ndarray   # (M,) f(k) at the representatives
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PeriodicSpectrum):
-            return NotImplemented
-        return (self.dim == other.dim and self.k_max == other.k_max
-                and self.zero_mass == other.zero_mass
-                and np.array_equal(self.rep_indices, other.rep_indices)
-                and np.array_equal(self.rep_masses, other.rep_masses))
-
-    def __hash__(self):
-        return hash((self.dim, self.k_max, self.zero_mass, self.rep_masses.tobytes()))
+    rep_masses: tuple[float, ...]  # f(k) at each of ``rep_indices``
 
     def __post_init__(self):
         object.__setattr__(self, "dim", positive_integer(self.dim, "dim"))
         object.__setattr__(self, "k_max", positive_integer(self.k_max, "k_max"))
         masses = np.asarray(self.rep_masses, dtype=float)
+        if masses.shape != (len(self.rep_indices),):
+            raise DomainError(f"need {len(self.rep_indices)} masses, one per representative")
         if self.zero_mass < 0.0 or np.any(masses < 0.0) or not np.all(np.isfinite(masses)):
             raise DomainError("spectral masses must be finite and nonnegative")
-        object.__setattr__(self, "rep_masses", masses)
+        object.__setattr__(self, "rep_masses", tuple(masses.tolist()))
+
+    @functools.cached_property
+    def rep_indices(self) -> np.ndarray:
+        """(M, dim) lattice representatives, canonical order."""
+        return _positive_representatives(self.dim, self.k_max)
 
     @classmethod
     def from_callable(cls, f: Callable[[tuple[int, ...]], float], dim: int = 1,
@@ -90,7 +86,7 @@ class PeriodicSpectrum:
             k_bad = tuple(reps[int(np.argmax(bad))])
             raise DomainError(f"spectral mass is not even: f({k_bad}) != f(-{k_bad})")
         zero = float(f((0,) * dim))
-        return cls(dim=dim, k_max=k_max, zero_mass=zero, rep_indices=reps, rep_masses=masses)
+        return cls(dim=dim, k_max=k_max, zero_mass=zero, rep_masses=masses)
 
     @classmethod
     def from_coeffs(cls, coeffs: Mapping[tuple[int, ...] | int, float], dim: int = 1,
@@ -128,7 +124,7 @@ class PeriodicSpectrum:
         if k_max > self.k_max:
             raise DomainError("cannot extend an eigen sequence past the retained k_max")
         keep = np.max(np.abs(self.rep_indices), axis=1) <= k_max
-        doubled = np.repeat(self.rep_masses[keep], 2)
+        doubled = np.repeat(np.asarray(self.rep_masses)[keep], 2)
         values = np.concatenate(([self.zero_mass], doubled))
         return EigenSequence(values[values > 0.0])
 
@@ -160,7 +156,7 @@ class PeriodicKernel(CovarianceKernel):
         (n, M) slice either way.
         Cross blocks rarely repeat a difference and keep the direct formula."""
         x = self.domain.points(x)
-        reps, masses = self.spectrum.rep_indices, self.spectrum.rep_masses
+        reps, masses = self.spectrum.rep_indices, np.asarray(self.spectrum.rep_masses)
         if y is not None:
             diff = x[:, None, :] - self.domain.points(y)[None, :, :]  # (n, m, d)
             phase = 2.0 * np.pi * diff @ reps.T                     # (n, m, M)

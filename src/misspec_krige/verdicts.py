@@ -8,7 +8,7 @@ asymptotic statement; it records what was observed on the probed range.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 
@@ -27,10 +27,6 @@ class TailWindow:
     mean: float
     max_deviation: float
 
-    def to_dict(self) -> dict:
-        return {"start_index": self.start_index, "mean": self.mean,
-                "max_deviation": self.max_deviation}
-
 
 @dataclass(frozen=True)
 class RatioVerdict:
@@ -45,25 +41,9 @@ class RatioVerdict:
         elif self.a_estimate is not None:
             raise ValueError("a_estimate is only meaningful for a convergent verdict")
 
-    @classmethod
-    def converges(cls, a: float, evidence: TailWindow | None = None) -> "RatioVerdict":
-        return cls(LimitKind.CONVERGES, a, evidence)
-
-    @classmethod
-    def diverges_to_zero(cls, evidence: TailWindow | None = None) -> "RatioVerdict":
-        return cls(LimitKind.DIVERGES_TO_ZERO, None, evidence)
-
-    @classmethod
-    def diverges_to_infinity(cls, evidence: TailWindow | None = None) -> "RatioVerdict":
-        return cls(LimitKind.DIVERGES_TO_INFINITY, None, evidence)
-
-    @classmethod
-    def inconclusive(cls, evidence: TailWindow | None = None) -> "RatioVerdict":
-        return cls(LimitKind.INCONCLUSIVE, None, evidence)
-
     def to_dict(self) -> dict:
         return {
             "kind": self.kind.value,
             "a_estimate": self.a_estimate,
-            "evidence": self.evidence.to_dict() if self.evidence is not None else None,
+            "evidence": None if self.evidence is None else asdict(self.evidence),
         }

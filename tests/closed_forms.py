@@ -10,7 +10,7 @@ from scipy.special import kv
 from misspec_krige.errors import DomainError
 from misspec_krige.kernels import MaternParams, SphereLegendreParams, SphereSpdeParams
 from misspec_krige.kriging import Design, GaussianModel, LevelSystem, TargetFunctional
-from misspec_krige.verdicts import RatioVerdict
+from misspec_krige.verdicts import LimitKind, RatioVerdict
 
 
 def bessel_k(nu: float, x):
@@ -42,10 +42,11 @@ def matern_ratio_limit(p: MaternParams, p_tilde: MaternParams) -> RatioVerdict:
     if p.dim != p_tilde.dim:
         raise DomainError("spectral densities must share the ambient dimension")
     if p_tilde.nu > p.nu:
-        return RatioVerdict.diverges_to_zero()
+        return RatioVerdict(LimitKind.DIVERGES_TO_ZERO)
     if p_tilde.nu < p.nu:
-        return RatioVerdict.diverges_to_infinity()
-    return RatioVerdict.converges(p_tilde.infill_identifiable / p.infill_identifiable)
+        return RatioVerdict(LimitKind.DIVERGES_TO_INFINITY)
+    return RatioVerdict(LimitKind.CONVERGES,
+                        p_tilde.infill_identifiable / p.infill_identifiable)
 
 
 def legendre_p(ell: int, y):

@@ -12,6 +12,8 @@ import pytest
 
 from misspec_krige import cli
 from misspec_krige.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, CSV_HEADER, main
+from misspec_krige.diagnostics import assumption_report
+from misspec_krige.harness import builtin_scenario
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -360,6 +362,10 @@ class TestRun:
             "tolerances": {"verdict_tol": 0.05, "variance_floor": 1e-10},
             "output_dir": str(tmp_path)})
         assert main(["run", cfg]) == EXIT_OK
+        scenario = builtin_scenario("identical")
+        report = assumption_report(scenario.true_model, scenario.wrong_model, verdict_tol=0.05)
+        diag = json.loads((tmp_path / "diagnostics.json").read_text())
+        assert diag["report"] == json.loads(cli._json_dumps(report))
         bad = write_config(tmp_path, {
             "schema": 1, "scenario": "identical",
             "tolerances": {"bogus": 1.0}}, name="bad-tol.json")
@@ -585,6 +591,17 @@ class TestCheck:
         assert main(["check", cfg]) == EXIT_OK
         report = json.loads(capsys.readouterr().out)
         assert report["routes"]["spectral"]["kind"] == "diverges_to_zero"
+
+    def test_tolerances_reach_the_report(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "schema": 1, "scenario": "matern_same_nu",
+            "tolerances": {"verdict_window": 0.9, "verdict_tol": 1e-9,
+                           "variance_floor": 1e-10}})
+        assert main(["check", cfg]) == EXIT_OK
+        scenario = builtin_scenario("matern_same_nu")
+        report = assumption_report(scenario.true_model, scenario.wrong_model, 0.9, 1e-9)
+        assert capsys.readouterr().out == cli._json_dumps(report)
+        assert report["ratio_verdict"]["kind"] == "inconclusive"
 
     def test_sphere_pair_limit(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {

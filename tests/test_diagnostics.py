@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from misspec_krige.diagnostics import (
+    DEFAULT_WINDOW,
     QUAD_NODES,
     assumption_report,
     eigen_ratio_limit,
@@ -17,6 +18,7 @@ from misspec_krige.diagnostics import (
     t_a_tail_spectrum,
 )
 from misspec_krige.errors import DomainError
+from misspec_krige.harness import builtin_scenario
 from misspec_krige.kernels import (
     Box,
     EigenSequence,
@@ -26,6 +28,7 @@ from misspec_krige.kernels import (
     PeriodicKernel,
     PeriodicSpectrum,
     Torus,
+    UnitSphere,
 )
 from misspec_krige.kernels.base import fibonacci_sphere_grid
 from misspec_krige.kriging import GaussianModel, constant_mean, zero_mean
@@ -321,6 +324,33 @@ class TestQuadratures:
         assert np.linalg.norm(nodes.mean(axis=0)) < 0.02
 
 
+class TestVerdictTolerances:
+    """The report's two verdict tolerances reach every route that reads them."""
+
+    @staticmethod
+    def routes(name, *tolerances):
+        s = builtin_scenario(name)
+        return assumption_report(s.true_model, s.wrong_model, *tolerances)["routes"]
+
+    @pytest.mark.parametrize("name, route_names", [
+        ("periodic_ratio3", ["eigen_analytic"]),
+        ("matern_same_nu", ["spectral", "eigen_galerkin"])])
+    def test_tight_tol_leaves_every_route_inconclusive(self, name, route_names):
+        default, tight = self.routes(name), self.routes(name, DEFAULT_WINDOW, 1e-9)
+        assert list(default) == list(tight) == route_names
+        for route in route_names:
+            assert (default[route]["kind"], tight[route]["kind"]) == ("converges",
+                                                                      "inconclusive")
+
+    @pytest.mark.parametrize("name, route, starts", [
+        ("periodic_ratio3", "eigen_analytic", (103, 12)),
+        ("matern_same_nu", "eigen_galerkin", (18, 2))])
+    def test_window_moves_the_evidence(self, name, route, starts):
+        got = [self.routes(name, *window)[route]["evidence"]["start_index"]
+               for window in ((), (0.9,))]
+        assert tuple(got) == starts
+
+
 class TestAssumptionReport:
     def test_identical_matern_pair_both_routes(self):
         model = GaussianModel(zero_mean, MaternKernel(MaternParams(1, 0.5, 1)), "m")
@@ -388,7 +418,6 @@ class TestAssumptionReport:
         assert len(calls) == 1
 
     def test_equal_kernels_share_one_node_gram(self, monkeypatch):
-        from misspec_krige.harness import builtin_scenario
         scenario = builtin_scenario("identical")
         assert scenario.true_model.kernel == scenario.wrong_model.kernel
         node_grams = []
@@ -414,10 +443,10 @@ class TestAssumptionReport:
     def test_failed_galerkin_route_names_no_primary_route(self, monkeypatch):
         import misspec_krige.diagnostics as diagnostics
         from misspec_krige.errors import NumericalFailureError
-        from misspec_krige.kernels import ChordalMaternKernel
-        true = GaussianModel(zero_mean, ChordalMaternKernel(MaternParams(1.0, 0.5, 1.0)), "c1")
-        wrong = GaussianModel(zero_mean, ChordalMaternKernel(MaternParams(2.0, 0.5, 0.5)),
-                              "c2")
+        true = GaussianModel(zero_mean, MaternKernel(MaternParams(1.0, 0.5, 1.0, dim=3),
+                                                     UnitSphere()), "c1")
+        wrong = GaussianModel(zero_mean, MaternKernel(MaternParams(2.0, 0.5, 0.5, dim=3),
+                                                      UnitSphere()), "c2")
         report = assumption_report(true, wrong)
         assert report["primary_route"] == "eigen_galerkin"
         assert report["ratio_verdict"] == report["routes"]["eigen_galerkin"]

@@ -10,7 +10,6 @@ import pytest
 from misspec_krige.errors import DomainError
 from misspec_krige.kernels import (
     Box,
-    ChordalMaternKernel,
     GreatCircleMaternKernel,
     MaternKernel,
     MaternParams,
@@ -115,7 +114,7 @@ class TestKernelsAskTheDomain:
             kern.gram([[0.2]], [[-0.5]])
 
     @pytest.mark.parametrize("kernel", [
-        ChordalMaternKernel(MaternParams(1.0, 1.5, 2.0, dim=3)),
+        MaternKernel(MaternParams(1.0, 1.5, 2.0, dim=3), UnitSphere()),
         GreatCircleMaternKernel(MaternParams(1.0, 0.5, 2.0, dim=3))])
     def test_sphere_matern(self, kernel):
         north = [[0.0, 0.0, 1.0]]
@@ -131,10 +130,12 @@ class TestKernelsAskTheDomain:
         with pytest.raises(AttributeError):
             kern.domain = Torus(dim + 1)
 
-    def test_matern_gram_keeps_plain_coercion(self):
-        # the Euclidean formula holds off the box, and a Gram is not bounds-checked
+    def test_matern_gram_checks_its_box(self):
         kern = MaternKernel(MaternParams(1.0, 0.5, 1.0))
-        assert kern.gram([[0.0], [2.0]])[0, 1] == pytest.approx(math.exp(-2.0))
+        with pytest.raises(DomainError, match=r"point \[2.0\] lies outside the box \[0, 1\]"):
+            kern.gram([[0.0], [2.0]])
+        wide = MaternKernel(MaternParams(1.0, 0.5, 1.0), Box((0.0,), (2.0,)))
+        assert wide.gram([[0.0], [2.0]])[0, 1] == pytest.approx(math.exp(-2.0))
 
 
 class TestQuadrature:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from misspec_krige.diagnostics import assumption_report
 from misspec_krige.errors import DomainError
 from misspec_krige.harness import (
     SCENARIO_NAMES,
@@ -386,6 +387,12 @@ class TestScenarios:
         res = run_scenario(builtin_scenario("scaled_kernel", n_schedule=[8]))
         assert res.report["ratio_verdict"]["a_estimate"] == pytest.approx(4.0)
         assert res.table.metadata["scenario"] == "scaled_kernel"
+
+    def test_report_takes_the_verdict_tolerances(self):
+        s = builtin_scenario("periodic_ratio3", n_schedule=[8])
+        res = run_scenario(s, verdict_window=0.9, verdict_tol=1e-9)
+        assert res.report == assumption_report(s.true_model, s.wrong_model, 0.9, 1e-9)
+        assert res.report["ratio_verdict"]["kind"] == "inconclusive"
 
     @settings(max_examples=60, deadline=None)
     @given(l_true=st.integers(1, 12), l_wrong=st.integers(1, 12), n=st.integers(1, 200))

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from misspec_krige.kernels import (
     Box,
-    ChordalMaternKernel,
     GreatCircleMaternKernel,
     MaternKernel,
     MaternParams,
@@ -18,6 +17,7 @@ from misspec_krige.kernels import (
     SphereLegendreParams,
     SphereSeriesKernel,
     SphereSpdeParams,
+    UnitSphere,
 )
 
 
@@ -40,7 +40,7 @@ FAMILIES = {
     "matern-1d": (MaternKernel(MaternParams(1.0, 0.5, 1.0)), _box(1)),
     "matern-3d": (MaternKernel(MaternParams(1.0, 1.5, 2.0, dim=3),
                                domain=Box((0.0,) * 3, (1.0,) * 3)), _box(3)),
-    "chordal": (ChordalMaternKernel(MaternParams(1.0, 1.5, 1.0, dim=3)), _sphere),
+    "chordal": (MaternKernel(MaternParams(1.0, 1.5, 1.0, dim=3), UnitSphere()), _sphere),
     "great_circle": (GreatCircleMaternKernel(MaternParams(1.0, 0.5, 1.0, dim=3)), _sphere),
     "sphere_legendre": (SphereSeriesKernel(SphereLegendreParams(1.0, 1.0, 1.0)), _sphere),
     "sphere_spde": (SphereSeriesKernel(SphereSpdeParams(1.0, 1.0, 1.0)), _sphere),

@@ -15,11 +15,11 @@ from misspec_krige.harness import DesignGenerator, generate_design
 from misspec_krige.kernels import matern as matern_module
 from misspec_krige.kernels import (
     Box,
-    ChordalMaternKernel,
     GreatCircleMaternKernel,
     MaternKernel,
     MaternParams,
     MaternSpectralDensity,
+    UnitSphere,
     matern_cov,
 )
 from misspec_krige.kernels.base import euclidean
@@ -119,7 +119,7 @@ class TestMaternCov:
             matern_cov(np.array([0.5, r]), MaternParams(2.0, 0.5, 1.0))
 
     def test_nan_point_rejected(self):
-        with pytest.raises(DomainError, match="finite r >= 0"):
+        with pytest.raises(DomainError, match=r"point \[nan\] lies outside the box"):
             MaternKernel(MaternParams(2.0, 0.5, 1.0)).gram([[math.nan]], [[0.5]])
 
 
@@ -208,13 +208,18 @@ class TestKernels:
             GreatCircleMaternKernel(MaternParams(1.0, 0.75, 1.0))
         GreatCircleMaternKernel(MaternParams(1.0, 0.5, 1.0))  # boundary accepted
 
+    @pytest.mark.parametrize("domain", [Box(), UnitSphere()])
+    def test_domain_dimension_must_match_params(self, domain):
+        with pytest.raises(DomainError, match="kernel domain dimension must match params.dim"):
+            MaternKernel(MaternParams(1.0, 1.5, 1.0, dim=2), domain)
+
     def test_sphere_kernels_reject_non_unit(self):
-        chordal = ChordalMaternKernel(MaternParams(1.0, 1.5, 1.0))
+        chordal = MaternKernel(MaternParams(1.0, 1.5, 1.0, dim=3), UnitSphere())
         with pytest.raises(DomainError):
             chordal(np.array([1.0, 0.0, 0.1]), np.array([0.0, 1.0, 0.0]))
 
     def test_chordal_uses_embedded_distance(self):
-        chordal = ChordalMaternKernel(MaternParams(1.0, 1.5, 1.0))
+        chordal = MaternKernel(MaternParams(1.0, 1.5, 1.0, dim=3), UnitSphere())
         x = np.array([1.0, 0.0, 0.0])
         y = np.array([0.0, 1.0, 0.0])
         assert chordal(x, y) == pytest.approx(
@@ -244,8 +249,10 @@ class TestEuclidean:
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_gram_without_y_equals_cdist(self, dim):
-        kern = euclid_kernel(dim, 1.5)
         x = mixed_scale_points(np.random.default_rng(dim), 50, dim)
+        # a box that holds the points, whose coordinates reach about 1e3
+        kern = MaternKernel(MaternParams(1.3, 1.5, 2.0, dim=dim),
+                            Box(tuple(x.min(axis=0)), tuple(x.max(axis=0))))
         assert_same_symmetric(kern.gram(x), full_matern(x, kern.params))
 
 
@@ -271,7 +278,7 @@ def euclid_kernel(dim, nu):
 
 
 SPHERE_MATERN = {
-    "chordal": (ChordalMaternKernel(MaternParams(1.0, 1.5, 2.0, dim=3)), full_matern),
+    "chordal": (MaternKernel(MaternParams(1.0, 1.5, 2.0, dim=3), UnitSphere()), full_matern),
     "great_circle": (GreatCircleMaternKernel(MaternParams(1.0, 0.5, 2.0, dim=3)),
                      full_great_circle),
 }

@@ -81,6 +81,17 @@ class TestPeriodicCov:
         with pytest.raises(DomainError, match="lies outside the torus"):
             PeriodicKernel(rational_spectrum()).gram([[0.1], [math.nan]], y)
 
+    def test_equal_spectra_hash_equal(self):
+        # -0.0 == 0.0, so the spectra are equal, and so must be their hashes
+        a = PeriodicSpectrum.from_coeffs({0: 1.0, 1: 0.5, 2: 0.0})
+        b = PeriodicSpectrum.from_coeffs({0: 1.0, 1: 0.5, 2: -0.0})
+        assert a == b and hash(a) == hash(b)
+        assert len({PeriodicKernel(a), PeriodicKernel(b)}) == 1
+
+    def test_one_mass_per_representative(self):
+        with pytest.raises(DomainError, match="need 2 masses, one per representative"):
+            PeriodicSpectrum(dim=1, k_max=2, zero_mass=1.0, rep_masses=(0.5,))
+
 
 class TestEigenSequence:
     def test_canonical_order_d1(self):

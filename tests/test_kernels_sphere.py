@@ -12,7 +12,6 @@ from misspec_krige.errors import DomainError
 from misspec_krige.kernels import base as kernels_base
 from misspec_krige.kernels import sphere as sphere_module
 from misspec_krige.kernels import (
-    ChordalMaternKernel,
     GreatCircleMaternKernel,
     MaternKernel,
     MaternParams,
@@ -22,6 +21,7 @@ from misspec_krige.kernels import (
     SphereLegendreParams,
     SphereSeriesKernel,
     SphereSpdeParams,
+    UnitSphere,
 )
 
 from closed_forms import legendre_p, sphere_eigen_ratio
@@ -178,7 +178,7 @@ SPHERE_KERNELS = {
 }
 ALL_KERNELS = {
     "matern": MaternKernel(MaternParams(1.0, 1.5, 2.0)),
-    "chordal": ChordalMaternKernel(MaternParams(1.0, 1.5, 2.0)),
+    "chordal": MaternKernel(MaternParams(1.0, 1.5, 2.0, dim=3), UnitSphere()),
     "great_circle": GreatCircleMaternKernel(MaternParams(1.0, 0.5, 2.0)),
     "periodic": PeriodicKernel(PeriodicSpectrum.from_coeffs({0: 1.0, 1: 0.5, 3: 0.125},
                                                             dim=1)),
