@@ -6,6 +6,7 @@ diagnostics of the conditions for uniformly asymptotically optimal prediction.
 __version__ = "0.1.0"
 
 from . import diagnostics, harness, kernels, kriging, ratios
+from .diagnostics import LimitKind, RatioVerdict
 from .errors import (
     ConfigError,
     DomainError,
@@ -25,7 +26,6 @@ from .kriging import (
     kriging_predictor,
 )
 from .ratios import RatioRecord, RatioTable, efficiency_ratios, mean_term, ratio_convergence
-from .verdicts import LimitKind, RatioVerdict
 
 __all__ = [
     "__version__",

@@ -30,7 +30,7 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .diagnostics import RANK_CUTOFF, assumption_report, nystrom_eigen
+from .diagnostics import QUAD_NODES, RANK_CUTOFF, assumption_report, nystrom_eigen
 from .errors import ConfigError, DomainError, MisspecKrigeError, PartialResultError
 from .harness import (
     DEFAULT_CONTRACTION,
@@ -371,13 +371,9 @@ def table_to_csv(table: RatioTable, scenario_name: str) -> str:
 
 
 def _json_dumps(obj) -> str:
-    def default(value):
-        if isinstance(value, np.ndarray):
-            return value.tolist()
-        if isinstance(value, (np.floating, np.integer)):
-            return value.item()
-        return str(value)
-    return json.dumps(obj, indent=2, sort_keys=True, default=default) + "\n"
+    """``obj``, which holds plain JSON values only, as sorted, indented JSON;
+    any other value raises TypeError."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +453,8 @@ def cmd_eigen(args):
     if not isinstance(grid_spec, dict):
         raise ConfigError('"grid" must be an object')
     _check_keys(grid_spec, {"nodes", "rank_cutoff"}, "grid")
-    n_nodes = _bounded(grid_spec.get("nodes", 128), "grid.nodes",
+    # without a node count, the report's grid; a torus rounds it per axis
+    n_nodes = _bounded(grid_spec.get("nodes", QUAD_NODES), "grid.nodes",
                        lambda x: 2 <= x <= MAX_DESIGN_SIZE and x.is_integer(),
                        f"an integer in [2, {MAX_DESIGN_SIZE}]")
     rank_cutoff = _bounded(grid_spec.get("rank_cutoff", RANK_CUTOFF), "grid.rank_cutoff",
@@ -465,7 +462,7 @@ def cmd_eigen(args):
     _bounded(rank_cutoff, "grid.rank_cutoff", lambda x: x < 1.0,
              "below 1, since a cutoff of 1 or more drops even the leading eigenvalue")
     try:
-        nodes, weights = model.kernel.domain.quadrature(int(n_nodes), exact=True)
+        nodes, weights = model.kernel.domain.quadrature(int(n_nodes), exact="nodes" in grid_spec)
     except DomainError as exc:
         raise ConfigError(f"grid.nodes: {exc}")
     out_path = _output_path(config.get("output", args.output or "eigenvalues.csv"), "output")

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -33,7 +34,6 @@ from .kernels import (
 from .kernels.base import block_threads
 from .kriging import GaussianModel, TargetFunctional
 from .ratios import mean_term
-from .verdicts import LimitKind, RatioVerdict, TailWindow
 
 DEFAULT_WINDOW = 0.2
 DEFAULT_TOL = 1e-2
@@ -54,6 +54,50 @@ SPECTRAL_RADII = (1.0, 1.0e3, 25)  # (min, max, count), log-spaced
 QUAD_NODES = 128
 GALERKIN_BASIS = 24
 MEAN_DESIGN_SIZES = (8, 32, 64)
+
+
+# ---------------------------------------------------------------------------
+# verdicts
+# ---------------------------------------------------------------------------
+
+class LimitKind(Enum):
+    CONVERGES = "converges"
+    DIVERGES_TO_ZERO = "diverges_to_zero"
+    DIVERGES_TO_INFINITY = "diverges_to_infinity"
+    INCONCLUSIVE = "inconclusive"
+
+
+@dataclass(frozen=True)
+class TailWindow:
+    """Statistics of the trailing probe window backing a verdict."""
+
+    start_index: int
+    mean: float
+    max_deviation: float
+
+
+@dataclass(frozen=True)
+class RatioVerdict:
+    """Outcome of a ratio-limit probe: what was observed on the probed range,
+    never a certified asymptotic statement."""
+
+    kind: LimitKind
+    a_estimate: float | None = None
+    evidence: TailWindow | None = None
+
+    def __post_init__(self):
+        if self.kind is LimitKind.CONVERGES:
+            if self.a_estimate is None or not self.a_estimate > 0:
+                raise ValueError("a convergent verdict requires a positive limit estimate")
+        elif self.a_estimate is not None:
+            raise ValueError("a_estimate is only meaningful for a convergent verdict")
+
+    def to_dict(self) -> dict:
+        return {
+            "kind": self.kind.value,
+            "a_estimate": self.a_estimate,
+            "evidence": None if self.evidence is None else asdict(self.evidence),
+        }
 
 
 # ---------------------------------------------------------------------------

@@ -370,7 +370,6 @@ class ProfileKernel(CovarianceKernel):
                                for x, y in pairs])
         ends = np.cumsum([values.size for values in stats])[:-1]
         flat = np.concatenate(stats)
-        del stats  # ``flat`` holds the entries now; free each pair's copy before the profile
         starts = range(0, flat.size, _PROFILE_CHUNK)
 
         def profile_chunks(first: int, last: int) -> None:

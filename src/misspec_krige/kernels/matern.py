@@ -103,8 +103,8 @@ class GreatCircleMaternKernel(ProfileKernel):
     """
 
     params: MaternParams
-    domain: UnitSphere = field(default_factory=UnitSphere)
 
+    domain = UnitSphere()
     infinitely_differentiable = False
     statistic = staticmethod(inner_products)
 

@@ -63,7 +63,8 @@ class PeriodicSpectrum:
         masses = np.asarray(self.rep_masses, dtype=float)
         if masses.shape != (len(self.rep_indices),):
             raise DomainError(f"need {len(self.rep_indices)} masses, one per representative")
-        if self.zero_mass < 0.0 or np.any(masses < 0.0) or not np.all(np.isfinite(masses)):
+        every = np.append(masses, self.zero_mass)
+        if not np.all((every >= 0.0) & (every < np.inf)):  # NaN fails both
             raise DomainError("spectral masses must be finite and nonnegative")
         object.__setattr__(self, "rep_masses", tuple(masses.tolist()))
 

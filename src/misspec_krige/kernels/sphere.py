@@ -25,7 +25,7 @@ coefficients, truncated at degree ``l_max``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,8 +104,8 @@ class SphereSeriesKernel(ProfileKernel):
     """Truncated Legendre series covariance of either sphere parameter set."""
 
     params: SphereSeriesParams
-    domain: UnitSphere = field(default_factory=UnitSphere)
 
+    domain = UnitSphere()
     statistic = staticmethod(inner_products)
 
     @property

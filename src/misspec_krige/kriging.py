@@ -41,9 +41,6 @@ _COMPENSATED_FROM = 256
 
 _NEGATIVE_VARIANCE_TOL = 1e-10
 
-#: site-pair distances per block of the pairwise-distinct check of a design
-_DISTINCT_BLOCK_ENTRIES = 1 << 16
-
 
 # ---------------------------------------------------------------------------
 # mean functions
@@ -94,18 +91,6 @@ class GaussianModel:
         return np.array([self.mean(p) for p in np.atleast_2d(points)], dtype=float)
 
 
-def _coincident(sites: np.ndarray) -> bool:
-    """True when two sites lie at computed Euclidean distance 0, an underflow
-    included; the distances are taken one block of rows at a time."""
-    n = len(sites)
-    rows = max(1, _DISTINCT_BLOCK_ENTRIES // n)
-    for start in range(0, n - 1, rows):
-        block = euclidean(sites[start:start + rows], sites[start:])
-        if np.triu(block <= 0.0, 1).any():
-            return True
-    return False
-
-
 @dataclass(frozen=True, eq=False)
 class Design:
     """Ordered, pairwise-distinct observation sites."""
@@ -118,7 +103,8 @@ class Design:
             raise DomainError("a design needs at least one site")
         if not np.all(np.isfinite(sites)):
             raise DomainError("design sites must be finite")
-        if _coincident(sites):
+        # a computed distance of 0, an underflow included, makes two sites one
+        if np.triu(euclidean(sites, sites) <= 0.0, 1).any():
             raise DomainError("design sites must be pairwise distinct")
         object.__setattr__(self, "sites", sites)
 

@@ -7,10 +7,10 @@ tests that compare the library's numbers with them.
 import numpy as np
 from scipy.special import kv
 
+from misspec_krige.diagnostics import LimitKind, RatioVerdict
 from misspec_krige.errors import DomainError
 from misspec_krige.kernels import MaternParams, SphereLegendreParams, SphereSpdeParams
 from misspec_krige.kriging import Design, GaussianModel, LevelSystem, TargetFunctional
-from misspec_krige.verdicts import LimitKind, RatioVerdict
 
 
 def bessel_k(nu: float, x):

@@ -13,7 +13,8 @@ import warnings
 import numpy as np
 import pytest
 
-from misspec_krige.diagnostics import eigen_ratio_limit, nystrom_eigen, t_a_tail_spectrum
+from misspec_krige.diagnostics import (LimitKind, eigen_ratio_limit, nystrom_eigen,
+                                       t_a_tail_spectrum)
 from misspec_krige.harness import SCENARIO_NAMES, builtin_scenario, generate_design, run_scenario
 from misspec_krige.kernels import (
     MaternKernel,
@@ -34,7 +35,6 @@ from misspec_krige.kriging import (
     zero_mean,
 )
 from misspec_krige.ratios import RATIO_NAMES, SUP_TARGET_ID, efficiency_ratios, mean_term
-from misspec_krige.verdicts import LimitKind
 
 from closed_forms import (bessel_k, legendre_p, mean_shift_identity_check,
                           mercer_reconstruction, sphere_eigen_ratio)

@@ -8,11 +8,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from misspec_krige import cli
 from misspec_krige.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, CSV_HEADER, main
-from misspec_krige.diagnostics import assumption_report
+from misspec_krige.diagnostics import QUAD_NODES, assumption_report
 from misspec_krige.harness import builtin_scenario
 
 
@@ -175,8 +176,9 @@ class TestRun:
         ("targets", [[0.3, 0.4]], "targets[0] has dimension 2; the domain needs 1"),
         ("targets", [[0.5], [1.7]], "targets[1] = [1.7] lies outside the box [0, 1]"),
         ("targets", [-0.1], "targets[0] = -0.1 lies outside the box [0, 1]"),
+        ("targets", [["a"]], "bad inline targets: could not convert string to float: 'a'"),
     ], ids=["limit-zero", "limit-negative", "limit-string", "limit-reciprocal", "targets-empty",
-            "targets-wrong-dim", "targets-above-box", "targets-below-box"])
+            "targets-wrong-dim", "targets-above-box", "targets-below-box", "targets-string"])
     def test_bad_inline_field_exit_2_before_any_work(self, tmp_path, capsys, no_work,
                                                       field, value, message):
         cfg = write_config(tmp_path, {"schema": 1, "experiment": {
@@ -198,8 +200,9 @@ class TestRun:
         ({"variance_floor": float("nan")},
          "tolerances.variance_floor must be a finite number >= 0, got nan"),
         ({"variance_floor": -1}, "tolerances.variance_floor must be a finite number >= 0"),
+        ([0.2], '"tolerances" must be an object'),
     ], ids=["window-zero", "window-above-one", "tol-zero", "tol-string", "tol-above-one",
-            "tol-infinite", "floor-nan", "floor-negative"])
+            "tol-infinite", "floor-nan", "floor-negative", "not-an-object"])
     def test_bad_tolerance_exit_2_before_any_work(self, tmp_path, capsys, no_work,
                                                    tolerances, message):
         for scenario in ("periodic_ratio3", "matern_same_nu"):
@@ -517,6 +520,14 @@ MODEL_SPEC_CASES = [
      "nu=1000"),
     ({"family": "matern", "nu": 0.5, "mean": {"kind": "constant", "value": -10 ** 400}},
      "bad model spec for true: mean.value must be a finite number, got -1000"),
+    ({"family": "matern", "nu": 0.5, "mean": 3},
+     'bad model spec for true: mean spec must be an object with a "kind"'),
+    ({"family": "matern", "nu": 0.5, "mean": {"value": 1}},
+     'bad model spec for true: mean spec must be an object with a "kind"'),
+    ({"family": "matern", "nu": 0.5, "mean": {"kind": "constant"}},
+     "bad model spec for true: a constant mean needs 'value'"),
+    ({"family": "matern", "nu": 0.5, "mean": {"kind": "kink"}},
+     "bad model spec for true: a kink mean needs 'alpha'"),
 ]
 MODEL_SPEC_IDS = ["sigma-inf", "nu-nan", "tau-inf", "kappa1-minus-inf", "matern-typo",
                   "spde-legendre-key", "unknown-family", "coeffs-list", "coeffs-with-dim",
@@ -525,7 +536,9 @@ MODEL_SPEC_IDS = ["sigma-inf", "nu-nan", "tau-inf", "kappa1-minus-inf", "matern-
                   "mean-slope-too-long", "mean-x0-too-long", "mean-slope-scalar-2d",
                   "mean-x0-entry-inf", "matern-nu-bool", "matern-sigma-bool", "spde-nu-bool",
                   "periodic-power-bool", "coeffs-mass-bool", "matern-nu-string",
-                  "mean-value-string", "matern-nu-huge-int", "mean-value-huge-int"]
+                  "mean-value-string", "matern-nu-huge-int", "mean-value-huge-int",
+                  "mean-number", "mean-without-kind", "constant-mean-without-value",
+                  "kink-mean-without-alpha"]
 
 
 class TestRejectedBeforeAnyWork:
@@ -555,7 +568,8 @@ class TestRejectedBeforeAnyWork:
         ({"kind": "halton", "q": 0.6}, "unknown halton design keys: ['q']"),
         ({"kind": "accumulating", "q": "fast"},
          "config error: bad design spec: design.q must be a finite number, got 'fast'"),
-    ], ids=["accumulating-typo", "halton-q", "q-not-a-number"])
+        ([], "config error: design spec must be an object"),
+    ], ids=["accumulating-typo", "halton-q", "q-not-a-number", "not-an-object"])
     def test_bad_design_spec_exit_2(self, tmp_path, capsys, no_work, design, message):
         cfg = write_config(tmp_path, {"schema": 1, "experiment": {
             "true_model": {"family": "matern", "nu": 0.5},
@@ -563,6 +577,38 @@ class TestRejectedBeforeAnyWork:
         assert main(["run", cfg, "--output", str(tmp_path / "out")]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, payload, message", [
+        ("run", [1, 2], "config must be a JSON object"),
+        ("run", {"schema": 1, "experiment": []}, '"experiment" must be an object'),
+        ("run", {"schema": 1, "experiment": {"true_model": 3, "wrong_model": 3}},
+         'model spec must be an object with a "family"'),
+        ("check", {"schema": 1, "true_model": 3, "wrong_model": 3},
+         'model spec must be an object with a "family"'),
+        ("check", {"schema": 1},
+         'check needs "scenario" or both "true_model" and "wrong_model"'),
+        ("check", {"schema": 1, "true_model": {"family": "matern", "nu": 0.5}},
+         'check needs "scenario" or both "true_model" and "wrong_model"'),
+        ("eigen", {"schema": 1}, 'eigen needs a "kernel" model spec'),
+        ("eigen", {"schema": 1, "kernel": "matern"},
+         'model spec must be an object with a "family"'),
+    ], ids=["config-list", "experiment-list", "run-models-numbers", "check-models-numbers",
+            "check-without-models", "check-one-model", "eigen-without-kernel",
+            "eigen-kernel-string"])
+    def test_malformed_config_exit_2(self, tmp_path, capsys, no_work, command, payload,
+                                     message):
+        out = tmp_path / "out"
+        argv = [command, write_config(tmp_path, payload)] + (
+            [] if command == "check" else ["--output", str(out)])
+        assert main(argv) == EXIT_CONFIG
+        assert f"config error: {message}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "check", "eigen"])
+    def test_unreadable_config_exit_2(self, tmp_path, capsys, command):
+        missing = str(tmp_path / "missing.json")
+        assert main([command, missing]) == EXIT_CONFIG
+        assert f"config error: cannot read config {missing!r}: " in capsys.readouterr().err
 
     def test_eigen_output_must_be_a_string(self, tmp_path, capsys, no_work):
         cfg = write_config(tmp_path, {"schema": 1, "kernel": {"family": "matern", "nu": 0.5},
@@ -689,8 +735,9 @@ class TestEigen:
                                "more drops even the leading eigenvalue, got 1.0"),
         ({"rank_cutoff": 2.0}, "grid.rank_cutoff must be below 1"),
         ({"nodes": 64, "points": 3}, "unknown grid keys: ['points']"),
+        ([64], '"grid" must be an object'),
     ], ids=["nodes-one", "nodes-string", "nodes-fraction", "nodes-above-cap", "cutoff-string",
-            "cutoff-negative", "cutoff-one", "cutoff-two", "unknown-key"])
+            "cutoff-negative", "cutoff-one", "cutoff-two", "unknown-key", "not-an-object"])
     def test_bad_grid_exit_2(self, tmp_path, capsys, no_work, grid, message):
         out = tmp_path / "eigs.csv"
         cfg = write_config(tmp_path, {"schema": 1, "kernel": {"family": "matern", "nu": 0.5},
@@ -749,6 +796,25 @@ class TestEigen:
         # the 8 x 8 grid resolves all 25 lattice masses of k_max = 2
         assert len(read_rows(out)) == 25
 
+    @pytest.mark.parametrize("kernel, nodes", [
+        ({"family": "periodic"}, 128),
+        ({"family": "matern", "nu": 0.5}, 128),
+        ({"family": "sphere_legendre", "nu1": 1.0, "l_max": 16}, 128),
+        ({"family": "periodic", "dim": 2, "k_max": 4}, 121),
+        ({"family": "periodic", "dim": 3, "k_max": 2}, 125),
+    ], ids=["periodic", "matern", "sphere", "torus-2d", "torus-3d"])
+    def test_default_grid_is_the_reports(self, tmp_path, kernel, nodes):
+        # with no node count, eigen uses the report's QUAD_NODES grid, which a
+        # torus rounds to k^d nodes per axis; a node count that is given is exact
+        default, given = tmp_path / "default.csv", tmp_path / "given.csv"
+        cfg = write_config(tmp_path, {"schema": 1, "kernel": kernel}, "default.json")
+        assert main(["eigen", cfg, "--output", str(default)]) == EXIT_OK
+        cfg = write_config(tmp_path, {"schema": 1, "kernel": kernel, "grid": {"nodes": nodes}})
+        assert main(["eigen", cfg, "--output", str(given)]) == EXIT_OK
+        assert default.read_bytes() == given.read_bytes()
+        domain = cli._model_from_spec(kernel, "kernel").kernel.domain
+        assert len(domain.quadrature(QUAD_NODES)[0]) == nodes
+
     def test_smallest_grid_runs(self, tmp_path):
         out = tmp_path / "eigs.csv"
         cfg = write_config(tmp_path, {"schema": 1, "kernel": {"family": "matern", "nu": 0.5},
@@ -767,6 +833,15 @@ class TestMisc:
     def test_version(self, capsys):
         assert main(["version"]) == EXIT_OK
         assert capsys.readouterr().out.strip() == "0.1.0"
+
+    @pytest.mark.parametrize("value", [np.arange(3.0), np.int64(3), object()],
+                             ids=["ndarray", "numpy-int", "object"])
+    def test_json_output_holds_plain_values_only(self, value):
+        # a value that is not plain JSON fails the output, never as a quoted repr
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            cli._json_dumps({"b": value})
+        assert cli._json_dumps({"b": [1.5, None], "a": "x"}) == \
+            '{\n  "a": "x",\n  "b": [\n    1.5,\n    null\n  ]\n}\n'
 
     def test_float_format_roundtrips(self, tmp_path):
         cfg = write_config(tmp_path, {"schema": 1, "scenario": "matern_same_nu",

@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 from misspec_krige.diagnostics import (
     DEFAULT_WINDOW,
     QUAD_NODES,
+    LimitKind,
+    NystromEigen,
+    RatioVerdict,
     assumption_report,
     eigen_ratio_limit,
     nystrom_eigen,
@@ -17,7 +20,7 @@ from misspec_krige.diagnostics import (
     spectral_ratio_limit,
     t_a_tail_spectrum,
 )
-from misspec_krige.errors import DomainError
+from misspec_krige.errors import DomainError, NumericalFailureError
 from misspec_krige.harness import builtin_scenario
 from misspec_krige.kernels import (
     Box,
@@ -32,7 +35,6 @@ from misspec_krige.kernels import (
 )
 from misspec_krige.kernels.base import fibonacci_sphere_grid
 from misspec_krige.kriging import GaussianModel, constant_mean, zero_mean
-from misspec_krige.verdicts import LimitKind
 
 from closed_forms import mercer_reconstruction
 
@@ -89,6 +91,76 @@ class TestEigenRatioLimit:
             eigen_ratio_limit(seq(j), seq(np.arange(1, 29, dtype=float)))
         with pytest.raises(DomainError):
             eigen_ratio_limit(seq(j[:10]), seq(j[:10]))
+
+
+def density(dim=1):
+    return MaternSpectralDensity(MaternParams(1.0, 0.5, 1.0, dim=dim))
+
+
+class VanishingDensity:
+    """A 1-d spectral density that is 0 at every frequency."""
+
+    dim = 1
+
+    def __call__(self, omega):
+        return 0.0
+
+
+class TestRejectedProbeInputs:
+    """Each probe rejects its inputs up front, naming what is wrong."""
+
+    @pytest.mark.parametrize("probe, message", [
+        (lambda: eigen_ratio_limit(seq(np.ones(20)), seq(np.ones(20)), window=0.0),
+         "window must lie in (0, 1]"),
+        (lambda: eigen_ratio_limit(seq(np.ones(20)), seq(np.ones(20)), window=1.5),
+         "window must lie in (0, 1]"),
+        (lambda: spectral_ratio_limit(density(1), density(2), np.logspace(0, 3, 25)),
+         "spectral densities must share the ambient dimension"),
+        (lambda: spectral_ratio_limit(density(), density(), [1.0, 1e3]),
+         "need at least 3 positive radii"),
+        (lambda: spectral_ratio_limit(density(), density(), [0.0, 1.0, 1e3]),
+         "need at least 3 positive radii"),
+        (lambda: spectral_ratio_limit(density(), density(), [1.0, 2.0, 99.0]),
+         "radii must span at least two decades"),
+        (lambda: spectral_ratio_limit(VanishingDensity(), density(), [1.0, 10.0, 100.0]),
+         "f vanishes at radius 1; the ratio is undefined"),
+        (lambda: spectral_equivalence_bounds(VanishingDensity(), density(), [np.ones(1)]),
+         "f vanishes on the probe grid"),
+        (lambda: nystrom_eigen(small_periodic_kernel(), [[0.5]], [1.0]),
+         "need at least two quadrature nodes"),
+    ], ids=["window-zero", "window-above-one", "dimensions", "two-radii", "zero-radius",
+            "one-decade", "vanishing-density", "vanishing-on-grid", "one-node"])
+    def test_domain_error(self, probe, message):
+        with pytest.raises(DomainError) as exc:
+            probe()
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("eigenvalues, scale, message", [
+        ([1.0, 2.0], 1.0, "eigenvalues must be sorted descending"),
+        ([2.0, 1.0], 0.5, "eigenvectors are not weight-orthonormal"),
+    ], ids=["unsorted", "not-orthonormal"])
+    def test_nystrom_eigen_invariants(self, eigenvalues, scale, message):
+        weights = np.array([0.5, 0.5])
+        with pytest.raises(NumericalFailureError) as exc:
+            NystromEigen(nodes=np.array([[0.25], [0.75]]), weights=weights,
+                         eigenvalues=np.array(eigenvalues),
+                         eigenvectors=scale * np.eye(2) / np.sqrt(weights), node_gram=np.eye(2))
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("kind, a_estimate, message", [
+        (LimitKind.CONVERGES, None, "a convergent verdict requires a positive limit estimate"),
+        (LimitKind.CONVERGES, 0.0, "a convergent verdict requires a positive limit estimate"),
+        (LimitKind.CONVERGES, math.nan,
+         "a convergent verdict requires a positive limit estimate"),
+        (LimitKind.INCONCLUSIVE, 2.0, "a_estimate is only meaningful for a convergent verdict"),
+        (LimitKind.DIVERGES_TO_ZERO, 2.0,
+         "a_estimate is only meaningful for a convergent verdict"),
+    ], ids=["converges-none", "converges-zero", "converges-nan", "inconclusive-a",
+            "diverges-a"])
+    def test_verdict_needs_a_exactly_when_it_converges(self, kind, a_estimate, message):
+        with pytest.raises(ValueError) as exc:
+            RatioVerdict(kind, a_estimate)
+        assert str(exc.value) == message
 
 
 class TestSpectralRatioLimit:

@@ -10,17 +10,19 @@ import pytest
 from misspec_krige.errors import DomainError
 from misspec_krige.kernels import (
     Box,
+    EigenSequence,
     GreatCircleMaternKernel,
     MaternKernel,
     MaternParams,
     PeriodicKernel,
     PeriodicSpectrum,
     SphereLegendreParams,
+    SphereSeriesKernel,
     SphereSpdeParams,
     Torus,
     UnitSphere,
 )
-from misspec_krige.kernels.base import fibonacci_sphere_grid
+from misspec_krige.kernels.base import as_points, fibonacci_sphere_grid
 
 
 def assert_rule_equal(rule, reference):
@@ -130,6 +132,18 @@ class TestKernelsAskTheDomain:
         with pytest.raises(AttributeError):
             kern.domain = Torus(dim + 1)
 
+    @pytest.mark.parametrize("kernel_class, params", [
+        (SphereSeriesKernel, SphereLegendreParams(1.0, 1.0, 1.0)),
+        (GreatCircleMaternKernel, MaternParams(1.0, 0.5, 2.0, dim=3))],
+        ids=["sphere-series", "great-circle"])
+    def test_sphere_kernels_take_no_domain(self, kernel_class, params):
+        # the sphere is the only domain these families are defined on
+        assert kernel_class(params).domain == UnitSphere()
+        with pytest.raises(TypeError, match="takes 2 positional arguments but 3 were given"):
+            kernel_class(params, Box())
+        with pytest.raises(TypeError, match="unexpected keyword argument 'domain'"):
+            kernel_class(params, domain=UnitSphere())
+
     def test_matern_gram_checks_its_box(self):
         kern = MaternKernel(MaternParams(1.0, 0.5, 1.0))
         with pytest.raises(DomainError, match=r"point \[2.0\] lies outside the box \[0, 1\]"):
@@ -184,6 +198,31 @@ class TestQuadrature:
         nodes, weights = domain.quadrature(64)
         assert domain.points(nodes) is nodes
         assert np.all(weights > 0)
+
+
+class TestRejectedInputs:
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Box((0.0, 0.0), (1.0,)), "box bounds have mismatched dimensions"),
+        (lambda: Box((0.0, 1.0), (1.0, 1.0)), "box bounds must satisfy lower < upper"),
+        (lambda: Box((2.0,), (1.0,)), "box bounds must satisfy lower < upper"),
+        (lambda: Torus(dim=0), "torus dimension must be >= 1"),
+        (lambda: fibonacci_sphere_grid(1), "need at least 2 nodes"),
+        (lambda: as_points([0.1, 0.2], 3), "cannot interpret shape (2,) as points in R^3"),
+        (lambda: as_points(np.zeros((2, 2, 1)), 1),
+         "expected points of dimension 1, got shape (2, 2, 1)"),
+        (lambda: EigenSequence([]), "eigenvalue sequence must be a nonempty 1-d array"),
+        (lambda: EigenSequence([[1.0, 0.5]]), "eigenvalue sequence must be a nonempty 1-d array"),
+        (lambda: EigenSequence([1.0, 0.0]), "eigenvalues must be finite and strictly positive"),
+        (lambda: EigenSequence([1.0, -0.5]), "eigenvalues must be finite and strictly positive"),
+        (lambda: EigenSequence([1.0, math.nan]), "eigenvalues must be finite and strictly positive"),
+        (lambda: EigenSequence([math.inf]), "eigenvalues must be finite and strictly positive"),
+    ], ids=["box-dims", "box-flat-axis", "box-reversed", "torus-dim-0", "fibonacci-one-node",
+            "points-vector", "points-3d-array", "eigen-empty", "eigen-2d", "eigen-zero",
+            "eigen-negative", "eigen-nan", "eigen-inf"])
+    def test_message(self, make, message):
+        with pytest.raises(DomainError) as exc:
+            make()
+        assert str(exc.value) == message
 
 
 class TestIntegerFields:

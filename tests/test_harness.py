@@ -1,5 +1,7 @@
 """Design generators, target sets, and scenario execution."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -153,6 +155,18 @@ class TestGenerators:
     def test_x_star_range_guard(self):
         with pytest.raises(DomainError):
             DesignGenerator.accumulating(x_star=0.1)
+
+    @pytest.mark.parametrize("q", [0.0, 1.0, -0.5, math.nan])
+    def test_contraction_ratio_range_guard(self, q):
+        with pytest.raises(DomainError) as exc:
+            DesignGenerator.accumulating(q=q)
+        assert str(exc.value) == "the contraction ratio must lie in (0, 1)"
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_empty_design_rejected(self, n):
+        with pytest.raises(DomainError) as exc:
+            generate_design(DesignGenerator.halton(), n)
+        assert str(exc.value) == "a design needs n >= 1 sites"
 
 
 #: the README's design-kind x domain table: per kind, whether it fits the

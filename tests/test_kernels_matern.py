@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
+from misspec_krige.diagnostics import LimitKind
 from misspec_krige.errors import DomainError
 from misspec_krige.harness import DesignGenerator, generate_design
 from misspec_krige.kernels import matern as matern_module
@@ -23,7 +24,6 @@ from misspec_krige.kernels import (
     matern_cov,
 )
 from misspec_krige.kernels.base import euclidean
-from misspec_krige.verdicts import LimitKind
 
 from closed_forms import bessel_k, matern_ratio_limit
 

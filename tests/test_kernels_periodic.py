@@ -92,6 +92,31 @@ class TestPeriodicCov:
         with pytest.raises(DomainError, match="need 2 masses, one per representative"):
             PeriodicSpectrum(dim=1, k_max=2, zero_mass=1.0, rep_masses=(0.5,))
 
+    @pytest.mark.parametrize("zero_mass, rep_mass", [
+        (math.nan, 0.5), (math.inf, 0.5), (-1.0, 0.5), (1.0, math.nan), (1.0, -0.5)],
+        ids=["zero-nan", "zero-inf", "zero-negative", "rep-nan", "rep-negative"])
+    def test_non_finite_or_negative_mass_rejected(self, zero_mass, rep_mass):
+        # a NaN or inf mass would make every Gram entry NaN or inf
+        with pytest.raises(DomainError) as direct:
+            PeriodicSpectrum(dim=1, k_max=1, zero_mass=zero_mass, rep_masses=(rep_mass,))
+        with pytest.raises(DomainError) as listed:
+            PeriodicSpectrum.from_coeffs({0: zero_mass, 1: rep_mass})
+        for exc in (direct, listed):
+            assert str(exc.value) == "spectral masses must be finite and nonnegative"
+
+    def test_negative_zero_mass_accepted(self):
+        assert PeriodicSpectrum.from_coeffs({0: -0.0, 1: 0.5}).eigen_sequence().values.tolist() \
+            == [0.5, 0.5]
+
+    @pytest.mark.parametrize("coeffs, message", [
+        ({(0, 1): 1.0}, "index (0, 1) does not match dim=1"),
+        ({1: 0.5, -1: 0.25}, "conflicting masses for the index pair +-(1,)"),
+    ], ids=["index-dim", "conflicting-pair"])
+    def test_bad_coeffs_rejected(self, coeffs, message):
+        with pytest.raises(DomainError) as exc:
+            PeriodicSpectrum.from_coeffs(coeffs)
+        assert str(exc.value) == message
+
 
 class TestEigenSequence:
     def test_canonical_order_d1(self):

@@ -18,6 +18,7 @@ from misspec_krige.kriging import (
     ErrorMoments,
     GaussianModel,
     LevelSystem,
+    LinearPredictor,
     TargetFunctional,
     build_gram,
     constant_mean,
@@ -38,8 +39,7 @@ def exp_model(sigma=1.0, kappa=1.0, mean=zero_mean, label="exp"):
 
 
 def spread_sites(moved=None):
-    """300 distinct 2-d sites, more than one row block of the distinct check;
-    ``moved=(i, j)`` puts site j onto site i."""
+    """300 distinct 2-d sites; ``moved=(i, j)`` puts site j onto site i."""
     sites = np.random.default_rng(3).uniform(0.0, 1.0, (300, 2))
     if moved is not None:
         sites[moved[1]] = sites[moved[0]]
@@ -77,6 +77,24 @@ class TestDesign:
     def test_non_finite_target_site_rejected(self):
         with pytest.raises(DomainError, match="target sites must be finite"):
             TargetFunctional(0.0, np.array([[0.2], [math.nan]]), np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: TargetFunctional(0.0, [[0.2], [0.4]], [1.0]),
+         "one coefficient per target site is required"),
+        (lambda: TargetFunctional(1.0, [[0.2], [0.4]], [0.0, -0.0]),
+         "a target needs at least one nonzero site coefficient"),
+        (lambda: LinearPredictor(Design([[0.1], [0.5]]), [1.0], 0.0),
+         "weight vector length must equal the design size"),
+        (lambda: LinearPredictor(Design([[0.1], [0.5]]), [1.0, math.nan], 0.0),
+         "predictor weights and intercept must be finite"),
+        (lambda: LinearPredictor(Design([[0.1], [0.5]]), [1.0, 0.0], math.inf),
+         "predictor weights and intercept must be finite"),
+    ], ids=["target-coeff-count", "target-all-zero", "weights-length", "weights-nan",
+            "intercept-inf"])
+    def test_rejected_functional_or_predictor(self, make, message):
+        with pytest.raises(DomainError) as exc:
+            make()
+        assert str(exc.value) == message
 
 
 class TestBuildGram:

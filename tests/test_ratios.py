@@ -30,6 +30,7 @@ from misspec_krige.ratios import (
     SUP_TARGET_ID,
     VARIANCE_FLOOR,
     RatioRecord,
+    RatioTable,
     efficiency_ratios,
     mean_term,
     ratio_convergence,
@@ -298,6 +299,35 @@ class TestSharedKernel:
             assert rec.target_id == target.label
             assert {name: rec.value(name) for name in want} == want
             assert rec.true_variance == var["true", "true"]
+
+
+def unit_record(n=8, target_id=SUP_TARGET_ID, **changes):
+    """A record with every ratio 1 and a zero mean term, ``changes`` applied."""
+    values = dict.fromkeys(RATIO_NAMES, 1.0) | {"mean_term": 0.0} | changes
+    return RatioRecord(n, target_id, **values)
+
+
+class TestRecordChecks:
+    @pytest.mark.parametrize("changes, message", [
+        ({"r_var_3": math.nan}, "non-finite ratio for n=8, target=SUP"),
+        ({"r_mom_4": math.inf}, "non-finite ratio for n=8, target=SUP"),
+        ({"mean_term": math.nan}, "non-finite ratio for n=8, target=SUP"),
+        ({"mean_term": -1e-300}, "the mean term is a ratio of nonnegative terms"),
+    ], ids=["ratio-nan", "ratio-inf", "mean-term-nan", "mean-term-negative"])
+    def test_record_rejected(self, changes, message):
+        with pytest.raises(NumericalFailureError) as exc:
+            unit_record(**changes)
+        assert str(exc.value) == message
+
+    def test_table_rejects_unordered_levels(self):
+        with pytest.raises(DomainError) as exc:
+            RatioTable([unit_record(16), unit_record(8)], {})
+        assert str(exc.value) == "records must be grouped by strictly increasing n"
+        with pytest.raises(DomainError):
+            RatioTable([unit_record(8), unit_record(8)], {})
+        table = RatioTable([unit_record(8, "t0"), unit_record(8), unit_record(16)], {})
+        with pytest.raises(KeyError, match="no SUP record for n=12"):
+            table.sup_record(12)
 
 
 class TestMeanTerm:
