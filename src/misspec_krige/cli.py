@@ -19,6 +19,7 @@ files round-trip losslessly.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -483,6 +484,7 @@ def cmd_version(_args):
     return lambda: sys.stdout.write(__version__ + "\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="misspec-krige",

@@ -275,17 +275,19 @@ def euclidean(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def inner_products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """<x_i, y_j> of unit vectors, clipped to [-1, 1]."""
-    return np.clip(x @ y.T, -1.0, 1.0)
+    """<x_i, y_j> of unit vectors, clipped to [-1, 1]: one BLAS product per row
+    of x, which one product of all rows would round otherwise, or, for y is
+    x, ``x @ x.T``, which BLAS ``syrk`` computes on one triangle."""
+    return np.clip(x @ x.T if y is x else np.matmul(x[:, None, :], y.T)[:, 0, :], -1.0, 1.0)
 
 
 def gram_entries(stat, x: np.ndarray, y: np.ndarray | None):
     """The flat entries of ``stat(x, y)`` a covariance profile is evaluated on,
     and the map laying the profiled values out as the Gram.  With ``y=None``
     they are the upper triangle, diagonal included, and the map mirrors it: for
-    an exactly symmetric statistic (``euclidean(x, x)``, or ``x @ x.T``, which BLAS
-    ``syrk`` computes on one triangle) and an elementwise profile, the same
-    doubles from n(n+1)/2 evaluations instead of n^2."""
+    an exactly symmetric statistic (``euclidean(x, x)`` or ``inner_products(x,
+    x)``) and an elementwise profile, the same doubles from n(n+1)/2
+    evaluations instead of n^2."""
     if y is not None:
         full = stat(x, y)
         return full.ravel(), lambda values: values.reshape(full.shape)
@@ -357,8 +359,8 @@ class ProfileKernel(CovarianceKernel):
     def _evaluate(self, pairs) -> list[np.ndarray]:
         """The Gram of every ``(x, y)`` pair from one chunked pass of the
         profile over all their statistic entries.  Each distinct point array is
-        checked once; each pair keeps its own statistic (stacking rows into one
-        product changes how they round), of which a ``y=None`` pair gives its
+        checked once; each pair keeps its own statistic, whose row i must be
+        ``statistic(x[i:i+1], y)`` to the bit, and a ``y=None`` pair gives its
         upper triangle only.  The profile is elementwise, so the bits are those
         of one call per pair, whichever block thread runs a chunk."""
         if not pairs:

@@ -26,9 +26,9 @@ DEFAULT_K_MAX = {1: 64, 2: 16}
 
 _SYMMETRY_TOL = 1e-12
 
-#: entries of the (rows, n, M) cosine block a square Gram's lattice sum reads
-#: at once (1 MiB of doubles); bounds its memory at any n
-_GRAM_BLOCK_ENTRIES = 1 << 17
+#: entries of the (rows, m, M) cosine block a Gram's lattice sum reads at once
+#: (256 KiB of doubles); bounds its memory at any size
+_GRAM_BLOCK_ENTRIES = 1 << 15
 
 
 def _first_nonzero(rows: np.ndarray) -> np.ndarray:
@@ -81,10 +81,12 @@ class PeriodicSpectrum:
         k_max = positive_integer(DEFAULT_K_MAX.get(dim, 8) if k_max is None else k_max, "k_max")
         reps = _positive_representatives(dim, k_max)
         masses = np.array([float(f(tuple(k))) for k in reps])
+        if not np.all(np.isfinite(masses)):  # before inf - inf in the evenness check
+            raise DomainError("spectral masses must be finite and nonnegative")
         mirrored = np.array([float(f(tuple(-k))) for k in reps])
-        bad = np.abs(masses - mirrored) > _SYMMETRY_TOL * np.maximum(1.0, np.abs(masses))
+        bad = ~(np.abs(masses - mirrored) <= _SYMMETRY_TOL * np.maximum(1.0, np.abs(masses)))
         if np.any(bad):
-            k_bad = tuple(reps[int(np.argmax(bad))])
+            k_bad = tuple(reps[int(np.argmax(bad))].tolist())
             raise DomainError(f"spectral mass is not even: f({k_bad}) != f(-{k_bad})")
         zero = float(f((0,) * dim))
         return cls(dim=dim, k_max=k_max, zero_mass=zero, rep_masses=masses)
@@ -147,33 +149,36 @@ class PeriodicKernel(CovarianceKernel):
         return len(self.spectrum.eigen_sequence())
 
     def gram(self, x, y=None) -> np.ndarray:
-        """``zero_mass + (2 cos(2 pi (x_i - y_j) . k)) @ rep_masses``.
-
-        A square Gram (``y=None``) evaluates the cosines once per distinct
-        difference up to sign, canonicalised like the lattice representatives,
-        and gathers them into (rows, n, M) blocks of the direct layout; the
-        bits do not change, because x_j - x_i = -(x_i - x_j), the phase negates
-        exactly and ``np.cos`` is even, and the lattice sum is one gemv per
-        (n, M) slice either way.
+        """``zero_mass + (2 cos(2 pi (x_i - y_j) . k)) @ rep_masses``: one gemv per
+        (m, M) slice of the cosines, in bounded row blocks, so a row's bits do
+        not depend on the rows around it.  A square Gram (``y=None``) evaluates
+        the cosines once per distinct difference up to sign, canonicalised like
+        the lattice representatives; the bits do not change, because x_j - x_i
+        = -(x_i - x_j), the phase negates exactly and ``np.cos`` is even.
         Cross blocks rarely repeat a difference and keep the direct formula."""
         x = self.domain.points(x)
         reps, masses = self.spectrum.rep_indices, np.asarray(self.spectrum.rep_masses)
         if y is not None:
-            diff = x[:, None, :] - self.domain.points(y)[None, :, :]  # (n, m, d)
-            phase = 2.0 * np.pi * diff @ reps.T                     # (n, m, M)
-            return 2.0 * np.cos(phase) @ masses + self.spectrum.zero_mass
-        n, dim = x.shape
-        diff = (x[:, None, :] - x[None, :, :]).reshape(n * n, dim)
-        diff = np.where((_first_nonzero(diff) < 0.0)[:, None], -diff, diff)
-        # group by bytes: -0.0 and +0.0 land apart and both give cos = 1; one
-        # int64 key per row sorts several times faster than a void key in 1-d
-        keys = diff.view(np.int64 if dim == 1 else np.dtype((np.void, 8 * dim))).ravel()
-        distinct, inverse = np.unique(keys, return_inverse=True)
-        distinct = distinct.view(np.float64).reshape(-1, dim)
-        table = 2.0 * np.cos(2.0 * np.pi * distinct @ reps.T)         # (distinct, M)
-        inverse = inverse.reshape(n, n)
-        rows = max(1, _GRAM_BLOCK_ENTRIES // max(1, n * len(masses)))
-        out = np.empty((n, n))
-        for i in range(0, n, rows):
-            out[i:i + rows] = table[inverse[i:i + rows]] @ masses
+            y = self.domain.points(y)
+
+            def cosines(rows: slice) -> np.ndarray:
+                return 2.0 * np.cos(2.0 * np.pi * (x[rows, None, :] - y[None, :, :]) @ reps.T)
+        else:
+            n, dim = x.shape
+            diff = (x[:, None, :] - x[None, :, :]).reshape(n * n, dim)
+            diff = np.where((_first_nonzero(diff) < 0.0)[:, None], -diff, diff)
+            # group by bytes: -0.0 and +0.0 land apart and both give cos = 1; one
+            # int64 key per row sorts several times faster than a void key in 1-d
+            keys = diff.view(np.int64 if dim == 1 else np.dtype((np.void, 8 * dim))).ravel()
+            distinct, inverse = np.unique(keys, return_inverse=True)
+            distinct = distinct.view(np.float64).reshape(-1, dim)
+            table = 2.0 * np.cos(2.0 * np.pi * distinct @ reps.T)         # (distinct, M)
+            inverse = inverse.reshape(n, n)
+
+            def cosines(rows: slice) -> np.ndarray:
+                return table[inverse[rows]]
+        out = np.empty((len(x), len(x) if y is None else len(y)))
+        step = max(1, _GRAM_BLOCK_ENTRIES // max(1, out.shape[1] * len(masses)))
+        for i in range(0, len(x), step):
+            out[i:i + step] = cosines(slice(i, i + step)) @ masses
         return out + self.spectrum.zero_mass

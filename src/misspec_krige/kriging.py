@@ -290,36 +290,56 @@ def _leading_minor(exc: Exception) -> int | None:
 
 
 class LevelSystem:
-    """What a kernel fixes at a schedule level: the factored design Gram, each
-    target's cross-covariance and target block (all from one ``gram_pairs``
-    call, the design Gram first) and each target's kriging weights (one
-    multi-column solve).  Models sharing the kernel share the system; their
-    means enter only through ``predictors`` (the intercepts) and ``moments``
-    (the error means)."""
+    """What a kernel fixes at a schedule level: the factored design Gram, the
+    cross block of every target's sites, stacked once (target t in rows
+    ``offsets[t]:offsets[t + 1]``), each target's block (all from one
+    ``gram_pairs`` call), and each target's kriging weights (one multi-column
+    solve) and tilt.  Models sharing the kernel share the system; their means
+    enter only through the intercepts and the error means."""
 
     def __init__(self, design: Design, targets, kernel: CovarianceKernel):
         self.design, self.targets = design, list(targets)
+        self.offsets = np.cumsum([0] + [len(t.coeffs) for t in self.targets])
+        if len({t.sites.shape[1] for t in self.targets}) > 1:
+            raise DomainError("every target's sites must have one dimension, the domain's")
+        self.sites = np.concatenate([t.sites for t in self.targets])
         # target blocks as (t, t), not (t, None): the same doubles without the
         # triangle set-up
-        sigma, *blocks = kernel.gram_pairs([(design.sites, None)]
-                                           + [(t.sites, design.sites) for t in self.targets]
-                                           + [(t.sites, t.sites) for t in self.targets])
-        # copies: a view would hold the whole evaluation buffer, the design's
-        # triangle included, through the factorization and after it
-        blocks = [block.copy() for block in blocks]
-        self.cross, self.tblocks = blocks[:len(self.targets)], blocks[len(self.targets):]
+        sigma, cross, *tblocks = kernel.gram_pairs(
+            [(design.sites, None), (self.sites, design.sites)]
+            + [(t.sites, t.sites) for t in self.targets])
+        # copies, and no view left: a view would hold the whole evaluation
+        # buffer, the design's triangle included, through the factorization
+        self.cross = [cross[lo:hi].copy() for lo, hi in zip(self.offsets, self.offsets[1:])]
+        self.tblocks = [block.copy() for block in tblocks]
+        del cross, tblocks
         self.gram = build_gram(design, kernel, sigma=sigma)
         rhs = np.column_stack([t.coeffs @ c for t, c in zip(self.targets, self.cross)])
         self.weights = np.ascontiguousarray(self.gram.solve(rhs).T)
+        if not np.all(np.isfinite(self.weights)):
+            raise DomainError("predictor weights and intercept must be finite")
+        self.tilts = _tilts(self.weights, [t.coeffs for t in self.targets])
+
+    def means(self, model: GaussianModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``model``'s mean m_n at the design sites, each target's a_0 + b . m(t)
+        from one evaluation at the stacked sites, and each target's intercept
+        a_0 + b . m(t) - w . m_n."""
+        m_design = model.mean_at(self.design.sites)
+        values = _target_values(self.targets, model.mean_at(self.sites))
+        intercepts = values - _row_dots(self.weights, m_design)
+        if not np.all(np.isfinite(intercepts)):
+            raise DomainError("predictor weights and intercept must be finite")
+        return m_design, values, intercepts
+
+    def moment_block(self, weights, intercepts, tilts, means) -> list[list[ErrorMoments]]:
+        """``_moments`` under this kernel and a model's ``means``."""
+        return _moments(weights, intercepts, tilts, self.gram.sigma, self.cross, self.tblocks,
+                        [t.coeffs for t in self.targets], *means[:2])
 
     def predictors(self, model: GaussianModel) -> list[LinearPredictor]:
         """Every target's best linear predictor under ``model``."""
-        m_design = model.mean_at(self.design.sites)
-        return [LinearPredictor(self.design, w,
-                                intercept=(t.intercept_coeff
-                                           + float(t.coeffs @ model.mean_at(t.sites))
-                                           - _dot(w, m_design)))
-                for t, w in zip(self.targets, self.weights)]
+        intercepts = self.means(model)[2].tolist()
+        return [LinearPredictor(self.design, w, c) for w, c in zip(self.weights, intercepts)]
 
     def moments(self, predictor_sets, model: GaussianModel) -> list[list[ErrorMoments]]:
         """Moments under ``model`` of each set's per-target predictors."""
@@ -342,6 +362,33 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(a @ b)
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``_dot(row, b)`` of every row of the 2-d ``a``, one batched call: a BLAS
+    dot per row, as in ``_dot`` (an ``a @ b`` gemv rounds otherwise)."""
+    if a.shape[1] >= _COMPENSATED_FROM:
+        return np.array([_dot(row, b) for row in a])
+    return (a[:, None, :] @ b[:, None])[:, 0, 0]
+
+
+def _target_values(targets, m_sites: np.ndarray) -> np.ndarray:
+    """Each target's a_0 + b . m(t), ``m_sites`` being the mean at the targets'
+    stacked sites: a BLAS dot per target, as in ``b @ m``, batched by size."""
+    sizes = np.array([len(t.coeffs) for t in targets])
+    starts, coeffs = np.cumsum(sizes) - sizes, np.concatenate([t.coeffs for t in targets])
+    values = np.array([t.intercept_coeff for t in targets])
+    for size in np.unique(sizes):
+        rows = starts[sizes == size, None] + np.arange(size)
+        values[sizes == size] += (coeffs[rows][:, None, :] @ m_sites[rows][..., None])[:, 0, 0]
+    return values
+
+
+def _tilts(weights: np.ndarray, coeffs) -> np.ndarray:
+    """``math.fsum`` of each predictor's (w, -b), row t of ``weights`` and
+    ``-coeffs[t]``, in 80 bits: the exactly rounded sum of its v."""
+    return np.array([math.fsum(w.tolist() + (-b).tolist()) for w, b in zip(weights, coeffs)],
+                    dtype=np.longdouble)
+
+
 def error_moments(pred: LinearPredictor, target: TargetFunctional,
                   eval_model: GaussianModel) -> ErrorMoments:
     """Exact moments of prediction - h when the field follows ``eval_model``."""
@@ -360,9 +407,22 @@ def _moments_from_pieces(pred: LinearPredictor, target: TargetFunctional,
 
 def _moment_block(predictor_sets, targets, sigma: np.ndarray, cross, tblocks,
                   m_design: np.ndarray, m_targets) -> list[list[ErrorMoments]]:
-    """Moments of ``predictor_sets[s][t]``, a predictor of ``targets[t]``, under
-    the measure with design block ``sigma``, per-target cross-covariances
-    (L_t, n) and target blocks, and means ``m_design`` and ``m_targets``."""
+    """``_moments`` of ``predictor_sets[s][t]``, a predictor of ``targets[t]``,
+    under the measure with means ``m_design`` and, per target, ``m_targets``."""
+    weights = np.array([[pred.weights for pred in preds] for preds in predictor_sets])
+    intercepts = np.array([[pred.intercept for pred in preds] for preds in predictor_sets])
+    coeffs = [target.coeffs for target in targets]
+    return _moments(weights, intercepts, np.array([_tilts(w, coeffs) for w in weights]), sigma,
+                    cross, tblocks, coeffs, m_design,
+                    _target_values(targets, np.concatenate(m_targets)))
+
+
+def _moments(weights: np.ndarray, intercepts: np.ndarray, tilts: np.ndarray,
+             sigma: np.ndarray, cross, tblocks, coeffs, m_design: np.ndarray,
+             values: np.ndarray) -> list[list[ErrorMoments]]:
+    """Moments of the predictors with (S, T, n) ``weights``, (S, T) ``intercepts``
+    and ``tilts``, under the measure with design block ``sigma``, per-target
+    cross-covariances, blocks and a_0 + b . m(t) ``values``, and ``m_design``."""
     # The variance is v' K v with v = (w, -beta) over design + own target
     # sites.  Its summands are O(1) but cancel down to the kriging variance,
     # which clustered designs push to ~1e-9; assembling naively loses the
@@ -382,19 +442,18 @@ def _moment_block(predictor_sets, targets, sigma: np.ndarray, cross, tblocks,
     # shorter targets adds only 0 * 0 terms.  An exact zero term leaves a
     # nonzero sum unchanged, so leaving the former out and the latter in
     # reproduces bit for bit the sums over [design; every target's sites].
-    n_sets, n_targets, n = len(predictor_sets), len(targets), sigma.shape[0]
-    width = max(len(t.coeffs) for t in targets)
+    n_sets, n_targets, n = weights.shape
+    width = max(len(b) for b in coeffs)
     anchor = np.longdouble(sigma[0, 0])
     kdd = np.asfortranarray(sigma, dtype=np.longdouble) - anchor
     kc = np.zeros((n_targets, width, n), dtype=np.longdouble)
     kt = np.zeros((n_targets, width, width), dtype=np.longdouble)
     vo = np.zeros((n_targets, width), dtype=np.longdouble)
-    for t, (target, c, tblock) in enumerate(zip(targets, cross, tblocks)):
-        size = len(target.coeffs)
+    for t, (b, c, tblock) in enumerate(zip(coeffs, cross, tblocks)):
+        size = len(b)
         kc[t, :size], kt[t, :size, :size] = c - anchor, tblock - anchor
-        vo[t, :size] = -target.coeffs
-    vd = np.array([[pred.weights for pred in preds] for preds in predictor_sets],
-                  dtype=np.longdouble)
+        vo[t, :size] = -b
+    vd = weights.astype(np.longdouble)
     ud = _long_dot(vd.reshape(-1, n), kdd).reshape(vd.shape)
     uo = (vd[..., None, :] @ kc.transpose(0, 2, 1))[..., 0, :]
     for l in range(width):
@@ -402,13 +461,7 @@ def _moment_block(predictor_sets, targets, sigma: np.ndarray, cross, tblocks,
         uo += vo[:, l, None] * kt[:, l]
     v = np.concatenate([vd, np.broadcast_to(vo, (n_sets, n_targets, width))], axis=-1)
     quad = (np.concatenate([ud, uo], axis=-1)[..., None, :] @ v[..., None])[..., 0, 0]
-    moments = []
-    for preds, quads in zip(predictor_sets, quad):
-        row = []
-        for pred, target, m_target, q in zip(preds, targets, m_targets, quads):
-            mean = (pred.intercept + _dot(pred.weights, m_design)
-                    - (target.intercept_coeff + float(target.coeffs @ m_target)))
-            tilt = np.longdouble(math.fsum(pred.weights.tolist() + (-target.coeffs).tolist()))
-            row.append(ErrorMoments(mean=mean, variance=float(q + anchor * tilt ** 2)))
-        moments.append(row)
-    return moments
+    means = intercepts + _row_dots(weights.reshape(-1, n), m_design).reshape(n_sets, -1) - values
+    variances = (quad + anchor * tilts ** 2).astype(float)
+    return [[ErrorMoments(mean=mean, variance=variance) for mean, variance in zip(*row)]
+            for row in zip(means.tolist(), variances.tolist())]

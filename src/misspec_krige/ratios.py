@@ -165,9 +165,12 @@ def _level_ratios(design: Design, targets: Sequence[TargetFunctional],
                     else LevelSystem(design, targets, wrong_model.kernel))
     records: list[RatioRecord] = []
     try:
-        predictors = [true_system.predictors(true_model), wrong_system.predictors(wrong_model)]
-        moments = {"true": true_system.moments(predictors, true_model),
-                   "wrong": wrong_system.moments(predictors, wrong_model)}
+        means = {"true": true_system.means(true_model), "wrong": wrong_system.means(wrong_model)}
+        weights = np.stack([true_system.weights, wrong_system.weights])
+        tilts = np.stack([true_system.tilts, wrong_system.tilts])
+        intercepts = np.stack([means["true"][2], means["wrong"][2]])
+        moments = {measure: system.moment_block(weights, intercepts, tilts, means[measure])
+                   for measure, system in (("true", true_system), ("wrong", wrong_system))}
         for idx, target in enumerate(targets):
             target_id = target.label or f"t{idx:02d}"
             mom = {(pred, measure): moments[measure][row][idx]

@@ -834,6 +834,19 @@ class TestMisc:
         assert main(["version"]) == EXIT_OK
         assert capsys.readouterr().out.strip() == "0.1.0"
 
+    def test_one_parser_serves_every_call(self, capsys):
+        # parsing leaves the parser as it was: a call's arguments and errors
+        # do not reach the next call
+        parser = cli.build_parser()
+        assert main(["version"]) == EXIT_OK
+        with pytest.raises(SystemExit) as exc:
+            main(["run"])
+        assert exc.value.code == 2
+        assert main(["list-scenarios"]) == EXIT_OK
+        out = capsys.readouterr().out.split()
+        assert out[0] == "0.1.0" and "matern_same_nu" in out[1:]
+        assert cli.build_parser() is parser
+
     @pytest.mark.parametrize("value", [np.arange(3.0), np.int64(3), object()],
                              ids=["ndarray", "numpy-int", "object"])
     def test_json_output_holds_plain_values_only(self, value):

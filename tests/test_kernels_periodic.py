@@ -1,6 +1,7 @@
 """Torus covariances and their trigonometric eigenstructure."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -103,6 +104,19 @@ class TestPeriodicCov:
             PeriodicSpectrum.from_coeffs({0: zero_mass, 1: rep_mass})
         for exc in (direct, listed):
             assert str(exc.value) == "spectral masses must be finite and nonnegative"
+
+    @pytest.mark.parametrize("mass", [math.inf, -math.inf, math.nan])
+    def test_non_finite_mass_rejected_before_the_evenness_check(self, mass):
+        # inf - inf in the evenness check would warn before the rejection
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as exc:
+                PeriodicSpectrum.from_coeffs({0: 1.0, 1: mass})
+        assert str(exc.value) == "spectral masses must be finite and nonnegative"
+
+    def test_non_finite_mirror_mass_is_not_even(self):
+        with pytest.raises(DomainError, match=r"not even: f\(\(1,\)\) != f\(-\(1,\)\)"):
+            PeriodicSpectrum.from_callable(lambda k: 0.5 if k[0] >= 0 else math.nan, k_max=1)
 
     def test_negative_zero_mass_accepted(self):
         assert PeriodicSpectrum.from_coeffs({0: -0.0, 1: 0.5}).eigen_sequence().values.tolist() \
@@ -239,6 +253,17 @@ class TestSquareGram:
         assert 1 <= rows < n and n % rows != 0  # several blocks, the last one short
         x = np.random.default_rng(5).uniform(0.0, 1.0, (n, 1))
         assert np.array_equal(kern.gram(x), reference_gram(kern, x))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_cross_rows_are_requests_of_their_own(self, dim):
+        # a level stacks every target's sites into one cross request
+        kern = rational_kernel(dim, 4 if dim == 2 else None)
+        rng = np.random.default_rng(dim)
+        x, y = rng.uniform(0.0, 1.0, (61, dim)), rng.uniform(0.0, 1.0, (97, dim))
+        assert 1 <= periodic._GRAM_BLOCK_ENTRIES // (len(y) * len(kern.spectrum.rep_masses)) < 61
+        cross = kern.gram(x, y)
+        for i in range(len(x)):
+            assert np.array_equal(cross[i:i + 1], kern.gram(x[i:i + 1], y))
 
     def test_cos_is_even_bitwise_over_the_phase_range(self):
         # |phase| <= 2 pi |k . delta| <= 2 pi k_max d with every |delta_i| <= 1,

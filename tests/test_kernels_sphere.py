@@ -237,15 +237,30 @@ class TestGramPairs:
             assert np.array_equal(block, split)
         assert bool(split_blocks["handed"]) == (split_blocks["threads"] > 1)
 
+    @pytest.mark.parametrize("rows", [1, 2, 5, 40])
+    @pytest.mark.parametrize("name", sorted(
+        name for name, kernel in ALL_KERNELS.items() if isinstance(kernel, ProfileKernel)))
+    def test_statistic_rows_are_requests_of_their_own(self, name, rows):
+        # the row contract that lets a level stack every target's sites
+        kernel, rng = ALL_KERNELS[name], np.random.default_rng(rows)
+        x, y = ((unit_rows(rng, rows), unit_rows(rng, 17)) if kernel.domain.dim == 3
+                else (rng.uniform(0.0, 1.0, (rows, 1)), rng.uniform(0.0, 1.0, (17, 1))))
+        for other in (y, x.copy()):
+            stat = kernel.statistic(x, other)
+            for i in range(rows):
+                assert np.array_equal(stat[i:i + 1], kernel.statistic(x[i:i + 1], other))
+
     @pytest.mark.parametrize("name", sorted(SPHERE_KERNELS))
     def test_sphere_matches_one_series_evaluation_per_block(self, name):
-        # the reference is the series evaluated on each block alone
+        # the reference is the series evaluated on each block alone: a square
+        # block on x @ x.T, a cross block on one product per row of x
         kernel = SPHERE_KERNELS[name]
         pairs = mixed_pairs(kernel, np.random.default_rng(5))
         coeffs = kernel.params.coefficients()
         for block, (x, y) in zip(kernel.gram_pairs(pairs), pairs):
-            t = np.clip(x @ (x if y is None else y).T, -1.0, 1.0)
-            assert np.array_equal(block, legval(t, coeffs))
+            products = (x @ x.T if y is None
+                        else np.vstack([x[i:i + 1] @ y.T for i in range(len(x))]))
+            assert np.array_equal(block, legval(np.clip(products, -1.0, 1.0), coeffs))
 
     @settings(max_examples=40, deadline=None)
     @given(rows=st.lists(st.integers(1, 40), min_size=1, max_size=6),

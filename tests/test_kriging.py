@@ -26,8 +26,10 @@ from misspec_krige.kriging import (
     kink_mean,
     kriging_predictor,
     linear_mean,
+    _COMPENSATED_FROM,
     _dot,
     _moment_block,
+    _row_dots,
     zero_mean,
 )
 
@@ -313,6 +315,62 @@ class TestErrorMoments:
         assert em.mean == pytest.approx(0.0, abs=1e-12)
 
 
+def mixed_targets(points):
+    """Multi-site and point targets, 3, 1, 2 and 1 sites, at ``points(k)``."""
+    return [TargetFunctional(0.7, points(3), np.array([1.5, -0.25, -2.0]), label="mixed"),
+            TargetFunctional.point(points(1)[0], label="point"),
+            TargetFunctional(-1.1, points(2), np.array([-1.0, 1.0]), label="contrast"),
+            TargetFunctional.point(points(1)[0], label="point2")]
+
+
+def level_case(family):
+    """A design, mixed targets and two models of one kernel family."""
+    from misspec_krige.kernels import (GreatCircleMaternKernel, PeriodicKernel,
+                                       PeriodicSpectrum, SphereLegendreParams,
+                                       SphereSeriesKernel, SphereSpdeParams, UnitSphere)
+    from misspec_krige.kernels.base import fibonacci_sphere_grid
+    rng = np.random.default_rng(LEVEL_FAMILIES.index(family))
+
+    def unit(k):
+        x = rng.standard_normal((k, 3))
+        return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+    def spectrum(dim, power):
+        return PeriodicSpectrum.from_callable(
+            lambda k: 1.0 / (1.0 + sum(c * c for c in k)) ** power, dim=dim, k_max=6)
+    sphere_mean = linear_mean(0.2, [0.3, -0.1, 0.5])
+    if family == "matern_box":
+        design, points = Design(np.linspace(0.03, 0.97, 12)[:, None]), \
+            lambda k: rng.uniform(0.0, 1.0, (k, 1))
+        kernels = (MaternKernel(MaternParams(1.0, 1.5, 2.0)),
+                   MaternKernel(MaternParams(1.7, 1.5, 0.8)))
+        means = (linear_mean(0.4, -0.8), constant_mean(0.9))
+    elif family in ("periodic_1d", "periodic_2d"):
+        dim = int(family[-2])
+        design, points = Design(rng.uniform(0.0, 1.0, (12, dim))), \
+            lambda k: rng.uniform(0.0, 1.0, (k, dim))
+        kernels = (PeriodicKernel(spectrum(dim, 1.0)), PeriodicKernel(spectrum(dim, 2.0)))
+        means = (constant_mean(0.4), linear_mean(-0.3, [1.1] * dim))
+    else:
+        design, points = Design(fibonacci_sphere_grid(16)[0]), unit
+        kernels = {
+            "matern_sphere": (MaternKernel(MaternParams(1.0, 1.5, 2.0, dim=3), UnitSphere()),
+                              MaternKernel(MaternParams(0.8, 0.5, 1.0, dim=3), UnitSphere())),
+            "great_circle": (GreatCircleMaternKernel(MaternParams(1.0, 0.5, 2.0)),
+                             GreatCircleMaternKernel(MaternParams(1.3, 0.25, 1.0))),
+            "sphere_series": (SphereSeriesKernel(SphereLegendreParams(1.0, 1.0, 1.0)),
+                              SphereSeriesKernel(SphereSpdeParams(0.9, 1.0, 1.3, l_max=60))),
+        }[family]
+        means = (sphere_mean, constant_mean(-0.6))
+    build, measure = (GaussianModel(mean, kernel, f"{family}{i}")
+                      for i, (mean, kernel) in enumerate(zip(means, kernels)))
+    return design, mixed_targets(points), build, measure
+
+
+LEVEL_FAMILIES = ("matern_box", "matern_sphere", "great_circle", "sphere_series",
+                  "periodic_1d", "periodic_2d")
+
+
 class TestLevelSystem:
     """The batched path must reproduce the one-target path bit for bit."""
 
@@ -379,6 +437,41 @@ class TestLevelSystem:
         self.assert_batched_equals_single(design, model, model)
         self.assert_batched_equals_single(design, exp_model(), model)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("family", LEVEL_FAMILIES)
+    def test_every_family_matches_one_target_path(self, monkeypatch, family, threads):
+        # point and multi-site targets stacked in one level, against each
+        # target's own system; every block of two or more rows splits
+        from misspec_krige.kernels import base
+        monkeypatch.setattr(base, "_SPLIT_FROM", 1)
+        monkeypatch.setenv("MISSPEC_KRIGE_THREADS", str(threads))
+        design, targets, build, measure = level_case(family)
+        self.assert_batched_equals_single(design, build, measure, targets)
+        # the level path: both predictor sets as arrays, sharing their tilts
+        models = (build, measure)
+        systems = [LevelSystem(design, targets, model.kernel) for model in models]
+        means = [system.means(model) for system, model in zip(systems, models)]
+        weights = np.stack([system.weights for system in systems])
+        intercepts = np.stack([m[2] for m in means])
+        tilts = np.stack([system.tilts for system in systems])
+        for system, model, m in zip(systems, models, means):
+            block = system.moment_block(weights, intercepts, tilts, m)
+            for s, pred_model in enumerate(models):
+                for t, target in enumerate(targets):
+                    single = kriging_predictor(target, design, pred_model)
+                    assert np.array_equal(weights[s, t], single.weights)
+                    assert intercepts[s, t] == single.intercept
+                    want = error_moments(single, target, model)
+                    assert (block[s][t].mean, block[s][t].variance) == \
+                        (want.mean, want.variance)
+
+    def test_targets_of_several_dimensions_rejected(self):
+        # the targets' sites are stacked into one array
+        design = Design(np.linspace(0.1, 0.9, 5)[:, None])
+        targets = [TargetFunctional.point([0.3]), TargetFunctional.point([0.3, 0.4])]
+        with pytest.raises(DomainError, match="must have one dimension, the domain's"):
+            LevelSystem(design, targets, exp_model().kernel)
+
     def test_blocks_hold_no_share_of_the_evaluation_buffer(self):
         # the design Gram's triangle, the cross and the target blocks are
         # profiled in one flat buffer; a block kept as a view of it would hold
@@ -399,6 +492,16 @@ class TestLevelSystem:
         solved = gram.solve(rhs)
         for j in range(rhs.shape[1]):
             assert np.array_equal(solved[:, j], gram.solve(rhs[:, j]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 17, 100, 255, 256, 257, 400])
+def test_row_dots_equal_one_dot_per_row(n):
+    # one batched call on either side of the compensated summation's threshold
+    rng = np.random.default_rng(n)
+    rows, b = rng.standard_normal((9, n)) * 10.0 ** rng.integers(-3, 4, (9, 1)), \
+        rng.standard_normal(n)
+    assert (n >= _COMPENSATED_FROM) == (n >= 256)
+    assert _row_dots(rows, b).tolist() == [_dot(row, b) for row in rows]
 
 
 def dense_moment_block(predictor_sets, targets, sigma, cross, tblocks, m_design, m_targets):
