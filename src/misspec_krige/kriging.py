@@ -127,8 +127,10 @@ class TargetFunctional:
         coeffs = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
         if sites.shape[0] != coeffs.shape[0]:
             raise DomainError("one coefficient per target site is required")
-        if not np.all(np.isfinite(sites)):
-            raise DomainError("target sites must be finite")
+        for name, value in (("sites", sites), ("coeffs", coeffs),
+                            ("intercept_coeff", self.intercept_coeff)):
+            if not np.all(np.isfinite(value)):
+                raise DomainError(f"target {name} must be finite")
         if not np.any(coeffs != 0.0):
             raise DomainError("a target needs at least one nonzero site coefficient")
         object.__setattr__(self, "sites", sites)
@@ -294,8 +296,9 @@ class LevelSystem:
     cross block of every target's sites, stacked once (target t in rows
     ``offsets[t]:offsets[t + 1]``), each target's block (all from one
     ``gram_pairs`` call), and each target's kriging weights (one multi-column
-    solve) and tilt.  Models sharing the kernel share the system; their means
-    enter only through the intercepts and the error means."""
+    solve) and tilt.  Models sharing the kernel share the system; a model
+    enters through its ``means``, and ``moment_block`` of those means is the
+    one way to the error moments of the level's predictors."""
 
     def __init__(self, design: Design, targets, kernel: CovarianceKernel):
         self.design, self.targets = design, list(targets)
@@ -336,22 +339,12 @@ class LevelSystem:
         return _moments(weights, intercepts, tilts, self.gram.sigma, self.cross, self.tblocks,
                         [t.coeffs for t in self.targets], *means[:2])
 
-    def predictors(self, model: GaussianModel) -> list[LinearPredictor]:
-        """Every target's best linear predictor under ``model``."""
-        intercepts = self.means(model)[2].tolist()
-        return [LinearPredictor(self.design, w, c) for w, c in zip(self.weights, intercepts)]
-
-    def moments(self, predictor_sets, model: GaussianModel) -> list[list[ErrorMoments]]:
-        """Moments under ``model`` of each set's per-target predictors."""
-        return _moment_block(predictor_sets, self.targets, self.gram.sigma, self.cross,
-                             self.tblocks, model.mean_at(self.design.sites),
-                             [model.mean_at(t.sites) for t in self.targets])
-
 
 def kriging_predictor(target: TargetFunctional, design: Design,
                       model: GaussianModel) -> LinearPredictor:
     """Best linear predictor of the target under the given model."""
-    return LevelSystem(design, [target], model.kernel).predictors(model)[0]
+    system = LevelSystem(design, [target], model.kernel)
+    return LinearPredictor(design, system.weights[0], float(system.means(model)[2][0]))
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -401,20 +394,10 @@ def error_moments(pred: LinearPredictor, target: TargetFunctional,
 def _moments_from_pieces(pred: LinearPredictor, target: TargetFunctional,
                          sigma: np.ndarray, cross: np.ndarray, tblock: np.ndarray,
                          m_design: np.ndarray, m_target: np.ndarray) -> ErrorMoments:
-    return _moment_block([[pred]], [target], sigma, [cross], [tblock],
-                         m_design, [m_target])[0][0]
-
-
-def _moment_block(predictor_sets, targets, sigma: np.ndarray, cross, tblocks,
-                  m_design: np.ndarray, m_targets) -> list[list[ErrorMoments]]:
-    """``_moments`` of ``predictor_sets[s][t]``, a predictor of ``targets[t]``,
-    under the measure with means ``m_design`` and, per target, ``m_targets``."""
-    weights = np.array([[pred.weights for pred in preds] for preds in predictor_sets])
-    intercepts = np.array([[pred.intercept for pred in preds] for preds in predictor_sets])
-    coeffs = [target.coeffs for target in targets]
-    return _moments(weights, intercepts, np.array([_tilts(w, coeffs) for w in weights]), sigma,
-                    cross, tblocks, coeffs, m_design,
-                    _target_values(targets, np.concatenate(m_targets)))
+    weights, coeffs = np.array([[pred.weights]]), [target.coeffs]
+    return _moments(weights, np.array([[pred.intercept]]), _tilts(weights[0], coeffs)[None],
+                    sigma, [cross], [tblock], coeffs, m_design,
+                    _target_values([target], m_target))[0][0]
 
 
 def _moments(weights: np.ndarray, intercepts: np.ndarray, tilts: np.ndarray,

@@ -249,8 +249,8 @@ def mean_term(design: Design, target: TargetFunctional, true_model: GaussianMode
     if true_model.kernel != shifted_mean_model.kernel:
         raise DomainError("mean_term requires the two models to share one kernel")
     system = LevelSystem(design, [target], true_model.kernel)
-    pred = system.predictors(true_model)[0]
-    moments = system.moments([[pred]], shifted_mean_model)[0][0]
+    moments = system.moment_block(system.weights[None], system.means(true_model)[2][None],
+                                  system.tilts[None], system.means(shifted_mean_model))[0][0]
     bias, variance = moments.mean, moments.variance
     if variance < VARIANCE_FLOOR:
         raise NumericalFailureError("target kriging variance below the floor")

@@ -10,7 +10,8 @@ from scipy.special import kv
 from misspec_krige.diagnostics import LimitKind, RatioVerdict
 from misspec_krige.errors import DomainError
 from misspec_krige.kernels import MaternParams, SphereLegendreParams, SphereSpdeParams
-from misspec_krige.kriging import Design, GaussianModel, LevelSystem, TargetFunctional
+from misspec_krige.kriging import (Design, GaussianModel, LevelSystem, LinearPredictor,
+                                   TargetFunctional)
 
 
 def bessel_k(nu: float, x):
@@ -80,6 +81,13 @@ def sphere_eigen_ratio(p1: SphereLegendreParams, p2: SphereSpdeParams, ell: int)
     return float(p2.eigenvalue(ell) / p1.eigenvalue(ell))
 
 
+def own_moments(system, build, measure):
+    """The moments under ``measure`` of the one target's predictor under
+    ``build``, ``system`` being their shared kernel's one-target system."""
+    return system.moment_block(system.weights[None], system.means(build)[2][None],
+                               system.tilts[None], system.means(measure))[0][0]
+
+
 def mean_shift_identity_check(target: TargetFunctional, design: Design,
                               model_a: GaussianModel, model_b: GaussianModel) -> float:
     """Consistency of predictors built under two mean functions sharing a kernel.
@@ -91,8 +99,9 @@ def mean_shift_identity_check(target: TargetFunctional, design: Design,
     if model_a.kernel != model_b.kernel:
         raise DomainError("the two models must share the same covariance kernel")
     system = LevelSystem(design, [target], model_a.kernel)
-    pred_a, pred_b = system.predictors(model_a)[0], system.predictors(model_b)[0]
-    bias = system.moments([[pred_b]], model_a)[0][0].mean
+    pred_a, pred_b = (LinearPredictor(design, system.weights[0], float(system.means(m)[2][0]))
+                      for m in (model_a, model_b))
+    bias = own_moments(system, model_b, model_a).mean
     rng = np.random.default_rng(20240601)
     worst = 0.0
     for _ in range(10):

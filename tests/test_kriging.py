@@ -28,8 +28,8 @@ from misspec_krige.kriging import (
     linear_mean,
     _COMPENSATED_FROM,
     _dot,
-    _moment_block,
     _row_dots,
+    _tilts,
     zero_mean,
 )
 
@@ -85,13 +85,22 @@ class TestDesign:
          "one coefficient per target site is required"),
         (lambda: TargetFunctional(1.0, [[0.2], [0.4]], [0.0, -0.0]),
          "a target needs at least one nonzero site coefficient"),
+        (lambda: TargetFunctional(0.0, [[0.3], [0.5]], [1.0, math.nan]),
+         "target coeffs must be finite"),
+        (lambda: TargetFunctional(0.0, [[0.3], [0.5]], [math.inf, 1.0]),
+         "target coeffs must be finite"),
+        (lambda: TargetFunctional(math.inf, [[0.3]], [1.0]),
+         "target intercept_coeff must be finite"),
+        (lambda: TargetFunctional(math.nan, [[0.3]], [1.0]),
+         "target intercept_coeff must be finite"),
         (lambda: LinearPredictor(Design([[0.1], [0.5]]), [1.0], 0.0),
          "weight vector length must equal the design size"),
         (lambda: LinearPredictor(Design([[0.1], [0.5]]), [1.0, math.nan], 0.0),
          "predictor weights and intercept must be finite"),
         (lambda: LinearPredictor(Design([[0.1], [0.5]]), [1.0, 0.0], math.inf),
          "predictor weights and intercept must be finite"),
-    ], ids=["target-coeff-count", "target-all-zero", "weights-length", "weights-nan",
+    ], ids=["target-coeff-count", "target-all-zero", "target-coeff-nan", "target-coeff-inf",
+            "target-intercept-inf", "target-intercept-nan", "weights-length", "weights-nan",
             "intercept-inf"])
     def test_rejected_functional_or_predictor(self, make, message):
         with pytest.raises(DomainError) as exc:
@@ -384,15 +393,19 @@ class TestLevelSystem:
 
     def assert_batched_equals_single(self, design, build, measure, targets=None):
         targets = self.targets() if targets is None else targets
-        batched = LevelSystem(design, targets, build.kernel).predictors(build)
-        moments = LevelSystem(design, targets, measure.kernel).moments(
-            [batched, batched[::-1]], measure)
+        system = LevelSystem(design, targets, build.kernel)
+        weights, intercepts = system.weights, system.means(build)[2]
+        reversed_tilts = _tilts(weights[::-1], [t.coeffs for t in targets])
+        measure_system = LevelSystem(design, targets, measure.kernel)
+        moments = measure_system.moment_block(
+            np.stack([weights, weights[::-1]]), np.stack([intercepts, intercepts[::-1]]),
+            np.stack([system.tilts, reversed_tilts]), measure_system.means(measure))
         for t, target in enumerate(targets):
             single = kriging_predictor(target, design, build)
-            assert np.array_equal(batched[t].weights, single.weights)
-            assert batched[t].intercept == single.intercept
-            for got, pred in ((moments[0][t], single),
-                              (moments[1][t], batched[::-1][t])):
+            assert np.array_equal(weights[t], single.weights)
+            assert intercepts[t] == single.intercept
+            reversed_pred = LinearPredictor(design, weights[::-1][t], intercepts[::-1][t])
+            for got, pred in ((moments[0][t], single), (moments[1][t], reversed_pred)):
                 want = error_moments(pred, target, measure)
                 assert (got.mean, got.variance) == (want.mean, want.variance)
 
@@ -504,7 +517,8 @@ def test_row_dots_equal_one_dot_per_row(n):
     assert _row_dots(rows, b).tolist() == [_dot(row, b) for row in rows]
 
 
-def dense_moment_block(predictor_sets, targets, sigma, cross, tblocks, m_design, m_targets):
+def dense_moment_block(weights, intercepts, targets, sigma, cross, tblocks, m_design,
+                       m_targets):
     """Reference assembly: one dense K over [design; every target's sites],
     multiplied by all rows of v, as the library computed it before it
     restricted each row to its nonzeros."""
@@ -516,14 +530,15 @@ def dense_moment_block(predictor_sets, targets, sigma, cross, tblocks, m_design,
         kmat[lo:hi, :n], kmat[:n, lo:hi], kmat[lo:hi, lo:hi] = c, c.T, tblock
     anchor = float(sigma[0, 0])
     kmat -= np.longdouble(anchor)
-    rows = [(pred, t) for preds in predictor_sets for t, pred in enumerate(preds)]
-    vs = [np.concatenate([pred.weights, -targets[t].coeffs]) for pred, t in rows]
+    rows = [(w, c, t) for ws, cs in zip(weights, intercepts)
+            for t, (w, c) in enumerate(zip(ws, cs))]
+    vs = [np.concatenate([w, -targets[t].coeffs]) for w, _, t in rows]
     v_block = np.zeros((len(rows), bounds[-1]), dtype=np.longdouble)
-    for v_row, v, (_, t) in zip(v_block, vs, rows):
+    for v_row, v, (_, _, t) in zip(v_block, vs, rows):
         v_row[:n], v_row[bounds[t]:bounds[t + 1]] = v[:n], v[n:]
     moments = []
-    for v, u, (pred, t) in zip(vs, v_block @ kmat, rows):
-        mean = (pred.intercept + _dot(pred.weights, m_design)
+    for v, u, (w, c, t) in zip(vs, v_block @ kmat, rows):
+        mean = (c + _dot(w, m_design)
                 - (targets[t].intercept_coeff + float(targets[t].coeffs @ m_targets[t])))
         variance = (np.concatenate([u[:n], u[bounds[t]:bounds[t + 1]]])
                     @ v.astype(np.longdouble)
@@ -537,11 +552,15 @@ class TestMomentBlockMatchesDenseAssembly:
 
     @staticmethod
     def assert_bit_identical(design, targets, builds, measure):
-        predictor_sets = [LevelSystem(design, targets, b.kernel).predictors(b) for b in builds]
+        systems = [LevelSystem(design, targets, b.kernel) for b in builds]
+        weights = np.stack([s.weights for s in systems])
+        intercepts = np.stack([s.means(b)[2] for s, b in zip(systems, builds)])
+        tilts = np.stack([s.tilts for s in systems])
         system = LevelSystem(design, targets, measure.kernel)
-        args = (predictor_sets, targets, system.gram.sigma, system.cross, system.tblocks,
-                measure.mean_at(design.sites), [measure.mean_at(t.sites) for t in targets])
-        got, want = _moment_block(*args), dense_moment_block(*args)
+        got = system.moment_block(weights, intercepts, tilts, system.means(measure))
+        want = dense_moment_block(weights, intercepts, targets, system.gram.sigma, system.cross,
+                                  system.tblocks, measure.mean_at(design.sites),
+                                  [measure.mean_at(t.sites) for t in targets])
         assert len(got) == len(want) == len(builds)
         for got_row, want_row in zip(got, want):
             assert len(got_row) == len(want_row) == len(targets)
