@@ -167,9 +167,10 @@ class PeriodicKernel(CovarianceKernel):
             n, dim = x.shape
             diff = (x[:, None, :] - x[None, :, :]).reshape(n * n, dim)
             diff = np.where((_first_nonzero(diff) < 0.0)[:, None], -diff, diff)
-            # group by bytes: -0.0 and +0.0 land apart and both give cos = 1; one
-            # int64 key per row sorts several times faster than a void key in 1-d
-            keys = diff.view(np.int64 if dim == 1 else np.dtype((np.void, 8 * dim))).ravel()
+            # group the C-ordered rows by bytes: -0.0 and +0.0 land apart and both give
+            # cos = 1; one int64 key per row sorts several times faster than a void key in 1-d
+            keys = np.ascontiguousarray(diff).view(
+                np.int64 if dim == 1 else np.dtype((np.void, 8 * dim))).ravel()
             distinct, inverse = np.unique(keys, return_inverse=True)
             distinct = distinct.view(np.float64).reshape(-1, dim)
             table = 2.0 * np.cos(2.0 * np.pi * distinct @ reps.T)         # (distinct, M)

@@ -203,23 +203,30 @@ class LinearPredictor:
 
 @dataclass(frozen=True)
 class ErrorMoments:
-    """Mean, variance and second moment of a predictor's error under one model."""
+    """Mean, variance and second moment of a predictor's error under one model:
+    one entry of ``_moments``' arrays, under the same ``_moment_rules``."""
 
     mean: float
     variance: float
     second_moment: float = field(init=False)
 
     def __post_init__(self):
-        if self.variance < -_NEGATIVE_VARIANCE_TOL:
-            raise NegativeVarianceError(
-                f"error variance {self.variance:.3e} is negative beyond tolerance")
-        variance = max(self.variance, 0.0)
+        variance, second_moment = _moment_rules(self.mean, self.variance)
         object.__setattr__(self, "variance", variance)
-        try:
-            object.__setattr__(self, "second_moment", variance + self.mean ** 2)
-        except OverflowError:
-            raise NumericalFailureError(
-                f"error mean {self.mean:.3e} overflows when squared") from None
+        object.__setattr__(self, "second_moment", second_moment)
+
+
+def _moment_rules(mean: float, variance: float) -> tuple[float, float]:
+    """An error's clamped variance and second moment.  The square is Python's
+    ``mean ** 2``, libm ``pow``; an array's ``** 2`` is ``x * x``, which rounds
+    some means one bit apart from it."""
+    if variance < -_NEGATIVE_VARIANCE_TOL:
+        raise NegativeVarianceError(f"error variance {variance:.3e} is negative beyond tolerance")
+    variance = max(variance, 0.0)
+    try:
+        return variance, variance + mean ** 2
+    except OverflowError:
+        raise NumericalFailureError(f"error mean {mean:.3e} overflows when squared") from None
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +341,7 @@ class LevelSystem:
             raise DomainError("predictor weights and intercept must be finite")
         return m_design, values, intercepts
 
-    def moment_block(self, weights, intercepts, tilts, means) -> list[list[ErrorMoments]]:
+    def moment_block(self, weights, intercepts, tilts, means) -> tuple[np.ndarray, ...]:
         """``_moments`` under this kernel and a model's ``means``."""
         return _moments(weights, intercepts, tilts, self.gram.sigma, self.cross, self.tblocks,
                         [t.coeffs for t in self.targets], *means[:2])
@@ -384,28 +391,31 @@ def _tilts(weights: np.ndarray, coeffs) -> np.ndarray:
 
 def error_moments(pred: LinearPredictor, target: TargetFunctional,
                   eval_model: GaussianModel) -> ErrorMoments:
-    """Exact moments of prediction - h when the field follows ``eval_model``."""
-    kernel, sites = eval_model.kernel, pred.design.sites
-    return _moments_from_pieces(
-        pred, target, kernel.gram(sites), kernel.gram(target.sites, sites),
-        kernel.gram(target.sites), eval_model.mean_at(sites), eval_model.mean_at(target.sites))
+    """Exact moments of prediction - h when the field follows ``eval_model``; its
+    kernel blocks come from one request, as a level's do."""
+    sites = pred.design.sites
+    return _moments_from_pieces(pred, target, *eval_model.kernel.gram_pairs(
+        [(sites, None), (target.sites, sites), (target.sites, target.sites)]),
+        eval_model.mean_at(sites), eval_model.mean_at(target.sites))
 
 
 def _moments_from_pieces(pred: LinearPredictor, target: TargetFunctional,
                          sigma: np.ndarray, cross: np.ndarray, tblock: np.ndarray,
                          m_design: np.ndarray, m_target: np.ndarray) -> ErrorMoments:
     weights, coeffs = np.array([[pred.weights]]), [target.coeffs]
-    return _moments(weights, np.array([[pred.intercept]]), _tilts(weights[0], coeffs)[None],
-                    sigma, [cross], [tblock], coeffs, m_design,
-                    _target_values([target], m_target))[0][0]
+    means, variances, _ = _moments(weights, np.array([[pred.intercept]]),
+                                   _tilts(weights[0], coeffs)[None], sigma, [cross], [tblock],
+                                   coeffs, m_design, _target_values([target], m_target))
+    return ErrorMoments(means.item(), variances.item())
 
 
 def _moments(weights: np.ndarray, intercepts: np.ndarray, tilts: np.ndarray,
              sigma: np.ndarray, cross, tblocks, coeffs, m_design: np.ndarray,
-             values: np.ndarray) -> list[list[ErrorMoments]]:
-    """Moments of the predictors with (S, T, n) ``weights``, (S, T) ``intercepts``
-    and ``tilts``, under the measure with design block ``sigma``, per-target
-    cross-covariances, blocks and a_0 + b . m(t) ``values``, and ``m_design``."""
+             values: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The (S, T) error means, clamped variances and second moments, checked in
+    (set, target) order, of the predictors with (S, T, n) ``weights``, (S, T)
+    ``intercepts`` and ``tilts``, under the measure with design block ``sigma``,
+    per-target cross blocks and blocks, a_0 + b . m(t) ``values`` and ``m_design``."""
     # The variance is v' K v with v = (w, -beta) over design + own target
     # sites.  Its summands are O(1) but cancel down to the kriging variance,
     # which clustered designs push to ~1e-9; assembling naively loses the
@@ -446,5 +456,6 @@ def _moments(weights: np.ndarray, intercepts: np.ndarray, tilts: np.ndarray,
     quad = (np.concatenate([ud, uo], axis=-1)[..., None, :] @ v[..., None])[..., 0, 0]
     means = intercepts + _row_dots(weights.reshape(-1, n), m_design).reshape(n_sets, -1) - values
     variances = (quad + anchor * tilts ** 2).astype(float)
-    return [[ErrorMoments(mean=mean, variance=variance) for mean, variance in zip(*row)]
-            for row in zip(means.tolist(), variances.tolist())]
+    checked = np.array([list(map(_moment_rules, *row))
+                        for row in zip(means.tolist(), variances.tolist())])
+    return means, checked[..., 0], checked[..., 1]

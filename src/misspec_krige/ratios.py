@@ -91,9 +91,7 @@ class RatioRecord:
                     f"(n={self.n}, target={self.target_id})")
 
     def value(self, name: str) -> float:
-        if name == "mean_term":
-            return self.mean_term
-        if name not in RATIO_NAMES:
+        if name not in RATIO_NAMES + ("mean_term",):
             raise KeyError(name)
         return getattr(self, name)
 
@@ -169,21 +167,32 @@ def _level_ratios(design: Design, targets: Sequence[TargetFunctional],
         weights = np.stack([true_system.weights, wrong_system.weights])
         tilts = np.stack([true_system.tilts, wrong_system.tilts])
         intercepts = np.stack([means["true"][2], means["wrong"][2]])
-        moments = {measure: system.moment_block(weights, intercepts, tilts, means[measure])
-                   for measure, system in (("true", true_system), ("wrong", wrong_system))}
+        # each (predictor, measure) pair's error means, variances, second moments
+        blocks = {measure: system.moment_block(weights, intercepts, tilts, means[measure])
+                  for measure, system in (("true", true_system), ("wrong", wrong_system))}
+        mom = {(pred, measure): [a[row] for a in blocks[measure]]
+               for row, pred in enumerate(("true", "wrong")) for measure in blocks}
+        # every pair's variance is some ratio's denominator: a target is
+        # excluded by the first one that is numerically unresolvable
+        below = np.array([mom[key][1] < variance_floor for key in _MEASURE_NAMES])
+        kept = ~below.any(axis=0)
+        # an excluded target's ratios are dropped, and a non-finite one fails
+        # its record; the squares are Python's, as in ``_moment_rules``
+        with np.errstate(all="ignore"):
+            columns = {"true_variance": mom["true", "true"][1], "mean_term": np.array(
+                [m ** 2 for m in mom["true", "wrong"][0].tolist()]) / mom["true", "true"][2]}
+            for i, (num, den) in enumerate(_RATIO_PAIRS, 1):
+                columns[f"r_var_{i}"] = mom[num][1] / mom[den][1]
+                columns[f"r_mom_{i}"] = mom[num][2] / mom[den][2]
+        rows = [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
         for idx, target in enumerate(targets):
             target_id = target.label or f"t{idx:02d}"
-            mom = {(pred, measure): moments[measure][row][idx]
-                   for row, pred in enumerate(("true", "wrong")) for measure in moments}
-            degenerate = _degenerate_measure(mom, variance_floor)
-            if degenerate is not None:
-                name, value = degenerate
-                excluded.append(f"target {target_id} excluded: {name} error variance "
-                                f"{value:.3e} below {variance_floor:.1e}")
+            if kept[idx]:
+                records.append(RatioRecord(n=n, target_id=target_id, limits=limits, **rows[idx]))
                 continue
-            records.append(RatioRecord(
-                n=n, target_id=target_id, limits=limits,
-                true_variance=mom[("true", "true")].variance, **_assemble_ratios(mom)))
+            key = list(_MEASURE_NAMES)[below[:, idx].argmax()]
+            excluded.append(f"target {target_id} excluded: {_MEASURE_NAMES[key]} error "
+                            f"variance {mom[key][1][idx]:.3e} below {variance_floor:.1e}")
     except (OptimalityError, NegativeVarianceError) as exc:
         # both break a bound that holds in exact arithmetic
         grams = ", ".join(
@@ -193,7 +202,13 @@ def _level_ratios(design: Design, targets: Sequence[TargetFunctional],
         raise type(exc)(f"{exc}; the limit is Gram conditioning (1/rcond {grams})") from exc
     if not records:
         raise NumericalFailureError("every target was excluded by the variance floor")
-    records.append(_sup_record(records, n, limits))
+    # SUP: ratio by ratio, the kept target farthest from its limit, if any
+    sup = {name: columns[name][kept] for name in RATIO_NAMES + ("mean_term",)}
+    for name, values in sup.items():
+        key = np.abs(values - limits[name]) if name in limits else values
+        sup[name] = float(values[int(np.argmax(key))])
+    records.append(RatioRecord(n=n, target_id=SUP_TARGET_ID, limits=dict(limits),
+                               true_variance=float(columns["true_variance"][kept].min()), **sup))
     return records, {"true": true_system.gram.sigma, "wrong": wrong_system.gram.sigma}
 
 
@@ -203,36 +218,6 @@ _MEASURE_NAMES = {
     ("wrong", "true"): "working-predictor true-measure",
     ("wrong", "wrong"): "working-predictor working-measure",
 }
-
-
-def _degenerate_measure(mom, floor: float):
-    """First (predictor, measure) pair whose error variance denominator is
-    numerically unresolvable; all four enter some ratio's denominator."""
-    for key, label in _MEASURE_NAMES.items():
-        if mom[key].variance < floor:
-            return label, mom[key].variance
-    return None
-
-
-def _assemble_ratios(mom) -> dict[str, float]:
-    ratios = {}
-    for i, (num, den) in enumerate(_RATIO_PAIRS, 1):
-        ratios[f"r_var_{i}"] = mom[num].variance / mom[den].variance
-        ratios[f"r_mom_{i}"] = mom[num].second_moment / mom[den].second_moment
-    ratios["mean_term"] = mom[("true", "wrong")].mean ** 2 / mom[("true", "true")].second_moment
-    return ratios
-
-
-def _sup_record(records: list[RatioRecord], n: int,
-                limits: Mapping[str, float]) -> RatioRecord:
-    values: dict[str, float] = {}
-    for name in RATIO_NAMES + ("mean_term",):
-        per_target = np.array([rec.value(name) for rec in records])
-        key = np.abs(per_target - limits[name]) if name in limits else per_target
-        values[name] = float(per_target[int(np.argmax(key))])
-    return RatioRecord(n=n, target_id=SUP_TARGET_ID, limits=dict(limits),
-                       true_variance=min(rec.true_variance for rec in records),
-                       **values)
 
 
 def mean_term(design: Design, target: TargetFunctional, true_model: GaussianModel,
@@ -249,9 +234,9 @@ def mean_term(design: Design, target: TargetFunctional, true_model: GaussianMode
     if true_model.kernel != shifted_mean_model.kernel:
         raise DomainError("mean_term requires the two models to share one kernel")
     system = LevelSystem(design, [target], true_model.kernel)
-    moments = system.moment_block(system.weights[None], system.means(true_model)[2][None],
-                                  system.tilts[None], system.means(shifted_mean_model))[0][0]
-    bias, variance = moments.mean, moments.variance
+    bias, variance, _ = (block.item() for block in system.moment_block(
+        system.weights[None], system.means(true_model)[2][None], system.tilts[None],
+        system.means(shifted_mean_model)))
     if variance < VARIANCE_FLOOR:
         raise NumericalFailureError("target kriging variance below the floor")
     return bias ** 2 / variance

@@ -10,8 +10,8 @@ from scipy.special import kv
 from misspec_krige.diagnostics import LimitKind, RatioVerdict
 from misspec_krige.errors import DomainError
 from misspec_krige.kernels import MaternParams, SphereLegendreParams, SphereSpdeParams
-from misspec_krige.kriging import (Design, GaussianModel, LevelSystem, LinearPredictor,
-                                   TargetFunctional)
+from misspec_krige.kriging import (Design, ErrorMoments, GaussianModel, LevelSystem,
+                                   LinearPredictor, TargetFunctional)
 
 
 def bessel_k(nu: float, x):
@@ -83,9 +83,12 @@ def sphere_eigen_ratio(p1: SphereLegendreParams, p2: SphereSpdeParams, ell: int)
 
 def own_moments(system, build, measure):
     """The moments under ``measure`` of the one target's predictor under
-    ``build``, ``system`` being their shared kernel's one-target system."""
-    return system.moment_block(system.weights[None], system.means(build)[2][None],
-                               system.tilts[None], system.means(measure))[0][0]
+    ``build``, ``system`` being their shared kernel's one-target system, as the
+    one-target ``ErrorMoments``."""
+    means, variances, _ = system.moment_block(system.weights[None],
+                                              system.means(build)[2][None],
+                                              system.tilts[None], system.means(measure))
+    return ErrorMoments(mean=means.item(), variance=variances.item())
 
 
 def mean_shift_identity_check(target: TargetFunctional, design: Design,

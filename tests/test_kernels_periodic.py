@@ -234,6 +234,9 @@ class TestSquareGram:
         # differences that agree up to the sign of one component only
         self.assert_reference(kern, np.array([[0.5] * dim, [0.6] + [0.7] * (dim - 1),
                                               [0.6] + [0.3] * (dim - 1)]))
+        # column-major points, whose rows the byte keys must first make contiguous
+        x = rng.uniform(0.0, 1.0, (25, dim))
+        assert np.array_equal(kern.gram(np.asfortranarray(x)), kern.gram(x))
 
     @settings(max_examples=40, deadline=None)
     @given(dim=st.integers(1, 2), data=st.data())

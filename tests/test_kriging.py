@@ -307,6 +307,27 @@ class TestErrorMoments:
                            match="error mean -1.000e\\+300 overflows when squared"):
             ErrorMoments(mean=-1e300, variance=1.0)
 
+    def test_second_moment_squares_as_python_floats(self):
+        # Python's ``m ** 2`` (libm pow) and ``m * m``, a numpy array's square,
+        # round this mean one bit apart on glibc; the moments keep the former,
+        # and TestLevelSystem holds a level's second moments to these
+        m = 0.4127425118455319
+        for v in (0.0, 0.03, 1.0):
+            assert ErrorMoments(mean=m, variance=v).second_moment == v + m ** 2
+
+    def test_one_profile_pass_per_call(self, kernel_work):
+        # the design Gram, the cross block and the target's block in one request
+        design = Design(np.array([[0.1], [0.35], [0.6], [0.9]]))
+        target = TargetFunctional(0.2, np.array([[0.2], [0.7]]), np.array([1.0, -0.5]))
+        pred = kriging_predictor(target, design, exp_model())
+        before = dict(kernel_work)
+        smoother = GaussianModel(linear_mean(0.3, 1.1), MaternKernel(MaternParams(1.5, 1.5, 2.0)))
+        for model in (exp_model(), smoother):
+            error_moments(pred, target, model)
+        assert kernel_work["_evaluate"] - before["_evaluate"] == 2
+        assert kernel_work["gram_pairs"] - before["gram_pairs"] == 2
+        assert kernel_work["build_gram"] == before["build_gram"]
+
     def test_multi_site_functional(self):
         """Contrast Z(t1) - Z(t2): moments against a direct bilinear oracle."""
         model = exp_model()
@@ -397,7 +418,7 @@ class TestLevelSystem:
         weights, intercepts = system.weights, system.means(build)[2]
         reversed_tilts = _tilts(weights[::-1], [t.coeffs for t in targets])
         measure_system = LevelSystem(design, targets, measure.kernel)
-        moments = measure_system.moment_block(
+        means, variances, seconds = measure_system.moment_block(
             np.stack([weights, weights[::-1]]), np.stack([intercepts, intercepts[::-1]]),
             np.stack([system.tilts, reversed_tilts]), measure_system.means(measure))
         for t, target in enumerate(targets):
@@ -405,9 +426,10 @@ class TestLevelSystem:
             assert np.array_equal(weights[t], single.weights)
             assert intercepts[t] == single.intercept
             reversed_pred = LinearPredictor(design, weights[::-1][t], intercepts[::-1][t])
-            for got, pred in ((moments[0][t], single), (moments[1][t], reversed_pred)):
+            for s, pred in enumerate((single, reversed_pred)):
                 want = error_moments(pred, target, measure)
-                assert (got.mean, got.variance) == (want.mean, want.variance)
+                assert (means[s, t], variances[s, t], seconds[s, t]) == \
+                    (want.mean, want.variance, want.second_moment)
 
     def test_multi_site_targets_match_one_target_path(self):
         design = Design(np.array([[0.05], [0.2], [0.3], [0.5], [0.58], [0.7], [0.9]]))
@@ -468,14 +490,14 @@ class TestLevelSystem:
         intercepts = np.stack([m[2] for m in means])
         tilts = np.stack([system.tilts for system in systems])
         for system, model, m in zip(systems, models, means):
-            block = system.moment_block(weights, intercepts, tilts, m)
+            block_means, block_variances, _ = system.moment_block(weights, intercepts, tilts, m)
             for s, pred_model in enumerate(models):
                 for t, target in enumerate(targets):
                     single = kriging_predictor(target, design, pred_model)
                     assert np.array_equal(weights[s, t], single.weights)
                     assert intercepts[s, t] == single.intercept
                     want = error_moments(single, target, model)
-                    assert (block[s][t].mean, block[s][t].variance) == \
+                    assert (block_means[s, t], block_variances[s, t]) == \
                         (want.mean, want.variance)
 
     def test_targets_of_several_dimensions_rejected(self):
@@ -561,13 +583,11 @@ class TestMomentBlockMatchesDenseAssembly:
         want = dense_moment_block(weights, intercepts, targets, system.gram.sigma, system.cross,
                                   system.tblocks, measure.mean_at(design.sites),
                                   [measure.mean_at(t.sites) for t in targets])
-        assert len(got) == len(want) == len(builds)
-        for got_row, want_row in zip(got, want):
-            assert len(got_row) == len(want_row) == len(targets)
-            for g, w in zip(got_row, want_row):
-                assert g.mean == w.mean
-                assert g.variance == w.variance
-        return [m.variance for row in got for m in row]
+        assert len(want) == len(builds)
+        for got_values, name in zip(got, ("mean", "variance", "second_moment")):
+            assert got_values.shape == (len(builds), len(targets))
+            assert got_values.tolist() == [[getattr(w, name) for w in row] for row in want]
+        return got[1].ravel().tolist()
 
     def test_point_targets_both_predictor_sets(self):
         design = Design((np.arange(1, 30) / 30.0)[:, None])

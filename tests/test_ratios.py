@@ -112,6 +112,44 @@ class TestEfficiencyRatios:
                             r"error variance -?\d\.\d{3}e[+-]\d+ below 1\.0e-12",
                             messages[0])
 
+    def test_floor_warning_names_the_first_pair_below_it(self):
+        # a working model scaled by 0.01 keeps the kriging weights and scales
+        # the working-measure variances: a floor between the two scales
+        # excludes t0-t3 (3.6e-4 against 3.6e-2) by the working measure, the
+        # second pair; t4 (4.6e-4) stays, and the on-site target falls below
+        # it under the true measure, the first pair
+        targets = grid_targets() + [TargetFunctional.point(
+            grid_design(9).sites[3], label="on-site")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            recs = efficiency_ratios(grid_design(9), targets, exp_model(),
+                                     exp_model(sigma=0.1), variance_floor=4e-4)
+        assert [rec.target_id for rec in recs] == ["t4", SUP_TARGET_ID]
+        labels = [re.match(r"target (\S+) excluded: (\S+ \S+) error variance", str(w.message))
+                  .groups() for w in caught]
+        assert labels == [(f"t{i}", "optimal-predictor working-measure") for i in range(4)] \
+            + [("on-site", "optimal-predictor true-measure")]
+
+    def test_fortran_ordered_torus_design(self):
+        # a column-major 2-d design, as scipy's Halton sampler returns one,
+        # gives the records of the same sites in row-major order
+        from misspec_krige.kernels import PeriodicKernel, PeriodicSpectrum
+
+        def model(power, mean=zero_mean):
+            return GaussianModel(mean, PeriodicKernel(PeriodicSpectrum.from_callable(
+                lambda k: (1.0 + sum(c * c for c in k)) ** -power, dim=2, k_max=4)))
+        sites = np.random.default_rng(3).uniform(0.0, 1.0, (15, 2))
+        targets = [TargetFunctional.point([0.31, 0.62]),
+                   TargetFunctional(0.2, [[0.1, 0.9], [0.55, 0.45]], [1.0, -0.5])]
+        true, wrong = model(2.0), model(1.5, constant_mean(0.3))
+        design = Design(np.asfortranarray(sites))
+        assert not design.sites.flags.c_contiguous
+        got = efficiency_ratios(design, targets, true, wrong)
+        want = efficiency_ratios(Design(sites), targets, true, wrong)
+        for g, w in zip(got, want, strict=True):
+            for name in RATIO_NAMES + ("mean_term",):
+                assert g.value(name) == pytest.approx(w.value(name), rel=1e-12)
+
     def test_batched_targets_match_one_at_a_time(self):
         targets = grid_targets() + [
             TargetFunctional(0.4, np.array([[0.21], [0.66]]), np.array([2.0, -0.5]),
