@@ -25,6 +25,7 @@ import json
 import math
 import numbers
 import os
+import re
 import sys
 import tempfile
 
@@ -34,15 +35,16 @@ from . import __version__
 from .diagnostics import QUAD_NODES, RANK_CUTOFF, assumption_report, nystrom_eigen
 from .errors import ConfigError, DomainError, MisspecKrigeError, PartialResultError
 from .harness import (
-    DEFAULT_CONTRACTION,
     DEFAULT_SCHEDULE,
     DEFAULT_X_STAR,
+    DESIGN_KINDS,
     MAX_DESIGN_SIZE,
     SCENARIO_NAMES,
     DesignGenerator,
     Scenario,
     builtin_scenario,
     common_domain,
+    default_design,
     default_targets,
     generate_design,
     run_scenario,
@@ -60,7 +62,7 @@ from .kernels import (
     UnitSphere,
 )
 from .kriging import GaussianModel, TargetFunctional, constant_mean, kink_mean, linear_mean, zero_mean
-from .ratios import RATIO_NAMES, RatioTable, check_schedule
+from .ratios import RECORD_COLUMNS, RatioTable, check_schedule
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -122,7 +124,7 @@ def _kind_of(spec: dict, field: str, keys: dict, what: str) -> str:
     kind = spec.get(field)
     if not isinstance(kind, str) or kind not in keys:
         raise ConfigError(f"unknown {what} {field} {kind!r}")
-    _check_keys(spec, keys[kind] | {field}, f"{kind} {what}")
+    _check_keys(spec, {field, *keys[kind]}, f"{kind} {what}")
     return kind
 
 
@@ -139,10 +141,6 @@ _MODEL_KEYS = {family: keys | {"label", "mean"} for family, keys in {
     "sphere_chordal_matern": {"sigma", "nu", "kappa"},
     "sphere_greatcircle_matern": {"sigma", "nu", "kappa"},
 }.items()}
-
-#: each design kind's keys besides "kind"
-_DESIGN_KEYS = {"equispaced": set(), "accumulating": {"x_star", "q"}, "halton": set(),
-                "sphere_fibonacci": set()}
 
 
 def _mean_from_spec(spec, dim: int) -> tuple:
@@ -184,10 +182,15 @@ def _mean_from_spec(spec, dim: int) -> tuple:
 def _model_from_spec(spec, label: str) -> GaussianModel:
     if not isinstance(spec, dict) or "family" not in spec:
         raise ConfigError('model spec must be an object with a "family"')
+
+    def needed(key):
+        if key not in spec:
+            raise ConfigError(f"a {family} model needs {key!r}")
+        return spec[key]
     try:
         family = _kind_of(spec, "family", _MODEL_KEYS, "model")
         if family == "matern":
-            params = MaternParams(sigma=spec.get("sigma", 1.0), nu=spec["nu"],
+            params = MaternParams(sigma=spec.get("sigma", 1.0), nu=needed("nu"),
                                   kappa=spec.get("kappa", 1.0), dim=spec.get("dim", 1))
             if params.dim != 1:
                 # the Galerkin route and the mean probe need a quadrature
@@ -201,6 +204,10 @@ def _model_from_spec(spec, label: str) -> GaussianModel:
                 clash = sorted({"dim", "power", "scale"} & set(spec))
                 if clash:
                     raise ConfigError(f"coeffs fix a 1-d spectrum, so {clash} must not be given")
+                if not (isinstance(coeffs, dict)
+                        and all(re.fullmatch(r"-?[0-9]+", k) for k in coeffs)):
+                    raise ConfigError(f"coeffs must map integer lattice indices to masses, "
+                                      f"got {coeffs!r}")
                 table = {int(k): _bounded(v, f"coeffs.{k}") for k, v in coeffs.items()}
                 spectrum = PeriodicSpectrum.from_coeffs(table, dim=1,
                                                         k_max=spec.get("k_max"))
@@ -213,42 +220,37 @@ def _model_from_spec(spec, label: str) -> GaussianModel:
             kernel = PeriodicKernel(spectrum)
         elif family == "sphere_legendre":
             kernel = SphereSeriesKernel(SphereLegendreParams(
-                sigma1=spec.get("sigma1", 1.0), nu1=spec["nu1"], kappa1=spec.get("kappa1", 1.0),
+                sigma1=spec.get("sigma1", 1.0), nu1=needed("nu1"), kappa1=spec.get("kappa1", 1.0),
                 l_max=spec.get("l_max", DEFAULT_L_MAX)))
         elif family == "sphere_spde":
             kernel = SphereSeriesKernel(SphereSpdeParams(
-                tau=spec.get("tau", 1.0), nu=spec["nu"], kappa=spec.get("kappa", 1.0),
+                tau=spec.get("tau", 1.0), nu=needed("nu"), kappa=spec.get("kappa", 1.0),
                 l_max=spec.get("l_max", DEFAULT_L_MAX)))
         else:
             # comparison models on the sphere; no ratio-limit claim attached
-            params = MaternParams(sigma=spec.get("sigma", 1.0), nu=spec["nu"],
+            params = MaternParams(sigma=spec.get("sigma", 1.0), nu=needed("nu"),
                                   kappa=spec.get("kappa", 1.0), dim=3)
             kernel = (MaternKernel(params, UnitSphere())
                       if family == "sphere_chordal_matern"
                       else GreatCircleMaternKernel(params))
         mean, mean_label = _mean_from_spec(spec.get("mean"), kernel.domain.dim)
+        model_label = spec.get("label", f"{family}[{label}]+{mean_label}")
+        if not isinstance(model_label, str):
+            raise ConfigError(f"label must be a string, got {model_label!r}")
     except (AttributeError, KeyError, TypeError, ValueError, MisspecKrigeError) as exc:
         raise ConfigError(f"bad model spec for {label}: {exc}")
-    return GaussianModel(mean=mean, kernel=kernel,
-                         label=spec.get("label", f"{family}[{label}]+{mean_label}"))
+    return GaussianModel(mean=mean, kernel=kernel, label=model_label)
 
 
 def _generator_from_spec(spec, domain) -> DesignGenerator:
-    if spec is None:
-        spec = {"kind": domain.default_design}
-    if not isinstance(spec, dict):
+    if spec is not None and not isinstance(spec, dict):
         raise ConfigError("design spec must be an object")
-    kind = _kind_of(spec, "kind", _DESIGN_KEYS, "design")
+    kind = None if spec is None else _kind_of(spec, "kind", DESIGN_KINDS, "design")
     try:
-        if kind == "equispaced":
-            return DesignGenerator.equispaced(domain)
-        if kind == "accumulating":
-            return DesignGenerator.accumulating(
-                _bounded(spec.get("x_star", DEFAULT_X_STAR), "design.x_star"),
-                _bounded(spec.get("q", DEFAULT_CONTRACTION), "design.q"), domain)
-        if kind == "halton":
-            return DesignGenerator.halton(domain)
-        return DesignGenerator.sphere_fibonacci()
+        if kind is None:
+            return default_design(domain)
+        return getattr(DesignGenerator, kind)(domain=domain, **{
+            key: _bounded(spec[key], f"design.{key}") for key in DESIGN_KINDS[kind] if key in spec})
     except MisspecKrigeError as exc:
         raise ConfigError(f"bad design spec: {exc}")
 
@@ -362,7 +364,7 @@ def table_to_csv(table: RatioTable, scenario_name: str) -> str:
     out.write(CSV_HEADER + "\n")
     for rec in table.records:
         deviations = rec.deviations
-        for ratio_name in RATIO_NAMES + ("mean_term",):
+        for ratio_name in RECORD_COLUMNS:
             out.write(",".join([
                 scenario_name, str(rec.n), rec.target_id, ratio_name,
                 _fmt(rec.value(ratio_name)), _fmt(rec.limits.get(ratio_name)),

@@ -49,6 +49,10 @@ TARGET_BOUNDARY_MARGIN = 0.15
 #: x_star in [0.26, 0.74]
 _ACC_AMPLITUDE = 0.25
 
+#: each design kind's parameters; ``DesignGenerator.<kind>`` takes them and ``domain``
+DESIGN_KINDS = {"equispaced": (), "accumulating": ("x_star", "q"), "halton": (),
+                "sphere_fibonacci": ()}
+
 
 # ---------------------------------------------------------------------------
 # design generators
@@ -68,13 +72,13 @@ def _van_der_corput(j: int, base: int = 2) -> float:
 class DesignGenerator:
     """Deterministic family of designs indexed by size n."""
 
-    kind: str                      # equispaced | accumulating | halton | sphere_fibonacci
+    kind: str                      # a key of DESIGN_KINDS
     domain: Domain = field(default_factory=Box)
     x_star: float | None = None
     q: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("equispaced", "accumulating", "halton", "sphere_fibonacci"):
+        if self.kind not in DESIGN_KINDS:
             raise DomainError(f"unknown design generator kind {self.kind!r}")
         try:
             self.domain.points(_sites(self, 2))
@@ -118,7 +122,8 @@ class DesignGenerator:
         return cls(kind="halton", domain=domain or Box())
 
     @classmethod
-    def sphere_fibonacci(cls) -> "DesignGenerator":
+    def sphere_fibonacci(cls, domain=None) -> "DesignGenerator":
+        """Sites on the sphere whatever ``domain`` is; a Scenario names a mismatch."""
         return cls(kind="sphere_fibonacci", domain=UnitSphere())
 
     def describe(self) -> dict:
@@ -126,6 +131,12 @@ class DesignGenerator:
         if self.x_star is not None:
             out.update(x_star=self.x_star, q=self.q)
         return out
+
+
+def default_design(domain: Domain) -> DesignGenerator:
+    """The design generator of an experiment on ``domain`` that names none."""
+    kind = {Box: "accumulating", Torus: "equispaced", UnitSphere: "sphere_fibonacci"}[type(domain)]
+    return getattr(DesignGenerator, kind)(domain=domain)
 
 
 def generate_design(g: DesignGenerator, n: int) -> Design:
@@ -305,7 +316,7 @@ def _ratio3_base(k) -> float:
 
 #: each built-in scenario by name: a callable giving the fields it does not
 #: share with the others, so every call builds fresh models.  The design is
-#: the default accumulating one unless a ``design_generator`` is given.
+#: the default one of the models' domain.
 _BUILTINS: dict[str, Callable[[], dict]] = {
     "identical": lambda: dict(
         true_model=_exp_model("matern(1,0.5,1)"), wrong_model=_exp_model("matern(1,0.5,1)"),
@@ -335,16 +346,14 @@ _BUILTINS: dict[str, Callable[[], dict]] = {
             lambda k: 3.0 * _ratio3_base(k) * (1.0 + 1.0 / (1.0 + abs(float(k[0])))),
             dim=1)), label="periodic(3(1+k^2)^-2(1+1/(1+|k|)))"),
         limit_a=3.0,
-        notes="shared trigonometric eigenbasis with eigenvalue ratio tending to 3",
-        design_generator=DesignGenerator.equispaced(domain=Torus(1))),
+        notes="shared trigonometric eigenbasis with eigenvalue ratio tending to 3"),
     "sphere_legendre_vs_spde": lambda: dict(
         true_model=GaussianModel(zero_mean, SphereSeriesKernel(SphereLegendreParams(
             sigma1=1.0, nu1=1.0, kappa1=1.0)), label="sphere_legendre(1,1,1)"),
         wrong_model=GaussianModel(zero_mean, SphereSeriesKernel(SphereSpdeParams(
             tau=1.0, nu=1.0, kappa=1.0)), label="sphere_spde(1,1,1)"),
         limit_a=1.0 / (2.0 * math.pi),
-        notes="equal smoothness on the sphere; eigenvalue ratio tends to 1/(2 pi)",
-        design_generator=DesignGenerator.sphere_fibonacci()),
+        notes="equal smoothness on the sphere; eigenvalue ratio tends to 1/(2 pi)"),
     "mean_shift_constant": lambda: dict(
         true_model=_exp_model("matern(1,0.5,1)+mean0"),
         wrong_model=_exp_model("matern(1,0.5,1)+mean1", mean=constant_mean(1.0)),
@@ -368,7 +377,7 @@ def builtin_scenario(name: str, n_schedule=None) -> Scenario:
     if name not in _BUILTINS:
         raise DomainError(f"unknown scenario {name!r}; known: {', '.join(SCENARIO_NAMES)}")
     fields = _BUILTINS[name]()
-    gen = fields.pop("design_generator", None) or DesignGenerator.accumulating()
+    gen = default_design(common_domain(fields["true_model"], fields["wrong_model"]))
     return Scenario(name=name, design_generator=gen,
                     targets=default_targets(gen, DEFAULT_SCHEDULE[-1]),
                     n_schedule=DEFAULT_SCHEDULE if n_schedule is None else n_schedule,

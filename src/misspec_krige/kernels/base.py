@@ -82,7 +82,6 @@ class Box:
 
     lower: tuple[float, ...] = (0.0,)
     upper: tuple[float, ...] = (1.0,)
-    default_design = "accumulating"  # the design kind of an experiment that names none
 
     def __post_init__(self):
         if len(self.lower) != len(self.upper):
@@ -129,7 +128,6 @@ class Torus:
     """The unit torus [0, 1]^d; all distances are taken modulo 1 per coordinate."""
 
     dim: int = 1
-    default_design = "equispaced"
 
     def __post_init__(self):
         if self.dim < 1:
@@ -169,8 +167,6 @@ class Torus:
 @dataclass(frozen=True)
 class UnitSphere:
     """The unit sphere S^2 embedded in R^3."""
-
-    default_design = "sphere_fibonacci"
 
     @property
     def dim(self) -> int:

@@ -19,7 +19,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from ..errors import DomainError
-from .base import CovarianceKernel, EigenSequence, Torus, positive_integer
+from .base import CovarianceKernel, EigenSequence, Torus, is_whole_number, positive_integer
 
 #: default truncation (max-norm radius of retained lattice indices) per dimension
 DEFAULT_K_MAX = {1: 64, 2: 16}
@@ -102,7 +102,10 @@ class PeriodicSpectrum:
         dim = positive_integer(dim, "dim")
         table: dict[tuple[int, ...], float] = {}  # both signs of every listed index
         for key, val in coeffs.items():
-            k = (key,) if isinstance(key, int) else tuple(int(c) for c in key)
+            k = key if isinstance(key, tuple) else (key,)
+            if not all(map(is_whole_number, k)):
+                raise DomainError(f"lattice index {key!r} is not an integer or a tuple of them")
+            k = tuple(map(int, k))
             if len(k) != dim:
                 raise DomainError(f"index {k} does not match dim={dim}")
             pair = (k, tuple(-c for c in k))

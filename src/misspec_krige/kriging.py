@@ -35,8 +35,8 @@ MeanFunction = Callable[[np.ndarray], float]
 JITTER_START = 1e-12
 JITTER_MAX = 1e-6
 
-#: ``_dot`` sums intercepts and error means with compensated summation from
-#: this vector length upward
+#: ``_row_dots`` sums intercepts and error means with compensated summation
+#: from this vector length upward
 _COMPENSATED_FROM = 256
 
 _NEGATIVE_VARIANCE_TOL = 1e-10
@@ -211,22 +211,24 @@ class ErrorMoments:
     second_moment: float = field(init=False)
 
     def __post_init__(self):
-        variance, second_moment = _moment_rules(self.mean, self.variance)
+        variance, _, second_moment = _moment_rules(self.mean, self.variance)
         object.__setattr__(self, "variance", variance)
         object.__setattr__(self, "second_moment", second_moment)
 
 
-def _moment_rules(mean: float, variance: float) -> tuple[float, float]:
-    """An error's clamped variance and second moment.  The square is Python's
-    ``mean ** 2``, libm ``pow``; an array's ``** 2`` is ``x * x``, which rounds
-    some means one bit apart from it."""
+def _moment_rules(mean: float, variance: float) -> tuple[float, float, float]:
+    """An error's clamped variance, squared mean and second moment: the one
+    place a mean is squared.  The square is Python's ``mean ** 2``, libm
+    ``pow``; an array's ``** 2`` is ``x * x``, which rounds some means one bit
+    apart from it."""
     if variance < -_NEGATIVE_VARIANCE_TOL:
         raise NegativeVarianceError(f"error variance {variance:.3e} is negative beyond tolerance")
     variance = max(variance, 0.0)
     try:
-        return variance, variance + mean ** 2
+        square = mean ** 2
     except OverflowError:
         raise NumericalFailureError(f"error mean {mean:.3e} overflows when squared") from None
+    return variance, square, variance + square
 
 
 # ---------------------------------------------------------------------------
@@ -354,19 +356,13 @@ def kriging_predictor(target: TargetFunctional, design: Design,
     return LinearPredictor(design, system.weights[0], float(system.means(model)[2][0]))
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    # compensated accumulation once vectors are long enough for cancellation
-    # to matter in the vanishing-variance regime
-    if a.shape[0] >= _COMPENSATED_FROM:
-        return math.fsum((a * b).tolist())
-    return float(a @ b)
-
-
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``_dot(row, b)`` of every row of the 2-d ``a``, one batched call: a BLAS
-    dot per row, as in ``_dot`` (an ``a @ b`` gemv rounds otherwise)."""
+    """The dot of every row of the 2-d ``a`` with ``b``: one BLAS dot per row in
+    one batched call (an ``a @ b`` gemv rounds otherwise), or, once rows are
+    long enough for cancellation to matter in the vanishing-variance regime,
+    ``math.fsum`` of each row's products."""
     if a.shape[1] >= _COMPENSATED_FROM:
-        return np.array([_dot(row, b) for row in a])
+        return np.array([math.fsum((row * b).tolist()) for row in a])
     return (a[:, None, :] @ b[:, None])[:, 0, 0]
 
 
@@ -403,19 +399,20 @@ def _moments_from_pieces(pred: LinearPredictor, target: TargetFunctional,
                          sigma: np.ndarray, cross: np.ndarray, tblock: np.ndarray,
                          m_design: np.ndarray, m_target: np.ndarray) -> ErrorMoments:
     weights, coeffs = np.array([[pred.weights]]), [target.coeffs]
-    means, variances, _ = _moments(weights, np.array([[pred.intercept]]),
-                                   _tilts(weights[0], coeffs)[None], sigma, [cross], [tblock],
-                                   coeffs, m_design, _target_values([target], m_target))
+    means, variances, *_ = _moments(weights, np.array([[pred.intercept]]),
+                                    _tilts(weights[0], coeffs)[None], sigma, [cross], [tblock],
+                                    coeffs, m_design, _target_values([target], m_target))
     return ErrorMoments(means.item(), variances.item())
 
 
 def _moments(weights: np.ndarray, intercepts: np.ndarray, tilts: np.ndarray,
              sigma: np.ndarray, cross, tblocks, coeffs, m_design: np.ndarray,
              values: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The (S, T) error means, clamped variances and second moments, checked in
-    (set, target) order, of the predictors with (S, T, n) ``weights``, (S, T)
-    ``intercepts`` and ``tilts``, under the measure with design block ``sigma``,
-    per-target cross blocks and blocks, a_0 + b . m(t) ``values`` and ``m_design``."""
+    """The (S, T) error means, clamped variances, squared means and second
+    moments, checked in (set, target) order, of the predictors with (S, T, n)
+    ``weights``, (S, T) ``intercepts`` and ``tilts``, under the measure with
+    design block ``sigma``, per-target cross blocks and blocks, a_0 + b . m(t)
+    ``values`` and ``m_design``."""
     # The variance is v' K v with v = (w, -beta) over design + own target
     # sites.  Its summands are O(1) but cancel down to the kriging variance,
     # which clustered designs push to ~1e-9; assembling naively loses the
@@ -458,4 +455,4 @@ def _moments(weights: np.ndarray, intercepts: np.ndarray, tilts: np.ndarray,
     variances = (quad + anchor * tilts ** 2).astype(float)
     checked = np.array([list(map(_moment_rules, *row))
                         for row in zip(means.tolist(), variances.tolist())])
-    return means, checked[..., 0], checked[..., 1]
+    return (means, *checked.transpose(2, 0, 1))

@@ -44,6 +44,7 @@ _RATIO_PAIRS = ((("wrong", "true"), ("true", "true")),
 
 RATIO_NAMES = tuple(f"r_{kind}_{i}" for kind in ("var", "mom")
                     for i in range(1, len(_RATIO_PAIRS) + 1))
+RECORD_COLUMNS = RATIO_NAMES + ("mean_term",)  # a record's value columns
 
 SUP_TARGET_ID = "SUP"
 
@@ -78,7 +79,7 @@ class RatioRecord:
     true_variance: float = float("nan")
 
     def __post_init__(self):
-        values = [getattr(self, name) for name in RATIO_NAMES] + [self.mean_term]
+        values = [getattr(self, name) for name in RECORD_COLUMNS]
         if not all(np.isfinite(values)):
             raise NumericalFailureError(
                 f"non-finite ratio for n={self.n}, target={self.target_id}")
@@ -91,7 +92,7 @@ class RatioRecord:
                     f"(n={self.n}, target={self.target_id})")
 
     def value(self, name: str) -> float:
-        if name not in RATIO_NAMES + ("mean_term",):
+        if name not in RECORD_COLUMNS:
             raise KeyError(name)
         return getattr(self, name)
 
@@ -167,7 +168,7 @@ def _level_ratios(design: Design, targets: Sequence[TargetFunctional],
         weights = np.stack([true_system.weights, wrong_system.weights])
         tilts = np.stack([true_system.tilts, wrong_system.tilts])
         intercepts = np.stack([means["true"][2], means["wrong"][2]])
-        # each (predictor, measure) pair's error means, variances, second moments
+        # each (predictor, measure) pair's error means, variances, squares, second moments
         blocks = {measure: system.moment_block(weights, intercepts, tilts, means[measure])
                   for measure, system in (("true", true_system), ("wrong", wrong_system))}
         mom = {(pred, measure): [a[row] for a in blocks[measure]]
@@ -176,14 +177,13 @@ def _level_ratios(design: Design, targets: Sequence[TargetFunctional],
         # excluded by the first one that is numerically unresolvable
         below = np.array([mom[key][1] < variance_floor for key in _MEASURE_NAMES])
         kept = ~below.any(axis=0)
-        # an excluded target's ratios are dropped, and a non-finite one fails
-        # its record; the squares are Python's, as in ``_moment_rules``
+        # an excluded target's ratios are dropped; a non-finite one fails its record
         with np.errstate(all="ignore"):
-            columns = {"true_variance": mom["true", "true"][1], "mean_term": np.array(
-                [m ** 2 for m in mom["true", "wrong"][0].tolist()]) / mom["true", "true"][2]}
+            columns = {"true_variance": mom["true", "true"][1],
+                       "mean_term": mom["true", "wrong"][2] / mom["true", "true"][3]}
             for i, (num, den) in enumerate(_RATIO_PAIRS, 1):
                 columns[f"r_var_{i}"] = mom[num][1] / mom[den][1]
-                columns[f"r_mom_{i}"] = mom[num][2] / mom[den][2]
+                columns[f"r_mom_{i}"] = mom[num][3] / mom[den][3]
         rows = [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
         for idx, target in enumerate(targets):
             target_id = target.label or f"t{idx:02d}"
@@ -203,7 +203,7 @@ def _level_ratios(design: Design, targets: Sequence[TargetFunctional],
     if not records:
         raise NumericalFailureError("every target was excluded by the variance floor")
     # SUP: ratio by ratio, the kept target farthest from its limit, if any
-    sup = {name: columns[name][kept] for name in RATIO_NAMES + ("mean_term",)}
+    sup = {name: columns[name][kept] for name in RECORD_COLUMNS}
     for name, values in sup.items():
         key = np.abs(values - limits[name]) if name in limits else values
         sup[name] = float(values[int(np.argmax(key))])
@@ -234,12 +234,12 @@ def mean_term(design: Design, target: TargetFunctional, true_model: GaussianMode
     if true_model.kernel != shifted_mean_model.kernel:
         raise DomainError("mean_term requires the two models to share one kernel")
     system = LevelSystem(design, [target], true_model.kernel)
-    bias, variance, _ = (block.item() for block in system.moment_block(
+    _, variance, square, _ = (block.item() for block in system.moment_block(
         system.weights[None], system.means(true_model)[2][None], system.tilts[None],
         system.means(shifted_mean_model)))
     if variance < VARIANCE_FLOOR:
         raise NumericalFailureError("target kriging variance below the floor")
-    return bias ** 2 / variance
+    return square / variance
 
 
 @dataclass(frozen=True, eq=False)

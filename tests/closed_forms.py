@@ -4,14 +4,16 @@ None of these is on a path the CLI runs; they are kept here, next to the
 tests that compare the library's numbers with them.
 """
 
+import math
+
 import numpy as np
 from scipy.special import kv
 
 from misspec_krige.diagnostics import LimitKind, RatioVerdict
 from misspec_krige.errors import DomainError
 from misspec_krige.kernels import MaternParams, SphereLegendreParams, SphereSpdeParams
-from misspec_krige.kriging import (Design, ErrorMoments, GaussianModel, LevelSystem,
-                                   LinearPredictor, TargetFunctional)
+from misspec_krige.kriging import (_COMPENSATED_FROM, Design, ErrorMoments, GaussianModel,
+                                   LevelSystem, LinearPredictor, TargetFunctional)
 
 
 def bessel_k(nu: float, x):
@@ -85,10 +87,19 @@ def own_moments(system, build, measure):
     """The moments under ``measure`` of the one target's predictor under
     ``build``, ``system`` being their shared kernel's one-target system, as the
     one-target ``ErrorMoments``."""
-    means, variances, _ = system.moment_block(system.weights[None],
-                                              system.means(build)[2][None],
-                                              system.tilts[None], system.means(measure))
+    means, variances, *_ = system.moment_block(system.weights[None],
+                                               system.means(build)[2][None],
+                                               system.tilts[None], system.means(measure))
     return ErrorMoments(mean=means.item(), variance=variances.item())
+
+
+def one_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """The dot of two vectors by the library's rule for means and intercepts:
+    a BLAS dot, or ``math.fsum`` of the products from ``_COMPENSATED_FROM``
+    entries on."""
+    if a.shape[0] >= _COMPENSATED_FROM:
+        return math.fsum((a * b).tolist())
+    return float(a @ b)
 
 
 def mean_shift_identity_check(target: TargetFunctional, design: Design,

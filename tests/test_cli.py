@@ -14,7 +14,8 @@ import pytest
 from misspec_krige import cli
 from misspec_krige.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, CSV_HEADER, main
 from misspec_krige.diagnostics import QUAD_NODES, assumption_report
-from misspec_krige.harness import builtin_scenario
+from misspec_krige.harness import SCENARIO_NAMES, DesignGenerator, builtin_scenario
+from misspec_krige.kernels import Box, Torus, UnitSphere
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -301,6 +302,32 @@ class TestRun:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out" / "ratios.csv").exists()
 
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_builtin_design_is_the_inline_default_of_its_domain(self, name):
+        # one default design kind per domain type, for built-ins and inline
+        # experiments alike
+        scenario = builtin_scenario(name)
+        domain = scenario.true_model.kernel.domain
+        spec = {Box: {"family": "matern", "nu": 0.5}, Torus: {"family": "periodic"},
+                UnitSphere: {"family": "sphere_legendre", "nu1": 1.0}}[type(domain)]
+        inline = cli._scenario_from_config({"experiment": {"true_model": spec,
+                                                           "wrong_model": spec}})
+        assert inline.true_model.kernel.domain == domain
+        assert inline.design_generator == scenario.design_generator
+
+    @pytest.mark.parametrize("design, want", [
+        ({"kind": "accumulating", "x_star": 0.5, "q": 0.8},
+         DesignGenerator.accumulating(0.5, 0.8)),
+        ({"kind": "accumulating", "q": 0.8}, DesignGenerator.accumulating(q=0.8)),
+        ({"kind": "accumulating"}, DesignGenerator.accumulating()),
+        ({"kind": "halton"}, DesignGenerator.halton()),
+        ({"kind": "equispaced"}, DesignGenerator.equispaced()),
+    ], ids=["accumulating-both", "accumulating-q", "accumulating-defaults", "halton",
+            "equispaced"])
+    def test_design_spec_calls_its_kinds_classmethod(self, design, want):
+        inline = cli._scenario_from_config({"experiment": {**MATERN_PAIR, "design": design}})
+        assert inline.design_generator == want
+
     @pytest.mark.parametrize("true_model, wrong_model, message", [
         ({"family": "periodic"}, {"family": "periodic", "dim": 2, "k_max": 4},
          "the two models must live on the same domain, got Torus(dim=1) and Torus(dim=2)"),
@@ -474,7 +501,7 @@ MODEL_SPEC_CASES = [
      "bad model spec for true: unknown sphere_spde model keys: ['nu1']"),
     ({"family": "maten", "nu": 0.5}, "bad model spec for true: unknown model family 'maten'"),
     ({"family": "periodic", "coeffs": [1, 2]},
-     "bad model spec for true: 'list' object has no attribute 'items'"),
+     "bad model spec for true: coeffs must map integer lattice indices to masses, got [1, 2]"),
     ({"family": "periodic", "coeffs": {"0": 1.0, "1": 0.5}, "dim": 2},
      "bad model spec for true: coeffs fix a 1-d spectrum, so ['dim'] must not be given"),
     ({"family": "periodic", "coeffs": {"0": 1.0}, "power": 3, "scale": 2},
@@ -528,6 +555,22 @@ MODEL_SPEC_CASES = [
      "bad model spec for true: a constant mean needs 'value'"),
     ({"family": "matern", "nu": 0.5, "mean": {"kind": "kink"}},
      "bad model spec for true: a kink mean needs 'alpha'"),
+    ({"family": "matern"}, "bad model spec for true: a matern model needs 'nu'"),
+    ({"family": "sphere_legendre", "sigma1": 2.0},
+     "bad model spec for true: a sphere_legendre model needs 'nu1'"),
+    ({"family": "sphere_spde"}, "bad model spec for true: a sphere_spde model needs 'nu'"),
+    ({"family": "sphere_greatcircle_matern"},
+     "bad model spec for true: a sphere_greatcircle_matern model needs 'nu'"),
+    ({"family": "matern", "nu": 0.5, "label": 3},
+     "bad model spec for true: label must be a string, got 3"),
+    ({"family": "periodic", "label": None},
+     "bad model spec for true: label must be a string, got None"),
+    ({"family": "periodic", "coeffs": {"0": 1.0, "a": 0.5}},
+     "bad model spec for true: coeffs must map integer lattice indices to masses, "
+     "got {'0': 1.0, 'a': 0.5}"),
+    ({"family": "periodic", "coeffs": {"1.5": 0.5}},
+     "bad model spec for true: coeffs must map integer lattice indices to masses, "
+     "got {'1.5': 0.5}"),
 ]
 MODEL_SPEC_IDS = ["sigma-inf", "nu-nan", "tau-inf", "kappa1-minus-inf", "matern-typo",
                   "spde-legendre-key", "unknown-family", "coeffs-list", "coeffs-with-dim",
@@ -538,7 +581,9 @@ MODEL_SPEC_IDS = ["sigma-inf", "nu-nan", "tau-inf", "kappa1-minus-inf", "matern-
                   "periodic-power-bool", "coeffs-mass-bool", "matern-nu-string",
                   "mean-value-string", "matern-nu-huge-int", "mean-value-huge-int",
                   "mean-number", "mean-without-kind", "constant-mean-without-value",
-                  "kink-mean-without-alpha"]
+                  "kink-mean-without-alpha", "matern-without-nu", "legendre-without-nu1",
+                  "spde-without-nu", "greatcircle-without-nu", "label-number", "label-null",
+                  "coeffs-key-not-a-number", "coeffs-key-fraction"]
 
 
 class TestRejectedBeforeAnyWork:

@@ -140,6 +140,11 @@ class TestGenerators:
         kind = str(info.value).split()[0]
         assert str(info.value).startswith(f"{kind} design sites are not points of {domain!r}: ")
 
+    def test_sphere_fibonacci_takes_a_domain_and_keeps_the_sphere(self):
+        for domain in (None, Box(), Torus(2), UnitSphere()):
+            assert DesignGenerator.sphere_fibonacci(domain=domain) \
+                == DesignGenerator(kind="sphere_fibonacci", domain=UnitSphere())
+
     def test_unknown_kind_rejected_when_built(self):
         with pytest.raises(DomainError, match="unknown design generator kind 'spiral'"):
             DesignGenerator(kind="spiral")

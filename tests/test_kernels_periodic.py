@@ -122,14 +122,25 @@ class TestPeriodicCov:
         assert PeriodicSpectrum.from_coeffs({0: -0.0, 1: 0.5}).eigen_sequence().values.tolist() \
             == [0.5, 0.5]
 
-    @pytest.mark.parametrize("coeffs, message", [
-        ({(0, 1): 1.0}, "index (0, 1) does not match dim=1"),
-        ({1: 0.5, -1: 0.25}, "conflicting masses for the index pair +-(1,)"),
-    ], ids=["index-dim", "conflicting-pair"])
-    def test_bad_coeffs_rejected(self, coeffs, message):
+    @pytest.mark.parametrize("coeffs, dim, message", [
+        ({(0, 1): 1.0}, 1, "index (0, 1) does not match dim=1"),
+        ({1: 0.5, -1: 0.25}, 1, "conflicting masses for the index pair +-(1,)"),
+        ({(1.5,): 0.5}, 1, "lattice index (1.5,) is not an integer or a tuple of them"),
+        ({(True, 2.9): 0.5}, 2,
+         "lattice index (True, 2.9) is not an integer or a tuple of them"),
+        ({"1": 0.5}, 1, "lattice index '1' is not an integer or a tuple of them"),
+    ], ids=["index-dim", "conflicting-pair", "fraction", "bool-and-fraction", "string"])
+    def test_bad_coeffs_rejected(self, coeffs, dim, message):
         with pytest.raises(DomainError) as exc:
-            PeriodicSpectrum.from_coeffs(coeffs)
+            PeriodicSpectrum.from_coeffs(coeffs, dim=dim)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("key", [np.int64(1), 1.0, (1,), (np.int32(-1),), (1.0,)],
+                             ids=["numpy-int", "whole-float", "tuple", "numpy-tuple",
+                                  "whole-float-tuple"])
+    def test_whole_number_lattice_indices_accepted(self, key):
+        assert PeriodicSpectrum.from_coeffs({0: 1.0, key: 0.5}) \
+            == PeriodicSpectrum.from_coeffs({0: 1.0, 1: 0.5})
 
 
 class TestEigenSequence:

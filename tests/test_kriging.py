@@ -27,13 +27,12 @@ from misspec_krige.kriging import (
     kriging_predictor,
     linear_mean,
     _COMPENSATED_FROM,
-    _dot,
     _row_dots,
     _tilts,
     zero_mean,
 )
 
-from closed_forms import mean_shift_identity_check
+from closed_forms import mean_shift_identity_check, one_dot
 
 
 def exp_model(sigma=1.0, kappa=1.0, mean=zero_mean, label="exp"):
@@ -418,7 +417,7 @@ class TestLevelSystem:
         weights, intercepts = system.weights, system.means(build)[2]
         reversed_tilts = _tilts(weights[::-1], [t.coeffs for t in targets])
         measure_system = LevelSystem(design, targets, measure.kernel)
-        means, variances, seconds = measure_system.moment_block(
+        means, variances, _, seconds = measure_system.moment_block(
             np.stack([weights, weights[::-1]]), np.stack([intercepts, intercepts[::-1]]),
             np.stack([system.tilts, reversed_tilts]), measure_system.means(measure))
         for t, target in enumerate(targets):
@@ -490,7 +489,8 @@ class TestLevelSystem:
         intercepts = np.stack([m[2] for m in means])
         tilts = np.stack([system.tilts for system in systems])
         for system, model, m in zip(systems, models, means):
-            block_means, block_variances, _ = system.moment_block(weights, intercepts, tilts, m)
+            block_means, block_variances, *_ = system.moment_block(
+                weights, intercepts, tilts, m)
             for s, pred_model in enumerate(models):
                 for t, target in enumerate(targets):
                     single = kriging_predictor(target, design, pred_model)
@@ -536,7 +536,7 @@ def test_row_dots_equal_one_dot_per_row(n):
     rows, b = rng.standard_normal((9, n)) * 10.0 ** rng.integers(-3, 4, (9, 1)), \
         rng.standard_normal(n)
     assert (n >= _COMPENSATED_FROM) == (n >= 256)
-    assert _row_dots(rows, b).tolist() == [_dot(row, b) for row in rows]
+    assert _row_dots(rows, b).tolist() == [one_dot(row, b) for row in rows]
 
 
 def dense_moment_block(weights, intercepts, targets, sigma, cross, tblocks, m_design,
@@ -560,7 +560,7 @@ def dense_moment_block(weights, intercepts, targets, sigma, cross, tblocks, m_de
         v_row[:n], v_row[bounds[t]:bounds[t + 1]] = v[:n], v[n:]
     moments = []
     for v, u, (w, c, t) in zip(vs, v_block @ kmat, rows):
-        mean = (c + _dot(w, m_design)
+        mean = (c + one_dot(w, m_design)
                 - (targets[t].intercept_coeff + float(targets[t].coeffs @ m_targets[t])))
         variance = (np.concatenate([u[:n], u[bounds[t]:bounds[t + 1]]])
                     @ v.astype(np.longdouble)
@@ -584,10 +584,13 @@ class TestMomentBlockMatchesDenseAssembly:
                                   system.tblocks, measure.mean_at(design.sites),
                                   [measure.mean_at(t.sites) for t in targets])
         assert len(want) == len(builds)
-        for got_values, name in zip(got, ("mean", "variance", "second_moment")):
+        means, variances, squares, seconds = got
+        for got_values, name in zip((means, variances, seconds),
+                                    ("mean", "variance", "second_moment")):
             assert got_values.shape == (len(builds), len(targets))
             assert got_values.tolist() == [[getattr(w, name) for w in row] for row in want]
-        return got[1].ravel().tolist()
+        assert squares.tolist() == [[w.mean ** 2 for w in row] for row in want]
+        return variances.ravel().tolist()
 
     def test_point_targets_both_predictor_sets(self):
         design = Design((np.arange(1, 30) / 30.0)[:, None])

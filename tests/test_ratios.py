@@ -16,7 +16,6 @@ from misspec_krige.kriging import (
     GaussianModel,
     LevelSystem,
     TargetFunctional,
-    _dot,
     build_gram,
     constant_mean,
     error_moments,
@@ -36,7 +35,7 @@ from misspec_krige.ratios import (
     ratio_convergence,
 )
 
-from closed_forms import n_values, own_moments
+from closed_forms import n_values, one_dot, own_moments
 
 
 def exp_model(sigma=1.0, kappa=1.0, mean=zero_mean, label="exp"):
@@ -416,7 +415,7 @@ def stored_mean_term(design, target, true_model, shifted_mean_model):
     system = LevelSystem(design, [target], true_model.kernel)
     delta = true_model.mean_at(design.sites) - shifted_mean_model.mean_at(design.sites)
     delta_t = true_model.mean_at(target.sites) - shifted_mean_model.mean_at(target.sites)
-    numerator = (float(target.coeffs @ delta_t) - _dot(system.weights[0], delta)) ** 2
+    numerator = (float(target.coeffs @ delta_t) - one_dot(system.weights[0], delta)) ** 2
     return numerator / own_moments(system, true_model, true_model).variance
 
 
@@ -496,6 +495,29 @@ class TestMeanTermFromMomentBlock:
             compared += 1
         assert compared >= 12
         assert blocks == shifted_means
+
+
+def test_one_squaring_site_for_the_error_means():
+    # the level's squares are ``_moment_rules``' Python squares of its error
+    # means, and the record's mean term and ``mean_term`` divide those squares
+    from misspec_krige.harness import builtin_scenario, generate_design
+    s = builtin_scenario("mean_shift_constant")
+    design, targets = generate_design(s.design_generator, 16), list(s.targets)
+    system = LevelSystem(design, targets, s.true_model.kernel)  # the kernel is shared
+    intercepts = np.stack([system.means(s.true_model)[2], system.means(s.wrong_model)[2]])
+    weights, tilts = np.stack([system.weights] * 2), np.stack([system.tilts] * 2)
+    means, variances, squares, _ = system.moment_block(weights, intercepts, tilts,
+                                                       system.means(s.wrong_model))
+    seconds = system.moment_block(weights, intercepts, tilts, system.means(s.true_model))[3]
+    assert squares.tolist() == [[m ** 2 for m in row] for row in means.tolist()]
+    assert np.any(squares[0] > 0.0)
+    records = efficiency_ratios(design, targets, s.true_model, s.wrong_model,
+                                limit_a=s.limit_a)
+    assert [rec.target_id for rec in records[:-1]] == [t.label for t in targets]
+    for t, (target, rec) in enumerate(zip(targets, records)):
+        assert rec.mean_term == squares[0, t] / seconds[0, t]
+        assert mean_term(design, target, s.true_model, s.wrong_model) \
+            == squares[0, t] / variances[0, t]
 
 
 class TestRatioConvergence:
