@@ -92,6 +92,31 @@ def _bounded(value, name: str, ok=math.isfinite, limit: str = "a finite number")
     return number
 
 
+def _point(value, name: str, dim: int) -> list[float]:
+    """``value`` of config field ``name`` as a point of dimension ``dim``: a
+    list of ``dim`` finite numbers, or on a 1-d domain a number too."""
+    if dim == 1 and not isinstance(value, list):
+        value = [value]
+    if not isinstance(value, list) or len(value) != dim:
+        raise ConfigError(f"{name} must be a list of {dim} finite numbers, got {value!r}")
+    return [_bounded(v, f"{name}[{i}]") for i, v in enumerate(value)]
+
+
+def _string(value, name: str, limit: str = "a string", banned: str = "") -> str:
+    """``value`` of config field ``name``: a string with none of the characters
+    of ``banned``; ``limit`` words that for the error message."""
+    if not isinstance(value, str) or not set(banned).isdisjoint(value):
+        raise ConfigError(f"{name} must be {limit}, got {value!r}")
+    return value
+
+
+def _output_location(config: dict, key: str, flag, default: str) -> str:
+    """The output path of config key ``key`` or else of ``--output``, not both."""
+    if key in config and flag is not None:
+        raise ConfigError(f'"{key}" and --output are both given; give one')
+    return _string(config.get(key, flag or default), key, "a path string")
+
+
 # ---------------------------------------------------------------------------
 # config parsing
 # ---------------------------------------------------------------------------
@@ -159,13 +184,7 @@ def _mean_from_spec(spec, dim: int) -> tuple:
         return _bounded(spec.get(key, default), f"mean.{key}", **bounds)
 
     def point(key, default):
-        value = spec.get(key, [default] * dim)
-        if dim == 1 and not isinstance(value, list):
-            value = [value]
-        if not isinstance(value, list) or len(value) != dim:
-            raise ConfigError(f"mean.{key} must be a list of {dim} finite numbers, "
-                              f"got {value!r}")
-        return [_bounded(v, f"mean.{key}[{i}]") for i, v in enumerate(value)]
+        return _point(spec.get(key, [default] * dim), f"mean.{key}", dim)
 
     if kind == "zero":
         return zero_mean, "0"
@@ -234,9 +253,7 @@ def _model_from_spec(spec, label: str) -> GaussianModel:
                       if family == "sphere_chordal_matern"
                       else GreatCircleMaternKernel(params))
         mean, mean_label = _mean_from_spec(spec.get("mean"), kernel.domain.dim)
-        model_label = spec.get("label", f"{family}[{label}]+{mean_label}")
-        if not isinstance(model_label, str):
-            raise ConfigError(f"label must be a string, got {model_label!r}")
+        model_label = _string(spec.get("label", f"{family}[{label}]+{mean_label}"), "label")
     except (AttributeError, KeyError, TypeError, ValueError, MisspecKrigeError) as exc:
         raise ConfigError(f"bad model spec for {label}: {exc}")
     return GaussianModel(mean=mean, kernel=kernel, label=model_label)
@@ -267,6 +284,8 @@ def _scenario_from_config(config: dict) -> Scenario:
         raise ConfigError('"experiment" must be an object')
     _check_keys(inline, {"name", "true_model", "wrong_model", "design", "targets",
                          "schedule", "limit_a"}, "experiment")
+    if "schedule" in config and "schedule" in inline:
+        raise ConfigError('"schedule" and "experiment.schedule" are both given; give one')
     true_model, wrong_model = _model_pair(inline.get("true_model"), inline.get("wrong_model"))
     domain = true_model.kernel.domain
     generator = _generator_from_spec(inline.get("design"), domain)
@@ -287,8 +306,10 @@ def _scenario_from_config(config: dict) -> Scenario:
                            "a finite number > 0")
         _bounded(limit_a, "limit_a", lambda x: 1.0 / x < math.inf,
                  "large enough that its reciprocal, the limit 1/a, is finite")
-    scenario = Scenario(name=inline.get("name", "inline"), true_model=true_model,
-                        wrong_model=wrong_model, design_generator=generator,
+    # the name is the first field of every ratios.csv row, which is not quoted
+    scenario = Scenario(name=_string(inline.get("name", "inline"), "name", banned=',"\r\n',
+                                     limit="a string without a comma, double quote, CR or LF"),
+                        true_model=true_model, wrong_model=wrong_model, design_generator=generator,
                         targets=tuple(targets), n_schedule=sched, limit_a=limit_a)
     if targets_spec is not None:
         _reject_design_sites(scenario)
@@ -315,13 +336,7 @@ def _target_point(spec, name: str, domain) -> np.ndarray:
     """The inline target ``spec`` as a point of ``domain``; ``name`` labels it
     in the error message."""
     try:
-        point = np.asarray(spec, dtype=float).reshape(1, -1)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad inline targets: {exc}")
-    if point.size != domain.dim:
-        raise ConfigError(f"{name} has dimension {point.size}; the domain needs {domain.dim}")
-    try:
-        return domain.points(point)[0]
+        return domain.points([_point(spec, name, domain.dim)])[0]
     except DomainError:
         raise ConfigError(f"{name} = {spec!r} {domain.off_domain}") from None
 
@@ -335,9 +350,7 @@ def _model_pair(true_spec, wrong_spec) -> tuple[GaussianModel, GaussianModel]:
 
 
 def _builtin_from(name, schedule=None) -> Scenario:
-    if not isinstance(name, str):
-        raise ConfigError('"scenario" must be a string')
-    return builtin_scenario(name, n_schedule=schedule)
+    return builtin_scenario(_string(name, '"scenario"'), n_schedule=schedule)
 
 
 # ---------------------------------------------------------------------------
@@ -401,19 +414,13 @@ def _tolerances_from(config: dict) -> dict:
             for k, v in spec.items()}
 
 
-def _output_path(value, name: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{name} must be a path string, got {value!r}")
-    return value
-
-
 def cmd_run(args):
     config = _load_config(args.config,
                           {"scenario", "experiment", "schedule", "output_dir",
                            "tolerances"})
     scenario = _scenario_from_config(config)
     tolerances = _tolerances_from(config)
-    out_dir = _output_path(config.get("output_dir", args.output or "."), "output_dir")
+    out_dir = _output_location(config, "output_dir", args.output, ".")
 
     def write(table: RatioTable, **outcome) -> None:
         _atomic_write(os.path.join(out_dir, "ratios.csv"), table_to_csv(table, scenario.name))
@@ -468,7 +475,7 @@ def cmd_eigen(args):
         nodes, weights = model.kernel.domain.quadrature(int(n_nodes), exact="nodes" in grid_spec)
     except DomainError as exc:
         raise ConfigError(f"grid.nodes: {exc}")
-    out_path = _output_path(config.get("output", args.output or "eigenvalues.csv"), "output")
+    out_path = _output_location(config, "output", args.output, "eigenvalues.csv")
 
     def work() -> None:
         eig = nystrom_eigen(model.kernel, nodes, weights, rank_cutoff=rank_cutoff)

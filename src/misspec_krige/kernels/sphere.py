@@ -25,7 +25,7 @@ coefficients, truncated at degree ``l_max``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -36,11 +36,16 @@ DEFAULT_L_MAX = 256
 
 
 class SphereSeriesParams:
-    """What the two sphere parameter sets share: the P_l coefficients and the
-    eigenvalue sequence through degree ``l_max``.  Each subclass supplies
-    ``coefficient`` and ``eigenvalue``."""
+    """What the two sphere parameter dataclasses share: the check of their
+    three reals and ``l_max``, and the P_l coefficients and eigenvalues through
+    degree ``l_max``.  Each supplies ``coefficient`` and ``eigenvalue``."""
 
     l_max: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "l_max", positive_integer(self.l_max, "l_max"))
+        positive_finite(**{f.name: getattr(self, f.name)
+                           for f in fields(self) if f.name != "l_max"})
 
     def coefficients(self) -> np.ndarray:
         return self.coefficient(np.arange(self.l_max + 1))
@@ -59,10 +64,6 @@ class SphereLegendreParams(SphereSeriesParams):
     nu1: float
     kappa1: float
     l_max: int = DEFAULT_L_MAX
-
-    def __post_init__(self):
-        object.__setattr__(self, "l_max", positive_integer(self.l_max, "l_max"))
-        positive_finite(sigma1=self.sigma1, nu1=self.nu1, kappa1=self.kappa1)
 
     def coefficient(self, ell) -> np.ndarray:
         """P_ell multiplier sigma_1^2 / (kappa_1^2 + ell^2)^(nu_1 + 1/2)."""
@@ -83,10 +84,6 @@ class SphereSpdeParams(SphereSeriesParams):
     nu: float
     kappa: float
     l_max: int = DEFAULT_L_MAX
-
-    def __post_init__(self):
-        object.__setattr__(self, "l_max", positive_integer(self.l_max, "l_max"))
-        positive_finite(tau=self.tau, nu=self.nu, kappa=self.kappa)
 
     def eigenvalue(self, ell) -> np.ndarray:
         """Eigenvalue tau^-2 / (kappa^2 + ell (ell + 1))^(nu + 1) per harmonic."""

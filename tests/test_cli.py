@@ -47,6 +47,8 @@ SPHERE_PAIR = {"true_model": {"family": "sphere_legendre", "nu1": 1.0},
 BIG_MEAN_PAIR = {"true_model": {"family": "matern", "nu": 0.5},
                  "wrong_model": {"family": "matern", "nu": 0.5,
                                  "mean": {"kind": "constant", "value": 1e300}}}
+# the name is the unquoted first field of every ratios.csv row
+NAME_LIMIT = "a string without a comma, double quote, CR or LF"
 TORUS2_PAIR = {"true_model": {"family": "periodic", "dim": 2, "k_max": 4},
                "wrong_model": {"family": "periodic", "dim": 2, "k_max": 4, "scale": 2.0}}
 
@@ -174,12 +176,18 @@ class TestRun:
         ("limit_a", 1e-320, "limit_a must be large enough that its reciprocal, the limit "
                             "1/a, is finite, got 1e-320"),
         ("targets", [], '"targets" must be a nonempty list of points'),
-        ("targets", [[0.3, 0.4]], "targets[0] has dimension 2; the domain needs 1"),
+        ("targets", [[0.3, 0.4]], "targets[0] must be a list of 1 finite numbers, got [0.3, 0.4]"),
         ("targets", [[0.5], [1.7]], "targets[1] = [1.7] lies outside the box [0, 1]"),
         ("targets", [-0.1], "targets[0] = -0.1 lies outside the box [0, 1]"),
-        ("targets", [["a"]], "bad inline targets: could not convert string to float: 'a'"),
+        ("targets", [["a"]], "targets[0][0] must be a finite number, got 'a'"),
+        ("targets", [True], "targets[0][0] must be a finite number, got True"),
+        ("targets", [[0.5], ["0.41"]], "targets[1][0] must be a finite number, got '0.41'"),
+        *[("name", name, f"name must be {NAME_LIMIT}, got {name!r}")
+          for name in (5, None, ["l"], "a,b", "x\ny", 'a"b', "a\rb")],
     ], ids=["limit-zero", "limit-negative", "limit-string", "limit-reciprocal", "targets-empty",
-            "targets-wrong-dim", "targets-above-box", "targets-below-box", "targets-string"])
+            "targets-wrong-dim", "targets-above-box", "targets-below-box", "targets-string",
+            "targets-bool", "targets-numeric-string", "name-number", "name-null", "name-list",
+            "name-comma", "name-newline", "name-quote", "name-cr"])
     def test_bad_inline_field_exit_2_before_any_work(self, tmp_path, capsys, no_work,
                                                       field, value, message):
         cfg = write_config(tmp_path, {"schema": 1, "experiment": {
@@ -222,7 +230,7 @@ class TestRun:
          [0.0, 0.0, 1.1], "targets[0] = [0.0, 0.0, 1.1] is not a unit vector "
                           "(norm must be within 1e-10 of 1)"),
         ({"family": "sphere_legendre", "nu1": 1.0}, {"family": "sphere_spde", "nu": 1.0},
-         [0.6, 0.8], "targets[0] has dimension 2; the domain needs 3"),
+         [0.6, 0.8], "targets[0] must be a list of 3 finite numbers, got [0.6, 0.8]"),
     ], ids=["torus", "sphere-not-unit", "sphere-wrong-dim"])
     def test_inline_target_off_domain_exit_2_before_any_work(
             self, tmp_path, capsys, no_work, true_model, wrong_model, target, message):
@@ -483,6 +491,28 @@ class TestRun:
                                       "schedule": [8], "output_dir": 5})
         assert main(["run", cfg]) == EXIT_CONFIG
         assert "output_dir must be a path string, got 5" in capsys.readouterr().err
+
+    def test_schedule_in_two_places_exit_2_before_any_work(self, tmp_path, capsys, no_work):
+        cfg = write_config(tmp_path, {"schema": 1, "schedule": [8, 16], "experiment": {
+            **MATERN_PAIR, "schedule": [8]}})
+        assert main(["run", cfg, "--output", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert ('"schedule" and "experiment.schedule" are both given; give one'
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out" / "ratios.csv").exists()
+
+    @pytest.mark.parametrize("command, key, config", [
+        ("run", "output_dir", {"experiment": {**MATERN_PAIR, "schedule": [8]}}),
+        ("run", "output_dir", {"scenario": "identical", "schedule": [8]}),
+        ("eigen", "output", {"kernel": {"family": "matern", "nu": 0.5}, "grid": {"nodes": 16}}),
+    ], ids=["run-inline", "run-builtin", "eigen"])
+    def test_output_in_two_places_exit_2_before_any_work(self, tmp_path, capsys, no_work,
+                                                         command, key, config):
+        cfg = write_config(tmp_path, {"schema": 1, **config,
+                                      key: str(tmp_path / "from_config")})
+        assert main([command, cfg, "--output", str(tmp_path / "from_flag")]) == EXIT_CONFIG
+        assert f'"{key}" and --output are both given; give one' in capsys.readouterr().err
+        assert not (tmp_path / "from_config").exists()
+        assert not (tmp_path / "from_flag").exists()
 
 
 MODEL_SPEC_CASES = [

@@ -76,6 +76,19 @@ class TestLegendre:
             legendre_p(-1, 0.0)
 
 
+@pytest.mark.parametrize("params, reals", [(SphereLegendreParams, "sigma1, nu1, kappa1"),
+                                           (SphereSpdeParams, "tau, nu, kappa")])
+def test_sphere_params_share_one_check(params, reals):
+    assert "__post_init__" not in vars(params)
+    with pytest.raises(DomainError, match=rf"^{reals} must all be finite and > 0, got "
+                                          rf".*=1\.0, .*=inf$"):
+        params(1.0, 1.0, math.inf)
+    # l_max is checked before the reals, and a whole float becomes an int
+    with pytest.raises(DomainError, match=r"^l_max must be an integer >= 1, got 0$"):
+        params(0.0, 1.0, 1.0, l_max=0)
+    assert type(params(1.0, 1.0, 1.0, l_max=6.0).l_max) is int
+
+
 class TestSphereCovariances:
     def test_legendre_matern_diagonal(self):
         p = SphereLegendreParams(sigma1=1.3, nu1=1.0, kappa1=0.7, l_max=200)
