@@ -284,13 +284,15 @@ def _scenario_from_config(config: dict) -> Scenario:
         raise ConfigError('"experiment" must be an object')
     _check_keys(inline, {"name", "true_model", "wrong_model", "design", "targets",
                          "schedule", "limit_a"}, "experiment")
-    if "schedule" in config and "schedule" in inline:
-        raise ConfigError('"schedule" and "experiment.schedule" are both given; give one')
+    # a null schedule is an absent one, in either place
+    if inline.get("schedule") is not None:
+        if schedule is not None:
+            raise ConfigError('"schedule" and "experiment.schedule" are both given; give one')
+        schedule = inline["schedule"]
     true_model, wrong_model = _model_pair(inline.get("true_model"), inline.get("wrong_model"))
     domain = true_model.kernel.domain
     generator = _generator_from_spec(inline.get("design"), domain)
-    sched = check_schedule(inline.get(
-        "schedule", DEFAULT_SCHEDULE if schedule is None else schedule))
+    sched = check_schedule(DEFAULT_SCHEDULE if schedule is None else schedule)
     targets_spec = inline.get("targets")
     if targets_spec is None:
         targets = default_targets(generator, max(sched))
@@ -442,6 +444,9 @@ def cmd_check(args):
     config = _load_config(args.config,
                           {"scenario", "true_model", "wrong_model", "tolerances"})
     if "scenario" in config:
+        if "true_model" in config or "wrong_model" in config:
+            raise ConfigError('"scenario" and the model pair "true_model"/"wrong_model" '
+                              'are both given; give one')
         scenario = _builtin_from(config["scenario"])
         true_model, wrong_model = scenario.true_model, scenario.wrong_model
     else:

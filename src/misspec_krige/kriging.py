@@ -41,6 +41,12 @@ _COMPENSATED_FROM = 256
 
 _NEGATIVE_VARIANCE_TOL = 1e-10
 
+#: matrix entries a block thread converts, multiplies or checks at a time: a
+#: level's n x n steps go in slabs of ``_SLAB // n`` rows or columns, so none
+#: holds a whole 80-bit copy of a Gram or an n x n buffer, and every product
+#: at n <= 128 is one slab per thread
+_SLAB = 1 << 16
+
 
 # ---------------------------------------------------------------------------
 # mean functions
@@ -264,14 +270,17 @@ def build_gram(design: Design, kernel: CovarianceKernel,
             f"Gram factorization failed up to jitter {jitter:.3e}"
             + (f" (leading minor {minor})" if minor else ""),
             leading_minor=minor, max_jitter=jitter) from last_error
-    # the blocks work in the caller's buffer: what a pool thread allocates
-    # stays in its own malloc arena, held against the peak RSS
-    llt = np.empty_like(system)
 
     def resid_rows(start: int, stop: int) -> float:
-        block = np.matmul(lower[start:stop], lower.T, out=llt[start:stop])
-        block -= system[start:stop]
-        return float(np.max(np.abs(block, out=block)))
+        # rows lo:hi of L are zero from column hi on, so their rows of LL^T
+        # need L's first hi columns only; one slab of the whole matrix is the
+        # unsplit LL^T, which numpy forms by syrk
+        worst = 0.0
+        for lo, hi, block in _slabs(start, stop, design.n, float):
+            np.matmul(lower[lo:hi, :hi], lower[:, :hi].T, out=block)
+            block -= system[lo:hi]
+            worst = max(worst, float(np.max(np.abs(block, out=block))))
+        return worst
     # a BLAS float64 multiply-add costs under 1/16 of an 80-bit one, and numpy
     # forms an unsplit LL^T by syrk in half the flops: splits pay from n = 256
     resid = max(map_blocks(resid_rows, design.n, float(design.n) ** 3 / 16))
@@ -281,16 +290,30 @@ def build_gram(design: Design, kernel: CovarianceKernel,
     return GramFactor(lower=lower, jitter=jitter, matrix=system, sigma=sigma)
 
 
+def _slabs(start: int, stop: int, n: int, dtype):
+    """``(lo, hi, block)`` over consecutive ranges covering ``range(start, stop)``
+    of the rows or columns of an n x n matrix, ``_SLAB // n`` to a range (at
+    least one).  ``block`` is a (hi - lo, n) view of one C-ordered ``dtype``
+    buffer that every range reuses, so a block thread holds one slab at a time."""
+    step = min(max(1, _SLAB // n), stop - start)
+    buffer = np.empty((step, n), dtype=dtype)
+    for lo in range(start, stop, step):
+        hi = min(lo + step, stop)
+        yield lo, hi, buffer[:hi - lo]
+
+
 def _long_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.dot(a, b)`` of a 2-d ``a`` in 80-bit precision, in row blocks over
-    the block threads.  np.dot sums each 80-bit row product in order, as
-    matmul does, but holds the running sum in a register instead of storing
-    it per term; each row is its own sums, so the bits are those of one call."""
-    a = np.asarray(a, dtype=np.longdouble)
+    """``np.dot(a, b)`` of a 2-d float64 ``a`` in 80-bit precision, in row
+    blocks over the block threads, each converting its rows of ``a`` a slab at
+    a time.  np.dot sums each 80-bit row product in order, as matmul does, but
+    holds the running sum in a register instead of storing it per term; each
+    row is its own sums, so the bits are those of one call."""
     out = np.empty((len(a),) + b.shape[1:], dtype=np.longdouble)
 
     def rows(start: int, stop: int) -> None:
-        np.dot(a[start:stop], b, out=out[start:stop])
+        for lo, hi, block in _slabs(start, stop, a.shape[1], np.longdouble):
+            block[...] = a[lo:hi]
+            np.dot(block, b, out=out[lo:hi])
     map_blocks(rows, len(a), a.size * (b.size // len(b)))
     return out
 
@@ -425,9 +448,13 @@ def _moments(weights: np.ndarray, intercepts: np.ndarray, tilts: np.ndarray,
     # order, starting from 0, as numpy's longdouble loops do: ``np.dot``
     # keeps the running sum in an 80-bit register, matmul stores it back after
     # each term, and each ``u += v_l * K_l`` step rounds its product and its
-    # sum the same way.  So u = v'(K - c 11') sums over the design sites (down
-    # contiguous columns of the Fortran-ordered design block), then over the
-    # own sites, and the quadratic form over (design, own sites).  A
+    # sum the same way.  So u = v'(K - c 11') sums over the design sites, then
+    # over the own sites, and the quadratic form over (design, own sites).
+    # The design part of u goes in column slabs of Sigma, split over the block
+    # threads: each slab is converted to 80 bits in Fortran order, recentered,
+    # and multiplied by every v, so each entry of u is still one in-order sum
+    # down a contiguous column, whatever the slab or split.  Sigma's symmetry
+    # is not used: a periodic Gram is not exactly symmetric.  A
     # predictor's v is zero on the other targets' sites, and the padding of
     # shorter targets adds only 0 * 0 terms.  An exact zero term leaves a
     # nonzero sum unchanged, so leaving the former out and the latter in
@@ -435,7 +462,6 @@ def _moments(weights: np.ndarray, intercepts: np.ndarray, tilts: np.ndarray,
     n_sets, n_targets, n = weights.shape
     width = max(len(b) for b in coeffs)
     anchor = np.longdouble(sigma[0, 0])
-    kdd = np.asfortranarray(sigma, dtype=np.longdouble) - anchor
     kc = np.zeros((n_targets, width, n), dtype=np.longdouble)
     kt = np.zeros((n_targets, width, width), dtype=np.longdouble)
     vo = np.zeros((n_targets, width), dtype=np.longdouble)
@@ -444,7 +470,17 @@ def _moments(weights: np.ndarray, intercepts: np.ndarray, tilts: np.ndarray,
         kc[t, :size], kt[t, :size, :size] = c - anchor, tblock - anchor
         vo[t, :size] = -b
     vd = weights.astype(np.longdouble)
-    ud = _long_dot(vd.reshape(-1, n), kdd).reshape(vd.shape)
+    rows = vd.reshape(-1, n)
+    ud = np.empty_like(rows)
+
+    def columns(start: int, stop: int) -> None:
+        for lo, hi, block in _slabs(start, stop, n, np.longdouble):
+            slab = block.T  # Fortran-ordered: its columns are contiguous
+            slab[...] = sigma[:, lo:hi]
+            slab -= anchor
+            ud[:, lo:hi] = np.dot(rows, slab)
+    map_blocks(columns, n, rows.size * n)
+    ud = ud.reshape(vd.shape)
     uo = (vd[..., None, :] @ kc.transpose(0, 2, 1))[..., 0, :]
     for l in range(width):
         ud += vo[:, l, None] * kc[:, l]

@@ -14,7 +14,8 @@ import pytest
 from misspec_krige import cli
 from misspec_krige.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, CSV_HEADER, main
 from misspec_krige.diagnostics import QUAD_NODES, assumption_report
-from misspec_krige.harness import SCENARIO_NAMES, DesignGenerator, builtin_scenario
+from misspec_krige.harness import (DEFAULT_SCHEDULE, SCENARIO_NAMES, DesignGenerator,
+                                   builtin_scenario)
 from misspec_krige.kernels import Box, Torus, UnitSphere
 
 
@@ -499,6 +500,40 @@ class TestRun:
         assert ('"schedule" and "experiment.schedule" are both given; give one'
                 in capsys.readouterr().err)
         assert not (tmp_path / "out" / "ratios.csv").exists()
+
+    @pytest.mark.parametrize("top, inline, expected", [
+        (None, None, DEFAULT_SCHEDULE),
+        ("absent", None, DEFAULT_SCHEDULE),
+        (None, "absent", DEFAULT_SCHEDULE),
+        (None, [8], (8,)),
+        ([8], None, (8,)),
+    ], ids=["both-null", "inline-null", "top-null", "top-null-inline-given",
+            "inline-null-top-given"])
+    def test_null_schedule_means_absent(self, top, inline, expected):
+        experiment = dict(MATERN_PAIR, **({} if inline == "absent" else {"schedule": inline}))
+        config = {"schema": 1, "experiment": experiment,
+                  **({} if top == "absent" else {"schedule": top})}
+        assert cli._scenario_from_config(config).n_schedule == tuple(expected)
+
+    def test_null_schedule_next_to_a_given_one_runs_the_given_one(self, tmp_path):
+        cfg = write_config(tmp_path, {"schema": 1, "schedule": None, "experiment": {
+            **MATERN_PAIR, "schedule": [8]}})
+        assert main(["run", cfg, "--output", str(tmp_path / "out")]) == EXIT_OK
+        assert {r["n"] for r in read_rows(tmp_path / "out" / "ratios.csv")} == {"8"}
+
+    @pytest.mark.parametrize("pair", [
+        {"true_model": {"family": "matern", "nu": 0.5}, "wrong_model": {"family": "periodic"}},
+        {"true_model": {"family": "matern", "nu": 0.5}},
+        {"wrong_model": {"family": "matern", "nu": 0.5}},
+    ], ids=["pair", "true-only", "wrong-only"])
+    def test_check_scenario_and_model_pair_exit_2_before_any_work(self, tmp_path, capsys,
+                                                                 no_work, pair):
+        cfg = write_config(tmp_path, {"schema": 1, "scenario": "identical", **pair})
+        assert main(["check", cfg]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert ('"scenario" and the model pair "true_model"/"wrong_model" are both given; '
+                'give one' in captured.err)
+        assert captured.out == ""
 
     @pytest.mark.parametrize("command, key, config", [
         ("run", "output_dir", {"experiment": {**MATERN_PAIR, "schedule": [8]}}),
