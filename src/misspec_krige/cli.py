@@ -42,6 +42,7 @@ from .harness import (
     SCENARIO_NAMES,
     DesignGenerator,
     Scenario,
+    builtin_models,
     builtin_scenario,
     common_domain,
     default_design,
@@ -279,7 +280,7 @@ def _scenario_from_config(config: dict) -> Scenario:
         raise ConfigError('provide exactly one of "scenario" or "experiment"')
     schedule = config.get("schedule")
     if name is not None:
-        return _builtin_from(name, schedule)
+        return builtin_scenario(_string(name, '"scenario"'), n_schedule=schedule)
     if not isinstance(inline, dict):
         raise ConfigError('"experiment" must be an object')
     _check_keys(inline, {"name", "true_model", "wrong_model", "design", "targets",
@@ -349,10 +350,6 @@ def _model_pair(true_spec, wrong_spec) -> tuple[GaussianModel, GaussianModel]:
     wrong_model = _model_from_spec(wrong_spec, "wrong")
     common_domain(true_model, wrong_model)
     return true_model, wrong_model
-
-
-def _builtin_from(name, schedule=None) -> Scenario:
-    return builtin_scenario(_string(name, '"scenario"'), n_schedule=schedule)
 
 
 # ---------------------------------------------------------------------------
@@ -443,12 +440,12 @@ def cmd_run(args):
 def cmd_check(args):
     config = _load_config(args.config,
                           {"scenario", "true_model", "wrong_model", "tolerances"})
-    if "scenario" in config:
+    # a null scenario is an absent one, as in run
+    if config.get("scenario") is not None:
         if "true_model" in config or "wrong_model" in config:
             raise ConfigError('"scenario" and the model pair "true_model"/"wrong_model" '
                               'are both given; give one')
-        scenario = _builtin_from(config["scenario"])
-        true_model, wrong_model = scenario.true_model, scenario.wrong_model
+        true_model, wrong_model = builtin_models(_string(config["scenario"], '"scenario"'))
     else:
         if "true_model" not in config or "wrong_model" not in config:
             raise ConfigError('check needs "scenario" or both "true_model" and "wrong_model"')

@@ -371,12 +371,22 @@ _BUILTINS: dict[str, Callable[[], dict]] = {
 SCENARIO_NAMES = tuple(_BUILTINS)
 
 
+def _builtin_fields(name: str) -> dict:
+    if name not in _BUILTINS:
+        raise DomainError(f"unknown scenario {name!r}; known: {', '.join(SCENARIO_NAMES)}")
+    return _BUILTINS[name]()
+
+
+def builtin_models(name: str) -> tuple[GaussianModel, GaussianModel]:
+    """The true and working models of the built-in scenario ``name`` alone."""
+    fields = _builtin_fields(name)
+    return fields["true_model"], fields["wrong_model"]
+
+
 def builtin_scenario(name: str, n_schedule=None) -> Scenario:
     """The built-in scenario ``name`` on ``n_schedule`` (DEFAULT_SCHEDULE when
     omitted), probed at the default targets of DEFAULT_SCHEDULE's last level."""
-    if name not in _BUILTINS:
-        raise DomainError(f"unknown scenario {name!r}; known: {', '.join(SCENARIO_NAMES)}")
-    fields = _BUILTINS[name]()
+    fields = _builtin_fields(name)
     gen = default_design(common_domain(fields["true_model"], fields["wrong_model"]))
     return Scenario(name=name, design_generator=gen,
                     targets=default_targets(gen, DEFAULT_SCHEDULE[-1]),

@@ -368,6 +368,7 @@ class ProfileKernel(CovarianceKernel):
                                for x, y in pairs])
         ends = np.cumsum([values.size for values in stats])[:-1]
         flat = np.concatenate(stats)
+        del stats  # each pair's entries are in ``flat`` now
         starts = range(0, flat.size, _PROFILE_CHUNK)
 
         def profile_chunks(first: int, last: int) -> None:

@@ -180,10 +180,14 @@ class GramFactor:
         return float(f"{1.0 / rcond:.12g}") if rcond > 0.0 else math.inf
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        x = scipy.linalg.cho_solve((self.lower, True), rhs)
+        # ``scipy.linalg.cholesky`` checked the input of ``lower``: only the
+        # n x k right-hand side is checked, not the n x n factor per solve
+        if not np.all(np.isfinite(rhs)):
+            raise DomainError("the right-hand side of a solve must be finite")
+        x = scipy.linalg.cho_solve((self.lower, True), rhs, check_finite=False)
         residual = rhs.astype(np.longdouble) - _long_dot(self.matrix, x.astype(np.longdouble))
-        return x + scipy.linalg.cho_solve((self.lower, True),
-                                          residual.astype(float))
+        return x + scipy.linalg.cho_solve((self.lower, True), residual.astype(float),
+                                          check_finite=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,7 +214,7 @@ class LinearPredictor:
 @dataclass(frozen=True)
 class ErrorMoments:
     """Mean, variance and second moment of a predictor's error under one model:
-    one entry of ``_moments``' arrays, under the same ``_moment_rules``."""
+    ``_moment_rules`` of an ``_error_means`` entry and a ``_variances`` entry."""
 
     mean: float
     variance: float
@@ -328,9 +332,9 @@ class LevelSystem:
     cross block of every target's sites, stacked once (target t in rows
     ``offsets[t]:offsets[t + 1]``), each target's block (all from one
     ``gram_pairs`` call), and each target's kriging weights (one multi-column
-    solve) and tilt.  Models sharing the kernel share the system; a model
-    enters through its ``means``, and ``moment_block`` of those means is the
-    one way to the error moments of the level's predictors."""
+    solve) and tilt.  Models sharing the kernel share the system and its
+    ``moment_block``, the error variances; a model enters through its
+    ``means``, from which ``_error_means`` forms the error means."""
 
     def __init__(self, design: Design, targets, kernel: CovarianceKernel):
         self.design, self.targets = design, list(targets)
@@ -366,10 +370,11 @@ class LevelSystem:
             raise DomainError("predictor weights and intercept must be finite")
         return m_design, values, intercepts
 
-    def moment_block(self, weights, intercepts, tilts, means) -> tuple[np.ndarray, ...]:
-        """``_moments`` under this kernel and a model's ``means``."""
-        return _moments(weights, intercepts, tilts, self.gram.sigma, self.cross, self.tblocks,
-                        [t.coeffs for t in self.targets], *means[:2])
+    def moment_block(self, weights, tilts) -> np.ndarray:
+        """``_variances`` under this kernel: the kernel's part of the moments,
+        which no model's mean enters."""
+        return _variances(weights, tilts, self.gram.sigma, self.cross, self.tblocks,
+                          [t.coeffs for t in self.targets])
 
 
 def kriging_predictor(target: TargetFunctional, design: Design,
@@ -391,14 +396,18 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _target_values(targets, m_sites: np.ndarray) -> np.ndarray:
     """Each target's a_0 + b . m(t), ``m_sites`` being the mean at the targets'
-    stacked sites: a BLAS dot per target, as in ``b @ m``, batched by size."""
-    sizes = np.array([len(t.coeffs) for t in targets])
-    starts, coeffs = np.cumsum(sizes) - sizes, np.concatenate([t.coeffs for t in targets])
-    values = np.array([t.intercept_coeff for t in targets])
-    for size in np.unique(sizes):
-        rows = starts[sizes == size, None] + np.arange(size)
-        values[sizes == size] += (coeffs[rows][:, None, :] @ m_sites[rows][..., None])[:, 0, 0]
-    return values
+    stacked sites: one BLAS dot ``b @ m`` per target."""
+    ends = np.cumsum([len(t.coeffs) for t in targets]).tolist()
+    return np.array([t.intercept_coeff + t.coeffs @ m_sites[end - len(t.coeffs):end]
+                     for t, end in zip(targets, ends)])
+
+
+def _error_means(weights: np.ndarray, intercepts, m_design, values) -> np.ndarray:
+    """The model's part of the moments: the (S, T) error means of the
+    predictors with (S, T, n) ``weights`` and (S, T) ``intercepts`` under the
+    mean whose ``means`` are ``m_design`` and ``values``, c + w . m_n - values."""
+    n_sets, _, n = weights.shape
+    return intercepts + _row_dots(weights.reshape(-1, n), m_design).reshape(n_sets, -1) - values
 
 
 def _tilts(weights: np.ndarray, coeffs) -> np.ndarray:
@@ -422,20 +431,16 @@ def _moments_from_pieces(pred: LinearPredictor, target: TargetFunctional,
                          sigma: np.ndarray, cross: np.ndarray, tblock: np.ndarray,
                          m_design: np.ndarray, m_target: np.ndarray) -> ErrorMoments:
     weights, coeffs = np.array([[pred.weights]]), [target.coeffs]
-    means, variances, *_ = _moments(weights, np.array([[pred.intercept]]),
-                                    _tilts(weights[0], coeffs)[None], sigma, [cross], [tblock],
-                                    coeffs, m_design, _target_values([target], m_target))
-    return ErrorMoments(means.item(), variances.item())
+    mean = _error_means(weights, pred.intercept, m_design, _target_values([target], m_target))
+    variance = _variances(weights, _tilts(weights[0], coeffs)[None], sigma, [cross], [tblock],
+                          coeffs)
+    return ErrorMoments(mean.item(), variance.item())
 
 
-def _moments(weights: np.ndarray, intercepts: np.ndarray, tilts: np.ndarray,
-             sigma: np.ndarray, cross, tblocks, coeffs, m_design: np.ndarray,
-             values: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The (S, T) error means, clamped variances, squared means and second
-    moments, checked in (set, target) order, of the predictors with (S, T, n)
-    ``weights``, (S, T) ``intercepts`` and ``tilts``, under the measure with
-    design block ``sigma``, per-target cross blocks and blocks, a_0 + b . m(t)
-    ``values`` and ``m_design``."""
+def _variances(weights: np.ndarray, tilts, sigma: np.ndarray, cross, tblocks, coeffs):
+    """The (S, T) unclamped error variances of the predictors with (S, T, n)
+    ``weights`` and (S, T) ``tilts`` under the kernel with design block
+    ``sigma`` and per-target cross blocks and blocks."""
     # The variance is v' K v with v = (w, -beta) over design + own target
     # sites.  Its summands are O(1) but cancel down to the kriging variance,
     # which clustered designs push to ~1e-9; assembling naively loses the
@@ -487,8 +492,4 @@ def _moments(weights: np.ndarray, intercepts: np.ndarray, tilts: np.ndarray,
         uo += vo[:, l, None] * kt[:, l]
     v = np.concatenate([vd, np.broadcast_to(vo, (n_sets, n_targets, width))], axis=-1)
     quad = (np.concatenate([ud, uo], axis=-1)[..., None, :] @ v[..., None])[..., 0, 0]
-    means = intercepts + _row_dots(weights.reshape(-1, n), m_design).reshape(n_sets, -1) - values
-    variances = (quad + anchor * tilts ** 2).astype(float)
-    checked = np.array([list(map(_moment_rules, *row))
-                        for row in zip(means.tolist(), variances.tolist())])
-    return (means, *checked.transpose(2, 0, 1))
+    return (quad + anchor * tilts ** 2).astype(float)

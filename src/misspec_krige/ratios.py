@@ -33,7 +33,8 @@ import numpy as np
 from .errors import (DomainError, MisspecKrigeError, NegativeVarianceError,
                      NumericalFailureError, OptimalityError, PartialResultError)
 from .kernels.base import block_threads as _default_workers, is_whole_number
-from .kriging import Design, GaussianModel, LevelSystem, TargetFunctional, build_gram
+from .kriging import (Design, GaussianModel, LevelSystem, TargetFunctional, build_gram,
+                      _error_means, _moment_rules)
 
 #: r_var_i and r_mom_i, i = 1..4: the error variance or second moment of the
 #: numerator's (predictor, measure) pair over the denominator's
@@ -126,8 +127,8 @@ def efficiency_ratios(design: Design, targets: Sequence[TargetFunctional],
 
     Targets whose true-model kriging variance falls below ``variance_floor``
     are excluded with a warning (their ratios are 0/0).  Each distinct kernel
-    gets one ``LevelSystem`` (one factor, one solve for all targets); each
-    measure's error moments for both predictors come from one block.
+    gets one ``LevelSystem`` (one factor, one solve for all targets), whose
+    ``moment_block`` gives both predictors' error variances under it.
     """
     excluded: list[str] = []
     try:
@@ -168,22 +169,27 @@ def _level_ratios(design: Design, targets: Sequence[TargetFunctional],
         weights = np.stack([true_system.weights, wrong_system.weights])
         tilts = np.stack([true_system.tilts, wrong_system.tilts])
         intercepts = np.stack([means["true"][2], means["wrong"][2]])
-        # each (predictor, measure) pair's error means, variances, squares, second moments
-        blocks = {measure: system.moment_block(weights, intercepts, tilts, means[measure])
-                  for measure, system in (("true", true_system), ("wrong", wrong_system))}
-        mom = {(pred, measure): [a[row] for a in blocks[measure]]
-               for row, pred in enumerate(("true", "wrong")) for measure in blocks}
+        # the variances once per distinct kernel; each (predictor, measure) pair's clamped
+        # variances, squares and second moments, checked in (measure, predictor, target) order
+        variances = {system: system.moment_block(weights, tilts)
+                     for system in dict.fromkeys((true_system, wrong_system))}
+        mom = {}
+        for measure, system in (("true", true_system), ("wrong", wrong_system)):
+            errors = _error_means(weights, intercepts, *means[measure][:2])
+            checked = np.array([list(map(_moment_rules, *row))
+                                for row in zip(errors.tolist(), variances[system].tolist())])
+            mom["true", measure], mom["wrong", measure] = checked.transpose(0, 2, 1)
         # every pair's variance is some ratio's denominator: a target is
         # excluded by the first one that is numerically unresolvable
-        below = np.array([mom[key][1] < variance_floor for key in _MEASURE_NAMES])
+        below = np.array([mom[key][0] < variance_floor for key in _MEASURE_NAMES])
         kept = ~below.any(axis=0)
         # an excluded target's ratios are dropped; a non-finite one fails its record
         with np.errstate(all="ignore"):
-            columns = {"true_variance": mom["true", "true"][1],
-                       "mean_term": mom["true", "wrong"][2] / mom["true", "true"][3]}
+            columns = {"true_variance": mom["true", "true"][0],
+                       "mean_term": mom["true", "wrong"][1] / mom["true", "true"][2]}
             for i, (num, den) in enumerate(_RATIO_PAIRS, 1):
-                columns[f"r_var_{i}"] = mom[num][1] / mom[den][1]
-                columns[f"r_mom_{i}"] = mom[num][3] / mom[den][3]
+                columns[f"r_var_{i}"] = mom[num][0] / mom[den][0]
+                columns[f"r_mom_{i}"] = mom[num][2] / mom[den][2]
         rows = [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
         for idx, target in enumerate(targets):
             target_id = target.label or f"t{idx:02d}"
@@ -192,7 +198,7 @@ def _level_ratios(design: Design, targets: Sequence[TargetFunctional],
                 continue
             key = list(_MEASURE_NAMES)[below[:, idx].argmax()]
             excluded.append(f"target {target_id} excluded: {_MEASURE_NAMES[key]} error "
-                            f"variance {mom[key][1][idx]:.3e} below {variance_floor:.1e}")
+                            f"variance {mom[key][0][idx]:.3e} below {variance_floor:.1e}")
     except (OptimalityError, NegativeVarianceError) as exc:
         # both break a bound that holds in exact arithmetic
         grams = ", ".join(
@@ -227,16 +233,17 @@ def mean_term(design: Design, target: TargetFunctional, true_model: GaussianMode
     With a shared kernel, the working-measure expectation of the optimal
     predictor's error equals the kriging interpolation error of the mean
     difference at the target; its square over the kriging variance is the
-    exact excess of the second-moment ratio above the variance ratio.  Both
-    come from one moment block under the shifted model, as the ratios' error
-    means do; the kernel is shared, so its variance is the true model's.
+    exact excess of the second-moment ratio above the variance ratio.  The
+    error mean is the shifted model's and the variance the shared kernel's,
+    formed as the ratios' moments are.
     """
     if true_model.kernel != shifted_mean_model.kernel:
         raise DomainError("mean_term requires the two models to share one kernel")
     system = LevelSystem(design, [target], true_model.kernel)
-    _, variance, square, _ = (block.item() for block in system.moment_block(
-        system.weights[None], system.means(true_model)[2][None], system.tilts[None],
-        system.means(shifted_mean_model)))
+    mean = _error_means(system.weights[None], system.means(true_model)[2][None],
+                        *system.means(shifted_mean_model)[:2])
+    variance, square, _ = _moment_rules(
+        mean.item(), system.moment_block(system.weights[None], system.tilts[None]).item())
     if variance < VARIANCE_FLOOR:
         raise NumericalFailureError("target kriging variance below the floor")
     return square / variance

@@ -13,7 +13,8 @@ from misspec_krige.diagnostics import LimitKind, RatioVerdict
 from misspec_krige.errors import DomainError
 from misspec_krige.kernels import MaternParams, SphereLegendreParams, SphereSpdeParams
 from misspec_krige.kriging import (_COMPENSATED_FROM, Design, ErrorMoments, GaussianModel,
-                                   LevelSystem, LinearPredictor, TargetFunctional)
+                                   LevelSystem, LinearPredictor, TargetFunctional,
+                                   _error_means, _moment_rules)
 
 
 def bessel_k(nu: float, x):
@@ -83,13 +84,25 @@ def sphere_eigen_ratio(p1: SphereLegendreParams, p2: SphereSpdeParams, ell: int)
     return float(p2.eigenvalue(ell) / p1.eigenvalue(ell))
 
 
+def level_moments(system, weights, intercepts, tilts, means):
+    """The (S, T) error means, clamped variances, squares and second moments
+    of the predictors with ``weights``, ``intercepts`` and ``tilts`` under
+    ``system``'s kernel and the mean whose ``LevelSystem.means`` are ``means``,
+    as a level forms them: the kernel's ``moment_block``, the model's
+    ``_error_means`` and ``_moment_rules`` in (set, target) order."""
+    errors = _error_means(weights, intercepts, *means[:2])
+    checked = np.array([list(map(_moment_rules, *row)) for row in
+                        zip(errors.tolist(), system.moment_block(weights, tilts).tolist())])
+    return (errors, *checked.transpose(2, 0, 1))
+
+
 def own_moments(system, build, measure):
     """The moments under ``measure`` of the one target's predictor under
     ``build``, ``system`` being their shared kernel's one-target system, as the
     one-target ``ErrorMoments``."""
-    means, variances, *_ = system.moment_block(system.weights[None],
-                                               system.means(build)[2][None],
-                                               system.tilts[None], system.means(measure))
+    means, variances, *_ = level_moments(system, system.weights[None],
+                                         system.means(build)[2][None],
+                                         system.tilts[None], system.means(measure))
     return ErrorMoments(mean=means.item(), variance=variances.item())
 
 

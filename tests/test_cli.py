@@ -795,6 +795,35 @@ class TestCheck:
                                         "-8.741e+296 overflows when squared")
         assert mean_check["grade"] == "inconclusive"
 
+    def test_null_scenario_is_absent_as_in_run(self, tmp_path, capsys):
+        pair = {"true_model": {"family": "matern", "sigma": 1.0, "nu": 0.5, "kappa": 1.0},
+                "wrong_model": {"family": "matern", "sigma": 2.0, "nu": 0.5, "kappa": 0.5}}
+        assert main(["check", write_config(tmp_path, {"schema": 1, **pair})]) == EXIT_OK
+        alone = capsys.readouterr().out
+        cfg = write_config(tmp_path, {"schema": 1, "scenario": None, **pair}, "null.json")
+        assert main(["check", cfg]) == EXIT_OK
+        assert capsys.readouterr().out == alone
+
+    def test_null_scenario_without_a_pair_exit_2(self, tmp_path, capsys, no_work):
+        cfg = write_config(tmp_path, {"schema": 1, "scenario": None})
+        assert main(["check", cfg]) == EXIT_CONFIG
+        assert ('check needs "scenario" or both "true_model" and "wrong_model"'
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_builtin_check_builds_the_model_pair_alone(self, tmp_path, capsys, monkeypatch,
+                                                       name):
+        from misspec_krige import harness
+        scenario = builtin_scenario(name)
+        want = cli._json_dumps(assumption_report(scenario.true_model, scenario.wrong_model))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("check built the scenario's targets")
+        monkeypatch.setattr(harness, "default_targets", refuse)
+        assert main(["check", write_config(tmp_path, {"schema": 1, "scenario": name})]) \
+            == EXIT_OK
+        assert capsys.readouterr().out == want
+
     @pytest.mark.parametrize("scenario, message", [
         ("nope", "unknown scenario 'nope'"),
         (5, '"scenario" must be a string'),

@@ -32,7 +32,7 @@ from misspec_krige.kriging import (
     zero_mean,
 )
 
-from closed_forms import mean_shift_identity_check, one_dot
+from closed_forms import level_moments, mean_shift_identity_check, one_dot
 
 
 def exp_model(sigma=1.0, kappa=1.0, mean=zero_mean, label="exp"):
@@ -280,6 +280,23 @@ class TestErrorMoments:
         em = error_moments(pred, target, evalm)
         assert em.mean == pytest.approx(delta * (math.exp(-d) - 1.0), rel=1e-12)
 
+    def test_moment_rules_run_once(self, monkeypatch):
+        # ``error_moments`` hands the raw mean and variance to ``ErrorMoments``
+        from misspec_krige import kriging
+        calls = []
+        rules = kriging._moment_rules
+
+        def counting(mean, variance):
+            calls.append((mean, variance))
+            return rules(mean, variance)
+        monkeypatch.setattr(kriging, "_moment_rules", counting)
+        build, evalm = exp_model(), exp_model(sigma=1.5, mean=linear_mean(0.3, 1.1))
+        design = Design(np.array([[0.2], [0.7]]))
+        target = TargetFunctional.point([0.4])
+        em = error_moments(kriging_predictor(target, design, build), target, evalm)
+        assert len(calls) == 1
+        assert calls[0] == (em.mean, em.variance)
+
     def test_second_moment_identity(self):
         build = exp_model()
         evalm = exp_model(sigma=1.5, mean=linear_mean(0.3, 1.1))
@@ -417,8 +434,9 @@ class TestLevelSystem:
         weights, intercepts = system.weights, system.means(build)[2]
         reversed_tilts = _tilts(weights[::-1], [t.coeffs for t in targets])
         measure_system = LevelSystem(design, targets, measure.kernel)
-        means, variances, _, seconds = measure_system.moment_block(
-            np.stack([weights, weights[::-1]]), np.stack([intercepts, intercepts[::-1]]),
+        means, variances, _, seconds = level_moments(
+            measure_system, np.stack([weights, weights[::-1]]),
+            np.stack([intercepts, intercepts[::-1]]),
             np.stack([system.tilts, reversed_tilts]), measure_system.means(measure))
         for t, target in enumerate(targets):
             single = kriging_predictor(target, design, build)
@@ -489,8 +507,8 @@ class TestLevelSystem:
         intercepts = np.stack([m[2] for m in means])
         tilts = np.stack([system.tilts for system in systems])
         for system, model, m in zip(systems, models, means):
-            block_means, block_variances, *_ = system.moment_block(
-                weights, intercepts, tilts, m)
+            block_means, block_variances, *_ = level_moments(
+                system, weights, intercepts, tilts, m)
             for s, pred_model in enumerate(models):
                 for t, target in enumerate(targets):
                     single = kriging_predictor(target, design, pred_model)
@@ -579,7 +597,7 @@ class TestMomentBlockMatchesDenseAssembly:
         intercepts = np.stack([s.means(b)[2] for s, b in zip(systems, builds)])
         tilts = np.stack([s.tilts for s in systems])
         system = LevelSystem(design, targets, measure.kernel)
-        got = system.moment_block(weights, intercepts, tilts, system.means(measure))
+        got = level_moments(system, weights, intercepts, tilts, system.means(measure))
         want = dense_moment_block(weights, intercepts, targets, system.gram.sigma, system.cross,
                                   system.tblocks, measure.mean_at(design.sites),
                                   [measure.mean_at(t.sites) for t in targets])

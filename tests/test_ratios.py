@@ -35,7 +35,7 @@ from misspec_krige.ratios import (
     ratio_convergence,
 )
 
-from closed_forms import n_values, one_dot, own_moments
+from closed_forms import level_moments, n_values, one_dot, own_moments
 
 
 def exp_model(sigma=1.0, kappa=1.0, mean=zero_mean, label="exp"):
@@ -475,12 +475,12 @@ class TestMeanTermFromMomentBlock:
         kernel = exp_model().kernel
         true = GaussianModel(MEANS[true_mean], kernel)
         shifted = GaussianModel(MEANS[shifted_mean], kernel)
-        blocks, shifted_means = [], []
+        blocks, systems = [], []
         original = LevelSystem.moment_block
 
-        def counting(self, weights, intercepts, tilts, means):
-            blocks.append([m.tolist() for m in means])
-            return original(self, weights, intercepts, tilts, means)
+        def counting(self, weights, tilts):
+            blocks.append((weights.tolist(), tilts.tolist()))
+            return original(self, weights, tilts)
         compared = 0
         for design, target in self.cases():
             system = LevelSystem(design, [target], kernel)
@@ -491,10 +491,11 @@ class TestMeanTermFromMomentBlock:
             with monkeypatch.context() as patch:
                 patch.setattr(LevelSystem, "moment_block", counting)
                 assert mean_term(design, target, true, shifted) == bias ** 2 / variance
-            shifted_means.append([m.tolist() for m in system.means(shifted)])
+            systems.append((system.weights[None].tolist(), system.tilts[None].tolist()))
             compared += 1
         assert compared >= 12
-        assert blocks == shifted_means
+        # one block per call, of the predictor alone: no model enters it
+        assert blocks == systems
 
 
 def test_one_squaring_site_for_the_error_means():
@@ -506,9 +507,9 @@ def test_one_squaring_site_for_the_error_means():
     system = LevelSystem(design, targets, s.true_model.kernel)  # the kernel is shared
     intercepts = np.stack([system.means(s.true_model)[2], system.means(s.wrong_model)[2]])
     weights, tilts = np.stack([system.weights] * 2), np.stack([system.tilts] * 2)
-    means, variances, squares, _ = system.moment_block(weights, intercepts, tilts,
-                                                       system.means(s.wrong_model))
-    seconds = system.moment_block(weights, intercepts, tilts, system.means(s.true_model))[3]
+    means, variances, squares, _ = level_moments(system, weights, intercepts, tilts,
+                                                 system.means(s.wrong_model))
+    seconds = level_moments(system, weights, intercepts, tilts, system.means(s.true_model))[3]
     assert squares.tolist() == [[m ** 2 for m in row] for row in means.tolist()]
     assert np.any(squares[0] > 0.0)
     records = efficiency_ratios(design, targets, s.true_model, s.wrong_model,
@@ -518,6 +519,24 @@ def test_one_squaring_site_for_the_error_means():
         assert rec.mean_term == squares[0, t] / seconds[0, t]
         assert mean_term(design, target, s.true_model, s.wrong_model) \
             == squares[0, t] / variances[0, t]
+
+
+@pytest.mark.parametrize("name, blocks", [("mean_shift_constant", 1), ("matern_same_nu", 2)])
+def test_one_moment_block_per_distinct_kernel(monkeypatch, name, blocks):
+    # a measure's error variances depend on its kernel alone: a shared-kernel
+    # pair forms one 80-bit block for both measures
+    from misspec_krige.harness import builtin_scenario, generate_design
+    s = builtin_scenario(name)
+    calls = []
+    original = LevelSystem.moment_block
+
+    def counting(self, *args):
+        calls.append(self)
+        return original(self, *args)
+    monkeypatch.setattr(LevelSystem, "moment_block", counting)
+    efficiency_ratios(generate_design(s.design_generator, 16), list(s.targets), s.true_model,
+                      s.wrong_model, limit_a=s.limit_a)
+    assert len(calls) == len(set(calls)) == blocks
 
 
 class TestRatioConvergence:

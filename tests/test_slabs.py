@@ -1,6 +1,6 @@
 """A level's n x n steps go in slabs of ``_SLAB // n`` rows or columns: the
-refinement product of ``GramFactor.solve``, the moment product of
-``_moments`` and the reconstruction check of ``build_gram``.  The outputs are
+refinement product of ``GramFactor.solve``, the variance product of
+``LevelSystem.moment_block`` and the reconstruction check of ``build_gram``.  The outputs are
 bit for bit those of the whole-matrix forms below, at 1 and 2 block threads,
 and a level's traced memory stays bounded."""
 
@@ -12,11 +12,12 @@ import pytest
 import scipy.linalg
 
 from misspec_krige import kriging
-from misspec_krige.errors import NumericalFailureError
+from misspec_krige.errors import DomainError, NumericalFailureError
 from misspec_krige.harness import DesignGenerator, default_targets, generate_design
 from misspec_krige.kernels import MaternKernel, MaternParams, PeriodicKernel, PeriodicSpectrum
 from misspec_krige.kriging import (Design, GaussianModel, LevelSystem, TargetFunctional,
-                                   build_gram, constant_mean, zero_mean, _row_dots)
+                                   build_gram, constant_mean, zero_mean, _error_means,
+                                   _row_dots)
 from misspec_krige.ratios import efficiency_ratios
 
 #: the n whose square Gram is one slab
@@ -32,9 +33,9 @@ def whole_solve(gram, rhs):
 
 
 def whole_moments(weights, intercepts, tilts, sigma, cross, tblocks, coeffs, m_design, values):
-    """``_moments``' error means and unclamped variances from whole 80-bit
-    matrices: per predictor, v = (w, -b) over [design; own sites], the kernel
-    block K over the same sites, u = v'(K - c 11') by one np.dot, and
+    """The error means and ``moment_block``'s unclamped variances from whole
+    80-bit matrices: per predictor, v = (w, -b) over [design; own sites], the
+    kernel block K over the same sites, u = v'(K - c 11') by one np.dot, and
     v'Kv = u . v + c (sum v)^2."""
     n_sets, n_targets, n = weights.shape
     anchor = np.longdouble(sigma[0, 0])
@@ -109,11 +110,10 @@ def test_slabs_give_the_bits_of_the_whole_matrix_forms(case, n, block_threads):
     for system, (weights, intercepts, tilts, means) in zip(systems, blocks):
         rhs = np.column_stack([t.coeffs @ c for t, c in zip(system.targets, system.cross)])
         np.testing.assert_array_equal(system.gram.solve(rhs), whole_solve(system.gram, rhs))
-        got = system.moment_block(weights, intercepts, tilts, means)
         want = whole_moments(weights, intercepts, tilts, system.gram.sigma, system.cross,
                              system.tblocks, [t.coeffs for t in system.targets], *means[:2])
-        np.testing.assert_array_equal(got[0], want[0])
-        np.testing.assert_array_equal(got[1], np.maximum(want[1], 0.0))
+        np.testing.assert_array_equal(_error_means(weights, intercepts, *means[:2]), want[0])
+        np.testing.assert_array_equal(system.moment_block(weights, tilts), want[1])
 
 
 def test_periodic_case_has_grams_that_are_not_exactly_symmetric():
@@ -141,17 +141,58 @@ def test_level_memory_is_bounded_by_slabs(monkeypatch):
     """The n = 512 level of the ``euclid_large`` pair (Halton design, 33
     targets) at 2 block threads: its traced peak stays below 7 n^2 doubles,
     where whole 80-bit copies of the Gram and an n x n reconstruction buffer
-    reach 7.6."""
+    reach 7.6.  Each kernel's ``gram_pairs`` request traces below 2 n^2
+    doubles over what was traced at its start, where keeping each pair's
+    statistic entries through the profile pass reaches 2.27."""
     monkeypatch.setenv("MISSPEC_KRIGE_THREADS", "2")
     n = 512
     generator = DesignGenerator.halton()
     design, targets = generate_design(generator, n), default_targets(generator, n)
     true = GaussianModel(zero_mean, MATERN)
     wrong = GaussianModel(zero_mean, MaternKernel(MaternParams(2.0, 0.5, 0.5)))
+    peaks, requests = [], []
+    gram_pairs = MaternKernel.gram_pairs
+
+    def traced(self, pairs):
+        # the level's peak so far, then this request's own peak
+        start, peak = tracemalloc.get_traced_memory()
+        peaks.append(peak)
+        tracemalloc.reset_peak()
+        try:
+            return gram_pairs(self, pairs)
+        finally:
+            requests.append(tracemalloc.get_traced_memory()[1] - start)
+    monkeypatch.setattr(MaternKernel, "gram_pairs", traced)
     tracemalloc.start()
     try:
         efficiency_ratios(design, targets, true, wrong, limit_a=2.0)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert max(peaks) < 7.0 * n * n * 8, f"traced peak {max(peaks) / (n * n * 8):.2f} n^2 doubles"
+    assert len(requests) == 2
+    assert max(requests) < 2.0 * n * n * 8, \
+        f"gram_pairs peaks {[round(r / (n * n * 8), 2) for r in requests]} n^2 doubles"
+
+
+def test_solve_checks_no_n_by_n_finiteness_mask(monkeypatch):
+    """A solve of 33 right-hand sides at n = 2048, the design cap, at one
+    block thread: the factor came from ``scipy.linalg.cholesky``, so no
+    ``cho_solve`` scans it into an n x n mask (0.125 n^2 doubles; the solve
+    peaks at 0.19 n^2 doubles with them, 0.14 without).  A non-finite
+    right-hand side is still rejected."""
+    monkeypatch.setenv("MISSPEC_KRIGE_THREADS", "1")
+    n = 2048
+    gram = build_gram(Design(design_sites(n, 1)), MATERN)
+    rhs = np.random.default_rng(1).standard_normal((n, 33))
+    tracemalloc.start()
+    try:
+        solved = gram.solve(rhs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 7.0 * n * n * 8, f"traced peak {peak / (n * n * 8):.2f} n^2 doubles"
+    assert peak < 0.16 * n * n * 8, f"solve peak {peak / (n * n * 8):.3f} n^2 doubles"
+    np.testing.assert_array_equal(solved, whole_solve(gram, rhs))
+    rhs[7, 3] = np.nan
+    with pytest.raises(DomainError, match="right-hand side of a solve must be finite"):
+        gram.solve(rhs)
