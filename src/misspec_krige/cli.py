@@ -440,14 +440,15 @@ def cmd_run(args):
 def cmd_check(args):
     config = _load_config(args.config,
                           {"scenario", "true_model", "wrong_model", "tolerances"})
-    # a null scenario is an absent one, as in run
-    if config.get("scenario") is not None:
-        if "true_model" in config or "wrong_model" in config:
+    # a null scenario or model is an absent one, as in run
+    given = {k for k in ("scenario", "true_model", "wrong_model") if config.get(k) is not None}
+    if "scenario" in given:
+        if len(given) > 1:
             raise ConfigError('"scenario" and the model pair "true_model"/"wrong_model" '
                               'are both given; give one')
         true_model, wrong_model = builtin_models(_string(config["scenario"], '"scenario"'))
     else:
-        if "true_model" not in config or "wrong_model" not in config:
+        if len(given) < 2:
             raise ConfigError('check needs "scenario" or both "true_model" and "wrong_model"')
         true_model, wrong_model = _model_pair(config["true_model"], config["wrong_model"])
     tolerances = _tolerances_from(config)

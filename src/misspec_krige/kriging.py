@@ -156,7 +156,7 @@ class GramFactor:
     plus jitter); solves of an (n,) or (n, k) right-hand side do one
     extended-precision residual-refinement pass, which matters on clustered
     designs where plain solves lose enough digits to erode the predictors'
-    own-measure optimality.
+    own-measure optimality.  A level drops its factor after the solve.
     """
 
     lower: np.ndarray
@@ -174,9 +174,14 @@ class GramFactor:
         the factor, O(n^2), rounded to 12 significant digits.  ``dpocon``'s
         last digits depend on where its workspace lands in memory, so the same
         factor can give two values in one process; the estimate errs by up to
-        3x anyway, and the rounded value is reproducible."""
-        rcond, _ = scipy.linalg.lapack.dpocon(self.lower, np.linalg.norm(self.matrix, 1),
-                                              uplo="L")
+        3x anyway, and the rounded value is reproducible.  The 1-norm sums each
+        column in order, as np.linalg.norm, a slab of rows at a time."""
+        sums = np.zeros(self.n)
+        for lo, hi, block in _slabs(0, self.n, self.n, float):
+            np.abs(self.matrix[lo:hi], out=block)
+            block[0] += sums
+            sums = np.add.reduce(block, axis=0)
+        rcond, _ = scipy.linalg.lapack.dpocon(self.lower, sums.max(), uplo="L")
         return float(f"{1.0 / rcond:.12g}") if rcond > 0.0 else math.inf
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -328,12 +333,12 @@ def _leading_minor(exc: Exception) -> int | None:
 
 
 class LevelSystem:
-    """What a kernel fixes at a schedule level: the factored design Gram, the
-    cross block of every target's sites, stacked once (target t in rows
-    ``offsets[t]:offsets[t + 1]``), each target's block (all from one
-    ``gram_pairs`` call), and each target's kriging weights (one multi-column
-    solve) and tilt.  Models sharing the kernel share the system and its
-    ``moment_block``, the error variances; a model enters through its
+    """What a kernel fixes at a schedule level: the design Gram ``sigma``, its
+    only n x n array, the cross block of every target's sites, stacked once
+    (target t in rows ``offsets[t]:offsets[t + 1]``), each target's block (all
+    from one ``gram_pairs`` call), and each target's kriging weights (one
+    multi-column solve) and tilt.  Models sharing the kernel share the system
+    and its ``moment_block``, the error variances; a model enters through its
     ``means``, from which ``_error_means`` forms the error means."""
 
     def __init__(self, design: Design, targets, kernel: CovarianceKernel):
@@ -344,7 +349,7 @@ class LevelSystem:
         self.sites = np.concatenate([t.sites for t in self.targets])
         # target blocks as (t, t), not (t, None): the same doubles without the
         # triangle set-up
-        sigma, cross, *tblocks = kernel.gram_pairs(
+        self.sigma, cross, *tblocks = kernel.gram_pairs(
             [(design.sites, None), (self.sites, design.sites)]
             + [(t.sites, t.sites) for t in self.targets])
         # copies, and no view left: a view would hold the whole evaluation
@@ -352,9 +357,11 @@ class LevelSystem:
         self.cross = [cross[lo:hi].copy() for lo, hi in zip(self.offsets, self.offsets[1:])]
         self.tblocks = [block.copy() for block in tblocks]
         del cross, tblocks
-        self.gram = build_gram(design, kernel, sigma=sigma)
         rhs = np.column_stack([t.coeffs @ c for t, c in zip(self.targets, self.cross)])
-        self.weights = np.ascontiguousarray(self.gram.solve(rhs).T)
+        # the factor, and Sigma plus jitter if any, live for the solve only
+        factor = build_gram(design, kernel, sigma=self.sigma)
+        self.weights = np.ascontiguousarray(factor.solve(rhs).T)
+        del factor
         if not np.all(np.isfinite(self.weights)):
             raise DomainError("predictor weights and intercept must be finite")
         self.tilts = _tilts(self.weights, [t.coeffs for t in self.targets])
@@ -373,7 +380,7 @@ class LevelSystem:
     def moment_block(self, weights, tilts) -> np.ndarray:
         """``_variances`` under this kernel: the kernel's part of the moments,
         which no model's mean enters."""
-        return _variances(weights, tilts, self.gram.sigma, self.cross, self.tblocks,
+        return _variances(weights, tilts, self.sigma, self.cross, self.tblocks,
                           [t.coeffs for t in self.targets])
 
 

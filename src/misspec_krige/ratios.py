@@ -200,11 +200,12 @@ def _level_ratios(design: Design, targets: Sequence[TargetFunctional],
             excluded.append(f"target {target_id} excluded: {_MEASURE_NAMES[key]} error "
                             f"variance {mom[key][0][idx]:.3e} below {variance_floor:.1e}")
     except (OptimalityError, NegativeVarianceError) as exc:
-        # both break a bound that holds in exact arithmetic
+        # both break a bound that holds in exact arithmetic; factor each Sigma again
         grams = ", ".join(
-            f"{system.gram.inverse_rcond:.2g} for the {tag} Gram at jitter "
-            f"{system.gram.jitter:.1e}"
-            for tag, system in (("true", true_system), ("working", wrong_system)))
+            f"{factor.inverse_rcond:.2g} for the {tag} Gram at jitter {factor.jitter:.1e}"
+            for tag, model, system in (("true", true_model, true_system),
+                                       ("working", wrong_model, wrong_system))
+            for factor in [build_gram(design, model.kernel, sigma=system.sigma)])
         raise type(exc)(f"{exc}; the limit is Gram conditioning (1/rcond {grams})") from exc
     if not records:
         raise NumericalFailureError("every target was excluded by the variance floor")
@@ -215,7 +216,7 @@ def _level_ratios(design: Design, targets: Sequence[TargetFunctional],
         sup[name] = float(values[int(np.argmax(key))])
     records.append(RatioRecord(n=n, target_id=SUP_TARGET_ID, limits=dict(limits),
                                true_variance=float(columns["true_variance"][kept].min()), **sup))
-    return records, {"true": true_system.gram.sigma, "wrong": wrong_system.gram.sigma}
+    return records, {"true": true_system.sigma, "wrong": wrong_system.sigma}
 
 
 _MEASURE_NAMES = {
@@ -321,6 +322,7 @@ def ratio_convergence(true_model: GaussianModel, wrong_model: GaussianModel,
             factor = build_gram(design, model.kernel, sigma=sigmas[tag])
             conditioning[tag] = {"jitter": factor.jitter,
                                  "inverse_rcond": factor.inverse_rcond}
+            del factor  # one factor at a time
         return records, conditioning
 
     def safe_level(n: int):

@@ -804,6 +804,23 @@ class TestCheck:
         assert main(["check", cfg]) == EXIT_OK
         assert capsys.readouterr().out == alone
 
+    @pytest.mark.parametrize("key", ["true_model", "wrong_model"])
+    def test_null_model_next_to_a_scenario_is_absent(self, tmp_path, capsys, key):
+        assert main(["check", write_config(tmp_path, {"schema": 1, "scenario": "identical"})]) \
+            == EXIT_OK
+        alone = capsys.readouterr().out
+        cfg = write_config(tmp_path, {"schema": 1, "scenario": "identical", key: None},
+                           "null.json")
+        assert main(["check", cfg]) == EXIT_OK
+        assert capsys.readouterr().out == alone
+
+    @pytest.mark.parametrize("key", ["true_model", "wrong_model"])
+    def test_null_model_next_to_a_given_one_exit_2(self, tmp_path, capsys, no_work, key):
+        cfg = write_config(tmp_path, {"schema": 1, **MATERN_PAIR, key: None})
+        assert main(["check", cfg]) == EXIT_CONFIG
+        assert ('check needs "scenario" or both "true_model" and "wrong_model"'
+                in capsys.readouterr().err)
+
     def test_null_scenario_without_a_pair_exit_2(self, tmp_path, capsys, no_work):
         cfg = write_config(tmp_path, {"schema": 1, "scenario": None})
         assert main(["check", cfg]) == EXIT_CONFIG

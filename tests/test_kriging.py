@@ -482,10 +482,11 @@ class TestLevelSystem:
         kern = PeriodicKernel(PeriodicSpectrum.from_coeffs({0: 1.0, 1: 0.5}, dim=1))
         model = GaussianModel(constant_mean(0.3), kern, "rank3")
         design = Design((np.arange(5) / 5.0 + 0.01)[:, None])
-        gram = LevelSystem(design, self.targets(), kern).gram
+        system = LevelSystem(design, self.targets(), kern)
+        gram = build_gram(design, kern, sigma=system.sigma)
         assert gram.jitter > 0.0
-        assert np.array_equal(gram.sigma, kern.gram(design.sites))
-        assert not np.array_equal(gram.matrix, gram.sigma)
+        assert np.array_equal(system.sigma, kern.gram(design.sites))
+        assert not np.array_equal(gram.matrix, system.sigma)
         self.assert_batched_equals_single(design, model, model)
         self.assert_batched_equals_single(design, exp_model(), model)
 
@@ -534,7 +535,7 @@ class TestLevelSystem:
         for block in system.cross + system.tblocks:
             owner = block if block.base is None else block.base
             assert owner.nbytes == block.nbytes
-            assert not np.shares_memory(block, system.gram.sigma)
+            assert not np.shares_memory(block, system.sigma)
 
     @pytest.mark.parametrize("jittered", [False, True])
     def test_multi_column_solve_equals_single_columns(self, jittered):
@@ -598,7 +599,7 @@ class TestMomentBlockMatchesDenseAssembly:
         tilts = np.stack([s.tilts for s in systems])
         system = LevelSystem(design, targets, measure.kernel)
         got = level_moments(system, weights, intercepts, tilts, system.means(measure))
-        want = dense_moment_block(weights, intercepts, targets, system.gram.sigma, system.cross,
+        want = dense_moment_block(weights, intercepts, targets, system.sigma, system.cross,
                                   system.tblocks, measure.mean_at(design.sites),
                                   [measure.mean_at(t.sites) for t in targets])
         assert len(want) == len(builds)
@@ -659,7 +660,7 @@ class TestMomentBlockMatchesDenseAssembly:
         model = GaussianModel(constant_mean(0.3), kern, "rank3")
         design = Design((np.arange(5) / 5.0 + 0.01)[:, None])
         targets = TestLevelSystem.targets()
-        assert LevelSystem(design, targets, kern).gram.jitter > 0.0
+        assert build_gram(design, kern, sigma=LevelSystem(design, targets, kern).sigma).jitter > 0.0
         self.assert_bit_identical(design, targets, [model, exp_model()], model)
 
 

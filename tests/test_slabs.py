@@ -1,8 +1,9 @@
 """A level's n x n steps go in slabs of ``_SLAB // n`` rows or columns: the
 refinement product of ``GramFactor.solve``, the variance product of
-``LevelSystem.moment_block`` and the reconstruction check of ``build_gram``.  The outputs are
-bit for bit those of the whole-matrix forms below, at 1 and 2 block threads,
-and a level's traced memory stays bounded."""
+``LevelSystem.moment_block``, the reconstruction check of ``build_gram`` and
+the 1-norm of ``GramFactor.inverse_rcond``.  The outputs are bit for bit those
+of the whole-matrix forms below, at 1 and 2 block threads, and a level's traced
+memory stays bounded."""
 
 import math
 import tracemalloc
@@ -18,7 +19,7 @@ from misspec_krige.kernels import MaternKernel, MaternParams, PeriodicKernel, Pe
 from misspec_krige.kriging import (Design, GaussianModel, LevelSystem, TargetFunctional,
                                    build_gram, constant_mean, zero_mean, _error_means,
                                    _row_dots)
-from misspec_krige.ratios import efficiency_ratios
+from misspec_krige.ratios import efficiency_ratios, ratio_convergence
 
 #: the n whose square Gram is one slab
 SIDE = math.isqrt(kriging._SLAB)
@@ -104,13 +105,16 @@ def block_threads(request, monkeypatch):
 @pytest.mark.parametrize("case", CASES)
 def test_slabs_give_the_bits_of_the_whole_matrix_forms(case, n, block_threads):
     systems, blocks = level(case, n)
+    kernels = (CASES[case][0] * 2)[:2]
+    grams = [build_gram(system.design, kernel, sigma=system.sigma)
+             for system, kernel in zip(systems, kernels)]
     if case == "jittered":
-        assert systems[0].gram.jitter > 0.0
-        assert systems[0].gram.matrix is not systems[0].gram.sigma
-    for system, (weights, intercepts, tilts, means) in zip(systems, blocks):
+        assert grams[0].jitter > 0.0
+        assert grams[0].matrix is not grams[0].sigma
+    for system, gram, (weights, intercepts, tilts, means) in zip(systems, grams, blocks):
         rhs = np.column_stack([t.coeffs @ c for t, c in zip(system.targets, system.cross)])
-        np.testing.assert_array_equal(system.gram.solve(rhs), whole_solve(system.gram, rhs))
-        want = whole_moments(weights, intercepts, tilts, system.gram.sigma, system.cross,
+        np.testing.assert_array_equal(gram.solve(rhs), whole_solve(gram, rhs))
+        want = whole_moments(weights, intercepts, tilts, system.sigma, system.cross,
                              system.tblocks, [t.coeffs for t in system.targets], *means[:2])
         np.testing.assert_array_equal(_error_means(weights, intercepts, *means[:2]), want[0])
         np.testing.assert_array_equal(system.moment_block(weights, tilts), want[1])
@@ -137,19 +141,26 @@ def test_reconstruction_check_reads_the_last_slab(monkeypatch, block_threads, n)
         build_gram(design, MATERN)
 
 
+def euclid_large_level(n):
+    """The ``euclid_large`` pair on its Halton design of n sites, and its 33 targets."""
+    generator = DesignGenerator.halton()
+    return (generate_design(generator, n), default_targets(generator, n),
+            GaussianModel(zero_mean, MATERN),
+            GaussianModel(zero_mean, MaternKernel(MaternParams(2.0, 0.5, 0.5))))
+
+
 def test_level_memory_is_bounded_by_slabs(monkeypatch):
     """The n = 512 level of the ``euclid_large`` pair (Halton design, 33
-    targets) at 2 block threads: its traced peak stays below 7 n^2 doubles,
-    where whole 80-bit copies of the Gram and an n x n reconstruction buffer
-    reach 7.6.  Each kernel's ``gram_pairs`` request traces below 2 n^2
-    doubles over what was traced at its start, where keeping each pair's
-    statistic entries through the profile pass reaches 2.27."""
+    targets) at 2 block threads: its traced peak stays below 5 n^2 doubles
+    (4.73), where keeping each kernel's factor through the moment blocks
+    reaches 6.19 and whole 80-bit copies of the Gram and an n x n
+    reconstruction buffer reach 7.6.  Each kernel's ``gram_pairs`` request
+    traces below 2 n^2 doubles over what was traced at its start, where
+    keeping each pair's statistic entries through the profile pass reaches
+    2.27."""
     monkeypatch.setenv("MISSPEC_KRIGE_THREADS", "2")
     n = 512
-    generator = DesignGenerator.halton()
-    design, targets = generate_design(generator, n), default_targets(generator, n)
-    true = GaussianModel(zero_mean, MATERN)
-    wrong = GaussianModel(zero_mean, MaternKernel(MaternParams(2.0, 0.5, 0.5)))
+    design, targets, true, wrong = euclid_large_level(n)
     peaks, requests = [], []
     gram_pairs = MaternKernel.gram_pairs
 
@@ -169,10 +180,72 @@ def test_level_memory_is_bounded_by_slabs(monkeypatch):
         peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
-    assert max(peaks) < 7.0 * n * n * 8, f"traced peak {max(peaks) / (n * n * 8):.2f} n^2 doubles"
+    assert max(peaks) < 5.0 * n * n * 8, f"traced peak {max(peaks) / (n * n * 8):.2f} n^2 doubles"
     assert len(requests) == 2
     assert max(requests) < 2.0 * n * n * 8, \
         f"gram_pairs peaks {[round(r / (n * n * 8), 2) for r in requests]} n^2 doubles"
+
+
+def test_one_level_run_with_its_conditioning_pass_is_bounded(monkeypatch):
+    """The same level through ``ratio_convergence``, whose conditioning pass
+    factors each kernel's Gram again: its traced peak stays below 5 n^2
+    doubles (4.75), where holding the true kernel's factor while the
+    working one is factored, and each system's factor through the moment
+    blocks, reaches 6.20."""
+    monkeypatch.setenv("MISSPEC_KRIGE_THREADS", "2")
+    n = 512
+    design, targets, true, wrong = euclid_large_level(n)
+    tracemalloc.start()
+    try:
+        table = ratio_convergence(true, wrong, lambda m: design, targets, [n], limit_a=2.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert set(table.metadata["conditioning"][str(n)]) == {"true", "wrong"}
+    assert peak < 5.0 * n * n * 8, f"traced peak {peak / (n * n * 8):.2f} n^2 doubles"
+
+
+def whole_inverse_rcond(gram):
+    """``GramFactor.inverse_rcond`` with the 1-norm of the whole system at once."""
+    rcond, _ = scipy.linalg.lapack.dpocon(gram.lower, np.linalg.norm(gram.matrix, 1), uplo="L")
+    return float(f"{1.0 / rcond:.12g}")
+
+
+def test_inverse_rcond_takes_no_n_by_n_temporary(monkeypatch):
+    """At n = 2048, the design cap, at one block thread: the 1-norm goes a slab
+    at a time, so the estimate traces below 0.2 n^2 doubles, where |matrix| as
+    one temporary traces 1.0, and it is the whole-matrix estimate's value."""
+    monkeypatch.setenv("MISSPEC_KRIGE_THREADS", "1")
+    n = 2048
+    gram = build_gram(Design(design_sites(n, 1)), MATERN)
+    tracemalloc.start()
+    try:
+        value = gram.inverse_rcond
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.2 * n * n * 8, f"inverse_rcond peak {peak / (n * n * 8):.3f} n^2 doubles"
+    assert value == whole_inverse_rcond(gram)
+
+
+@pytest.mark.parametrize("n", [1, 2, SIDE - 1, SIDE, SIDE + 1, 391, 2048])
+@pytest.mark.parametrize("jittered", [False, True], ids=["plain", "jittered"])
+def test_slab_one_norm_is_the_whole_matrix_one_norm(monkeypatch, n, jittered):
+    """The 1-norm handed to ``dpocon`` is ``np.linalg.norm(matrix, 1)`` bit
+    for bit, one slab or many, on either side of a slab boundary.  The rank-17
+    periodic kernel jitters its system from n = 18 on."""
+    kernel = CASES["jittered"][0][0] if jittered else MATERN
+    gram = build_gram(Design(design_sites(n, 1)), kernel)
+    assert (gram.jitter > 0.0) == (jittered and n > 17)
+    norms = []
+    dpocon = scipy.linalg.lapack.dpocon
+
+    def recorded(lower, anorm, **kwargs):
+        norms.append(anorm)
+        return dpocon(lower, anorm, **kwargs)
+    monkeypatch.setattr(scipy.linalg.lapack, "dpocon", recorded)
+    gram.inverse_rcond
+    assert [norm.tobytes() for norm in norms] == [np.linalg.norm(gram.matrix, 1).tobytes()]
 
 
 def test_solve_checks_no_n_by_n_finiteness_mask(monkeypatch):
