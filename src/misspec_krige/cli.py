@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
 import json
 import math
 import numbers
@@ -371,18 +370,16 @@ def _atomic_write(path: str, payload: str) -> None:
 
 
 def table_to_csv(table: RatioTable, scenario_name: str) -> str:
-    """Long-format CSV: one row per (n, target, ratio name), fixed column order."""
-    out = io.StringIO()
-    out.write(CSV_HEADER + "\n")
+    """Long-format CSV: one row per (n, target, ratio name), fixed column order;
+    the limit and |value - limit| fields are empty for a ratio without a limit."""
+    rows = [CSV_HEADER]
     for rec in table.records:
-        deviations = rec.deviations
-        for ratio_name in RECORD_COLUMNS:
-            out.write(",".join([
-                scenario_name, str(rec.n), rec.target_id, ratio_name,
-                _fmt(rec.value(ratio_name)), _fmt(rec.limits.get(ratio_name)),
-                _fmt(deviations.get(ratio_name)),
-            ]) + "\n")
-    return out.getvalue()
+        for name in RECORD_COLUMNS:
+            value, limit = getattr(rec, name), rec.limits.get(name)
+            rows.append(f"{scenario_name},{rec.n},{rec.target_id},{name},{_FLOAT_FMT % value},"
+                        + ("," if limit is None else
+                           f"{_FLOAT_FMT % limit},{_FLOAT_FMT % abs(value - limit)}"))
+    return "\n".join(rows) + "\n"
 
 
 def _json_dumps(obj) -> str:

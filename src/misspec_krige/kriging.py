@@ -335,28 +335,31 @@ def _leading_minor(exc: Exception) -> int | None:
 class LevelSystem:
     """What a kernel fixes at a schedule level: the design Gram ``sigma``, its
     only n x n array, the cross block of every target's sites, stacked once
-    (target t in rows ``offsets[t]:offsets[t + 1]``), each target's block (all
-    from one ``gram_pairs`` call), and each target's kriging weights (one
-    multi-column solve) and tilt.  Models sharing the kernel share the system
-    and its ``moment_block``, the error variances; a model enters through its
-    ``means``, from which ``_error_means`` forms the error means."""
+    (target t in rows ``offsets[t]:offsets[t + 1]``), each target's block
+    ``tblocks``, and each target's kriging weights (one multi-column solve)
+    and tilt.  One ``gram_pairs`` call gives the Gram, the cross block and,
+    unless ``tblocks`` passes them in from an earlier system of the same
+    targets and kernel, the target blocks, which no design enters.  Models
+    sharing the kernel share the system and its ``moment_block``, the error
+    variances; a model enters through its ``means``, from which
+    ``_error_means`` forms the error means."""
 
-    def __init__(self, design: Design, targets, kernel: CovarianceKernel):
+    def __init__(self, design: Design, targets, kernel: CovarianceKernel, tblocks=None):
         self.design, self.targets = design, list(targets)
         self.offsets = np.cumsum([0] + [len(t.coeffs) for t in self.targets])
         if len({t.sites.shape[1] for t in self.targets}) > 1:
             raise DomainError("every target's sites must have one dimension, the domain's")
         self.sites = np.concatenate([t.sites for t in self.targets])
-        # target blocks as (t, t), not (t, None): the same doubles without the
-        # triangle set-up
-        self.sigma, cross, *tblocks = kernel.gram_pairs(
+        # own blocks as (t, t), not (t, None): the same doubles without the
+        # triangle set-up, and the same bits whatever else the call carries
+        self.sigma, cross, *own = kernel.gram_pairs(
             [(design.sites, None), (self.sites, design.sites)]
-            + [(t.sites, t.sites) for t in self.targets])
+            + ([(t.sites, t.sites) for t in self.targets] if tblocks is None else []))
         # copies, and no view left: a view would hold the whole evaluation
         # buffer, the design's triangle included, through the factorization
         self.cross = [cross[lo:hi].copy() for lo, hi in zip(self.offsets, self.offsets[1:])]
-        self.tblocks = [block.copy() for block in tblocks]
-        del cross, tblocks
+        self.tblocks = [block.copy() for block in own] if tblocks is None else tblocks
+        del cross, own
         rhs = np.column_stack([t.coeffs @ c for t, c in zip(self.targets, self.cross)])
         # the factor, and Sigma plus jitter if any, live for the solve only
         factor = build_gram(design, kernel, sigma=self.sigma)
@@ -472,15 +475,16 @@ def _variances(weights: np.ndarray, tilts, sigma: np.ndarray, cross, tblocks, co
     # nonzero sum unchanged, so leaving the former out and the latter in
     # reproduces bit for bit the sums over [design; every target's sites].
     n_sets, n_targets, n = weights.shape
-    width = max(len(b) for b in coeffs)
-    anchor = np.longdouble(sigma[0, 0])
+    # each target's rows and own-block entries in C order, as their
+    # concatenations hold them, by one mask scatter per array
+    held = np.arange(max(len(b) for b in coeffs)) < np.array([[len(b)] for b in coeffs])
+    width, anchor = held.shape[1], np.longdouble(sigma[0, 0])
     kc = np.zeros((n_targets, width, n), dtype=np.longdouble)
     kt = np.zeros((n_targets, width, width), dtype=np.longdouble)
     vo = np.zeros((n_targets, width), dtype=np.longdouble)
-    for t, (b, c, tblock) in enumerate(zip(coeffs, cross, tblocks)):
-        size = len(b)
-        kc[t, :size], kt[t, :size, :size] = c - anchor, tblock - anchor
-        vo[t, :size] = -b
+    kc[held], vo[held] = np.concatenate(cross) - anchor, -np.concatenate(coeffs)
+    kt[held[:, :, None] & held[:, None, :]] = \
+        np.concatenate([block.ravel() for block in tblocks]) - anchor
     vd = weights.astype(np.longdouble)
     rows = vd.reshape(-1, n)
     ud = np.empty_like(rows)

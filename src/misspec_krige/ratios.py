@@ -133,7 +133,7 @@ def efficiency_ratios(design: Design, targets: Sequence[TargetFunctional],
     excluded: list[str] = []
     try:
         return _level_ratios(design, targets, true_model, wrong_model, limit_a,
-                             variance_floor, excluded)[0]
+                             variance_floor, excluded, {})[0]
     finally:
         _warn_excluded(excluded)
 
@@ -150,19 +150,23 @@ def _warn_excluded(messages: list[str]) -> None:
 
 def _level_ratios(design: Design, targets: Sequence[TargetFunctional],
                   true_model: GaussianModel, wrong_model: GaussianModel,
-                  limit_a: float | None, variance_floor: float,
-                  excluded: list[str]) -> tuple[list[RatioRecord], dict[str, np.ndarray]]:
+                  limit_a: float | None, variance_floor: float, excluded: list[str],
+                  tblocks: dict) -> tuple[list[RatioRecord], dict[str, np.ndarray]]:
     """The records of :func:`efficiency_ratios` and the design Gram each model's
     system evaluated, by tag; the message of each excluded target is appended
-    to ``excluded`` instead of warned."""
+    to ``excluded`` instead of warned.  ``tblocks`` holds the targets' own
+    blocks by model tag (a kernel need not be hashable): the systems take
+    theirs from it, and add those they evaluated once both are built."""
     if not targets:
         raise DomainError("at least one target is required")
     n = design.n
     shared_kernel = true_model.kernel == wrong_model.kernel
     limits = _ratio_limits(limit_a, shared_kernel)
-    true_system = LevelSystem(design, targets, true_model.kernel)
-    wrong_system = (true_system if shared_kernel
-                    else LevelSystem(design, targets, wrong_model.kernel))
+    true_system = LevelSystem(design, targets, true_model.kernel, tblocks.get("true"))
+    wrong_system = (true_system if shared_kernel else LevelSystem(
+        design, targets, wrong_model.kernel, tblocks.get("wrong")))
+    tblocks.setdefault("true", true_system.tblocks)
+    tblocks.setdefault("wrong", wrong_system.tblocks)
     records: list[RatioRecord] = []
     try:
         means = {"true": true_system.means(true_model), "wrong": wrong_system.means(wrong_model)}
@@ -300,13 +304,17 @@ def ratio_convergence(true_model: GaussianModel, wrong_model: GaussianModel,
     ``design_generator`` is any callable n -> Design of n sites.  Levels run
     one at a time, in schedule order; each level splits its large blocks over
     the block threads, whose number MISSPEC_KRIGE_THREADS sets (default
-    min(4, cpu count)), and the split leaves every bit in place.  Excluded
-    targets are warned about from the calling thread once every level is done,
-    in schedule order, failed levels included.
+    min(4, cpu count)), and the split leaves every bit in place.  Each
+    kernel evaluates the targets' own blocks once, in the first level that
+    builds its systems, and later levels reuse them: a level's records are
+    those of ``efficiency_ratios`` on its design alone, bit for bit.
+    Excluded targets are warned about from the calling thread once every
+    level is done, in schedule order, failed levels included.
     """
     schedule = list(check_schedule(n_schedule))
     _default_workers()  # a bad MISSPEC_KRIGE_THREADS fails the run before any level
     excluded: dict[int, list[str]] = {n: [] for n in schedule}
+    tblocks: dict = {}  # model tag -> the targets' own blocks, kept across levels
 
     def level(n: int) -> tuple[list[RatioRecord], dict]:
         design = design_generator(n)
@@ -314,7 +322,7 @@ def ratio_convergence(true_model: GaussianModel, wrong_model: GaussianModel,
             raise DomainError(f"the design generator returned {design.n} sites "
                               f"for schedule level n={n}")
         records, sigmas = _level_ratios(design, targets, true_model, wrong_model, limit_a,
-                                        variance_floor, excluded[n])
+                                        variance_floor, excluded[n], tblocks)
         # conditioning is recorded rather than thresholded: how close a target
         # may sit to a clustered design has no principled cutoff
         conditioning = {}

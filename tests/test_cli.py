@@ -1057,3 +1057,60 @@ class TestMisc:
         out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                              text=True, check=True, timeout=60)
         assert out.stdout.strip() == "[]"
+
+
+def rows_by_field(table, scenario_name):
+    """``ratios.csv`` of ``table`` as it was written before its rows were
+    formatted directly: one ``_fmt`` per field, the limit and the deviation
+    read from the record's ``limits`` and ``deviations``."""
+    from misspec_krige.ratios import RECORD_COLUMNS
+    lines = [CSV_HEADER]
+    for rec in table.records:
+        deviations = rec.deviations
+        for name in RECORD_COLUMNS:
+            lines.append(",".join([
+                scenario_name, str(rec.n), rec.target_id, name, cli._fmt(rec.value(name)),
+                cli._fmt(rec.limits.get(name)), cli._fmt(deviations.get(name))]))
+    return "\n".join(lines) + "\n"
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_builtin_table(self, name):
+        # every limit is present in the mean_shift pairs; matern_same_nu,
+        # periodic_ratio3 and the sphere pair have values below their limits
+        from misspec_krige.harness import run_scenario
+        table = run_scenario(builtin_scenario(name)).table
+        assert cli.table_to_csv(table, name) == rows_by_field(table, name)
+
+    def test_partial_table(self):
+        # the single target sits on a design site at n = 3 but not at n = 4
+        from misspec_krige.errors import PartialResultError
+        from misspec_krige.kernels import MaternKernel, MaternParams
+        from misspec_krige.kriging import Design, GaussianModel, TargetFunctional, zero_mean
+        from misspec_krige.ratios import ratio_convergence
+        true, wrong = (GaussianModel(zero_mean, MaternKernel(MaternParams(sigma, 0.5, 1.0)))
+                       for sigma in (1.0, 2.0))
+        with pytest.warns(UserWarning, match="excluded"):
+            with pytest.raises(PartialResultError) as err:
+                ratio_convergence(true, wrong,
+                                  lambda n: Design((np.arange(1, n + 1) / (n + 1.0))[:, None]),
+                                  [TargetFunctional.point([0.25], label="edge")], [3, 4])
+        table = err.value.partial_table
+        assert [rec.n for rec in table.records] == [4, 4]
+        assert cli.table_to_csv(table, "partial") == rows_by_field(table, "partial")
+
+    def test_table_without_limit_a_or_mean_term_limit(self):
+        # no limit_a and distinct kernels: r_var_3, r_var_4 and the mean term have none
+        from misspec_krige.harness import run_scenario
+        scenario = builtin_scenario("matern_diff_nu")
+        assert scenario.limit_a is None
+        assert scenario.true_model.kernel != scenario.wrong_model.kernel
+        table = run_scenario(scenario).table
+        assert all({"r_var_3", "r_var_4", "mean_term"}.isdisjoint(rec.limits)
+                   for rec in table.records)
+        text = cli.table_to_csv(table, "no_limits")
+        assert text == rows_by_field(table, "no_limits")
+        assert ",r_var_3," in text and all(
+            line.endswith(",,") for line in text.splitlines()
+            if line.split(",")[3] in ("r_var_3", "r_var_4", "mean_term"))

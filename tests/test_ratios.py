@@ -677,3 +677,109 @@ class TestRatioConvergence:
         devs = [table.sup_record(n).deviations["r_var_3"] for n in n_values(table)]
         assert all(a > b for a, b in zip(devs, devs[1:]))
         assert devs[-1] < 0.05
+
+
+def reuse_case(family):
+    """Two models of one kernel family, a design generator, and point targets
+    with a two-site target among them."""
+    from misspec_krige.kernels import (PeriodicKernel, PeriodicSpectrum, SphereLegendreParams,
+                                       SphereSeriesKernel, SphereSpdeParams)
+    from misspec_krige.kernels.base import fibonacci_sphere_grid
+    if family.startswith("matern"):
+        true, wrong = (TestSharedKernel().pair() if family == "matern_shared"
+                       else (exp_model(), exp_model(sigma=1.3, kappa=0.4)))
+        return true, wrong, grid_design, TestSharedKernel().targets()
+    if family == "periodic_2d":
+        def model(power, mean):
+            return GaussianModel(mean, PeriodicKernel(PeriodicSpectrum.from_callable(
+                lambda k: (1.0 + sum(c * c for c in k)) ** -power, dim=2, k_max=4)))
+        return (model(2.0, zero_mean), model(1.5, constant_mean(0.3)),
+                lambda n: Design(np.random.default_rng(n).uniform(0.0, 1.0, (n, 2))),
+                [TargetFunctional.point([0.31, 0.62]), TargetFunctional.point([0.8, 0.15]),
+                 TargetFunctional(0.2, [[0.1, 0.9], [0.55, 0.45]], [1.0, -0.5])])
+    sites = np.random.default_rng(5).standard_normal((4, 3))
+    sites /= np.linalg.norm(sites, axis=1, keepdims=True)
+    return (GaussianModel(zero_mean, SphereSeriesKernel(SphereLegendreParams(1.0, 1.0, 1.0))),
+            GaussianModel(constant_mean(-0.6),
+                          SphereSeriesKernel(SphereSpdeParams(0.9, 1.0, 1.3))),
+            lambda n: Design(fibonacci_sphere_grid(n)[0]),
+            [TargetFunctional.point(site) for site in sites[:2]]
+            + [TargetFunctional(0.4, sites[2:], [2.0, -0.5])])
+
+
+def record_bits(records):
+    """Everything a record holds, as exact floats."""
+    return [(rec.n, rec.target_id, dict(rec.limits), rec.true_variance)
+            + tuple(rec.value(name) for name in RATIO_NAMES + ("mean_term",))
+            for rec in records]
+
+
+class TestOwnBlocksOncePerRun:
+    """A run's targets are the same at every level: each kernel evaluates
+    their own blocks once, and later levels reuse them to the bit."""
+
+    @pytest.mark.parametrize("family", ["matern_shared", "matern_distinct"])
+    def test_own_blocks_requested_once_per_distinct_kernel(self, monkeypatch, family):
+        requests = []
+        gram_pairs = MaternKernel.gram_pairs
+
+        def recorded(self, pairs):
+            requests.append((self, list(pairs)))
+            return gram_pairs(self, pairs)
+        monkeypatch.setattr(MaternKernel, "gram_pairs", recorded)
+        true, wrong, generator, targets = reuse_case(family)
+        ratio_convergence(true, wrong, generator, targets, [5, 9, 13])
+        kernels = {true.kernel, wrong.kernel}
+        assert len(kernels) == (1 if family == "matern_shared" else 2)
+        # one request per kernel per level; only the first level's carries them
+        assert [len(pairs) for _, pairs in requests] == \
+            [2 + len(targets)] * len(kernels) + [2] * (2 * len(kernels))
+        for target in targets:
+            own = [kernel for kernel, pairs in requests for x, y in pairs
+                   if x is target.sites and y is target.sites]
+            assert len(own) == len(kernels) and set(own) == kernels
+
+    @pytest.mark.parametrize("family", ["matern_shared", "matern_distinct", "periodic_2d",
+                                        "sphere_series"])
+    def test_each_level_equals_that_level_alone(self, family):
+        true, wrong, generator, targets = reuse_case(family)
+        schedule = [5, 9, 13]
+        table = ratio_convergence(true, wrong, generator, targets, schedule, limit_a=1.5)
+        for n in schedule:
+            alone = efficiency_ratios(generator(n), targets, true, wrong, limit_a=1.5)
+            assert record_bits([rec for rec in table.records if rec.n == n]) == \
+                record_bits(alone)
+
+    @pytest.mark.parametrize("failure", ["generator", "excluded"])
+    def test_failed_first_level_leaves_later_levels_unchanged(self, failure):
+        # "excluded": every target sits on a site of the n = 3 grid, so that
+        # level fails after both systems have evaluated the own blocks
+        true, wrong = exp_model(), exp_model(sigma=1.3, kappa=0.4)
+        targets = [TargetFunctional.point([0.25]), TargetFunctional.point([0.75]),
+                   TargetFunctional(0.4, [[0.5], [0.25]], [2.0, -0.5])]
+
+        def generator(n):
+            if n == 3 and failure == "generator":
+                raise DomainError("no design at n = 3")
+            return grid_design(n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(PartialResultError) as err:
+                ratio_convergence(true, wrong, generator, targets, [3, 8, 12])
+        table = err.value.partial_table
+        assert list(table.metadata["failed_levels"]) == ["3"]
+        without = ratio_convergence(true, wrong, generator, targets, [8, 12])
+        assert record_bits(table.records) == record_bits(without.records)
+
+    def test_kernels_need_not_be_hashable(self):
+        # a kernel written as a plain (eq, unfrozen) dataclass has no hash;
+        # the own blocks are kept by model, not by kernel
+        class Unhashable(MaternKernel):
+            __hash__ = None
+        true, wrong = (GaussianModel(zero_mean, Unhashable(MaternParams(sigma, 0.5, kappa)))
+                       for sigma, kappa in ((1.0, 1.0), (1.3, 0.4)))
+        targets = TestSharedKernel().targets()
+        table = ratio_convergence(true, wrong, grid_design, targets, [5, 9])
+        want = ratio_convergence(exp_model(), exp_model(sigma=1.3, kappa=0.4), grid_design,
+                                 targets, [5, 9])
+        assert record_bits(table.records) == record_bits(want.records)
