@@ -233,16 +233,15 @@ class ErrorMoments:
 
 def _moment_rules(mean: float, variance: float) -> tuple[float, float, float]:
     """An error's clamped variance, squared mean and second moment: the one
-    place a mean is squared.  The square is Python's ``mean ** 2``, libm
-    ``pow``; an array's ``** 2`` is ``x * x``, which rounds some means one bit
-    apart from it."""
+    place a mean is squared.  The square is ``mean * mean``, correctly rounded
+    on every IEEE platform, as an array's ``** 2`` is; Python's ``mean ** 2``
+    calls libm ``pow``, which is not, and rounds some means one bit apart."""
     if variance < -_NEGATIVE_VARIANCE_TOL:
         raise NegativeVarianceError(f"error variance {variance:.3e} is negative beyond tolerance")
     variance = max(variance, 0.0)
-    try:
-        square = mean ** 2
-    except OverflowError:
-        raise NumericalFailureError(f"error mean {mean:.3e} overflows when squared") from None
+    square = mean * mean
+    if math.isinf(square) and math.isfinite(mean):
+        raise NumericalFailureError(f"error mean {mean:.3e} overflows when squared")
     return variance, square, variance + square
 
 
@@ -345,11 +344,9 @@ class LevelSystem:
     ``_error_means`` forms the error means."""
 
     def __init__(self, design: Design, targets, kernel: CovarianceKernel, tblocks=None):
-        self.design, self.targets = design, list(targets)
+        self.design, self.targets, self.kernel = design, list(targets), kernel
         self.offsets = np.cumsum([0] + [len(t.coeffs) for t in self.targets])
-        if len({t.sites.shape[1] for t in self.targets}) > 1:
-            raise DomainError("every target's sites must have one dimension, the domain's")
-        self.sites = np.concatenate([t.sites for t in self.targets])
+        self.sites = _stacked_sites(self.targets)
         # own blocks as (t, t), not (t, None): the same doubles without the
         # triangle set-up, and the same bits whatever else the call carries
         self.sigma, cross, *own = kernel.gram_pairs(
@@ -380,11 +377,23 @@ class LevelSystem:
             raise DomainError("predictor weights and intercept must be finite")
         return m_design, values, intercepts
 
+    def conditioning(self) -> dict[str, float]:
+        """Jitter and 1/rcond of ``sigma``'s factor, made anew and dropped on return."""
+        factor = build_gram(self.design, self.kernel, sigma=self.sigma)
+        return {"jitter": factor.jitter, "inverse_rcond": factor.inverse_rcond}
+
     def moment_block(self, weights, tilts) -> np.ndarray:
         """``_variances`` under this kernel: the kernel's part of the moments,
         which no model's mean enters."""
         return _variances(weights, tilts, self.sigma, self.cross, self.tblocks,
                           [t.coeffs for t in self.targets])
+
+
+def _stacked_sites(targets) -> np.ndarray:
+    """Every target's sites, stacked in target order; all must share one dimension."""
+    if len({t.sites.shape[1] for t in targets}) > 1:
+        raise DomainError("every target's sites must have one dimension, the domain's")
+    return np.concatenate([t.sites for t in targets])
 
 
 def kriging_predictor(target: TargetFunctional, design: Design,

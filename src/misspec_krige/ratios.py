@@ -33,8 +33,8 @@ import numpy as np
 from .errors import (DomainError, MisspecKrigeError, NegativeVarianceError,
                      NumericalFailureError, OptimalityError, PartialResultError)
 from .kernels.base import block_threads as _default_workers, is_whole_number
-from .kriging import (Design, GaussianModel, LevelSystem, TargetFunctional, build_gram,
-                      _error_means, _moment_rules)
+from .kriging import (Design, GaussianModel, LevelSystem, TargetFunctional, _error_means,
+                      _moment_rules, _stacked_sites)
 
 #: r_var_i and r_mom_i, i = 1..4: the error variance or second moment of the
 #: numerator's (predictor, measure) pair over the denominator's
@@ -102,9 +102,23 @@ class RatioRecord:
         return {name: abs(self.value(name) - limit) for name, limit in self.limits.items()}
 
 
-def _ratio_limits(limit_a: float | None, kernels_match: bool) -> dict[str, float]:
-    """1 for a ratio within one measure; with ``limit_a``, a from the true to
-    the working measure and 1/a back; 0 for the mean term of equal kernels."""
+def _run_limits(targets: Sequence[TargetFunctional], true_model: GaussianModel,
+                wrong_model: GaussianModel, limit_a: float | None) -> dict[str, float]:
+    """A run's limits, once the inputs that no design enters pass: at least one
+    target, every site of one dimension and on the true model's domain, record
+    ids that are distinct and not SUP, and a positive ``limit_a`` with a finite
+    reciprocal.  A limit is 1 for a ratio within one measure; with ``limit_a``,
+    a from the true to the working measure and 1/a back; 0 for the mean term
+    of equal kernels."""
+    if not targets:
+        raise DomainError("at least one target is required")
+    true_model.kernel.domain.points(_stacked_sites(targets))
+    ids = _target_ids(targets)
+    for target_id in ids:
+        if target_id == SUP_TARGET_ID:
+            raise DomainError(f"target id {target_id!r} is reserved for the SUP records")
+        if ids.count(target_id) > 1:
+            raise DomainError(f"target id {target_id!r} is used by more than one target")
     by_measures = {("true", "true"): 1.0, ("wrong", "wrong"): 1.0}
     if limit_a is not None:
         if not (limit_a > 0 and 1.0 / limit_a < np.inf):
@@ -114,9 +128,14 @@ def _ratio_limits(limit_a: float | None, kernels_match: bool) -> dict[str, float
     limits = {f"r_{kind}_{i}": by_measures[num[1], den[1]]
               for kind in ("var", "mom") for i, (num, den) in enumerate(_RATIO_PAIRS, 1)
               if (num[1], den[1]) in by_measures}
-    if kernels_match:
+    if true_model.kernel == wrong_model.kernel:
         limits["mean_term"] = 0.0
     return limits
+
+
+def _target_ids(targets: Sequence[TargetFunctional]) -> list[str]:
+    """Each target's record id: its label, or tNN by its index."""
+    return [target.label or f"t{idx:02d}" for idx, target in enumerate(targets)]
 
 
 def efficiency_ratios(design: Design, targets: Sequence[TargetFunctional],
@@ -130,9 +149,10 @@ def efficiency_ratios(design: Design, targets: Sequence[TargetFunctional],
     gets one ``LevelSystem`` (one factor, one solve for all targets), whose
     ``moment_block`` gives both predictors' error variances under it.
     """
+    limits = _run_limits(targets, true_model, wrong_model, limit_a)
     excluded: list[str] = []
     try:
-        return _level_ratios(design, targets, true_model, wrong_model, limit_a,
+        return _level_ratios(design, targets, true_model, wrong_model, limits,
                              variance_floor, excluded, {})[0]
     finally:
         _warn_excluded(excluded)
@@ -150,23 +170,21 @@ def _warn_excluded(messages: list[str]) -> None:
 
 def _level_ratios(design: Design, targets: Sequence[TargetFunctional],
                   true_model: GaussianModel, wrong_model: GaussianModel,
-                  limit_a: float | None, variance_floor: float, excluded: list[str],
-                  tblocks: dict) -> tuple[list[RatioRecord], dict[str, np.ndarray]]:
-    """The records of :func:`efficiency_ratios` and the design Gram each model's
-    system evaluated, by tag; the message of each excluded target is appended
-    to ``excluded`` instead of warned.  ``tblocks`` holds the targets' own
-    blocks by model tag (a kernel need not be hashable): the systems take
-    theirs from it, and add those they evaluated once both are built."""
-    if not targets:
-        raise DomainError("at least one target is required")
+                  limits: dict[str, float], variance_floor: float, excluded: list[str],
+                  tblocks: dict) -> tuple[list[RatioRecord], tuple[LevelSystem, LevelSystem]]:
+    """The records of :func:`efficiency_ratios` under the run's ``limits``, and the
+    true and working models' systems; each excluded target's message is appended
+    to ``excluded`` instead of warned.  ``tblocks`` holds the targets' own blocks
+    by model tag (a kernel need not be hashable): the systems take theirs from
+    it, and add those they evaluated once both are built."""
     n = design.n
     shared_kernel = true_model.kernel == wrong_model.kernel
-    limits = _ratio_limits(limit_a, shared_kernel)
     true_system = LevelSystem(design, targets, true_model.kernel, tblocks.get("true"))
     wrong_system = (true_system if shared_kernel else LevelSystem(
         design, targets, wrong_model.kernel, tblocks.get("wrong")))
     tblocks.setdefault("true", true_system.tblocks)
     tblocks.setdefault("wrong", wrong_system.tblocks)
+    systems = true_system, wrong_system
     records: list[RatioRecord] = []
     try:
         means = {"true": true_system.means(true_model), "wrong": wrong_system.means(wrong_model)}
@@ -195,8 +213,7 @@ def _level_ratios(design: Design, targets: Sequence[TargetFunctional],
                 columns[f"r_var_{i}"] = mom[num][0] / mom[den][0]
                 columns[f"r_mom_{i}"] = mom[num][2] / mom[den][2]
         rows = [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
-        for idx, target in enumerate(targets):
-            target_id = target.label or f"t{idx:02d}"
+        for idx, target_id in enumerate(_target_ids(targets)):
             if kept[idx]:
                 records.append(RatioRecord(n=n, target_id=target_id, limits=limits, **rows[idx]))
                 continue
@@ -204,12 +221,11 @@ def _level_ratios(design: Design, targets: Sequence[TargetFunctional],
             excluded.append(f"target {target_id} excluded: {_MEASURE_NAMES[key]} error "
                             f"variance {mom[key][0][idx]:.3e} below {variance_floor:.1e}")
     except (OptimalityError, NegativeVarianceError) as exc:
-        # both break a bound that holds in exact arithmetic; factor each Sigma again
-        grams = ", ".join(
-            f"{factor.inverse_rcond:.2g} for the {tag} Gram at jitter {factor.jitter:.1e}"
-            for tag, model, system in (("true", true_model, true_system),
-                                       ("working", wrong_model, wrong_system))
-            for factor in [build_gram(design, model.kernel, sigma=system.sigma)])
+        # both break a bound that holds in exact arithmetic
+        asked = {system: system.conditioning() for system in dict.fromkeys(systems)}
+        grams = ", ".join(f"{asked[s]['inverse_rcond']:.2g} for the {tag} Gram at jitter "
+                          f"{asked[s]['jitter']:.1e}"
+                          for tag, s in zip(("true", "working"), systems))
         raise type(exc)(f"{exc}; the limit is Gram conditioning (1/rcond {grams})") from exc
     if not records:
         raise NumericalFailureError("every target was excluded by the variance floor")
@@ -220,7 +236,7 @@ def _level_ratios(design: Design, targets: Sequence[TargetFunctional],
         sup[name] = float(values[int(np.argmax(key))])
     records.append(RatioRecord(n=n, target_id=SUP_TARGET_ID, limits=dict(limits),
                                true_variance=float(columns["true_variance"][kept].min()), **sup))
-    return records, {"true": true_system.sigma, "wrong": wrong_system.sigma}
+    return records, systems
 
 
 _MEASURE_NAMES = {
@@ -313,6 +329,7 @@ def ratio_convergence(true_model: GaussianModel, wrong_model: GaussianModel,
     """
     schedule = list(check_schedule(n_schedule))
     _default_workers()  # a bad MISSPEC_KRIGE_THREADS fails the run before any level
+    limits = _run_limits(targets, true_model, wrong_model, limit_a)  # so do bad inputs
     excluded: dict[int, list[str]] = {n: [] for n in schedule}
     tblocks: dict = {}  # model tag -> the targets' own blocks, kept across levels
 
@@ -321,17 +338,12 @@ def ratio_convergence(true_model: GaussianModel, wrong_model: GaussianModel,
         if design.n != n:
             raise DomainError(f"the design generator returned {design.n} sites "
                               f"for schedule level n={n}")
-        records, sigmas = _level_ratios(design, targets, true_model, wrong_model, limit_a,
-                                        variance_floor, excluded[n], tblocks)
+        records, systems = _level_ratios(design, targets, true_model, wrong_model, limits,
+                                         variance_floor, excluded[n], tblocks)
         # conditioning is recorded rather than thresholded: how close a target
         # may sit to a clustered design has no principled cutoff
-        conditioning = {}
-        for tag, model in (("true", true_model), ("wrong", wrong_model)):
-            factor = build_gram(design, model.kernel, sigma=sigmas[tag])
-            conditioning[tag] = {"jitter": factor.jitter,
-                                 "inverse_rcond": factor.inverse_rcond}
-            del factor  # one factor at a time
-        return records, conditioning
+        asked = {system: system.conditioning() for system in dict.fromkeys(systems)}
+        return records, {"true": asked[systems[0]], "wrong": asked[systems[1]]}
 
     def safe_level(n: int):
         try:

@@ -981,6 +981,16 @@ class TestEigen:
 
 
 class TestMisc:
+    def test_failed_write_leaves_the_old_file_and_no_temporary(self, tmp_path):
+        # a lone surrogate cannot be encoded as UTF-8, so the write fails
+        # after its temporary file is made
+        path = tmp_path / "ratios.csv"
+        path.write_bytes(b"old bytes\n")
+        with pytest.raises(UnicodeEncodeError):
+            cli._atomic_write(str(path), "new \ud800")
+        assert path.read_bytes() == b"old bytes\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ratios.csv"]
+
     def test_list_scenarios(self, capsys):
         assert main(["list-scenarios"]) == EXIT_OK
         names = capsys.readouterr().out.split()

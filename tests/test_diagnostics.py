@@ -316,6 +316,24 @@ class TestNystromEigen:
         with pytest.raises(DomainError):
             nystrom_eigen(small_periodic_kernel(), nodes, -weights)
 
+    @pytest.mark.parametrize("node_gram, message", [
+        ([[1.0, 0.5], [0.5 + 1e-9, 1.0]], "kernel matrix asymmetry 1.000e-09"),
+        ([[-1.0, 0.0], [0.0, -1.0]], "leading eigenvalue is not positive"),
+    ], ids=["asymmetric", "negative-definite"])
+    def test_node_gram_it_cannot_decompose_is_named(self, node_gram, message):
+        # a kernel that breaks the class's contract of a symmetric positive
+        # definite covariance fails by name, not with a meaningless spectrum
+        from misspec_krige.kernels import CovarianceKernel
+
+        class FixedGram(CovarianceKernel):
+            domain = Box()
+
+            def gram(self, x, y=None):
+                return np.array(node_gram)
+
+        with pytest.raises(NumericalFailureError, match=message):
+            nystrom_eigen(FixedGram(), [[0.25], [0.75]], [0.5, 0.5])
+
     @pytest.mark.parametrize("cutoff", [-1e-9, 1.0, 2.0, math.nan])
     def test_rank_cutoff_outside_unit_interval_rejected(self, cutoff):
         # a cutoff of 1 or more would drop even the leading eigenvalue

@@ -162,6 +162,16 @@ class TestBuildGram:
                     PeriodicKernel(PeriodicSpectrum.from_coeffs({0: 1.0, 1: 0.5}, dim=1)))
         return Design(np.linspace(0.1, 0.9, 32)[:, None]), exp_model().kernel
 
+    def test_nonpositive_trace_rejected(self):
+        # no jitter ladder can be scaled to a Sigma whose mean diagonal is not
+        # positive, so it fails before any factorization
+        from misspec_krige.errors import NumericalFailureError
+        design = Design(np.array([[0.2], [0.7]]))
+        for sigma in (np.zeros((2, 2)), -np.eye(2)):
+            with pytest.raises(NumericalFailureError,
+                               match="covariance matrix has nonpositive trace"):
+                build_gram(design, exp_model().kernel, sigma=sigma)
+
     @pytest.mark.parametrize("jittered", [False, True])
     def test_given_sigma_factors_bit_for_bit(self, jittered):
         design, kern = self.ladder_case(jittered)
@@ -325,11 +335,12 @@ class TestErrorMoments:
 
     def test_second_moment_squares_as_python_floats(self):
         # Python's ``m ** 2`` (libm pow) and ``m * m``, a numpy array's square,
-        # round this mean one bit apart on glibc; the moments keep the former,
-        # and TestLevelSystem holds a level's second moments to these
+        # round this mean one bit apart on glibc; the moments take the latter,
+        # the correctly rounded square, and TestLevelSystem holds a level's
+        # second moments to these
         m = 0.4127425118455319
         for v in (0.0, 0.03, 1.0):
-            assert ErrorMoments(mean=m, variance=v).second_moment == v + m ** 2
+            assert ErrorMoments(mean=m, variance=v).second_moment == v + m * m
 
     def test_one_profile_pass_per_call(self, kernel_work):
         # the design Gram, the cross block and the target's block in one request
@@ -526,6 +537,27 @@ class TestLevelSystem:
         with pytest.raises(DomainError, match="must have one dimension, the domain's"):
             LevelSystem(design, targets, exp_model().kernel)
 
+    def test_infinite_mean_gives_no_intercept(self):
+        # the weights are the kernel's and finite; a mean that is infinite
+        # somewhere makes the intercepts inf - inf, which is named
+        design = Design(np.linspace(0.1, 0.9, 5)[:, None])
+        system = LevelSystem(design, self.targets(), exp_model().kernel)
+        with pytest.raises(DomainError, match="predictor weights and intercept must be finite"):
+            system.means(exp_model(mean=constant_mean(math.inf)))
+
+    @pytest.mark.parametrize("jittered", [False, True])
+    def test_conditioning_is_the_record_of_its_own_factor(self, kernel_work, jittered):
+        # one factorization per call, of the Gram the system solved with
+        design, kern = TestBuildGram.ladder_case(jittered)
+        targets = [TargetFunctional.point(design.sites[0] + 0.05)]
+        system = LevelSystem(design, targets, kern)
+        factor = build_gram(design, kern)
+        assert (factor.jitter > 0.0) == jittered
+        calls = kernel_work["build_gram"]
+        assert system.conditioning() == {"jitter": factor.jitter,
+                                         "inverse_rcond": factor.inverse_rcond}
+        assert kernel_work["build_gram"] == calls + 1
+
     def test_blocks_hold_no_share_of_the_evaluation_buffer(self):
         # the design Gram's triangle, the cross and the target blocks are
         # profiled in one flat buffer; a block kept as a view of it would hold
@@ -608,7 +640,7 @@ class TestMomentBlockMatchesDenseAssembly:
                                     ("mean", "variance", "second_moment")):
             assert got_values.shape == (len(builds), len(targets))
             assert got_values.tolist() == [[getattr(w, name) for w in row] for row in want]
-        assert squares.tolist() == [[w.mean ** 2 for w in row] for row in want]
+        assert squares.tolist() == [[w.mean * w.mean for w in row] for row in want]
         return variances.ravel().tolist()
 
     def test_point_targets_both_predictor_sets(self):

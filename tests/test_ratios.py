@@ -9,7 +9,8 @@ import warnings
 import numpy as np
 import pytest
 
-from misspec_krige.errors import DomainError, NumericalFailureError, PartialResultError
+from misspec_krige.errors import (DomainError, NegativeVarianceError, NumericalFailureError,
+                                  PartialResultError)
 from misspec_krige.kernels import MaternKernel, MaternParams
 from misspec_krige.kriging import (
     Design,
@@ -231,6 +232,42 @@ class TestEfficiencyRatios:
         assert all(1e13 < float(value) < 1e16 for value in match.groups())
 
 
+class TestConditioningInTheFailureMessage:
+    """An own-measure or negative-variance failure names each model's Gram
+    conditioning, asked once per distinct kernel."""
+
+    # sites clustered far below 1/k_max on the torus: an error variance comes
+    # out negative at n = 12, with a shared kernel or with one of twice its scale
+    PERIODIC = {"family": "periodic", "power": 2.0, "k_max": 6}
+    DESIGN = {"kind": "accumulating", "q": 0.3, "x_star": 0.37}
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "distinct"])
+    def test_one_factor_per_distinct_kernel(self, kernel_work, shared):
+        from misspec_krige import cli
+        from misspec_krige.harness import generate_design
+        true_spec = {**self.PERIODIC, "scale": 2.0} if shared else self.PERIODIC
+        wrong_spec = {**self.PERIODIC, "scale": 2.0}
+        if shared:
+            wrong_spec["mean"] = {"kind": "constant", "value": 0.5}
+        scenario = cli._scenario_from_config({"experiment": {
+            "true_model": true_spec, "wrong_model": wrong_spec, "design": self.DESIGN,
+            "schedule": [12]}})
+        design = generate_design(scenario.design_generator, 12)
+        with pytest.raises(NegativeVarianceError) as err:
+            efficiency_ratios(design, list(scenario.targets), scenario.true_model,
+                              scenario.wrong_model)
+        # one factor per kernel for the solve, one for the record
+        assert kernel_work["build_gram"] == (2 if shared else 4)
+        grams = [build_gram(design, model.kernel)
+                 for model in (scenario.true_model, scenario.wrong_model)]
+        assert str(err.value).endswith(
+            f"; the limit is Gram conditioning (1/rcond {grams[0].inverse_rcond:.2g} for the "
+            f"true Gram at jitter {grams[0].jitter:.1e}, {grams[1].inverse_rcond:.2g} for the "
+            f"working Gram at jitter {grams[1].jitter:.1e})")
+        assert re.match(r"error variance -\d\.\d{3}e-\d\d is negative beyond tolerance; ",
+                        str(err.value))
+
+
 def stored_deviations(values, limits):
     """|value - limit| as each record stored it before deviations were derived."""
     return {name: abs(values[name] - lim) for name, lim in limits.items()}
@@ -276,6 +313,58 @@ class TestDerivedDeviations:
         assert sup.deviations == deviations
         if limit_a is None:
             assert "r_var_3" not in sup.deviations and "r_mom_4" not in sup.deviations
+
+
+def point(x, label=""):
+    return TargetFunctional.point([x], label=label)
+
+
+REJECTED_INPUTS = [
+    ({"targets": []}, "at least one target is required"),
+    ({"targets": [point(0.3), TargetFunctional.point([0.3, 0.4])]},
+     "every target's sites must have one dimension, the domain's"),
+    ({"targets": [point(0.3), point(1.5)]}, "point [1.5] lies outside the box [0, 1]"),
+    ({"limit_a": -1.0},
+     "the limit constant must be positive with a finite reciprocal, got -1.0"),
+    ({"limit_a": math.nan},
+     "the limit constant must be positive with a finite reciprocal, got nan"),
+    ({"targets": [point(0.3), point(0.6, SUP_TARGET_ID)]},
+     "target id 'SUP' is reserved for the SUP records"),
+    ({"targets": [point(0.3, "x"), point(0.6, "x")]},
+     "target id 'x' is used by more than one target"),
+    ({"targets": [point(0.3), point(0.6, "t00")]},  # the first one's id by index
+     "target id 't00' is used by more than one target"),
+]
+REJECTED_IDS = ["no-target", "two-dimensions", "off-domain", "limit-negative", "limit-nan",
+                "sup-label", "shared-label", "label-of-an-index-id"]
+
+
+class TestInputsCheckedBeforeAnyLevel:
+    """Inputs that no design enters are checked once, before the first design
+    is drawn, and fail as the input error they are."""
+
+    @pytest.mark.parametrize("changes, message", REJECTED_INPUTS, ids=REJECTED_IDS)
+    def test_ratio_convergence_draws_no_design(self, changes, message):
+        drawn = []
+
+        def generator(n):
+            drawn.append(n)
+            return grid_design(n)
+        inputs = {"targets": grid_targets(), "limit_a": None} | changes
+        with pytest.raises(DomainError) as err:
+            ratio_convergence(exp_model(), exp_model(sigma=2.0), generator,
+                              inputs["targets"], [4, 8, 16], limit_a=inputs["limit_a"])
+        assert str(err.value) == message
+        assert drawn == []
+
+    @pytest.mark.parametrize("changes, message", REJECTED_INPUTS, ids=REJECTED_IDS)
+    def test_efficiency_ratios_evaluates_no_kernel(self, kernel_work, changes, message):
+        inputs = {"targets": grid_targets(), "limit_a": None} | changes
+        with pytest.raises(DomainError) as err:
+            efficiency_ratios(grid_design(8), inputs["targets"], exp_model(),
+                              exp_model(sigma=2.0), limit_a=inputs["limit_a"])
+        assert str(err.value) == message
+        assert kernel_work == {"build_gram": 0, "gram_pairs": 0, "_evaluate": 0}
 
 
 class TestSharedKernel:
@@ -332,7 +421,8 @@ class TestSharedKernel:
                 want[f"r_{kind}_2"] = q["true", "wrong"] / q["wrong", "wrong"]
                 want[f"r_{kind}_3"] = q["true", "wrong"] / q["true", "true"]
                 want[f"r_{kind}_4"] = q["wrong", "true"] / q["wrong", "wrong"]
-            want["mean_term"] = mom["true", "wrong"].mean ** 2 / sec["true", "true"]
+            mean = mom["true", "wrong"].mean
+            want["mean_term"] = mean * mean / sec["true", "true"]
             assert rec.target_id == target.label
             assert {name: rec.value(name) for name in want} == want
             assert rec.true_variance == var["true", "true"]
@@ -355,6 +445,12 @@ class TestRecordChecks:
         with pytest.raises(NumericalFailureError) as exc:
             unit_record(**changes)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("name", ["true_variance", "n", "r_var_5"])
+    def test_value_of_a_name_that_is_no_record_column(self, name):
+        # ``true_variance`` and ``n`` are fields, but no CSV value column
+        with pytest.raises(KeyError, match=name):
+            unit_record().value(name)
 
     def test_table_rejects_unordered_levels(self):
         with pytest.raises(DomainError) as exc:
@@ -499,7 +595,7 @@ class TestMeanTermFromMomentBlock:
 
 
 def test_one_squaring_site_for_the_error_means():
-    # the level's squares are ``_moment_rules``' Python squares of its error
+    # the level's squares are ``_moment_rules``' squares ``m * m`` of its error
     # means, and the record's mean term and ``mean_term`` divide those squares
     from misspec_krige.harness import builtin_scenario, generate_design
     s = builtin_scenario("mean_shift_constant")
@@ -510,7 +606,7 @@ def test_one_squaring_site_for_the_error_means():
     means, variances, squares, _ = level_moments(system, weights, intercepts, tilts,
                                                  system.means(s.wrong_model))
     seconds = level_moments(system, weights, intercepts, tilts, system.means(s.true_model))[3]
-    assert squares.tolist() == [[m ** 2 for m in row] for row in means.tolist()]
+    assert squares.tolist() == [[m * m for m in row] for row in means.tolist()]
     assert np.any(squares[0] > 0.0)
     records = efficiency_ratios(design, targets, s.true_model, s.wrong_model,
                                 limit_a=s.limit_a)
@@ -653,6 +749,28 @@ class TestRatioConvergence:
                 factor = build_gram(grid_design(int(n)), model.kernel)
                 assert per_model[tag] == {"jitter": factor.jitter,
                                           "inverse_rcond": factor.inverse_rcond}
+
+    @pytest.mark.parametrize("shared, factorizations", [(True, 6), (False, 12)],
+                             ids=["shared", "distinct"])
+    def test_one_factorization_per_distinct_kernel_for_the_record(
+            self, monkeypatch, shared, factorizations):
+        # per level and distinct kernel: one factor for the solve, one for the
+        # conditioning record; a shared kernel's two entries are one record
+        import scipy.linalg
+        cholesky, calls = scipy.linalg.cholesky, []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return cholesky(*args, **kwargs)
+        monkeypatch.setattr(scipy.linalg, "cholesky", counted)
+        true = exp_model(mean=constant_mean(0.2))
+        wrong = (exp_model(mean=linear_mean(-0.3, 1.1)) if shared
+                 else exp_model(sigma=2.0, kappa=0.5))
+        table = ratio_convergence(true, wrong, grid_design, grid_targets(), [4, 8, 16])
+        assert len(calls) == factorizations
+        for per_model in table.metadata["conditioning"].values():
+            assert per_model["true"]["jitter"] == per_model["wrong"]["jitter"] == 0.0
+            assert (per_model["true"] is per_model["wrong"]) == shared
 
     def test_design_of_another_size_fails_its_level(self):
         def generator(n):
