@@ -43,7 +43,6 @@ from .harness import (
     Scenario,
     builtin_models,
     builtin_scenario,
-    common_domain,
     default_design,
     default_targets,
     generate_design,
@@ -62,7 +61,7 @@ from .kernels import (
     UnitSphere,
 )
 from .kriging import GaussianModel, TargetFunctional, constant_mean, kink_mean, linear_mean, zero_mean
-from .ratios import RECORD_COLUMNS, RatioTable, check_schedule
+from .ratios import RECORD_COLUMNS, RatioTable, check_schedule, common_domain
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

@@ -33,7 +33,7 @@ from .kernels import (
 )
 from .kernels.base import block_threads
 from .kriging import GaussianModel, TargetFunctional
-from .ratios import mean_term
+from .ratios import common_domain, mean_term
 
 DEFAULT_WINDOW = 0.2
 DEFAULT_TOL = 1e-2
@@ -420,8 +420,8 @@ def assumption_report(true_model: GaussianModel, wrong_model: GaussianModel,
     ``verdict_tol`` are the trailing-window fraction and the relative
     tolerance of the ratio-limit verdicts.
     """
+    domain = common_domain(true_model, wrong_model)
     block_threads()  # a bad MISSPEC_KRIGE_THREADS fails the report, not its routes
-    domain = true_model.kernel.domain
     k_true, k_wrong = true_model.kernel, wrong_model.kernel
 
     def guarded(probe, *args) -> dict | None:

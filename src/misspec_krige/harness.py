@@ -31,7 +31,7 @@ from .kernels import (
 )
 from .kernels.base import fibonacci_sphere_grid
 from .kriging import Design, GaussianModel, TargetFunctional, constant_mean, kink_mean, zero_mean
-from .ratios import VARIANCE_FLOOR, RatioTable, check_schedule, ratio_convergence
+from .ratios import VARIANCE_FLOOR, RatioTable, check_schedule, common_domain, ratio_convergence
 
 MAX_DESIGN_SIZE = 2048
 
@@ -231,15 +231,6 @@ def default_targets(generator: DesignGenerator, n_max: int,
 # ---------------------------------------------------------------------------
 # scenarios
 # ---------------------------------------------------------------------------
-
-def common_domain(true_model: GaussianModel, wrong_model: GaussianModel) -> Domain:
-    """The domain both models live on; a DomainError naming both when they differ."""
-    domain, other = true_model.kernel.domain, wrong_model.kernel.domain
-    if other != domain:
-        raise DomainError(f"the two models must live on the same domain, got {domain!r} "
-                          f"and {other!r}")
-    return domain
-
 
 @dataclass(frozen=True)
 class Scenario:

@@ -18,6 +18,7 @@ densities exists exactly when the smoothness parameters agree.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -134,5 +135,11 @@ class MaternSpectralDensity:
         if w.ndim != 1 or w.size != p.dim:
             raise DomainError(f"omega must be a vector in R^{p.dim}")
         norm2 = float(w @ w)
+        return self._scale / (p.kappa ** 2 + norm2) ** (p.nu + p.dim / 2.0)
+
+    @functools.cached_property
+    def _scale(self) -> float:
+        """Gamma(nu + d/2) / (Gamma(nu) pi^(d/2)) * sigma^2 kappa^(2 nu), once per density."""
+        p = self.params
         const = gamma_fn(p.nu + p.dim / 2.0) / (gamma_fn(p.nu) * math.pi ** (p.dim / 2.0))
-        return const * p.infill_identifiable / (p.kappa ** 2 + norm2) ** (p.nu + p.dim / 2.0)
+        return const * p.infill_identifiable

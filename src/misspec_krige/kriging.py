@@ -334,29 +334,23 @@ def _leading_minor(exc: Exception) -> int | None:
 class LevelSystem:
     """What a kernel fixes at a schedule level: the design Gram ``sigma``, its
     only n x n array, the cross block of every target's sites, stacked once
-    (target t in rows ``offsets[t]:offsets[t + 1]``), each target's block
-    ``tblocks``, and each target's kriging weights (one multi-column solve)
-    and tilt.  One ``gram_pairs`` call gives the Gram, the cross block and,
-    unless ``tblocks`` passes them in from an earlier system of the same
-    targets and kernel, the target blocks, which no design enters.  Models
-    sharing the kernel share the system and its ``moment_block``, the error
+    (target t in rows ``offsets[t]:offsets[t + 1]``), and each target's
+    kriging weights (one multi-column solve) and tilt.  One ``gram_pairs``
+    call gives the Gram and the cross block; the targets' own blocks, which
+    no design enters, come from ``own_blocks`` once per run.  Models sharing
+    the kernel share the system and its ``moment_block``, the error
     variances; a model enters through its ``means``, from which
     ``_error_means`` forms the error means."""
 
-    def __init__(self, design: Design, targets, kernel: CovarianceKernel, tblocks=None):
+    def __init__(self, design: Design, targets, kernel: CovarianceKernel):
         self.design, self.targets, self.kernel = design, list(targets), kernel
         self.offsets = np.cumsum([0] + [len(t.coeffs) for t in self.targets])
         self.sites = _stacked_sites(self.targets)
-        # own blocks as (t, t), not (t, None): the same doubles without the
-        # triangle set-up, and the same bits whatever else the call carries
-        self.sigma, cross, *own = kernel.gram_pairs(
-            [(design.sites, None), (self.sites, design.sites)]
-            + ([(t.sites, t.sites) for t in self.targets] if tblocks is None else []))
+        self.sigma, cross = kernel.gram_pairs([(design.sites, None), (self.sites, design.sites)])
         # copies, and no view left: a view would hold the whole evaluation
         # buffer, the design's triangle included, through the factorization
         self.cross = [cross[lo:hi].copy() for lo, hi in zip(self.offsets, self.offsets[1:])]
-        self.tblocks = [block.copy() for block in own] if tblocks is None else tblocks
-        del cross, own
+        del cross
         rhs = np.column_stack([t.coeffs @ c for t, c in zip(self.targets, self.cross)])
         # the factor, and Sigma plus jitter if any, live for the solve only
         factor = build_gram(design, kernel, sigma=self.sigma)
@@ -382,11 +376,17 @@ class LevelSystem:
         factor = build_gram(self.design, self.kernel, sigma=self.sigma)
         return {"jitter": factor.jitter, "inverse_rcond": factor.inverse_rcond}
 
-    def moment_block(self, weights, tilts) -> np.ndarray:
-        """``_variances`` under this kernel: the kernel's part of the moments,
-        which no model's mean enters."""
-        return _variances(weights, tilts, self.sigma, self.cross, self.tblocks,
+    def moment_block(self, weights, tilts, tblocks) -> np.ndarray:
+        """``_variances`` under this kernel, ``tblocks`` being its targets'
+        ``own_blocks``: the kernel's part of the moments, which no mean enters."""
+        return _variances(weights, tilts, self.sigma, self.cross, tblocks,
                           [t.coeffs for t in self.targets])
+
+
+def own_blocks(targets, kernel: CovarianceKernel) -> list[np.ndarray]:
+    """Each target's block k(t, t), which no design enters, from one request;
+    as (t, t), not (t, None): the same doubles without the triangle set-up."""
+    return kernel.gram_pairs([(t.sites, t.sites) for t in targets])
 
 
 def _stacked_sites(targets) -> np.ndarray:

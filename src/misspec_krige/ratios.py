@@ -32,9 +32,10 @@ import numpy as np
 
 from .errors import (DomainError, MisspecKrigeError, NegativeVarianceError,
                      NumericalFailureError, OptimalityError, PartialResultError)
+from .kernels import Domain
 from .kernels.base import block_threads as _default_workers, is_whole_number
 from .kriging import (Design, GaussianModel, LevelSystem, TargetFunctional, _error_means,
-                      _moment_rules, _stacked_sites)
+                      _moment_rules, _stacked_sites, own_blocks)
 
 #: r_var_i and r_mom_i, i = 1..4: the error variance or second moment of the
 #: numerator's (predictor, measure) pair over the denominator's
@@ -102,17 +103,28 @@ class RatioRecord:
         return {name: abs(self.value(name) - limit) for name, limit in self.limits.items()}
 
 
-def _run_limits(targets: Sequence[TargetFunctional], true_model: GaussianModel,
-                wrong_model: GaussianModel, limit_a: float | None) -> dict[str, float]:
-    """A run's limits, once the inputs that no design enters pass: at least one
-    target, every site of one dimension and on the true model's domain, record
-    ids that are distinct and not SUP, and a positive ``limit_a`` with a finite
-    reciprocal.  A limit is 1 for a ratio within one measure; with ``limit_a``,
-    a from the true to the working measure and 1/a back; 0 for the mean term
-    of equal kernels."""
+def common_domain(true_model: GaussianModel, wrong_model: GaussianModel) -> Domain:
+    """The domain both models live on; a DomainError naming both when they differ."""
+    domain, other = true_model.kernel.domain, wrong_model.kernel.domain
+    if other != domain:
+        raise DomainError(f"the two models must live on the same domain, got {domain!r} "
+                          f"and {other!r}")
+    return domain
+
+
+def _run_inputs(targets: Sequence[TargetFunctional], true_model: GaussianModel,
+                wrong_model: GaussianModel, limit_a: float | None) -> tuple[dict, tuple]:
+    """A run's limits and its targets' ``own_blocks`` under the true and the
+    working kernel (one request per distinct kernel), once the inputs that no
+    design enters pass: models on one domain, at least one target, every site
+    of one dimension and on that domain, record ids that are distinct and not
+    SUP, and a positive ``limit_a`` with a finite reciprocal.  A limit is 1 for
+    a ratio within one measure; with ``limit_a``, a from the true to the
+    working measure and 1/a back; 0 for the mean term of equal kernels."""
+    domain = common_domain(true_model, wrong_model)
     if not targets:
         raise DomainError("at least one target is required")
-    true_model.kernel.domain.points(_stacked_sites(targets))
+    domain.points(_stacked_sites(targets))
     ids = _target_ids(targets)
     for target_id in ids:
         if target_id == SUP_TARGET_ID:
@@ -128,9 +140,11 @@ def _run_limits(targets: Sequence[TargetFunctional], true_model: GaussianModel,
     limits = {f"r_{kind}_{i}": by_measures[num[1], den[1]]
               for kind in ("var", "mom") for i, (num, den) in enumerate(_RATIO_PAIRS, 1)
               if (num[1], den[1]) in by_measures}
+    own = own_blocks(targets, true_model.kernel)
     if true_model.kernel == wrong_model.kernel:
         limits["mean_term"] = 0.0
-    return limits
+        return limits, (own, own)
+    return limits, (own, own_blocks(targets, wrong_model.kernel))
 
 
 def _target_ids(targets: Sequence[TargetFunctional]) -> list[str]:
@@ -149,11 +163,11 @@ def efficiency_ratios(design: Design, targets: Sequence[TargetFunctional],
     gets one ``LevelSystem`` (one factor, one solve for all targets), whose
     ``moment_block`` gives both predictors' error variances under it.
     """
-    limits = _run_limits(targets, true_model, wrong_model, limit_a)
+    limits, tblocks = _run_inputs(targets, true_model, wrong_model, limit_a)
     excluded: list[str] = []
     try:
         return _level_ratios(design, targets, true_model, wrong_model, limits,
-                             variance_floor, excluded, {})[0]
+                             variance_floor, excluded, tblocks)[0]
     finally:
         _warn_excluded(excluded)
 
@@ -171,19 +185,15 @@ def _warn_excluded(messages: list[str]) -> None:
 def _level_ratios(design: Design, targets: Sequence[TargetFunctional],
                   true_model: GaussianModel, wrong_model: GaussianModel,
                   limits: dict[str, float], variance_floor: float, excluded: list[str],
-                  tblocks: dict) -> tuple[list[RatioRecord], tuple[LevelSystem, LevelSystem]]:
-    """The records of :func:`efficiency_ratios` under the run's ``limits``, and the
-    true and working models' systems; each excluded target's message is appended
-    to ``excluded`` instead of warned.  ``tblocks`` holds the targets' own blocks
-    by model tag (a kernel need not be hashable): the systems take theirs from
-    it, and add those they evaluated once both are built."""
+                  tblocks: tuple) -> tuple[list[RatioRecord], tuple[LevelSystem, LevelSystem]]:
+    """The records of :func:`efficiency_ratios` under the run's ``limits`` and
+    the true and working kernels' ``tblocks``, and the true and working
+    models' systems; each excluded target's message is appended to
+    ``excluded`` instead of warned."""
     n = design.n
-    shared_kernel = true_model.kernel == wrong_model.kernel
-    true_system = LevelSystem(design, targets, true_model.kernel, tblocks.get("true"))
-    wrong_system = (true_system if shared_kernel else LevelSystem(
-        design, targets, wrong_model.kernel, tblocks.get("wrong")))
-    tblocks.setdefault("true", true_system.tblocks)
-    tblocks.setdefault("wrong", wrong_system.tblocks)
+    true_system = LevelSystem(design, targets, true_model.kernel)
+    wrong_system = (true_system if true_model.kernel == wrong_model.kernel
+                    else LevelSystem(design, targets, wrong_model.kernel))
     systems = true_system, wrong_system
     records: list[RatioRecord] = []
     try:
@@ -193,8 +203,8 @@ def _level_ratios(design: Design, targets: Sequence[TargetFunctional],
         intercepts = np.stack([means["true"][2], means["wrong"][2]])
         # the variances once per distinct kernel; each (predictor, measure) pair's clamped
         # variances, squares and second moments, checked in (measure, predictor, target) order
-        variances = {system: system.moment_block(weights, tilts)
-                     for system in dict.fromkeys((true_system, wrong_system))}
+        variances = {system: system.moment_block(weights, tilts, blocks)
+                     for system, blocks in dict(zip(systems, tblocks)).items()}
         mom = {}
         for measure, system in (("true", true_system), ("wrong", wrong_system)):
             errors = _error_means(weights, intercepts, *means[measure][:2])
@@ -263,8 +273,8 @@ def mean_term(design: Design, target: TargetFunctional, true_model: GaussianMode
     system = LevelSystem(design, [target], true_model.kernel)
     mean = _error_means(system.weights[None], system.means(true_model)[2][None],
                         *system.means(shifted_mean_model)[:2])
-    variance, square, _ = _moment_rules(
-        mean.item(), system.moment_block(system.weights[None], system.tilts[None]).item())
+    variance, square, _ = _moment_rules(mean.item(), system.moment_block(
+        system.weights[None], system.tilts[None], own_blocks([target], true_model.kernel)).item())
     if variance < VARIANCE_FLOOR:
         raise NumericalFailureError("target kriging variance below the floor")
     return square / variance
@@ -321,17 +331,16 @@ def ratio_convergence(true_model: GaussianModel, wrong_model: GaussianModel,
     one at a time, in schedule order; each level splits its large blocks over
     the block threads, whose number MISSPEC_KRIGE_THREADS sets (default
     min(4, cpu count)), and the split leaves every bit in place.  Each
-    kernel evaluates the targets' own blocks once, in the first level that
-    builds its systems, and later levels reuse them: a level's records are
-    those of ``efficiency_ratios`` on its design alone, bit for bit.
+    distinct kernel evaluates the targets' own blocks once, before the first
+    design is drawn, and every level uses them: a level's records are those
+    of ``efficiency_ratios`` on its design alone, bit for bit.
     Excluded targets are warned about from the calling thread once every
     level is done, in schedule order, failed levels included.
     """
     schedule = list(check_schedule(n_schedule))
     _default_workers()  # a bad MISSPEC_KRIGE_THREADS fails the run before any level
-    limits = _run_limits(targets, true_model, wrong_model, limit_a)  # so do bad inputs
+    limits, tblocks = _run_inputs(targets, true_model, wrong_model, limit_a)  # so do bad inputs
     excluded: dict[int, list[str]] = {n: [] for n in schedule}
-    tblocks: dict = {}  # model tag -> the targets' own blocks, kept across levels
 
     def level(n: int) -> tuple[list[RatioRecord], dict]:
         design = design_generator(n)

@@ -14,7 +14,7 @@ from misspec_krige.errors import DomainError
 from misspec_krige.kernels import MaternParams, SphereLegendreParams, SphereSpdeParams
 from misspec_krige.kriging import (_COMPENSATED_FROM, Design, ErrorMoments, GaussianModel,
                                    LevelSystem, LinearPredictor, TargetFunctional,
-                                   _error_means, _moment_rules)
+                                   _error_means, _moment_rules, own_blocks)
 
 
 def bessel_k(nu: float, x):
@@ -88,11 +88,13 @@ def level_moments(system, weights, intercepts, tilts, means):
     """The (S, T) error means, clamped variances, squares and second moments
     of the predictors with ``weights``, ``intercepts`` and ``tilts`` under
     ``system``'s kernel and the mean whose ``LevelSystem.means`` are ``means``,
-    as a level forms them: the kernel's ``moment_block``, the model's
-    ``_error_means`` and ``_moment_rules`` in (set, target) order."""
+    as a level forms them: the kernel's ``moment_block`` over its targets'
+    ``own_blocks``, the model's ``_error_means`` and ``_moment_rules`` in
+    (set, target) order."""
     errors = _error_means(weights, intercepts, *means[:2])
+    variances = system.moment_block(weights, tilts, own_blocks(system.targets, system.kernel))
     checked = np.array([list(map(_moment_rules, *row)) for row in
-                        zip(errors.tolist(), system.moment_block(weights, tilts).tolist())])
+                        zip(errors.tolist(), variances.tolist())])
     return (errors, *checked.transpose(2, 0, 1))
 
 

@@ -160,6 +160,27 @@ class TestSpectralDensity:
         with pytest.raises(DomainError):
             MaternSpectralDensity(MaternParams(1, 1, 1, dim=1))(np.array([1.0, 2.0]))
 
+    @pytest.mark.parametrize("params", [MaternParams(1.0, 0.5, 1.0, dim=1),
+                                        MaternParams(1.3, 1.7, 0.4, dim=2)])
+    def test_constant_once_per_density_with_the_bits_of_each_call(self, monkeypatch, params):
+        # the gamma-function constant is formed on the first call only, and
+        # every value is the per-call formula's to the bit
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return gamma_fn(x)
+        p, gamma_fn = params, matern_module.gamma_fn
+        monkeypatch.setattr(matern_module, "gamma_fn", counted)
+        f = MaternSpectralDensity(p)
+        rng = np.random.default_rng(3)
+        for w in rng.standard_normal((50, p.dim)) * 10.0 ** rng.integers(-2, 3, (50, 1)):
+            const = gamma_fn(p.nu + p.dim / 2.0) / (gamma_fn(p.nu) * math.pi ** (p.dim / 2.0))
+            want = const * p.infill_identifiable / (p.kappa ** 2 + float(w @ w)) ** (
+                p.nu + p.dim / 2.0)
+            assert f(w) == want
+        assert len(calls) == 2
+
 
 class TestRatioLimit:
     def test_same_nu_constant(self):

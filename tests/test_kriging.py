@@ -26,6 +26,7 @@ from misspec_krige.kriging import (
     kink_mean,
     kriging_predictor,
     linear_mean,
+    own_blocks,
     _COMPENSATED_FROM,
     _row_dots,
     _tilts,
@@ -254,6 +255,23 @@ class TestKrigingPredictor:
         assert pred.intercept == pytest.approx(2.0 - 2.0 * w, rel=1e-12)
         # prediction at the prior mean is the prior mean of the target
         assert pred.predict(np.array([2.0])) == pytest.approx(2.0)
+
+    def test_one_request_of_the_design_gram_and_the_cross_block(self, monkeypatch):
+        # a predictor reads no target block k(t, t), so none is evaluated
+        requests = []
+        gram_pairs = MaternKernel.gram_pairs
+
+        def recorded(self, pairs):
+            requests.append(list(pairs))
+            return gram_pairs(self, pairs)
+        monkeypatch.setattr(MaternKernel, "gram_pairs", recorded)
+        design = Design(np.arange(1, 6)[:, None] / 6.0)
+        target = TargetFunctional(0.2, np.array([[0.15], [0.55]]), np.array([1.0, -0.5]))
+        kriging_predictor(target, design, exp_model())
+        (pairs,) = requests
+        assert len(pairs) == 2
+        assert pairs[0][0] is design.sites and pairs[0][1] is None
+        assert pairs[1][1] is design.sites
 
 
 class TestErrorMoments:
@@ -559,12 +577,12 @@ class TestLevelSystem:
         assert kernel_work["build_gram"] == calls + 1
 
     def test_blocks_hold_no_share_of_the_evaluation_buffer(self):
-        # the design Gram's triangle, the cross and the target blocks are
-        # profiled in one flat buffer; a block kept as a view of it would hold
-        # all of it for as long as the system lives
+        # the design Gram's triangle and the cross block are profiled in one
+        # flat buffer; a block kept as a view of it would hold all of it for
+        # as long as the system lives
         design = Design((np.arange(1, 41) / 41.0)[:, None])
         system = LevelSystem(design, self.targets(), exp_model().kernel)
-        for block in system.cross + system.tblocks:
+        for block in system.cross:
             owner = block if block.base is None else block.base
             assert owner.nbytes == block.nbytes
             assert not np.shares_memory(block, system.sigma)
@@ -632,7 +650,8 @@ class TestMomentBlockMatchesDenseAssembly:
         system = LevelSystem(design, targets, measure.kernel)
         got = level_moments(system, weights, intercepts, tilts, system.means(measure))
         want = dense_moment_block(weights, intercepts, targets, system.sigma, system.cross,
-                                  system.tblocks, measure.mean_at(design.sites),
+                                  own_blocks(targets, measure.kernel),
+                                  measure.mean_at(design.sites),
                                   [measure.mean_at(t.sites) for t in targets])
         assert len(want) == len(builds)
         means, variances, squares, seconds = got
@@ -836,4 +855,5 @@ class TestMeanShiftIdentity:
         dev = mean_shift_identity_check(TargetFunctional.point([0.415]), design,
                                         exp_model(), exp_model(mean=constant_mean(0.8)))
         assert dev <= 1e-10
-        assert kernel_work == {"build_gram": 1, "gram_pairs": 1, "_evaluate": 1}
+        # one request for the system, one for the target's own block
+        assert kernel_work == {"build_gram": 1, "gram_pairs": 2, "_evaluate": 2}

@@ -367,6 +367,41 @@ class TestInputsCheckedBeforeAnyLevel:
         assert kernel_work == {"build_gram": 0, "gram_pairs": 0, "_evaluate": 0}
 
 
+@pytest.mark.parametrize("entry", ["efficiency_ratios", "ratio_convergence",
+                                   "assumption_report"])
+def test_models_on_two_domains_rejected_before_any_kernel_work(kernel_work, monkeypatch,
+                                                               entry):
+    # a Matérn model on the box against a periodic one on the torus: the
+    # CLI's message, before a design is drawn or either kernel evaluated
+    from misspec_krige.diagnostics import assumption_report
+    from misspec_krige.kernels import PeriodicKernel, PeriodicSpectrum
+    periodic_grams, drawn = [], []
+    gram = PeriodicKernel.gram
+
+    def counted(self, *args, **kwargs):
+        periodic_grams.append(args)
+        return gram(self, *args, **kwargs)
+    monkeypatch.setattr(PeriodicKernel, "gram", counted)
+
+    def generator(n):
+        drawn.append(n)
+        return grid_design(n)
+    true = exp_model()
+    wrong = GaussianModel(zero_mean, PeriodicKernel(PeriodicSpectrum.from_coeffs(
+        {0: 1.0, 1: 0.5, 2: 0.25}, dim=1)))
+    calls = {"efficiency_ratios": lambda: efficiency_ratios(grid_design(8), grid_targets(),
+                                                            true, wrong),
+             "ratio_convergence": lambda: ratio_convergence(true, wrong, generator,
+                                                            grid_targets(), [4, 8]),
+             "assumption_report": lambda: assumption_report(true, wrong)}
+    with pytest.raises(DomainError) as err:
+        calls[entry]()
+    assert str(err.value) == ("the two models must live on the same domain, got "
+                              "Box(lower=(0.0,), upper=(1.0,)) and Torus(dim=1)")
+    assert kernel_work == {"build_gram": 0, "gram_pairs": 0, "_evaluate": 0}
+    assert periodic_grams == drawn == []
+
+
 class TestSharedKernel:
     """Models with equal kernels share one factor, one set of blocks and one
     solve; only the intercepts and error means differ."""
@@ -381,28 +416,31 @@ class TestSharedKernel:
                              label="pair")]
 
     def test_one_factor_and_one_block_call_per_level(self, kernel_work):
+        # per distinct kernel, one request of the own blocks and one of the level's
         true, wrong = self.pair()
         efficiency_ratios(grid_design(11), self.targets(), true, wrong, limit_a=1.0)
-        assert kernel_work == {"build_gram": 1, "gram_pairs": 1, "_evaluate": 1}
+        assert kernel_work == {"build_gram": 1, "gram_pairs": 2, "_evaluate": 2}
         efficiency_ratios(grid_design(11), self.targets(), true,
                           exp_model(sigma=1.3, kappa=0.4))
-        assert kernel_work == {"build_gram": 3, "gram_pairs": 3, "_evaluate": 3}
+        assert kernel_work == {"build_gram": 3, "gram_pairs": 6, "_evaluate": 6}
 
     def test_one_block_call_per_schedule_level(self, kernel_work, monkeypatch):
+        # and one request of the own blocks for the run
         monkeypatch.setenv("MISSPEC_KRIGE_THREADS", "1")
         true, wrong = self.pair()
         ratio_convergence(true, wrong, grid_design, self.targets(), [5, 9, 13],
                           limit_a=1.0)
-        assert kernel_work["gram_pairs"] == 3
+        assert kernel_work["gram_pairs"] == 1 + 3
 
     @pytest.mark.parametrize("shared", [True, False], ids=["shared", "distinct"])
     def test_one_profile_pass_per_kernel_per_level(self, kernel_work, shared):
-        # a kernel's design Gram, cross and target blocks come from one pass,
-        # and the conditioning record factors that same Gram
+        # a kernel's design Gram and cross block come from one pass per level,
+        # its target blocks from one pass per run, and the conditioning record
+        # factors that same Gram
         true, wrong = (self.pair() if shared
                        else (exp_model(), exp_model(sigma=1.3, kappa=0.4)))
         ratio_convergence(true, wrong, grid_design, self.targets(), [5, 9, 13])
-        assert kernel_work["_evaluate"] == (3 if shared else 6)
+        assert kernel_work["_evaluate"] == (1 + 3 if shared else 2 + 6)
 
     def test_records_equal_one_target_moments(self):
         true, wrong = self.pair()
@@ -574,9 +612,9 @@ class TestMeanTermFromMomentBlock:
         blocks, systems = [], []
         original = LevelSystem.moment_block
 
-        def counting(self, weights, tilts):
+        def counting(self, weights, tilts, tblocks):
             blocks.append((weights.tolist(), tilts.tolist()))
-            return original(self, weights, tilts)
+            return original(self, weights, tilts, tblocks)
         compared = 0
         for design, target in self.cases():
             system = LevelSystem(design, [target], kernel)
@@ -832,30 +870,58 @@ def record_bits(records):
             for rec in records]
 
 
+def record_requests(monkeypatch, events):
+    """Appends ``(kernel, pairs)`` to ``events`` per Matérn ``gram_pairs`` request."""
+    gram_pairs = MaternKernel.gram_pairs
+
+    def recorded(self, pairs):
+        events.append((self, list(pairs)))
+        return gram_pairs(self, pairs)
+    monkeypatch.setattr(MaternKernel, "gram_pairs", recorded)
+
+
 class TestOwnBlocksOncePerRun:
-    """A run's targets are the same at every level: each kernel evaluates
-    their own blocks once, and later levels reuse them to the bit."""
+    """A run's targets are the same at every level: each distinct kernel
+    evaluates their own blocks once, before the first design is drawn, and
+    every level uses them to the bit."""
 
     @pytest.mark.parametrize("family", ["matern_shared", "matern_distinct"])
     def test_own_blocks_requested_once_per_distinct_kernel(self, monkeypatch, family):
-        requests = []
-        gram_pairs = MaternKernel.gram_pairs
-
-        def recorded(self, pairs):
-            requests.append((self, list(pairs)))
-            return gram_pairs(self, pairs)
-        monkeypatch.setattr(MaternKernel, "gram_pairs", recorded)
+        events = []
+        record_requests(monkeypatch, events)
         true, wrong, generator, targets = reuse_case(family)
-        ratio_convergence(true, wrong, generator, targets, [5, 9, 13])
+
+        def drawn(n):
+            events.append(("design", n))
+            return generator(n)
+        ratio_convergence(true, wrong, drawn, targets, [5, 9, 13])
         kernels = {true.kernel, wrong.kernel}
         assert len(kernels) == (1 if family == "matern_shared" else 2)
-        # one request per kernel per level; only the first level's carries them
-        assert [len(pairs) for _, pairs in requests] == \
-            [2 + len(targets)] * len(kernels) + [2] * (2 * len(kernels))
+        # the own blocks, one request of (t, t) pairs per kernel, before the
+        # first design; then per level the design and one two-pair request per kernel
+        def kind(event):
+            if event[0] == "design":
+                return event
+            return ("own" if all(x is y for x, y in event[1]) else "level", len(event[1]))
+        assert list(map(kind, events)) == [("own", len(targets))] * len(kernels) + [
+            item for n in (5, 9, 13) for item in [("design", n)] + [("level", 2)] * len(kernels)]
         for target in targets:
-            own = [kernel for kernel, pairs in requests for x, y in pairs
-                   if x is target.sites and y is target.sites]
+            own = [kernel for kernel, pairs in events if kernel != "design"
+                   for x, y in pairs if x is target.sites and y is target.sites]
             assert len(own) == len(kernels) and set(own) == kernels
+
+    def test_own_blocks_requested_once_when_the_first_generator_fails(self, monkeypatch):
+        events = []
+        record_requests(monkeypatch, events)
+        true, wrong, generator, targets = reuse_case("matern_distinct")
+
+        def failing_first(n):
+            if n == 5:
+                raise DomainError("no design at n = 5")
+            return generator(n)
+        with pytest.raises(PartialResultError):
+            ratio_convergence(true, wrong, failing_first, targets, [5, 9, 13])
+        assert [len(pairs) for _, pairs in events] == [len(targets)] * 2 + [2] * 4
 
     @pytest.mark.parametrize("family", ["matern_shared", "matern_distinct", "periodic_2d",
                                         "sphere_series"])
@@ -871,7 +937,7 @@ class TestOwnBlocksOncePerRun:
     @pytest.mark.parametrize("failure", ["generator", "excluded"])
     def test_failed_first_level_leaves_later_levels_unchanged(self, failure):
         # "excluded": every target sits on a site of the n = 3 grid, so that
-        # level fails after both systems have evaluated the own blocks
+        # level fails after both systems are built
         true, wrong = exp_model(), exp_model(sigma=1.3, kappa=0.4)
         targets = [TargetFunctional.point([0.25]), TargetFunctional.point([0.75]),
                    TargetFunctional(0.4, [[0.5], [0.25]], [2.0, -0.5])]
@@ -891,7 +957,7 @@ class TestOwnBlocksOncePerRun:
 
     def test_kernels_need_not_be_hashable(self):
         # a kernel written as a plain (eq, unfrozen) dataclass has no hash;
-        # the own blocks are kept by model, not by kernel
+        # the own blocks are handed to the levels by model, not by kernel
         class Unhashable(MaternKernel):
             __hash__ = None
         true, wrong = (GaussianModel(zero_mean, Unhashable(MaternParams(sigma, 0.5, kappa)))
