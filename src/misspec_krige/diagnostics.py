@@ -497,8 +497,8 @@ def _spectral_route(k_true, k_wrong, tol) -> dict | None:
     lo, hi, count = SPECTRAL_RADII
     radii = np.logspace(math.log10(lo), math.log10(hi), count)
     verdict = spectral_ratio_limit(f, f_t, radii, tol=tol)
-    k_hat, big_k_hat = spectral_equivalence_bounds(
-        f, f_t, [r * u for r in radii for u in _default_directions(f.dim)])
+    dirs = _default_directions(f.dim)
+    k_hat, big_k_hat = spectral_equivalence_bounds(f, f_t, [r * u for r in radii for u in dirs])
     return dict(verdict.to_dict(), equivalence_bounds={"k_hat": k_hat, "K_hat": big_k_hat})
 
 

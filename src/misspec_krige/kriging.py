@@ -41,10 +41,10 @@ _COMPENSATED_FROM = 256
 
 _NEGATIVE_VARIANCE_TOL = 1e-10
 
-#: matrix entries a block thread converts, multiplies or checks at a time: a
-#: level's n x n steps go in slabs of ``_SLAB // n`` rows or columns, so none
-#: holds a whole 80-bit copy of a Gram or an n x n buffer, and every product
-#: at n <= 128 is one slab per thread
+#: doubles' worth of bytes a block thread converts, multiplies or checks at
+#: a time: a level's n x n steps go in slabs of that size, so none holds a
+#: whole 80-bit copy of a Gram or an n x n buffer, and every product at
+#: n <= 128 is one slab per thread
 _SLAB = 1 << 16
 
 
@@ -300,10 +300,11 @@ def build_gram(design: Design, kernel: CovarianceKernel,
 
 def _slabs(start: int, stop: int, n: int, dtype):
     """``(lo, hi, block)`` over consecutive ranges covering ``range(start, stop)``
-    of the rows or columns of an n x n matrix, ``_SLAB // n`` to a range (at
-    least one).  ``block`` is a (hi - lo, n) view of one C-ordered ``dtype``
-    buffer that every range reuses, so a block thread holds one slab at a time."""
-    step = min(max(1, _SLAB // n), stop - start)
+    of the rows or columns of an n x n matrix, as many to a range as fit in
+    ``_SLAB`` doubles (at least one).  ``block`` is a (hi - lo, n) view of one
+    C-ordered ``dtype`` buffer that every range reuses, so a block thread
+    holds one slab at a time."""
+    step = min(max(1, _SLAB * 8 // (n * np.dtype(dtype).itemsize)), stop - start)
     buffer = np.empty((step, n), dtype=dtype)
     for lo in range(start, stop, step):
         hi = min(lo + step, stop)

@@ -1057,16 +1057,47 @@ class TestMisc:
             assert main(argv) == EXIT_NUMERICAL
             assert "MISSPEC_KRIGE_THREADS must be an integer" in capsys.readouterr().err
 
-    def test_import_loads_no_scipy_spatial(self):
+    @staticmethod
+    def fresh_interpreter(probe, *argv):
+        """The stdout of ``probe`` run by a new interpreter that imports the
+        library from this source tree, with ``argv`` as its ``sys.argv[1:]``."""
         import misspec_krige
         src = str(Path(misspec_krige.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
+        return subprocess.run([sys.executable, "-c", probe, *argv], env=env,
+                              capture_output=True, text=True, check=True, timeout=120).stdout
+
+    def test_import_loads_no_scipy_spatial(self):
         probe = ("import sys, misspec_krige.cli; "
                  "print(sorted(m for m in sys.modules if m.startswith('scipy.spatial')))")
-        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                             text=True, check=True, timeout=60)
-        assert out.stdout.strip() == "[]"
+        assert self.fresh_interpreter(probe).strip() == "[]"
+
+    @pytest.mark.parametrize("command, config", [
+        ("run", {"schema": 1, "scenario": "sphere_legendre_vs_spde", "schedule": [8, 16]}),
+        ("check", {"schema": 1, "scenario": "periodic_ratio3"}),
+    ], ids=["run-sphere", "check-periodic"])
+    def test_models_without_matern_never_load_scipy_special(self, tmp_path, command, config):
+        # only the Matern family needs a Bessel or gamma function
+        argv = [command, write_config(tmp_path, config)] + (
+            ["--output", str(tmp_path / "out")] if command == "run" else [])
+        probe = ("import contextlib, io, sys\n"
+                 "from misspec_krige.cli import main\n"
+                 "with contextlib.redirect_stdout(io.StringIO()):\n"
+                 "    code = main(sys.argv[1:])\n"
+                 "print(code, 'scipy.special' in sys.modules)")
+        assert self.fresh_interpreter(probe, *argv).split() == ["0", "False"]
+
+    def test_matern_check_loads_scipy_special_with_its_config(self, tmp_path):
+        # the import falls while the config is read, not inside the report
+        probe = ("import sys\n"
+                 "from misspec_krige import cli\n"
+                 "args = cli.build_parser().parse_args(sys.argv[1:])\n"
+                 "before = 'scipy.special' in sys.modules\n"
+                 "work = args.func(args)\n"
+                 "print(before, 'scipy.special' in sys.modules)")
+        config = write_config(tmp_path, {"schema": 1, "scenario": "matern_same_nu"})
+        assert self.fresh_interpreter(probe, "check", config).split() == ["False", "True"]
 
 
 def rows_by_field(table, scenario_name):

@@ -260,6 +260,31 @@ class TestEquivalenceBounds:
         k2, K2 = spectral_equivalence_bounds(f, f_t, long)
         assert K2 / k2 > 10.0 * K1 / k1
 
+    def test_report_builds_the_directions_once_per_probe(self, monkeypatch):
+        # the verdict and the bounds each build the directions once, not once
+        # per radius, and the bounds' grid is every radius times every direction
+        from misspec_krige import diagnostics
+        calls, grids = [], []
+        directions, bounds = diagnostics._default_directions, spectral_equivalence_bounds
+
+        def counted(dim):
+            calls.append(dim)
+            return directions(dim)
+
+        def recorded(f, f_t, grid):
+            grids.append(grid)
+            return bounds(f, f_t, grid)
+        monkeypatch.setattr(diagnostics, "_default_directions", counted)
+        monkeypatch.setattr(diagnostics, "spectral_equivalence_bounds", recorded)
+        true = MaternKernel(MaternParams(1.0, 0.5, 1.0, dim=2), Box((0.0, 0.0), (1.0, 1.0)))
+        wrong = MaternKernel(MaternParams(2.0, 0.5, 0.5, dim=2), Box((0.0, 0.0), (1.0, 1.0)))
+        diagnostics._spectral_route(true, wrong, diagnostics.DEFAULT_TOL)
+        assert calls == [2, 2]
+        lo, hi, count = diagnostics.SPECTRAL_RADII
+        radii = np.logspace(math.log10(lo), math.log10(hi), count)
+        expected = [r * u for r in radii for u in directions(2)]
+        assert [w.tobytes() for w in grids[0]] == [w.tobytes() for w in expected]
+
 
 def small_periodic_kernel():
     return PeriodicKernel(PeriodicSpectrum.from_coeffs({0: 1.0, 1: 0.5}, dim=1))
